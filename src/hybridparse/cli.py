@@ -1,9 +1,9 @@
 """Command-line interface binding the modules into reproducible workflows.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 acceptance failure
-(oracle-check mismatches, threshold misses). Any flag may also be given
-in a key=value config file via --config; command-line flags win. The
-resolved configuration is echoed into output headers for provenance.
+Exit codes: 0 success, 1 usage error (including an unknown or malformed
+option), 2 data error, 3 acceptance failure (oracle-check mismatches,
+threshold misses). The options are echoed into output headers for
+provenance.
 """
 
 from __future__ import annotations
@@ -13,22 +13,21 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .convert import from_pure_dependency, is_convertible, to_pure_dependency
+from .convert import from_pure_dependency, lossless_pure_graphs, to_pure_dependency
 from .corpus_io import (
     GraphMetadata,
     TreebankDocument,
     TreebankFormatError,
-    dumps_treebank,
     read_feature_notation,
     read_treebank,
     sentences_from_notation,
     write_treebank,
 )
-from .crossval import cross_validate, evaluate_split
+from .crossval import cross_validate
 from .engine import parse_integrated, parse_multi_step
 from .graph import GraphError
 from .learning import DEFAULT_EPOCHS, FeatureSetSpec, Model, TrainingError, train
-from .metrics import MetricError, elas, las, parseval_graphs
+from .metrics import EvalReport, MetricError, elas, las, parseval_graphs
 from .oracle import oracle_sequence
 from .render import emit, emit_dot, layout
 from .synth import Profile, generate
@@ -43,30 +42,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    for line_no, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{line_no}: expected key=value", USAGE_ERROR)
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a usage error; subcommand
+    parsers are made from this class too."""
 
-
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        defaults = _load_config(args.config)
-        known = {a.dest for a in parser._actions}
-        for key, value in defaults.items():
-            if key not in known:
-                raise CliError(f"unknown config key {key!r}", USAGE_ERROR)
-            if parser.get_default(key) == getattr(args, key):
-                setattr(args, key, type(parser.get_default(key))(value)
-                        if parser.get_default(key) is not None else value)
-    return args
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}", USAGE_ERROR)
 
 
 def _provenance(args: argparse.Namespace, keys: list) -> str:
@@ -100,16 +81,8 @@ def cmd_train(args) -> int:
     spec = FeatureSetSpec(args.features)
     graphs = list(corpus.graphs)
     if args.pipeline == "multistep":
-        converted = []
-        lossy = 0
-        for graph in graphs:
-            pure, report = to_pure_dependency(graph)
-            if report.lossy:
-                lossy += 1
-                continue
-            converted.append(pure)
-        print(f"# lossy graphs excluded from conversion: {lossy}")
-        graphs = converted
+        graphs = lossless_pure_graphs(corpus.graphs)
+        print(f"# lossy graphs excluded from conversion: {len(corpus.graphs) - len(graphs)}")
     try:
         model = train(graphs, spec, seed=args.seed, epochs=args.epochs)
     except TrainingError as exc:
@@ -154,8 +127,6 @@ def cmd_eval(args) -> int:
     print(_provenance(args, ["gold", "pred", "metric"]))
     try:
         if args.metric == "elas":
-            from .metrics import EvalReport
-
             report = EvalReport.combine(
                 elas(g, p) for g, p in zip(gold.graphs, pred.graphs)
             )
@@ -165,8 +136,6 @@ def cmd_eval(args) -> int:
             overall = sum(scores) / len(scores)
             print(f"las={float(overall):.6f}")
         else:
-            from fractions import Fraction
-
             precisions, recalls = [], []
             for g, p in zip(gold.graphs, pred.graphs):
                 pr, rc = parseval_graphs(g, p)
@@ -251,13 +220,14 @@ def cmd_oracle_check(args) -> int:
             print(f"ok {label}: {len(outcome.sequence)} transitions")
     if args.fixtures:
         for path in sorted(Path(args.fixtures).glob("*.transitions")):
-            corpus_path = path.with_suffix(".conllx")
+            lines = path.read_text("utf-8").splitlines()
+            corpus_path = _fixture_graph(path, lines)
             if not corpus_path.exists():
-                raise CliError(f"no graph fixture next to {path}", USAGE_ERROR)
+                raise CliError(f"no graph fixture {corpus_path} for {path}", USAGE_ERROR)
             doc = _read_corpus(str(corpus_path))
             expected = [
                 parse_transition(line)
-                for line in path.read_text("utf-8").splitlines()
+                for line in lines
                 if line.strip() and not line.startswith("#")
             ]
             outcome = oracle_sequence(doc.graphs[0])
@@ -272,6 +242,16 @@ def cmd_oracle_check(args) -> int:
     if failures:
         raise CliError(f"{failures} oracle failure(s)", ACCEPT_ERROR)
     return 0
+
+
+def _fixture_graph(path: Path, lines: list) -> Path:
+    """The graph a transition fixture belongs to: the file named by a
+    ``# graph: <name>`` line, relative to the fixture, else the sibling
+    ``.conllx`` file."""
+    for line in lines:
+        if line.startswith("# graph:"):
+            return path.parent / line[len("# graph:"):].strip()
+    return path.with_suffix(".conllx")
 
 
 def cmd_synth(args) -> int:
@@ -304,15 +284,12 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridparse",
         description="Hybrid dependency-constituency statistical parser",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key=value defaults file")
 
     def epochs_option(p):
         p.add_argument(
@@ -331,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     epochs_option(p)
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="parse sentences with a trained model")
@@ -340,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", default="integrated", choices=["integrated", "multistep"])
     p.add_argument("--out", required=True)
     p.add_argument("--trace", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--metric", default="elas", choices=["elas", "las", "parseval"])
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("crossval", help="k-fold cross-validation report")
@@ -359,20 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     epochs_option(p)
     p.add_argument("--min-f1", type=float, default=None, dest="min_f1")
-    common(p)
     p.set_defaults(func=cmd_crossval)
 
     p = sub.add_parser("convert", help="hybrid/pure dependency conversion")
     p.add_argument("--input", required=True)
     p.add_argument("--direction", required=True, choices=["to-pure", "to-hybrid"])
     p.add_argument("--out")
-    common(p)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("oracle-check", help="verify oracle fidelity")
     p.add_argument("--corpus", required=True)
     p.add_argument("--fixtures", help="directory of .conllx/.transitions pairs")
-    common(p)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
@@ -380,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--profile", default="pure")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("render", help="draw graphs as SVG or DOT")
@@ -388,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="svg", choices=["svg", "dot"])
     p.add_argument("--out", required=True)
     p.add_argument("--ltr", action="store_true", help="left-to-right word order")
-    common(p)
     p.set_defaults(func=cmd_render)
     return parser
 
@@ -397,7 +366,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _resolve(args, parser)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

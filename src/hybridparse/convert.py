@@ -10,7 +10,7 @@ bridges, then phrase expansions, then dropped-pronoun reinsertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import (
     Edge,
@@ -19,62 +19,11 @@ from .graph import (
     HybridGraph,
     MorphSegment,
     Phrase,
+    empty_category,
     ref_key,
+    shifted_ref,
 )
-from .vocab import DEFAULT_TAGS, TagSet
-
-ELLIPTICAL_FORM = "*"
-
-
-@dataclass(frozen=True)
-class EnrichedLabel:
-    """Parsed form of an enriched dependency label.
-
-    Expansion flags and the ellipsis bridge are mutually exclusive; inside
-    a bridge, the first component may itself carry a dependent-expansion
-    flag (e.g. ``+link|N|circ``).
-    """
-
-    base: str
-    dependent_expansion: bool = False
-    head_expansion: bool = False
-    bridge: Optional[tuple] = None  # (relation1, pos, relation2)
-
-    def __str__(self) -> str:
-        if self.bridge:
-            return "|".join(self.bridge)
-        out = self.base
-        if self.dependent_expansion:
-            out = "+" + out
-        if self.head_expansion:
-            out = out + "+"
-        return out
-
-
-def parse_label(label: str, tags: TagSet = DEFAULT_TAGS) -> Optional[EnrichedLabel]:
-    """Parse an enriched label; None for a plain relation; ValueError if bad."""
-    if tags.is_relation(label):
-        return None
-    if "|" in label:
-        parts = label.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"malformed bridge label {label!r}")
-        rel1, pos, rel2 = parts
-        inner = parse_label(rel1, tags)
-        if inner is not None and (inner.head_expansion or inner.bridge):
-            raise ValueError(f"unsupported bridge component {rel1!r} in {label!r}")
-        outer = parse_label(rel2, tags)
-        if outer is not None and (outer.dependent_expansion or outer.bridge):
-            raise ValueError(f"unsupported bridge component {rel2!r} in {label!r}")
-        if not tags.is_pos(pos):
-            raise ValueError(f"unknown POS {pos!r} in bridge label {label!r}")
-        return EnrichedLabel(rel1, bridge=(rel1, pos, rel2))
-    dep_flag = label.startswith("+")
-    head_flag = label.endswith("+")
-    base = label.strip("+")
-    if (dep_flag or head_flag) and tags.is_relation(base):
-        return EnrichedLabel(base, dep_flag, head_flag)
-    raise ValueError(f"unknown relation label {label!r}")
+from .vocab import DEFAULT_TAGS, EnrichedLabel, TagSet, parse_label
 
 
 @dataclass
@@ -111,34 +60,12 @@ def _drop_subject_pronouns(graph: HybridGraph) -> tuple:
                 continue
             if any(p.start == i == p.end for p in graph.phrases):
                 continue
-            target = (i, head_edges[0])
+            target = i
             break
         if target is None:
             return graph, dropped
-        index, edge = target
-        graph = _remove_terminal(graph, index, drop_edges={edge})
+        graph = graph.without_terminal(target)
         dropped += 1
-
-
-def _remove_terminal(graph: HybridGraph, index: int, drop_edges=frozenset()) -> HybridGraph:
-    """Delete a terminal, renumbering indices and spans above it. Callers
-    must not remove the sole terminal of a phrase span."""
-
-    def fix(ref):
-        if isinstance(ref, Phrase):
-            start = ref.start - 1 if ref.start > index else ref.start
-            end = ref.end - 1 if ref.end >= index else ref.end
-            return Phrase(start, end, ref.tag)
-        return ref - 1 if ref > index else ref
-
-    terminals = graph.terminals[:index] + graph.terminals[index + 1 :]
-    edges = []
-    for edge in graph.edges:
-        if edge in drop_edges or index in (edge.dependent, edge.head):
-            continue
-        edges.append(Edge(fix(edge.dependent), fix(edge.head), edge.relation))
-    phrases = frozenset(fix(p) for p in graph.phrases)
-    return HybridGraph(terminals, phrases, frozenset(edges))
 
 
 def _fold_phrases(graph: HybridGraph, report: ConversionReport) -> HybridGraph:
@@ -195,13 +122,8 @@ def _collapse_chains(graph: HybridGraph, report: ConversionReport) -> HybridGrap
             b_edge.head,
             f"{a_edge.relation}|{graph.terminals[index].pos}|{b_edge.relation}",
         )
-        graph = _remove_terminal(graph, index, drop_edges={a_edge, b_edge})
-        fixed = Edge(
-            _unshift(bridged.dependent, index),
-            _unshift(bridged.head, index),
-            bridged.relation,
-        )
-        graph = graph.with_edge(fixed)
+        # Removing the empty category drops both chain edges.
+        graph = graph.with_edge(bridged).without_terminal(index)
         report.converted_empty_categories += 1
     for i, term in enumerate(graph.terminals):
         if isinstance(term, EmptyCategory):
@@ -209,12 +131,6 @@ def _collapse_chains(graph: HybridGraph, report: ConversionReport) -> HybridGrap
                 (f"terminal {i} ({term.pos} {term.form})", "unconverted empty category")
             )
     return graph
-
-
-def _unshift(ref, index):
-    if isinstance(ref, Phrase):
-        return ref
-    return ref - 1 if ref > index else ref
 
 
 def _edge_str(edge: Edge) -> str:
@@ -244,14 +160,12 @@ def to_pure_dependency(
 # Inverse direction
 # ---------------------------------------------------------------------------
 
-PHRASE_RULES_DOC = """Phrase tags are reassigned from the subgraph:
-PP when the root is a preposition; VS when the root is a verb with a
-subject dependent; NS when the span contains a pred or predx edge;
-CS when the root is a conditional particle or time adverb; SC when the
-root is a subordinating conjunction; otherwise S."""
-
-
 def _phrase_tag_for(graph: HybridGraph, root, span) -> str:
+    """Phrase tags are reassigned from the subgraph: PP when the root is a
+    preposition; VS when the root is a verb with a subject dependent; NS
+    when the span contains a pred or predx edge; CS when the root is a
+    conditional particle or time adverb; SC when the root is a
+    subordinating conjunction; otherwise S."""
     root_pos = graph.pos_of(root)
     if root_pos == "P":
         return "PP"
@@ -273,51 +187,43 @@ def _phrase_tag_for(graph: HybridGraph, root, span) -> str:
     return "S"
 
 
-def expand_bridges(
-    pure: HybridGraph, tags: TagSet = DEFAULT_TAGS, report: Optional[ConversionReport] = None
-) -> HybridGraph:
+def _first_enriched(
+    graph: HybridGraph, tags: TagSet, wanted: Callable[[EnrichedLabel], bool]
+) -> Optional[tuple]:
+    """(edge, parsed label) of the first edge, by dependent then relation,
+    whose enriched label is ``wanted``; None when there is none."""
+    for edge in sorted(graph.edges, key=lambda e: (ref_key(e.dependent), e.relation)):
+        try:
+            parsed = parse_label(edge.relation, tags)
+        except ValueError:
+            continue
+        if parsed and wanted(parsed):
+            return edge, parsed
+    return None
+
+
+def expand_bridges(pure: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> HybridGraph:
     """First restoration stage: bridge labels become an empty category and
     two edges. The restored node is inserted directly before its dependent.
     """
     while True:
-        target = None
-        for edge in sorted(pure.edges, key=lambda e: (ref_key(e.dependent), e.relation)):
-            try:
-                parsed = parse_label(edge.relation, tags)
-            except ValueError:
-                continue
-            if parsed and parsed.bridge:
-                target = (edge, parsed)
-                break
+        target = _first_enriched(pure, tags, lambda parsed: parsed.bridge)
         if target is None:
             return pure
         edge, parsed = target
         rel1, pos, rel2 = parsed.bridge
-        dep_pos = edge.dependent.start if isinstance(edge.dependent, Phrase) else edge.dependent
-        form = ELLIPTICAL_FORM
-        if pos == "PRON":
-            head_ref = edge.head
-            if isinstance(head_ref, int):
-                head_term = pure.terminals[head_ref]
-                if isinstance(head_term, MorphSegment) and head_term.pos == "V":
-                    form = tags.pronoun_form(
-                        head_term.feature("Person"),
-                        head_term.feature("Gender"),
-                        head_term.feature("Number"),
-                    )
+        ec = edge.dependent.start if isinstance(edge.dependent, Phrase) else edge.dependent
+        anchor = pure.terminals[edge.head] if isinstance(edge.head, int) else None
         without = HybridGraph(pure.terminals, pure.phrases, pure.edges - {edge})
-        grown = without.with_terminal_inserted(dep_pos, EmptyCategory(pos, form))
-        ec = dep_pos
-        dep = _shift_after(edge.dependent, dep_pos)
-        head = _shift_after(edge.head, dep_pos)
-        grown = grown.with_edge(Edge(dep, ec, rel1)).with_edge(Edge(ec, head, rel2))
-        pure = grown
+        grown = without.with_terminal_inserted(ec, empty_category(pos, anchor, tags))
+        dep = shifted_ref(edge.dependent, ec)
+        head = shifted_ref(edge.head, ec)
+        pure = grown.with_edge(Edge(dep, ec, rel1)).with_edge(Edge(ec, head, rel2))
 
 
-def _shift_after(ref, at):
-    if isinstance(ref, Phrase):
-        return ref.shifted(at)
-    return ref + 1 if ref >= at else ref
+def _phrase_over(graph: HybridGraph, root) -> Phrase:
+    span = graph.subgraph_span(root)
+    return Phrase(span[0], span[1], _phrase_tag_for(graph, root, span))
 
 
 def expand_phrases(
@@ -327,61 +233,34 @@ def expand_phrases(
     over the flagged endpoint's subgraph span.
     """
     while True:
-        target = None
-        for edge in sorted(graph.edges, key=lambda e: (ref_key(e.dependent), e.relation)):
-            try:
-                parsed = parse_label(edge.relation, tags)
-            except ValueError:
-                continue
-            if parsed and (parsed.dependent_expansion or parsed.head_expansion):
-                target = (edge, parsed)
-                break
+        target = _first_enriched(
+            graph, tags, lambda parsed: parsed.dependent_expansion or parsed.head_expansion
+        )
         if target is None:
             return graph
         edge, parsed = target
-        dep, head, relation = edge.dependent, edge.head, parsed.base
-        edges = set(graph.edges)
-        edges.discard(edge)
-        phrases = set(graph.phrases)
+        edges = graph.edges - {edge}
         # Spans are measured without the edge being expanded, so the
         # re-anchored endpoint's subtree does not leak into the other side.
-        stripped = HybridGraph(graph.terminals, graph.phrases, frozenset(edges))
+        stripped = HybridGraph(graph.terminals, graph.phrases, edges)
+        dep, head = edge.dependent, edge.head
         try:
             if parsed.dependent_expansion:
-                span = stripped.subgraph_span(dep)
-                phrase = Phrase(span[0], span[1], _phrase_tag_for(stripped, dep, span))
-                phrases.add(phrase)
-                dep = phrase
+                dep = _phrase_over(stripped, dep)
             if parsed.head_expansion:
-                span = stripped.subgraph_span(head)
-                phrase = Phrase(span[0], span[1], _phrase_tag_for(stripped, head, span))
-                phrases.add(phrase)
-                head = phrase
+                head = _phrase_over(stripped, head)
+            if dep == head:
+                # Both endpoints expanded onto one identical span.
+                raise GraphError("expansion collapses endpoints")
         except GraphError as exc:
             if report is not None:
                 report.reconstruction_errors.append((_edge_str(edge), str(exc)))
             # Label kept verbatim; edge left in place so nothing is lost.
-            graph = HybridGraph(
-                graph.terminals,
-                graph.phrases,
-                (graph.edges - {edge})
-                | {Edge(edge.dependent, edge.head, "\x00" + edge.relation)},
-            )
+            marked = Edge(edge.dependent, edge.head, "\x00" + edge.relation)
+            graph = HybridGraph(graph.terminals, graph.phrases, edges | {marked})
             continue
-        if dep == head:
-            # Both endpoints expanded onto one identical span; unsalvageable.
-            if report is not None:
-                report.reconstruction_errors.append(
-                    (_edge_str(edge), "expansion collapses endpoints")
-                )
-            graph = HybridGraph(
-                graph.terminals,
-                graph.phrases,
-                (graph.edges - {edge})
-                | {Edge(edge.dependent, edge.head, "\x00" + edge.relation)},
-            )
-            continue
-        graph = HybridGraph(graph.terminals, frozenset(phrases), frozenset(edges | {Edge(dep, head, relation)}))
+        phrases = graph.phrases | {ref for ref in (dep, head) if isinstance(ref, Phrase)}
+        graph = HybridGraph(graph.terminals, phrases, edges | {Edge(dep, head, parsed.base)})
 
 
 def _restore_marked_labels(graph: HybridGraph) -> HybridGraph:
@@ -410,11 +289,8 @@ def reinsert_dropped_pronouns(
                 e.relation in ("subj", "subjx") for e in graph.dependent_edges(index)
             )
         ):
-            form = tags.pronoun_form(
-                term.feature("Person"), term.feature("Gender"), term.feature("Number")
-            )
             graph = graph.with_terminal_inserted(
-                index + 1, EmptyCategory("PRON", form)
+                index + 1, empty_category("PRON", term, tags)
             )
             graph = graph.with_edge(Edge(index + 1, index, "subj"))
             index += 2
@@ -436,11 +312,22 @@ def from_pure_dependency(
     if pure.phrases:
         raise GraphError("input already contains phrase nodes")
     report = ConversionReport()
-    graph = expand_bridges(pure, tags, report)
+    graph = expand_bridges(pure, tags)
     graph = reinsert_dropped_pronouns(graph, tags)
     graph = expand_phrases(graph, tags, report)
     graph = _restore_marked_labels(graph)
     return graph, report
+
+
+def lossless_pure_graphs(graphs, tags: TagSet = DEFAULT_TAGS) -> list:
+    """Pure dependency forms of the graphs that convert without loss: the
+    training set of the multi-step pipeline."""
+    out = []
+    for graph in graphs:
+        pure, report = to_pure_dependency(graph, tags)
+        if not report.lossy:
+            out.append(pure)
+    return out
 
 
 def is_convertible(hybrid: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> bool:

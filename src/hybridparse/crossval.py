@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Optional
 
-from .convert import to_pure_dependency
+from .convert import lossless_pure_graphs
 from .engine import parse_integrated, parse_multi_step
 from .learning import DEFAULT_EPOCHS, FeatureSetSpec, train
 from .metrics import EvalReport, elas
@@ -42,11 +41,7 @@ def evaluate_split(
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if pipeline == "multistep":
-        converted = []
-        for graph in train_graphs:
-            pure, report = to_pure_dependency(graph, tags)
-            if not report.lossy:
-                converted.append(pure)
+        converted = lossless_pure_graphs(train_graphs, tags)
         model = train(converted, spec, seed=seed, epochs=epochs, tags=tags)
         parse = parse_multi_step
     else:
@@ -109,12 +104,3 @@ def cross_validate(
 
 def _run_fold(args):
     return evaluate_split(*args)
-
-
-def mean_of_fold_f1(reports) -> Optional[float]:
-    """Per-fold F1 average; exposed only to document how it differs from
-    the aggregate report."""
-    reports = list(reports)
-    if not reports:
-        return None
-    return sum(float(r.f1) for r in reports) / len(reports)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .convert import from_pure_dependency
-from .graph import HybridGraph, MorphSegment
+from .graph import MorphSegment
 from .learning import Model, predict
 from .oracle import step_budget
 from .transitions import (
@@ -23,7 +23,6 @@ from .transitions import (
     Transition,
     apply,
     initial,
-    legal,
 )
 from .vocab import DEFAULT_TAGS, TagSet
 
@@ -49,9 +48,8 @@ def _greedy_parse(
     budget = step_budget(len(sentence))
     report = ParseReport()
     while not config.is_terminal_state() and len(report.trace) < budget:
+        # predict returns only legal transitions, and apply checks again.
         t = predict(model, config, tags, allowed_kinds)
-        if not legal(config, t, tags):
-            break
         config = apply(config, t, tags)
         report.trace.append(t)
     report.predictive_steps = len(report.trace)

@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .vocab import DEFAULT_TAGS, TagSet
+from .vocab import DEFAULT_TAGS, TagSet, parse_label
+
+# Surface form of a reconstructed word other than a dropped pronoun.
+ELLIPTICAL_FORM = "*"
 
 
 class GraphError(Exception):
@@ -107,12 +110,6 @@ class Phrase:
         if self.start > self.end:
             raise ValueError("phrase span start must be <= end")
 
-    def shifted(self, at: int) -> "Phrase":
-        """Span after inserting one terminal at index ``at``."""
-        start = self.start + 1 if self.start >= at else self.start
-        end = self.end + 1 if self.end >= at else self.end
-        return Phrase(start, end, self.tag)
-
 
 NodeRef = Union[int, Phrase]
 
@@ -137,10 +134,34 @@ class Violation:
         return f"{self.rule}: {self.subject}"
 
 
-def _shift_ref(ref: NodeRef, at: int) -> NodeRef:
+def empty_category(
+    pos: str, anchor: Optional[Terminal], tags: TagSet = DEFAULT_TAGS
+) -> EmptyCategory:
+    """A reconstructed word anchored at ``anchor``: a pronoun after a verb
+    takes its form from the verb's phi features, anything else the
+    elliptical placeholder."""
+    if pos == "PRON" and isinstance(anchor, MorphSegment) and anchor.pos == "V":
+        return EmptyCategory(pos, tags.pronoun_form(anchor.feature_map))
+    return EmptyCategory(pos, ELLIPTICAL_FORM)
+
+
+def shifted_ref(ref: NodeRef, at: int) -> NodeRef:
+    """The reference after inserting one terminal at index ``at``."""
     if isinstance(ref, Phrase):
-        return ref.shifted(at)
+        start = ref.start + 1 if ref.start >= at else ref.start
+        end = ref.end + 1 if ref.end >= at else ref.end
+        return Phrase(start, end, ref.tag)
     return ref + 1 if ref >= at else ref
+
+
+def unshifted_ref(ref: NodeRef, index: int) -> NodeRef:
+    """The reference after removing the terminal at ``index``; a span
+    starting there starts at the next terminal."""
+    if isinstance(ref, Phrase):
+        start = ref.start - 1 if ref.start > index else ref.start
+        end = ref.end - 1 if ref.end >= index else ref.end
+        return Phrase(start, end, ref.tag)
+    return ref - 1 if ref > index else ref
 
 
 def ref_key(ref: NodeRef) -> tuple:
@@ -308,10 +329,24 @@ class HybridGraph:
         if not 0 <= at <= len(self.terminals):
             raise GraphError(f"insert position {at} out of range")
         terminals = self.terminals[:at] + (terminal,) + self.terminals[at:]
-        phrases = frozenset(p.shifted(at) for p in self.phrases)
+        phrases = frozenset(shifted_ref(p, at) for p in self.phrases)
         edges = frozenset(
-            Edge(_shift_ref(e.dependent, at), _shift_ref(e.head, at), e.relation)
+            Edge(shifted_ref(e.dependent, at), shifted_ref(e.head, at), e.relation)
             for e in self.edges
+        )
+        return HybridGraph(terminals, phrases, edges)
+
+    def without_terminal(self, index: int) -> "HybridGraph":
+        """Delete a terminal and its edges, renumbering later indices and
+        spans. The terminal must not be the sole one of a phrase span."""
+        if not 0 <= index < len(self.terminals):
+            raise GraphError(f"unknown terminal index {index}")
+        terminals = self.terminals[:index] + self.terminals[index + 1 :]
+        phrases = frozenset(unshifted_ref(p, index) for p in self.phrases)
+        edges = frozenset(
+            Edge(unshifted_ref(e.dependent, index), unshifted_ref(e.head, index), e.relation)
+            for e in self.edges
+            if index not in (e.dependent, e.head)
         )
         return HybridGraph(terminals, phrases, edges)
 
@@ -322,9 +357,7 @@ class HybridGraph:
         out: list[Violation] = []
         n = len(self.terminals)
         for i, term in enumerate(self.terminals):
-            if isinstance(term, EmptyCategory) and not tags.is_pos(term.pos):
-                out.append(Violation("unknown-pos", f"terminal {i}: {term.pos}"))
-            elif isinstance(term, MorphSegment) and not tags.is_pos(term.pos):
+            if not tags.is_pos(term.pos):
                 out.append(Violation("unknown-pos", f"terminal {i}: {term.pos}"))
         for phrase in sorted(self.phrases):
             if not (0 <= phrase.start <= phrase.end < n):
@@ -392,8 +425,6 @@ class HybridGraph:
 
 
 def _is_enriched(label: str, tags: TagSet) -> bool:
-    from .convert import parse_label  # local import to avoid a cycle
-
     try:
         parsed = parse_label(label, tags)
     except ValueError:

@@ -16,6 +16,11 @@ Training follows the perceptron rule: a pair is a mistake unless its gold
 transition scores strictly above every other, so a tie is a mistake. Each
 partition trains until its averaged weights fit every pair whose feature
 set is not also labelled with another transition, or until the epoch cap.
+
+Weights are held feature-major (feature -> transition -> weight), in
+training and in a trained or loaded model, so that scoring costs one
+lookup per feature. Model files list them label-major (transition ->
+feature -> weight).
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import EmptyCategory, HybridGraph, MorphSegment, NonProjectiveError, Phrase
+from .graph import EmptyCategory, HybridGraph, NonProjectiveError, Phrase
 from .oracle import oracle_sequence
 from .transitions import (
     Configuration,
@@ -38,7 +43,7 @@ from .transitions import (
     legal,
     parse_transition,
 )
-from .vocab import COPULA_GROUP, DEFAULT_TAGS, TagSet
+from .vocab import COPULA_GROUP, DEFAULT_TAGS, TagSet, parse_label
 
 FEATURE_SETS = ("pos", "morph6", "morph9", "lemma", "phi")
 
@@ -182,6 +187,7 @@ class AveragedPerceptron:
         self.labels = list(labels)
         self.epochs = epochs
         self.seed = seed
+        # feature -> label -> weight; only nonzero weights are kept.
         self.weights: Dict[str, Dict[str, float]] = {}
 
     def fit(self, pairs: Sequence[Tuple[frozenset, str]]) -> int:
@@ -195,9 +201,7 @@ class AveragedPerceptron:
         label can never be fitted: they are trained on but left out of both
         checks.
         """
-        # Weights are kept feature-major while training, so that scoring a
-        # pair costs one lookup per feature rather than one per feature and
-        # label. ``history`` holds each weight's [running total, last step].
+        # ``history`` holds each weight's [running total, last step].
         weights: Dict[str, Dict[str, float]] = {}
         history: Dict[str, Dict[str, list]] = {}
         expanded = [(_conjoined(f), label) for f, label in pairs]
@@ -223,7 +227,8 @@ class AveragedPerceptron:
                     value = (total + (step - stamp) * w) / max(step, 1)
                     if value:
                         avg[label] = value
-                out[feat] = avg
+                if avg:
+                    out[feat] = avg
             return out
 
         epoch = 0
@@ -250,27 +255,24 @@ class AveragedPerceptron:
                     break
         else:
             result = averaged()
-        self.weights = {label: {} for label in self.labels}
-        for feat, row in result.items():
-            for label, value in row.items():
-                self.weights[label][feat] = value
+        self.weights = result
         return epoch
 
     def score(self, features: frozenset) -> Dict[str, float]:
-        feats = _conjoined(features)
-        scores = {label: 0.0 for label in self.labels}
-        for feat in feats:
-            for label, table in self.weights.items():
-                w = table.get(feat)
-                if w:
-                    scores[label] += w
-        return scores
+        return _feature_major_scores(self.labels, self.weights, _conjoined(features))
+
+    def weights_by_label(self) -> Dict[str, Dict[str, float]]:
+        """The weights label-major (label -> feature -> weight), as stored."""
+        out: Dict[str, Dict[str, float]] = {label: {} for label in self.labels}
+        for feat, row in self.weights.items():
+            for label, w in row.items():
+                out[label][feat] = w
+        return out
 
 
 def _feature_major_scores(labels, weights, feats) -> Dict[str, float]:
     """Per-label sums of ``weights`` (feature -> label -> weight) over
-    expanded ``feats``. Each label's sum is taken in feature order, as in
-    ``AveragedPerceptron.score``, so the two agree exactly."""
+    expanded ``feats``, each taken in feature order."""
     scores = dict.fromkeys(labels, 0.0)
     for feat in feats:
         row = weights.get(feat)
@@ -299,9 +301,6 @@ def _fittable(pairs: Sequence[Tuple[frozenset, str]]) -> List[bool]:
     return [len(labels_of[feats]) == 1 for feats, _ in pairs]
 
 
-ClassifierChoice = AveragedPerceptron
-
-
 @dataclass
 class Model:
     feature_set: FeatureSetSpec
@@ -327,10 +326,7 @@ class Model:
                     "labels": clf.labels,
                     "epochs": clf.epochs,
                     "seed": clf.seed,
-                    "weights": {
-                        label: dict(sorted(table.items()))
-                        for label, table in sorted(clf.weights.items())
-                    },
+                    "weights": clf.weights_by_label(),
                 }
                 for pos, clf in sorted(self.classifiers.items())
             },
@@ -344,20 +340,17 @@ class Model:
             raise TrainingError("not a model file")
         known = set(tags.relations)
         for rel in payload["relations"]:
-            base = rel
-            if base not in known:
-                from .convert import parse_label
-
+            if rel not in known:
                 try:
-                    parse_label(base, tags)
+                    parse_label(rel, tags)
                 except ValueError:
                     raise TrainingError(f"model relation vocabulary mismatch: {rel!r}")
         classifiers = {}
         for pos, data in payload["classifiers"].items():
             clf = AveragedPerceptron(data["labels"], data["epochs"], data["seed"])
-            clf.weights = {
-                label: dict(table) for label, table in data["weights"].items()
-            }
+            for label, table in data["weights"].items():
+                for feat, w in table.items():
+                    clf.weights.setdefault(feat, {})[label] = w
             classifiers[pos] = clf
         model = Model(
             FeatureSetSpec(payload["feature_set"]),
@@ -400,11 +393,9 @@ def training_pairs(
 def train(
     corpus,
     spec: FeatureSetSpec,
-    algorithm=AveragedPerceptron,
     seed: int = 0,
     epochs: int = DEFAULT_EPOCHS,
     tags: TagSet = DEFAULT_TAGS,
-    include_unreachable: bool = False,
 ) -> Model:
     """Fit one classifier per POS partition from oracle-derived pairs.
 
@@ -423,11 +414,8 @@ def train(
     for gold in graphs:
         pairs = training_pairs(gold, spec, tags)
         if pairs is None:
-            if include_unreachable:
-                pairs = _partial_pairs(gold, spec, tags)
-            else:
-                excluded += 1
-                continue
+            excluded += 1
+            continue
         used += 1
         for partition, feats, label in pairs:
             by_partition.setdefault(partition, []).append((feats, label))
@@ -442,7 +430,7 @@ def train(
     for partition in sorted(by_partition):
         pairs = by_partition[partition]
         labels = sorted({label for _, label in pairs})
-        clf = algorithm(labels, epochs=epochs, seed=seed)
+        clf = AveragedPerceptron(labels, epochs=epochs, seed=seed)
         epochs_run[partition] = clf.fit(pairs)
         classifiers[partition] = clf
     fingerprint = _corpus_fingerprint(graphs)
@@ -468,17 +456,6 @@ def _corpus_fingerprint(graphs: list) -> str:
 
     text = dumps_treebank(TreebankDocument(list(graphs)))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _partial_pairs(gold: HybridGraph, spec: FeatureSetSpec, tags: TagSet) -> list:
-    """Pairs from the consistent prefix of an unreachable graph's sequence."""
-    outcome = oracle_sequence(gold, tags)
-    out = []
-    config = initial(gold.segments)
-    for t in outcome.sequence:
-        out.append((_partition_key(config), extract_features(config, spec), str(t)))
-        config = apply(config, t, tags)
-    return out
 
 
 def predict(

@@ -9,9 +9,10 @@ is the smaller of the gold and predicted counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graph import EmptyCategory, HybridGraph, MorphSegment, Phrase
 
@@ -112,18 +113,22 @@ def edge_signatures(graph: HybridGraph) -> list:
     return out
 
 
+def matched(gold: Iterable, predicted: Iterable) -> EvalReport:
+    """Counts of two multisets of hashable items and of their intersection:
+    an item occurring g times in gold and p times in predicted matches
+    min(g, p) times."""
+    gold_counts, pred_counts = Counter(gold), Counter(predicted)
+    tp = sum((gold_counts & pred_counts).values())
+    return EvalReport(tp, sum(gold_counts.values()), sum(pred_counts.values()))
+
+
 def elas(gold: HybridGraph, predicted: HybridGraph) -> EvalReport:
     """Extended labelled attachment score over hybrid graph edges."""
     _check_same_sentence(gold, predicted)
-    gold_sigs = [sig for _, sig in edge_signatures(gold)]
-    pred_sigs = [sig for _, sig in edge_signatures(predicted)]
-    remaining = list(gold_sigs)
-    tp = 0
-    for sig in pred_sigs:
-        if sig in remaining:
-            remaining.remove(sig)
-            tp += 1
-    return EvalReport(tp, len(gold_sigs), len(pred_sigs))
+    return matched(
+        (sig for _, sig in edge_signatures(gold)),
+        (sig for _, sig in edge_signatures(predicted)),
+    )
 
 
 def las(gold: HybridGraph, predicted: HybridGraph) -> Fraction:
@@ -155,42 +160,19 @@ def _segment_heads(graph: HybridGraph) -> dict:
     return out
 
 
-def parseval(gold: Iterable[Phrase], predicted: Iterable[Phrase]) -> tuple:
+def parseval(gold: Iterable, predicted: Iterable) -> tuple:
     """(precision, recall) over labelled phrase spans."""
-    gold_list = list(gold)
-    pred_list = list(predicted)
-    remaining = list(gold_list)
-    tp = 0
-    for phrase in pred_list:
-        if phrase in remaining:
-            remaining.remove(phrase)
-            tp += 1
-    precision = Fraction(1) if not pred_list else Fraction(tp, len(pred_list))
-    recall = Fraction(1) if not gold_list else Fraction(tp, len(gold_list))
-    return (precision, recall)
+    report = matched(gold, predicted)
+    return (report.precision, report.recall)
 
 
 def parseval_graphs(gold: HybridGraph, predicted: HybridGraph) -> tuple:
     """Parseval over the phrase sets of two graphs, spans projected onto
     segment ordinals so differing empty categories do not misalign spans."""
     _check_same_sentence(gold, predicted)
+    return parseval(_phrase_signatures(gold), _phrase_signatures(predicted))
 
-    def project(graph):
-        ordinals = _segment_ordinals(graph)
-        out = []
-        for p in graph.phrases:
-            sig = _vertex_signature(graph, ordinals, p)
-            out.append(sig)
-        return out
 
-    gold_list = project(gold)
-    pred_list = project(predicted)
-    remaining = list(gold_list)
-    tp = 0
-    for item in pred_list:
-        if item in remaining:
-            remaining.remove(item)
-            tp += 1
-    precision = Fraction(1) if not pred_list else Fraction(tp, len(pred_list))
-    recall = Fraction(1) if not gold_list else Fraction(tp, len(gold_list))
-    return (precision, recall)
+def _phrase_signatures(graph: HybridGraph) -> list:
+    ordinals = _segment_ordinals(graph)
+    return [_vertex_signature(graph, ordinals, p) for p in graph.phrases]

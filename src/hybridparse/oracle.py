@@ -24,7 +24,8 @@ still-missing expected phrase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .graph import (
@@ -34,9 +35,8 @@ from .graph import (
     NodeRef,
     NonProjectiveError,
     Phrase,
-    ref_key,
 )
-from .metrics import elas
+from .metrics import edge_signatures, elas
 from .transitions import (
     AddPhrase,
     Configuration,
@@ -94,7 +94,7 @@ class _Alignment:
             mapping[i] = left + 1 if left is not None else 0
         self.working_to_gold = mapping
 
-    def gold_of(self, ref: NodeRef, gold: HybridGraph, working: HybridGraph):
+    def gold_of(self, ref: NodeRef):
         if isinstance(ref, Phrase):
             start = self.working_to_gold[ref.start]
             end = self.working_to_gold[ref.end]
@@ -119,7 +119,7 @@ class _OracleState:
     # -- helpers over gold vs working ------------------------------------
 
     def to_gold(self, ref: NodeRef):
-        return self.align.gold_of(ref, self.gold, self.config.graph)
+        return self.align.gold_of(ref)
 
     def built(self, gold_edge) -> bool:
         for edge in self.config.graph.edges:
@@ -338,13 +338,13 @@ def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOut
 
 
 def _uncovered(gold: HybridGraph, replayed: HybridGraph) -> frozenset:
-    from .metrics import edge_signatures
-
+    """Gold edges left over once each replayed edge has covered one gold
+    edge with the same signature."""
+    available = Counter(sig for _, sig in edge_signatures(replayed))
     missing = []
-    replay_sigs = [sig for _, sig in edge_signatures(replayed)]
     for edge, sig in edge_signatures(gold):
-        if sig in replay_sigs:
-            replay_sigs.remove(sig)
+        if available[sig]:
+            available[sig] -= 1
         else:
             missing.append(edge)
     return frozenset(missing)

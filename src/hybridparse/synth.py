@@ -27,10 +27,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .corpus_io import GraphMetadata, TreebankDocument
-from .graph import Edge, EmptyCategory, HybridGraph, Location, MorphSegment, Phrase
+from .graph import (
+    ELLIPTICAL_FORM,
+    Edge,
+    EmptyCategory,
+    HybridGraph,
+    Location,
+    MorphSegment,
+    Phrase,
+)
 from .vocab import DEFAULT_TAGS, TagSet
 
 VERBS = [("kataba", "ktb"), ("xalaqa", "xlq"), ("jaEala", "jEl"), ("rafaEa", "rfE")]
@@ -116,10 +124,7 @@ class _Builder:
         verb = self.add_segment(lemma, "V", verb_feats, lemma, root)
         dropped = allow_drop and self.ellipsis_on and self.rng.random() < 0.4
         if dropped:
-            form = self.tags.pronoun_form(
-                verb_feats["Person"], verb_feats["Gender"], verb_feats["Number"]
-            )
-            ec = self.add_empty("PRON", form)
+            ec = self.add_empty("PRON", self.tags.pronoun_form(verb_feats))
             self.edge(ec, verb, "subj")
         else:
             nl, nr = self.rng.choice(SUBJECT_NOUNS)
@@ -173,10 +178,7 @@ class _Builder:
         verb_feats = self.verb_features()
         verb = self.add_segment(lemma, "V", verb_feats, lemma, root)
         if self.ellipsis_on and self.rng.random() < 0.5:
-            form = self.tags.pronoun_form(
-                verb_feats["Person"], verb_feats["Gender"], verb_feats["Number"]
-            )
-            ec = self.add_empty("PRON", form)
+            ec = self.add_empty("PRON", self.tags.pronoun_form(verb_feats))
             self.edge(ec, verb, "subj")
         else:
             nl, nr = self.rng.choice(SUBJECT_NOUNS)
@@ -190,7 +192,7 @@ class _Builder:
         nl, nr = self.rng.choice(SUBJECT_NOUNS)
         noun = self.add_segment(nl, "N", self.noun_features("ACC"), nl, nr)
         self.edge(noun, neg, "subjx")
-        ec = self.add_empty("N", "*")
+        ec = self.add_empty("N", ELLIPTICAL_FORM)
         self.edge(ec, neg, "predx")
         self.pp_adjunct(ec)
         return neg

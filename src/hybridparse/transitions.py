@@ -17,13 +17,13 @@ from typing import Optional, Sequence, Union
 
 from .graph import (
     Edge,
-    EmptyCategory,
-    GraphError,
     HybridGraph,
     MorphSegment,
     NodeRef,
     NonProjectiveError,
     Phrase,
+    empty_category,
+    shifted_ref,
 )
 from .vocab import DEFAULT_TAGS, TagSet
 
@@ -147,10 +147,6 @@ def _is_segment(graph: HybridGraph, ref: NodeRef) -> bool:
     return isinstance(ref, int) and isinstance(graph.terminals[ref], MorphSegment)
 
 
-def _is_terminal_ref(ref: NodeRef) -> bool:
-    return isinstance(ref, int)
-
-
 def legal(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> bool:
     graph = config.graph
     if isinstance(t, Shift):
@@ -180,7 +176,7 @@ def legal(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> 
             e.relation in ("subj", "subjx") for e in graph.dependent_edges(s1)
         )
     if isinstance(t, AddPhrase):
-        if not config.stack or not _is_terminal_ref(config.stack[0]):
+        if not config.stack or not isinstance(config.stack[0], int):
             return False
         s1 = config.stack[0]
         try:
@@ -208,14 +204,9 @@ def apply(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> 
         edge = Edge(config.stack[0], config.stack[1], t.relation)
         return Configuration(config.queue, config.stack, graph.with_edge(edge))
     if isinstance(t, InsertEmpty):
-        return _insert_after_top(config, EmptyCategory(t.pos, _empty_form(config, t.pos, tags)))
+        return _insert_after_top(config, t.pos, tags)
     if isinstance(t, InsertPronoun):
-        s1 = config.stack[0]
-        verb = graph.terminals[s1]
-        form = tags.pronoun_form(
-            verb.feature("Person"), verb.feature("Gender"), verb.feature("Number")
-        )
-        grown = _insert_after_top(config, EmptyCategory("PRON", form))
+        grown = _insert_after_top(config, "PRON", tags)
         ec = grown.stack[0]
         head = grown.stack[1]
         edge = Edge(ec, head, "subj")
@@ -229,34 +220,15 @@ def apply(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> 
     raise IllegalTransition(f"unhandled transition {t!r}")
 
 
-def _empty_form(config: Configuration, pos: str, tags: TagSet) -> str:
-    """Surface form for an inserted empty category.
-
-    Dropped pronouns inherit their form from the verb they follow; other
-    reconstructed words use the asterisk placeholder.
-    """
-    s1 = config.stack[0]
-    term = config.graph.terminals[s1]
-    if pos == "PRON" and isinstance(term, MorphSegment) and term.pos == "V":
-        return tags.pronoun_form(
-            term.feature("Person"), term.feature("Gender"), term.feature("Number")
-        )
-    return "*"
-
-
-def _insert_after_top(config: Configuration, terminal: EmptyCategory) -> Configuration:
-    graph = config.graph
+def _insert_after_top(config: Configuration, pos: str, tags: TagSet) -> Configuration:
+    """Insert an empty category after s1 and push it; a pronoun after a verb
+    takes the verb's phi features (see ``graph.empty_category``)."""
     s1 = config.stack[0]
     at = s1 + 1
-    new_graph = graph.with_terminal_inserted(at, terminal)
-
-    def fix(ref):
-        if isinstance(ref, Phrase):
-            return ref.shifted(at)
-        return ref + 1 if ref >= at else ref
-
-    queue = tuple(fix(i) for i in config.queue)
-    stack = (at,) + tuple(fix(ref) for ref in config.stack)
+    terminal = empty_category(pos, config.graph.terminals[s1], tags)
+    new_graph = config.graph.with_terminal_inserted(at, terminal)
+    queue = tuple(shifted_ref(i, at) for i in config.queue)
+    stack = (at,) + tuple(shifted_ref(ref, at) for ref in config.stack)
     return Configuration(queue, stack, new_graph)
 
 

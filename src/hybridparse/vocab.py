@@ -3,12 +3,15 @@
 The inventories are loaded from data files so that the parsing engine can
 be reused with a different tagset (a custom ``TagSet`` may be passed to
 the readers and the oracle). Unknown labels are rejected at ingestion.
+Enriched labels, the relations of pure dependency graphs that carry
+folded phrase and ellipsis structure, are parsed here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Mapping, Optional
 
 FEATURE_VALUES = {
     "SegType": ("prefix", "stem", "suffix"),
@@ -74,15 +77,17 @@ class TagSet:
             self.pronoun_forms,
         )
 
-    def pronoun_form(self, person: str, gender: str, number: str) -> str:
-        """Surface form of the independent pronoun for the given phi features.
+    def pronoun_form(self, features: Mapping[str, str]) -> str:
+        """Surface form of the independent pronoun for the phi features
+        (Person, Gender, Number) in a feature mapping, such as a verb's.
 
-        Defaults are third person, masculine, singular; the first-person
-        dual cell is empty in the inventory and maps to the plural.
+        Missing values default to third person, masculine, singular; the
+        first-person dual cell is empty in the inventory and maps to the
+        plural.
         """
-        person = person or "3"
-        number = number or "S"
-        gender = gender if person != "1" else "-"
+        person = features.get("Person") or "3"
+        number = features.get("Number") or "S"
+        gender = features.get("Gender") if person != "1" else "-"
         gender = gender or "M"
         key = (person, gender, number)
         if key not in self.pronoun_forms:
@@ -101,3 +106,54 @@ def _load_default() -> TagSet:
 
 
 DEFAULT_TAGS = _load_default()
+
+
+@dataclass(frozen=True)
+class EnrichedLabel:
+    """Parsed form of an enriched dependency label.
+
+    Expansion flags and the ellipsis bridge are mutually exclusive; inside
+    a bridge, the first component may itself carry a dependent-expansion
+    flag (e.g. ``+link|N|circ``).
+    """
+
+    base: str
+    dependent_expansion: bool = False
+    head_expansion: bool = False
+    bridge: Optional[tuple] = None  # (relation1, pos, relation2)
+
+    def __str__(self) -> str:
+        if self.bridge:
+            return "|".join(self.bridge)
+        out = self.base
+        if self.dependent_expansion:
+            out = "+" + out
+        if self.head_expansion:
+            out = out + "+"
+        return out
+
+
+def parse_label(label: str, tags: TagSet = DEFAULT_TAGS) -> Optional[EnrichedLabel]:
+    """Parse an enriched label; None for a plain relation; ValueError if bad."""
+    if tags.is_relation(label):
+        return None
+    if "|" in label:
+        parts = label.split("|")
+        if len(parts) != 3:
+            raise ValueError(f"malformed bridge label {label!r}")
+        rel1, pos, rel2 = parts
+        inner = parse_label(rel1, tags)
+        if inner is not None and (inner.head_expansion or inner.bridge):
+            raise ValueError(f"unsupported bridge component {rel1!r} in {label!r}")
+        outer = parse_label(rel2, tags)
+        if outer is not None and (outer.dependent_expansion or outer.bridge):
+            raise ValueError(f"unsupported bridge component {rel2!r} in {label!r}")
+        if not tags.is_pos(pos):
+            raise ValueError(f"unknown POS {pos!r} in bridge label {label!r}")
+        return EnrichedLabel(rel1, bridge=(rel1, pos, rel2))
+    dep_flag = label.startswith("+")
+    head_flag = label.endswith("+")
+    base = label.strip("+")
+    if (dep_flag or head_flag) and tags.is_relation(base):
+        return EnrichedLabel(base, dep_flag, head_flag)
+    raise ValueError(f"unknown relation label {label!r}")

@@ -30,8 +30,10 @@ def save(name, graph, location):
     (FIXTURES / name).write_text(dumps_treebank(doc), encoding="utf-8")
 
 
-def save_transitions(name, lines):
-    (FIXTURES / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def save_transitions(name, lines, graph):
+    """Write a transition fixture headed by the name of its graph fixture."""
+    header = [f"# graph: {graph}"]
+    (FIXTURES / name).write_text("\n".join(header + lines) + "\n", encoding="utf-8")
 
 
 def english_example():
@@ -118,6 +120,7 @@ def verse_7_186():
             "PHRASE(NS)", "REDUCE(2)",
             "RIGHT(rslt)", "REDUCE(1)", "REDUCE(1)",
         ],
+        "fig_9_11.conllx",
     )
 
 

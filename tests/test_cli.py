@@ -1,0 +1,91 @@
+"""End-to-end tests of the command line: each workflow through cli.main,
+checked by its exit code (0 success, 1 usage, 2 data, 3 acceptance)."""
+
+from pathlib import Path
+
+import pytest
+
+from hybridparse import __version__
+from hybridparse.cli import ACCEPT_ERROR, DATA_ERROR, USAGE_ERROR, main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PROFILE = "+phrases,+ellipsis,+disconnected"
+
+
+@pytest.fixture
+def corpus(tmp_path) -> Path:
+    path = tmp_path / "corpus.conllx"
+    assert main(["synth", "--seed", "5", "--count", "12", "--profile", PROFILE,
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_workflow_exits_zero(tmp_path, corpus, capsys):
+    for pipeline in ("integrated", "multistep"):
+        model = tmp_path / f"{pipeline}.json"
+        parsed = tmp_path / f"{pipeline}.conllx"
+        assert main(["train", "--corpus", str(corpus), "--pipeline", pipeline,
+                     "--out", str(model)]) == 0
+        assert main(["parse", "--model", str(model), "--input", str(corpus),
+                     "--pipeline", pipeline, "--out", str(parsed), "--trace"]) == 0
+        for metric in ("elas", "parseval"):
+            assert main(["eval", "--gold", str(corpus), "--pred", str(parsed),
+                         "--metric", metric]) == 0
+    assert main(["crossval", "--corpus", str(corpus), "--folds", "3",
+                 "--pipeline", "multistep", "--epochs", "5"]) == 0
+    pure = tmp_path / "pure.conllx"
+    hybrid = tmp_path / "hybrid.conllx"
+    assert main(["convert", "--input", str(corpus), "--direction", "to-pure",
+                 "--out", str(pure)]) == 0
+    assert main(["convert", "--input", str(pure), "--direction", "to-hybrid",
+                 "--out", str(hybrid)]) == 0
+    for fmt in ("svg", "dot"):
+        out = tmp_path / fmt
+        assert main(["render", "--input", str(corpus), "--format", fmt, "--out", str(out)]) == 0
+        assert len(list(out.glob(f"*.{fmt}"))) == 12
+    capsys.readouterr()
+
+
+def test_las_on_a_pure_corpus(tmp_path):
+    corpus = tmp_path / "pure.conllx"
+    model = tmp_path / "model.json"
+    parsed = tmp_path / "parsed.conllx"
+    assert main(["synth", "--seed", "3", "--count", "12", "--out", str(corpus)]) == 0
+    assert main(["train", "--corpus", str(corpus), "--out", str(model)]) == 0
+    assert main(["parse", "--model", str(model), "--input", str(corpus),
+                 "--out", str(parsed)]) == 0
+    assert main(["eval", "--gold", str(corpus), "--pred", str(parsed), "--metric", "las"]) == 0
+
+
+def test_oracle_check_reproduces_the_repository_fixtures(corpus, capsys):
+    assert main(["oracle-check", "--corpus", str(corpus), "--fixtures", str(FIXTURES)]) == 0
+    assert "ok fig_9_12_13.transitions: fixture reproduced" in capsys.readouterr().out
+
+
+def test_usage_errors_exit_one(tmp_path, corpus):
+    assert main(["crossval", "--corpus", str(corpus), "--bogus"]) == USAGE_ERROR
+    assert main(["crossval", "--corpus", str(corpus), "--config", "cfg"]) == USAGE_ERROR
+    assert main(["oracle-check", "--corpus", str(corpus), "--bogus"]) == USAGE_ERROR
+    assert main(["train", "--corpus", str(corpus)]) == USAGE_ERROR
+    assert main([]) == USAGE_ERROR
+    missing = tmp_path / "missing.conllx"
+    assert main(["oracle-check", "--corpus", str(missing)]) == USAGE_ERROR
+
+
+def test_help_and_version_exit_zero(capsys):
+    for argv in (["--help"], ["train", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+    assert __version__ in capsys.readouterr().out
+
+
+def test_malformed_treebank_exits_two(tmp_path):
+    bad = tmp_path / "bad.conllx"
+    bad.write_text("1\tT\t_\tqaAla\tV\tSegType=stem\tseven\tsubj\n", encoding="utf-8")
+    assert main(["oracle-check", "--corpus", str(bad)]) == DATA_ERROR
+
+
+def test_missed_threshold_exits_three(corpus):
+    assert main(["crossval", "--corpus", str(corpus), "--folds", "3", "--epochs", "5",
+                 "--min-f1", "1.01"]) == ACCEPT_ERROR

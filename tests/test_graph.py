@@ -175,6 +175,24 @@ def test_insertion_shifts_spans_and_edges():
     assert grown.validate() == []
 
 
+def test_removal_shrinks_spans_and_drops_edges():
+    graph = graph_from(
+        [seg(1), seg(2, "V"), EmptyCategory("PRON", "huwa"), seg(3)],
+        edges=[(0, 1, "subj"), (2, 1, "subj"), (3, 1, "obj")],
+        phrases=[Phrase(1, 2, "VS")],
+    )
+    # The removed terminal ends the span.
+    shrunk = graph.without_terminal(2)
+    assert shrunk.phrases == {Phrase(1, 1, "VS")}
+    assert shrunk.edges == {Edge(0, 1, "subj"), Edge(2, 1, "obj")}
+    # The removed terminal starts the span.
+    assert graph.without_terminal(1).phrases == {Phrase(1, 1, "VS")}
+    assert graph.without_terminal(0).phrases == {Phrase(0, 1, "VS")}
+    assert graph.without_terminal(3).phrases == graph.phrases
+    with pytest.raises(GraphError):
+        graph.without_terminal(4)
+
+
 def test_root_agrees_with_span():
     # subgraphRoot and subgraphSpan agree on projective phrases
     graph = load_graph("fig_9_11.conllx")
