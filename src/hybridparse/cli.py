@@ -27,7 +27,7 @@ from .crossval import cross_validate
 from .engine import parse_integrated, parse_multi_step
 from .graph import GraphError
 from .learning import DEFAULT_EPOCHS, FeatureSetSpec, Model, TrainingError, train
-from .metrics import EvalReport, MetricError, elas, las, parseval_graphs
+from .metrics import EvalReport, MetricError, elas, las, phrase_matches
 from .oracle import oracle_sequence
 from .render import emit, emit_dot, layout
 from .synth import Profile, generate
@@ -136,15 +136,11 @@ def cmd_eval(args) -> int:
             overall = sum(scores) / len(scores)
             print(f"las={float(overall):.6f}")
         else:
-            precisions, recalls = [], []
-            for g, p in zip(gold.graphs, pred.graphs):
-                pr, rc = parseval_graphs(g, p)
-                precisions.append(pr)
-                recalls.append(rc)
-            p = sum(precisions) / len(precisions)
-            r = sum(recalls) / len(recalls)
-            print(f"precision={float(p):.6f}")
-            print(f"recall={float(r):.6f}")
+            report = EvalReport.combine(
+                phrase_matches(g, p) for g, p in zip(gold.graphs, pred.graphs)
+            )
+            print(f"precision={float(report.precision):.6f}")
+            print(f"recall={float(report.recall):.6f}")
     except MetricError as exc:
         raise CliError(str(exc), DATA_ERROR)
     return 0

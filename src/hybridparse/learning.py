@@ -156,12 +156,16 @@ def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:
         ra, rb = refs[a], refs[b]
         if ra is None or rb is None:
             continue
-        linked = any(
-            {edge.dependent, edge.head} == {ra, rb} for edge in graph.edges
-        )
-        if linked:
+        if _linked(graph, ra, rb):
             out.append(f"graph:edge({a},{b})")
     return frozenset(out)
+
+
+def _linked(graph: HybridGraph, a, b) -> bool:
+    """Whether an edge joins ``a`` and ``b``, in either direction."""
+    return any(e.head == b for e in graph.head_edges(a)) or any(
+        e.head == a for e in graph.head_edges(b)
+    )
 
 
 def _conjoined(features: frozenset) -> List[str]:
@@ -310,6 +314,15 @@ class Model:
     relation_vocab: List[str] = field(default_factory=list)
     corpus_fingerprint: str = ""
     counts: dict = field(default_factory=dict)
+    # Each classifier label parsed once, for predict.
+    parsed_labels: Dict[str, Transition] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.parsed_labels = {
+            label: parse_transition(label)
+            for clf in self.classifiers.values()
+            for label in clf.labels
+        }
 
     def serialize(self) -> str:
         payload = {
@@ -472,7 +485,7 @@ def predict(
         feats = extract_features(config, model.feature_set)
         scores = clf.score(feats)
         for label, score in scores.items():
-            t = parse_transition(label)
+            t = model.parsed_labels[label]
             if allowed_kinds and not isinstance(t, allowed_kinds):
                 continue
             candidates.append((score, label, t))

@@ -166,11 +166,17 @@ def parseval(gold: Iterable, predicted: Iterable) -> tuple:
     return (report.precision, report.recall)
 
 
-def parseval_graphs(gold: HybridGraph, predicted: HybridGraph) -> tuple:
-    """Parseval over the phrase sets of two graphs, spans projected onto
-    segment ordinals so differing empty categories do not misalign spans."""
+def phrase_matches(gold: HybridGraph, predicted: HybridGraph) -> EvalReport:
+    """Labelled phrase matches of two graphs, spans projected onto segment
+    ordinals so differing empty categories do not misalign spans."""
     _check_same_sentence(gold, predicted)
-    return parseval(_phrase_signatures(gold), _phrase_signatures(predicted))
+    return matched(_phrase_signatures(gold), _phrase_signatures(predicted))
+
+
+def parseval_graphs(gold: HybridGraph, predicted: HybridGraph) -> tuple:
+    """Parseval (precision, recall) over the phrase sets of two graphs."""
+    report = phrase_matches(gold, predicted)
+    return (report.precision, report.recall)
 
 
 def _phrase_signatures(graph: HybridGraph) -> list:

@@ -20,6 +20,18 @@ picks the next transition from contextual rules, in precedence order:
 A node is *finished* when all its expected edges are built, no expected
 empty category directly after it is missing, and it does not root a
 still-missing expected phrase.
+
+Cost. What the rules ask of the gold graph is computed once per sentence
+(``_GoldIndex``): the root of each gold phrase, the gold edges by unordered
+endpoint pair, by node and by head, the gold phrases by span, and the
+``subj`` edges. What they ask of the working configuration is kept by
+``_OracleState`` across the whole walk of ``oracle_sequence``: the
+alignment of working to gold terminals, and the built edges, phrases and
+empty-category anchors in gold terms. Shift and reduce change none of
+these, an arc adds one edge and a phrase one phrase; an insertion
+renumbers terminals, so the state is rebuilt from the configuration.
+``oracle_next`` builds the same index and state from scratch and runs the
+same rules.
 """
 
 from __future__ import annotations
@@ -66,82 +78,120 @@ class OracleOutcome:
     graph: Optional[HybridGraph] = None
 
 
-class _Alignment:
-    """Maps working-graph terminal indices to gold terminal indices.
+class _GoldIndex:
+    """What the oracle asks of a gold graph, computed once per sentence."""
+
+    def __init__(self, gold: HybridGraph):
+        self.gold = gold
+        self.segment_indices = [
+            i for i, t in enumerate(gold.terminals) if isinstance(t, MorphSegment)
+        ]
+        self.edge_by_pair: dict = {}
+        self.edges_at: dict = {}
+        self.edges_by_head: dict = {}
+        self.subj_pairs: set = set()
+        for edge in gold.edges:
+            self.edge_by_pair.setdefault(frozenset((edge.dependent, edge.head)), edge)
+            self.edges_at.setdefault(edge.dependent, []).append(edge)
+            self.edges_at.setdefault(edge.head, []).append(edge)
+            self.edges_by_head.setdefault(edge.head, []).append(edge)
+            if edge.relation == "subj":
+                self.subj_pairs.add((edge.dependent, edge.head))
+        self.phrases_by_span: dict = {}
+        for phrase in sorted(gold.phrases):
+            self.phrases_by_span.setdefault((phrase.start, phrase.end), []).append(phrase)
+        # A phrase whose root cannot be determined never blocks a node.
+        self.phrases_by_root: dict = {}
+        for phrase in gold.phrases:
+            try:
+                root = gold.subgraph_root(phrase)
+            except Exception:
+                continue
+            self.phrases_by_root.setdefault(root, []).append(phrase)
+
+
+def _alignment(terminals, gold_segments: list) -> list:
+    """Gold terminal index of each working terminal.
 
     Working graphs start from the gold segments (gold empty categories
     excluded) and acquire empty categories as the oracle inserts them;
-    segments align in order, inserted nodes align to the gold empty
-    category at the matching anchor.
+    segments align in order, an inserted node aligns to the index after
+    its left neighbour's.
     """
-
-    def __init__(self, config: Configuration, gold: HybridGraph):
-        gold_segments = [
-            i for i, t in enumerate(gold.terminals) if isinstance(t, MorphSegment)
-        ]
-        mapping = []
-        seg_iter = iter(gold_segments)
-        for term in config.graph.terminals:
-            if isinstance(term, MorphSegment):
-                mapping.append(next(seg_iter))
-            else:
-                mapping.append(None)
-        # Anchor inserted empty categories after their left neighbour.
-        for i, term in enumerate(config.graph.terminals):
-            if mapping[i] is not None:
-                continue
-            left = mapping[i - 1] if i else -1
-            mapping[i] = left + 1 if left is not None else 0
-        self.working_to_gold = mapping
-
-    def gold_of(self, ref: NodeRef):
-        if isinstance(ref, Phrase):
-            start = self.working_to_gold[ref.start]
-            end = self.working_to_gold[ref.end]
-            return Phrase(start, end, ref.tag)
-        return self.working_to_gold[ref]
-
-
-def _gold_edge_between(gold: HybridGraph, a, b):
-    for edge in gold.edges:
-        if {edge.dependent, edge.head} == {a, b}:
-            return edge
-    return None
+    segments = iter(gold_segments)
+    mapping: list = []
+    for term in terminals:
+        if isinstance(term, MorphSegment):
+            mapping.append(next(segments))
+        else:
+            mapping.append(mapping[-1] + 1 if mapping else 0)
+    return mapping
 
 
 class _OracleState:
-    def __init__(self, gold: HybridGraph, config: Configuration, tags: TagSet):
-        self.gold = gold
+    """A working configuration seen in gold terms: its alignment and the
+    edges, phrases and empty-category anchors it has built, each mapped to
+    gold references."""
+
+    def __init__(self, index: _GoldIndex, config: Configuration, tags: TagSet):
+        self.index = index
+        self.gold = index.gold
         self.tags = tags
+        self._rebuild(config)
+
+    def _rebuild(self, config: Configuration) -> None:
         self.config = config
-        self.align = _Alignment(config, gold)
+        graph = config.graph
+        self.working_to_gold = _alignment(graph.terminals, self.index.segment_indices)
+        to_gold = self.to_gold
+        self.built_edges = {
+            (to_gold(e.dependent), to_gold(e.head), e.relation) for e in graph.edges
+        }
+        self.built_phrases = {to_gold(p) for p in graph.phrases}
+        self.built_anchors = {
+            to_gold(i)
+            for i, t in enumerate(graph.terminals)
+            if isinstance(t, EmptyCategory)
+        }
+
+    def advance(self, t: Transition, config: Configuration) -> None:
+        """Move to ``config``, the result of applying ``t``.
+
+        An arc adds one built edge and a phrase one built phrase. An
+        insertion renumbers terminals and may realign earlier empty
+        categories, so the state is rebuilt.
+        """
+        if isinstance(t, (InsertEmpty, InsertPronoun)):
+            self._rebuild(config)
+            return
+        self.config = config
+        if isinstance(t, (LeftArc, RightArc)):
+            s1, s2 = config.stack[0], config.stack[1]
+            dep, head = (s2, s1) if isinstance(t, LeftArc) else (s1, s2)
+            self.built_edges.add((self.to_gold(dep), self.to_gold(head), t.relation))
+        elif isinstance(t, AddPhrase):
+            self.built_phrases.add(self.to_gold(config.stack[0]))
 
     # -- helpers over gold vs working ------------------------------------
 
     def to_gold(self, ref: NodeRef):
-        return self.align.gold_of(ref)
+        mapping = self.working_to_gold
+        if isinstance(ref, Phrase):
+            return Phrase(mapping[ref.start], mapping[ref.end], ref.tag)
+        return mapping[ref]
 
     def built(self, gold_edge) -> bool:
-        for edge in self.config.graph.edges:
-            if (
-                self.to_gold(edge.dependent) == gold_edge.dependent
-                and self.to_gold(edge.head) == gold_edge.head
-                and edge.relation == gold_edge.relation
-            ):
-                return True
-        return False
+        return (gold_edge.dependent, gold_edge.head, gold_edge.relation) in self.built_edges
+
+    def gold_edge_between(self, a, b):
+        return self.index.edge_by_pair.get(frozenset((a, b)))
 
     def unbuilt_edges_at(self, gold_ref) -> list:
-        out = []
-        for edge in self.gold.edges:
-            if gold_ref in (edge.dependent, edge.head) and not self.built(edge):
-                out.append(edge)
-        return out
+        return [e for e in self.index.edges_at.get(gold_ref, ()) if not self.built(e)]
 
     def gold_phrase_with_span(self, span) -> Optional[Phrase]:
-        built = {self.to_gold(p) for p in self.config.graph.phrases}
-        for phrase in sorted(self.gold.phrases):
-            if (phrase.start, phrase.end) == span and phrase not in built:
+        for phrase in self.index.phrases_by_span.get(span, ()):
+            if phrase not in self.built_phrases:
                 return phrase
         return None
 
@@ -155,26 +205,14 @@ class _OracleState:
             return None
         if not isinstance(self.gold.terminals[nxt], EmptyCategory):
             return None
-        built_anchors = {
-            self.to_gold(i)
-            for i, t in enumerate(self.config.graph.terminals)
-            if isinstance(t, EmptyCategory)
-        }
-        return None if nxt in built_anchors else nxt
+        return None if nxt in self.built_anchors else nxt
 
     def roots_missing_phrase(self, working_ref) -> bool:
-        gold_ref = self.to_gold(working_ref)
-        built = {self.to_gold(p) for p in self.config.graph.phrases}
-        for phrase in self.gold.phrases:
-            if phrase in built:
-                continue
-            try:
-                root = self.gold.subgraph_root(phrase)
-            except Exception:
-                continue
-            if root == gold_ref:
-                return True
-        return False
+        rooted = self.index.phrases_by_root.get(self.to_gold(working_ref), ())
+        return any(phrase not in self.built_phrases for phrase in rooted)
+
+    def subj_edge(self, ec_index: int, verb_index: int) -> bool:
+        return (ec_index, verb_index) in self.index.subj_pairs
 
     def finished(self, working_ref) -> bool:
         gold_ref = self.to_gold(working_ref)
@@ -193,8 +231,8 @@ class _OracleState:
         they do not block an edge at the top of the stack.
         """
         gold_ref = self.to_gold(working_ref)
-        for edge in self.gold.edges:
-            if edge.head != gold_ref or edge == excluding:
+        for edge in self.index.edges_by_head.get(gold_ref, ()):
+            if edge == excluding:
                 continue
             if isinstance(edge.dependent, Phrase):
                 continue
@@ -213,7 +251,7 @@ class _OracleState:
 
         # 1. edge between s1 and s2
         if s1 is not None and s2 is not None:
-            gold_edge = _gold_edge_between(self.gold, self.to_gold(s1), self.to_gold(s2))
+            gold_edge = self.gold_edge_between(self.to_gold(s1), self.to_gold(s2))
             if gold_edge is not None and not self.built(gold_edge):
                 if self.top_saturated(s1, gold_edge):
                     if gold_edge.dependent == self.to_gold(s2):
@@ -263,7 +301,7 @@ class _OracleState:
             ec_at = self.missing_ec_after(s1)
             if ec_at is not None:
                 ec = self.gold.terminals[ec_at]
-                if ec.pos == "PRON" and _gold_subj_edge(self.gold, ec_at, self.to_gold(s1)):
+                if ec.pos == "PRON" and self.subj_edge(ec_at, self.to_gold(s1)):
                     t = InsertPronoun()
                     if legal(config, t, self.tags):
                         return t
@@ -286,7 +324,7 @@ class _OracleState:
 
         # 9. clear a blocked pair: s1 and s3 form an expected edge
         if s1 is not None and s3 is not None:
-            gold_edge = _gold_edge_between(self.gold, self.to_gold(s1), self.to_gold(s3))
+            gold_edge = self.gold_edge_between(self.to_gold(s1), self.to_gold(s3))
             if gold_edge is not None and not self.built(gold_edge):
                 return Reduce(2)
 
@@ -294,16 +332,9 @@ class _OracleState:
         return Reduce(1)
 
 
-def _gold_subj_edge(gold: HybridGraph, ec_index: int, verb_index: int) -> bool:
-    for edge in gold.edges:
-        if edge.dependent == ec_index and edge.head == verb_index and edge.relation == "subj":
-            return True
-    return False
-
-
 def oracle_next(config: Configuration, gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> Transition:
     """Next transition toward the gold graph. Total: rule 10 always applies."""
-    return _OracleState(gold, config, tags).next_transition()
+    return _OracleState(_GoldIndex(gold), config, tags).next_transition()
 
 
 def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOutcome:
@@ -312,16 +343,18 @@ def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOut
     if not segments:
         return OracleOutcome([], False)
     config = initial(segments)
+    state = _OracleState(_GoldIndex(gold), config, tags)
     budget = step_budget(len(segments))
     sequence: List[Transition] = []
     while not config.is_terminal_state() and len(sequence) < budget:
-        t = oracle_next(config, gold, tags)
+        t = state.next_transition()
         if not legal(config, t, tags):
             # The default reduce may be illegal on an empty stack.
             t = Shift() if config.queue else Reduce(1)
             if not legal(config, t, tags):
                 break
         config = apply(config, t, tags)
+        state.advance(t, config)
         sequence.append(t)
     replayed = config.graph
     report = elas(gold, replayed)

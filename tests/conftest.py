@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hybridparse.corpus_io import read_treebank
+from hybridparse.graph import Edge, HybridGraph, Phrase
 from hybridparse.transitions import parse_transition
 from hybridparse.vocab import DEFAULT_TAGS
 
@@ -28,6 +29,26 @@ def load_graph(name: str, tags=DEFAULT_TAGS):
     text = (FIXTURES / name).read_text("utf-8")
     doc = read_treebank(text, tags)
     return doc.graphs[0]
+
+
+def concatenate(graphs) -> HybridGraph:
+    """One long sentence holding the given graphs side by side, with no new
+    edges between them."""
+    terminals: list = []
+    phrases: set = set()
+    edges: set = set()
+    for g in graphs:
+        offset = len(terminals)
+
+        def moved(ref):
+            if isinstance(ref, Phrase):
+                return Phrase(ref.start + offset, ref.end + offset, ref.tag)
+            return ref + offset
+
+        terminals.extend(g.terminals)
+        phrases.update(moved(p) for p in g.phrases)
+        edges.update(Edge(moved(e.dependent), moved(e.head), e.relation) for e in g.edges)
+    return HybridGraph(tuple(terminals), frozenset(phrases), frozenset(edges))
 
 
 def load_transitions(name: str):

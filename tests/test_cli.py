@@ -7,6 +7,10 @@ import pytest
 
 from hybridparse import __version__
 from hybridparse.cli import ACCEPT_ERROR, DATA_ERROR, USAGE_ERROR, main
+from hybridparse.corpus_io import TreebankDocument, dumps_treebank
+from hybridparse.graph import HybridGraph, Phrase
+
+from conftest import load_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PROFILE = "+phrases,+ellipsis,+disconnected"
@@ -44,6 +48,39 @@ def test_workflow_exits_zero(tmp_path, corpus, capsys):
         assert main(["render", "--input", str(corpus), "--format", fmt, "--out", str(out)]) == 0
         assert len(list(out.glob(f"*.{fmt}"))) == 12
     capsys.readouterr()
+
+
+def _keeping_phrases(graph, keep):
+    """The graph with only the phrases in ``keep`` and the edges between
+    the nodes left."""
+    phrases = frozenset(p for p in graph.phrases if p in keep)
+    edges = frozenset(
+        e for e in graph.edges
+        if all(not isinstance(r, Phrase) or r in phrases for r in (e.dependent, e.head))
+    )
+    return HybridGraph(graph.terminals, phrases, edges)
+
+
+def test_parseval_pools_phrase_counts(tmp_path, capsys):
+    """Counts are pooled over graphs, as for elas: a graph with no phrase on
+    either side adds nothing, where a mean of per-graph scores counts it 1/1."""
+    full = load_graph("fig_9_11.conllx")
+    kept = min(full.phrases)
+    bare = _keeping_phrases(full, ())
+    gold, pred = tmp_path / "gold.conllx", tmp_path / "pred.conllx"
+    gold.write_text(dumps_treebank(TreebankDocument([full, bare])), encoding="utf-8")
+    pred.write_text(
+        dumps_treebank(TreebankDocument([_keeping_phrases(full, {kept}), bare])),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred),
+                 "--metric", "parseval"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    recall = 1 / len(full.phrases)
+    assert "precision=1.000000" in lines
+    assert f"recall={recall:.6f}" in lines
+    assert f"recall={(recall + 1) / 2:.6f}" not in lines
 
 
 def test_las_on_a_pure_corpus(tmp_path):

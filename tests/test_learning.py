@@ -16,14 +16,18 @@ from hybridparse import (
 )
 from hybridparse.engine import parse_integrated
 from hybridparse.learning import (
+    EDGE_PAIRS,
     AveragedPerceptron,
     TrainingError,
+    _slot_ref,
     training_pairs,
 )
+from hybridparse.oracle import oracle_sequence
+from hybridparse.vocab import DEFAULT_TAGS
 from hybridparse.metrics import elas
 from hybridparse.transitions import LeftArc, RightArc
 
-from conftest import load_graph
+from conftest import concatenate, load_graph
 
 
 def seg(i, pos="N", **feats):
@@ -62,6 +66,37 @@ def test_extract_features_edge_predicate():
     config = apply(config, LeftArc("subj"))
     feats = extract_features(config, FeatureSetSpec("pos"))
     assert "graph:edge(s1,s2)" in feats
+
+
+def _scanned_features(config, spec):
+    """extract_features with each graph:edge predicate recomputed by a scan
+    over every edge of the graph."""
+    out = {f for f in extract_features(config, spec) if not f.startswith("graph:edge(")}
+    for a, b in EDGE_PAIRS:
+        ra, rb = _slot_ref(config, a), _slot_ref(config, b)
+        if ra is None or rb is None:
+            continue
+        if any({e.dependent, e.head} == {ra, rb} for e in config.graph.edges):
+            out.add(f"graph:edge({a},{b})")
+    return frozenset(out)
+
+
+def test_edge_predicate_matches_a_scan_of_all_edges(english_tags):
+    """Along oracle walks: synthetic graphs build right arcs only, so the
+    English figure adds left arcs."""
+    graphs = generate(58, 20, "+phrases,+ellipsis,+disconnected").graphs
+    cases = [(gold, DEFAULT_TAGS) for gold in graphs + [concatenate(graphs)]]
+    cases.append((load_graph("english/fig_9_2.conllx", english_tags), english_tags))
+    spec = FeatureSetSpec("lemma")
+    linked = set()
+    for gold, tags in cases:
+        config = initial(gold.segments)
+        for t in oracle_sequence(gold, tags).sequence:
+            feats = extract_features(config, spec)
+            assert feats == _scanned_features(config, spec)
+            linked.update(f for f in feats if f.startswith("graph:edge("))
+            config = apply(config, t, tags)
+    assert {"graph:edge(s1,s2)", "graph:edge(s2,s3)"} <= linked
 
 
 def test_feature_vectors_nest_by_spec():

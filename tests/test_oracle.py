@@ -1,4 +1,7 @@
+from collections import Counter
+
 from hybridparse import (
+    HybridGraph,
     LeftArc,
     Location,
     MorphSegment,
@@ -16,7 +19,7 @@ from hybridparse.oracle import step_budget
 from hybridparse.synth import is_nonprojective
 from hybridparse import generate, Profile
 
-from conftest import load_graph, load_transitions
+from conftest import concatenate, load_graph, load_transitions
 
 
 def seg(i, pos="N", **feats):
@@ -160,3 +163,22 @@ def test_budget_respected_on_reachable_graphs():
         outcome = oracle_sequence(gold)
         assert outcome.reachable
         assert len(outcome.sequence) <= step_budget(len(gold.segments))
+
+
+def test_each_gold_phrase_is_rooted_once(monkeypatch):
+    """The oracle looks up the root of each gold phrase once per sentence,
+    not at every step: a guard against a walk quadratic in its length."""
+    gold = concatenate(generate(24, 30, Profile.parse("+phrases,+ellipsis")).graphs)
+    assert len(gold.phrases) > 10
+    calls = Counter()
+    subgraph_root = HybridGraph.subgraph_root
+
+    def counted(graph, phrase):
+        if graph is gold:
+            calls[phrase] += 1
+        return subgraph_root(graph, phrase)
+
+    monkeypatch.setattr(HybridGraph, "subgraph_root", counted)
+    assert oracle_sequence(gold).reachable
+    assert set(calls) <= gold.phrases
+    assert max(calls.values()) == 1
