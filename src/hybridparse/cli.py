@@ -29,7 +29,7 @@ from .graph import GraphError
 from .learning import DEFAULT_EPOCHS, FeatureSetSpec, Model, TrainingError, train
 from .metrics import EvalReport, MetricError, elas, las, phrase_matches
 from .oracle import oracle_sequence
-from .render import emit, emit_dot, layout
+from .render import emit_dot, svg
 from .synth import Profile, generate
 from .transitions import parse_transition
 
@@ -126,19 +126,13 @@ def cmd_eval(args) -> int:
         raise CliError("gold and prediction differ in graph count", DATA_ERROR)
     print(_provenance(args, ["gold", "pred", "metric"]))
     try:
+        score = {"elas": elas, "las": las, "parseval": phrase_matches}[args.metric]
+        report = EvalReport.combine(score(g, p) for g, p in zip(gold.graphs, pred.graphs))
         if args.metric == "elas":
-            report = EvalReport.combine(
-                elas(g, p) for g, p in zip(gold.graphs, pred.graphs)
-            )
             print(report.key_values())
         elif args.metric == "las":
-            scores = [las(g, p) for g, p in zip(gold.graphs, pred.graphs)]
-            overall = sum(scores) / len(scores)
-            print(f"las={float(overall):.6f}")
+            print(f"las={float(report.recall):.6f}")
         else:
-            report = EvalReport.combine(
-                phrase_matches(g, p) for g, p in zip(gold.graphs, pred.graphs)
-            )
             print(f"precision={float(report.precision):.6f}")
             print(f"recall={float(report.recall):.6f}")
     except MetricError as exc:
@@ -268,11 +262,7 @@ def cmd_render(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, graph in enumerate(corpus.graphs):
-        tree = layout(graph, rtl=not args.ltr)
-        if args.format == "svg":
-            document = emit(tree, "svg")
-        else:
-            document = emit_dot(graph)
+        document = svg(graph, rtl=not args.ltr) if args.format == "svg" else emit_dot(graph)
         path = out_dir / f"graph{i + 1:04d}.{args.format}"
         path.write_text(document, encoding="utf-8")
     print(f"rendered {len(corpus.graphs)} document(s) into {args.out}")

@@ -98,7 +98,10 @@ def _parse_feats(text: str, line_no: int) -> tuple:
                 raise TreebankFormatError(f"malformed FEATS item {item!r}", line_no)
             key, value = item.split("=", 1)
             if key == "loc":
-                location = parse_location(f"({value})")
+                try:
+                    location = parse_location(f"({value})")
+                except ValueError as exc:
+                    raise TreebankFormatError(str(exc), line_no)
             elif key == "Lemma":
                 lemma = value
             elif key == "Root":
@@ -230,7 +233,10 @@ def _rows_to_graph(rows: list, tags: TagSet, end_line: int) -> HybridGraph:
             raise TreebankFormatError(f"dangling head reference {head}", line_no)
         if deprel in HEADLESS_MARKS or not deprel:
             raise TreebankFormatError("edge requires a relation label", line_no)
-        edges.append(Edge(id_to_node[nid], id_to_node[head_id], deprel))
+        try:
+            edges.append(Edge(id_to_node[nid], id_to_node[head_id], deprel))
+        except ValueError as exc:
+            raise TreebankFormatError(str(exc), line_no)
     graph = HybridGraph(tuple(terminals), frozenset(id_to_node[n] for n in phrases), frozenset(edges))
     violations = graph.validate(tags)
     if violations:
@@ -525,10 +531,10 @@ def read_feature_notation(
         match = re.match(r"^(\(\d+:\d+(?::\d+){0,2}\))\s+(\[.*\])$", line)
         if not match:
             raise TreebankFormatError("expected '(c:v:t) [tags...]'", line_no)
-        location = parse_location(match.group(1))
         try:
+            location = parse_location(match.group(1))
             segments = parse_feature_line(match.group(2), location, tags)
-        except FeatureNotationError as exc:
+        except (ValueError, FeatureNotationError) as exc:
             raise TreebankFormatError(str(exc), line_no)
         out.append((location, segments))
     return out

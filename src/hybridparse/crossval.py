@@ -9,7 +9,6 @@ averaging per-fold F1 scores and is the only aggregation offered.
 
 from __future__ import annotations
 
-import os
 import random
 
 from .convert import lossless_pure_graphs
@@ -19,13 +18,6 @@ from .metrics import EvalReport, elas
 from .vocab import DEFAULT_TAGS, TagSet
 
 PIPELINES = ("integrated", "multistep")
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HYBRIDPARSE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def evaluate_split(
@@ -78,29 +70,10 @@ def cross_validate(
         size = base + (1 if k < extra else 0)
         slices.append(shuffled[start : start + size])
         start += size
-    jobs = []
+    fold_reports = []
     for k in range(folds):
-        eval_graphs = slices[k]
         train_graphs = [g for j, s in enumerate(slices) if j != k for g in s]
-        jobs.append((train_graphs, eval_graphs))
-    workers = thread_count()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fold_reports = list(
-                pool.map(
-                    _run_fold,
-                    [(tr, ev, spec, pipeline, seed, tags, epochs) for tr, ev in jobs],
-                )
-            )
-    else:
-        fold_reports = [
-            evaluate_split(tr, ev, spec, pipeline, seed, tags, epochs)
-            for tr, ev in jobs
-        ]
+        fold_reports.append(
+            evaluate_split(train_graphs, slices[k], spec, pipeline, seed, tags, epochs)
+        )
     return EvalReport.combine(fold_reports)
-
-
-def _run_fold(args):
-    return evaluate_split(*args)

@@ -202,11 +202,6 @@ class HybridGraph:
     def segments(self) -> tuple:
         return tuple(t for t in self.terminals if isinstance(t, MorphSegment))
 
-    def terminal(self, index: int) -> Terminal:
-        if not 0 <= index < len(self.terminals):
-            raise GraphError(f"unknown terminal index {index}")
-        return self.terminals[index]
-
     def has_node(self, ref: NodeRef) -> bool:
         if isinstance(ref, Phrase):
             return ref in self.phrases
@@ -404,14 +399,7 @@ class HybridGraph:
                 trail.add(node)
                 edges = self._head_index.get(node, ())
                 node = edges[0].head if edges else None
-        # Deduplicate: one report per cycle member set.
-        unique = []
-        seen = set()
-        for v in out:
-            if v.subject not in seen:
-                seen.add(v.subject)
-                unique.append(v)
-        return unique
+        return out
 
     def would_cycle(self, dependent: NodeRef, head: NodeRef) -> bool:
         """True if adding dependent->head would close a head-chain cycle."""

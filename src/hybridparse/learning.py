@@ -85,9 +85,6 @@ class FeatureSetSpec:
     def level(self) -> int:
         return _SET_LEVELS[self.name]
 
-    def includes(self, other: "FeatureSetSpec") -> bool:
-        return self.level >= other.level
-
 
 def _slot_ref(config: Configuration, slot: str):
     if slot == "q1":

@@ -131,33 +131,16 @@ def elas(gold: HybridGraph, predicted: HybridGraph) -> EvalReport:
     )
 
 
-def las(gold: HybridGraph, predicted: HybridGraph) -> Fraction:
-    """Fraction of headed gold segments with matching head and label."""
-    _check_same_sentence(gold, predicted)
+def las(gold: HybridGraph, predicted: HybridGraph) -> EvalReport:
+    """Labelled attachment counts of two pure dependency graphs. Every edge
+    joins two segments there, so the extended counts are the attachment
+    counts: recall is LAS over the headed gold segments."""
     for graph in (gold, predicted):
         if graph.phrases or any(
             isinstance(t, EmptyCategory) for t in graph.terminals
         ):
             raise MetricError("labelled attachment is defined on pure dependency graphs")
-    gold_heads = _segment_heads(gold)
-    pred_heads = _segment_heads(predicted)
-    headed = [k for k, v in gold_heads.items() if v is not None]
-    if not headed:
-        return Fraction(1)
-    correct = sum(1 for k in headed if pred_heads.get(k) == gold_heads[k])
-    return Fraction(correct, len(headed))
-
-
-def _segment_heads(graph: HybridGraph) -> dict:
-    ordinals = _segment_ordinals(graph)
-    out = {}
-    for i in ordinals:
-        edges = graph.head_edges(i)
-        if edges and isinstance(edges[0].head, int):
-            out[ordinals[i]] = (ordinals[edges[0].head], edges[0].relation)
-        else:
-            out[ordinals[i]] = None
-    return out
+    return elas(gold, predicted)
 
 
 def parseval(gold: Iterable, predicted: Iterable) -> tuple:
@@ -171,12 +154,6 @@ def phrase_matches(gold: HybridGraph, predicted: HybridGraph) -> EvalReport:
     ordinals so differing empty categories do not misalign spans."""
     _check_same_sentence(gold, predicted)
     return matched(_phrase_signatures(gold), _phrase_signatures(predicted))
-
-
-def parseval_graphs(gold: HybridGraph, predicted: HybridGraph) -> tuple:
-    """Parseval (precision, recall) over the phrase sets of two graphs."""
-    report = phrase_matches(gold, predicted)
-    return (report.precision, report.recall)
 
 
 def _phrase_signatures(graph: HybridGraph) -> list:

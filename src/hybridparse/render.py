@@ -1,189 +1,34 @@
 """Static drawings of hybrid graphs as SVG or DOT documents.
 
-Layout follows a measure-then-arrange scheme: word boxes are placed
-right-to-left (configurable), node points are computed under each box,
-then arcs and phrase bars are placed below the words using a height map
-of (x, w, h) spans so that overlapping intervals stack downwards. Arcs
-are emitted before labels so labels stay readable.
+``svg`` draws one word box per terminal, right to left unless ``rtl`` is
+false, with a node point under each box. Phrase bars and then arcs are
+placed below the words. Each takes the lowest level already used over its
+horizontal interval, so overlapping items stack downwards; arcs are
+placed shortest first, so short arcs stay near the words. All arcs are
+drawn before their labels, so labels stay readable. The canvas ends one
+margin below the lowest item drawn.
+
+``emit_dot`` writes the structure alone, with no coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
 from .graph import EmptyCategory, HybridGraph, Phrase, ref_key
 
-
-@dataclass
-class Style:
-    box_width: int = 86
-    box_gap: int = 10
-    line_height: int = 13
-    arc_step: int = 26
-    margin: int = 16
-    font: str = "monospace"
-    font_size: int = 10
+BOX_WIDTH = 86
+BOX_GAP = 10
+LINE_HEIGHT = 13
+ARC_STEP = 26
+MARGIN = 16
+BOX_HEIGHT = LINE_HEIGHT * 5 + 6
+POINT_Y = MARGIN + BOX_HEIGHT + 4
 
 
-@dataclass
-class VisualNode:
-    kind: str
-    x: float
-    y: float
-    w: float
-    h: float
-    text: str = ""
-    attrs: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
-
-
-class HeightMap:
-    """Tracks the lowest occupied y per x-interval below the word row."""
-
-    def __init__(self, width: float, base: float):
-        self.spans: List[tuple] = [(0.0, width, base)]
-
-    def max_height(self, x1: float, x2: float) -> float:
-        best = 0.0
-        for x, w, h in self.spans:
-            if x < x2 and x + w > x1:
-                best = max(best, h)
-        return best
-
-    def update(self, x1: float, x2: float, h: float) -> None:
-        self.spans.append((x1, x2 - x1, h))
-
-
-def _word_lines(term, gloss: str) -> List[str]:
+def _word_lines(term) -> list:
+    """The five lines of a word box; the third (a gloss) is left empty."""
     if isinstance(term, EmptyCategory):
-        return ["", f"({term.form})", gloss, "*", term.pos]
-    loc = str(term.location)
-    return [loc, term.form, gloss, term.form, term.pos]
-
-
-def layout(
-    graph: HybridGraph,
-    style: Optional[Style] = None,
-    rtl: bool = True,
-    glosses: Optional[dict] = None,
-) -> VisualNode:
-    """Arrange a graph into a visual tree with absolute coordinates."""
-    style = style or Style()
-    glosses = glosses or {}
-    n = len(graph.terminals)
-    root = VisualNode("canvas", 0, 0, 0, 0, attrs={"graph": graph})
-    box_h = style.line_height * 5 + 6
-    total_w = style.margin * 2 + n * style.box_width + max(n - 1, 0) * style.box_gap
-
-    def slot_x(i: int) -> float:
-        order = (n - 1 - i) if rtl else i
-        return style.margin + order * (style.box_width + style.box_gap)
-
-    node_points = {}
-    for i, term in enumerate(graph.terminals):
-        x = slot_x(i)
-        box = VisualNode("wordbox", x, style.margin, style.box_width, box_h)
-        for k, line in enumerate(_word_lines(term, glosses.get(i, ""))):
-            box.children.append(
-                VisualNode(
-                    "text",
-                    x + style.box_width / 2,
-                    style.margin + (k + 1) * style.line_height,
-                    style.box_width,
-                    style.line_height,
-                    text=line,
-                )
-            )
-        root.children.append(box)
-        node_points[i] = (x + style.box_width / 2, style.margin + box_h + 4)
-        root.children.append(
-            VisualNode("nodepoint", node_points[i][0], node_points[i][1], 2, 2,
-                       attrs={"pos": graph.pos_of(i)})
-        )
-
-    base = style.margin + box_h + 8
-    height_map = HeightMap(total_w, base)
-
-    # Phrase bars first (they sit close under the words), then arcs; both
-    # consult and update the height map. Edges are sorted by span width so
-    # shorter arcs stay lower.
-    for phrase in sorted(graph.phrases, key=lambda p: (p.end - p.start, p.start, p.tag)):
-        x_left = min(node_points[phrase.start][0], node_points[phrase.end][0])
-        x_right = max(node_points[phrase.start][0], node_points[phrase.end][0])
-        x1 = x_left - style.box_width / 2 + 6
-        x2 = x_right + style.box_width / 2 - 6
-        y = height_map.max_height(x1, x2) + 12
-        bar = VisualNode("phrasebar", x1, y, x2 - x1, 4, text=phrase.tag)
-        root.children.append(bar)
-        node_points[phrase] = ((x1 + x2) / 2, y + 6)
-        height_map.update(x1, x2, y + style.line_height + 6)
-
-    arcs = []
-    for edge in sorted(
-        graph.edges,
-        key=lambda e: (
-            abs(_anchor(node_points, e.dependent) - _anchor(node_points, e.head)),
-            ref_key(e.dependent),
-        ),
-    ):
-        x1 = _anchor(node_points, edge.dependent)
-        x2 = _anchor(node_points, edge.head)
-        y1 = _anchor_y(node_points, edge.dependent)
-        y2 = _anchor_y(node_points, edge.head)
-        lo, hi = min(x1, x2), max(x1, x2)
-        depth = height_map.max_height(lo, hi) + style.arc_step
-        arcs.append(
-            VisualNode(
-                "arc",
-                lo,
-                depth,
-                hi - lo,
-                depth,
-                text=edge.relation,
-                attrs={"x1": x1, "y1": y1, "x2": x2, "y2": y2, "depth": depth},
-            )
-        )
-        height_map.update(lo, hi, depth + style.line_height)
-
-    # Arcs are drawn before their labels (and before phrase labels would
-    # overlap them), so rendering order is arcs, then label nodes.
-    root.children.extend(arcs)
-    for arc in arcs:
-        root.children.append(
-            VisualNode(
-                "arclabel",
-                arc.x + arc.w / 2,
-                arc.attrs["depth"] + style.line_height - 2,
-                arc.w,
-                style.line_height,
-                text=arc.text,
-            )
-        )
-    total_h = max(
-        (c.y + (c.attrs.get("depth", 0) and 0) + c.h for c in root.children),
-        default=0,
-    )
-    depth_max = max((a.attrs["depth"] for a in arcs), default=base)
-    root.w = total_w
-    root.h = max(total_h, depth_max) + style.margin + style.line_height
-    return root
-
-
-def _anchor(points: dict, ref) -> float:
-    return points[ref][0]
-
-
-def _anchor_y(points: dict, ref) -> float:
-    return points[ref][1]
-
-
-def emit(tree: VisualNode, fmt: str = "svg") -> str:
-    if fmt == "svg":
-        return _emit_svg(tree)
-    if fmt == "dot":
-        return emit_dot(tree.attrs["graph"])
-    raise ValueError(f"unknown format {fmt!r}")
+        return ["", f"({term.form})", "", "*", term.pos]
+    return [str(term.location), term.form, "", term.form, term.pos]
 
 
 def _esc(text: str) -> str:
@@ -193,60 +38,85 @@ def _esc(text: str) -> str:
     )
 
 
-def _emit_svg(tree: VisualNode, style: Optional[Style] = None) -> str:
-    style = style or Style()
-    out = [
+def svg(graph: HybridGraph, rtl: bool = True) -> str:
+    """The graph drawn as an SVG document."""
+    n = len(graph.terminals)
+    width = MARGIN * 2 + n * BOX_WIDTH + max(n - 1, 0) * BOX_GAP
+    body = []
+    points = {}
+    for i, term in enumerate(graph.terminals):
+        x = MARGIN + ((n - 1 - i) if rtl else i) * (BOX_WIDTH + BOX_GAP)
+        cx = x + BOX_WIDTH / 2
+        body.append(
+            f'<rect x="{x:.1f}" y="{MARGIN:.1f}" width="{BOX_WIDTH:.1f}" '
+            f'height="{BOX_HEIGHT:.1f}" fill="none" stroke="#999"/>'
+        )
+        for k, line in enumerate(_word_lines(term), start=1):
+            if line:
+                body.append(
+                    f'<text x="{cx:.1f}" y="{MARGIN + k * LINE_HEIGHT:.1f}" '
+                    f'text-anchor="middle">{_esc(line)}</text>'
+                )
+        body.append(f'<circle cx="{cx:.1f}" cy="{POINT_Y:.1f}" r="2" fill="#333"/>')
+        points[i] = (cx, POINT_Y)
+    bottom = POINT_Y + 2
+
+    # Levels used below the words, as (left, right, lowest y) spans.
+    spans = [(0.0, width, MARGIN + BOX_HEIGHT + 8)]
+
+    def level(lo: float, hi: float) -> float:
+        return max(y for left, right, y in spans if left < hi and right > lo)
+
+    for phrase in sorted(graph.phrases, key=lambda p: (p.end - p.start, p.start, p.tag)):
+        ends = (points[phrase.start][0], points[phrase.end][0])
+        x1 = min(ends) - BOX_WIDTH / 2 + 6
+        x2 = max(ends) + BOX_WIDTH / 2 - 6
+        y = level(x1, x2) + 12
+        body.append(
+            f'<rect x="{x1:.1f}" y="{y:.1f}" width="{x2 - x1:.1f}" '
+            f'height="4.0" fill="#444"/>'
+        )
+        body.append(
+            f'<text x="{x1 + (x2 - x1) / 2:.1f}" y="{y + 14:.1f}" '
+            f'text-anchor="middle">{_esc(phrase.tag)}</text>'
+        )
+        bottom = max(bottom, y + 14)
+        points[phrase] = ((x1 + x2) / 2, y + 6)
+        spans.append((x1, x2, y + LINE_HEIGHT + 6))
+
+    labels = []
+    for edge in sorted(
+        graph.edges,
+        key=lambda e: (abs(points[e.dependent][0] - points[e.head][0]), ref_key(e.dependent)),
+    ):
+        (x1, y1), (x2, y2) = points[edge.dependent], points[edge.head]
+        lo, hi = min(x1, x2), max(x1, x2)
+        depth = level(lo, hi) + ARC_STEP
+        body.append(
+            f'<path d="M {x1:.1f} {y1:.1f} C {x1:.1f} {depth:.1f}, '
+            f'{x2:.1f} {depth:.1f}, {x2:.1f} {y2:.1f}" '
+            f'fill="none" stroke="#336" marker-end="url(#arrow)"/>'
+        )
+        if edge.relation:
+            labels.append(
+                f'<text x="{lo + (hi - lo) / 2:.1f}" y="{depth + LINE_HEIGHT - 2:.1f}" '
+                f'text-anchor="middle" fill="#336">{_esc(edge.relation)}</text>'
+            )
+        bottom = max(bottom, depth + LINE_HEIGHT - 2)
+        spans.append((lo, hi, depth + LINE_HEIGHT))
+
+    height = bottom + MARGIN
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{tree.w:.0f}" '
-        f'height="{tree.h:.0f}" viewBox="0 0 {tree.w:.0f} {tree.h:.0f}">',
-        f'<g font-family="{style.font}" font-size="{style.font_size}">',
-    ]
-
-    def walk(node: VisualNode):
-        if node.kind == "wordbox":
-            out.append(
-                f'<rect x="{node.x:.1f}" y="{node.y:.1f}" width="{node.w:.1f}" '
-                f'height="{node.h:.1f}" fill="none" stroke="#999"/>'
-            )
-        elif node.kind == "text" and node.text:
-            out.append(
-                f'<text x="{node.x:.1f}" y="{node.y:.1f}" text-anchor="middle">'
-                f"{_esc(node.text)}</text>"
-            )
-        elif node.kind == "nodepoint":
-            out.append(f'<circle cx="{node.x:.1f}" cy="{node.y:.1f}" r="2" fill="#333"/>')
-        elif node.kind == "phrasebar":
-            out.append(
-                f'<rect x="{node.x:.1f}" y="{node.y:.1f}" width="{node.w:.1f}" '
-                f'height="{node.h:.1f}" fill="#444"/>'
-            )
-            out.append(
-                f'<text x="{node.x + node.w / 2:.1f}" y="{node.y + 14:.1f}" '
-                f'text-anchor="middle">{_esc(node.text)}</text>'
-            )
-        elif node.kind == "arc":
-            a = node.attrs
-            out.append(
-                f'<path d="M {a["x1"]:.1f} {a["y1"]:.1f} C {a["x1"]:.1f} {a["depth"]:.1f}, '
-                f'{a["x2"]:.1f} {a["depth"]:.1f}, {a["x2"]:.1f} {a["y2"]:.1f}" '
-                f'fill="none" stroke="#336" marker-end="url(#arrow)"/>'
-            )
-        elif node.kind == "arclabel" and node.text:
-            out.append(
-                f'<text x="{node.x:.1f}" y="{node.y:.1f}" text-anchor="middle" '
-                f'fill="#336">{_esc(node.text)}</text>'
-            )
-        for child in node.children:
-            walk(child)
-
-    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
+        '<g font-family="monospace" font-size="10">',
         '<defs><marker id="arrow" markerWidth="6" markerHeight="6" refX="5" refY="3" '
-        'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#336"/></marker></defs>'
-    )
-    for child in tree.children:
-        walk(child)
-    out.append("</g></svg>")
-    return "\n".join(out) + "\n"
+        'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#336"/></marker></defs>',
+        *body,
+        *labels,
+        "</g></svg>",
+    ]) + "\n"
 
 
 def emit_dot(graph: HybridGraph) -> str:

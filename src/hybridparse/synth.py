@@ -20,7 +20,7 @@ can learn the grammar. The feature-to-structure mapping:
   disconnected, with conjoined clauses linked head-to-head (conj).
 
 Profiles toggle phrase nodes, elliptical nodes, disconnected particles
-and (at a configured rate) non-projective crossing edges.
+and (at a fixed rate) non-projective crossing edges.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ ADJECTIVES = [("kabiyrN", "kbr"), ("Sagiyru", "Sgr"), ("EaZiymN", "EZm")]
 PREPOSITIONS = ["fiY", "EalaY", "min", "<ilaY"]
 GEN_NOUNS = [(">aroDN", "ArD"), ("samaA'N", "smw"), ("madiynapN", "mdn")]
 DEMONSTRATIVES = ["*a`lika", "ha`*aA"]
+# Share of sentences drawn as the crossing pattern under +non-projective.
+NONPROJECTIVE_RATE = 0.1
 
 
 @dataclass
@@ -60,28 +62,26 @@ class _Builder:
     phrases_on: bool
     ellipsis_on: bool
     tags: TagSet
-    segments: List = None
-    empties: dict = None
+    terminals: List = None
     edges: List = None
     phrase_nodes: List = None
 
     def __post_init__(self):
-        self.segments = []
-        self.empties = {}
+        self.terminals = []
         self.edges = []
         self.phrase_nodes = []
 
-    # Indices below are positions in the final terminal sequence, where
-    # empty categories occupy their own slots.
+    # Indices below are positions in the terminal sequence. A segment is
+    # held as a (form, pos, features, lemma, root) tuple until ``build``
+    # gives it a location; an empty category is held as itself.
 
     def add_segment(self, form, pos, features, lemma=None, root=None) -> int:
-        self.segments.append((form, pos, dict(features), lemma, root))
-        return len(self.segments) + len(self.empties) - 1
+        self.terminals.append((form, pos, dict(features), lemma, root))
+        return len(self.terminals) - 1
 
     def add_empty(self, pos, form) -> int:
-        index = len(self.segments) + len(self.empties)
-        self.empties[index] = EmptyCategory(pos, form)
-        return index
+        self.terminals.append(EmptyCategory(pos, form))
+        return len(self.terminals) - 1
 
     def edge(self, dep, head, rel):
         self.edges.append((dep, head, rel))
@@ -210,20 +210,20 @@ class _Builder:
 
     def conditional_sentence(self) -> None:
         cond = self.add_segment("man", "COND", {"SegType": "stem"})
-        start = len(self.segments) + len(self.empties)
+        start = len(self.terminals)
         inner = self.verbal_clause(allow_drop=False, allow_pp=False)
-        end = len(self.segments) + len(self.empties) - 1
+        end = len(self.terminals) - 1
         vs = self.phrase(start, end, "VS")
         self.edge(vs, cond, "cond")
         self.add_segment("fa", "RSLT", {"SegType": "prefix"})
-        start2 = len(self.segments) + len(self.empties)
+        start2 = len(self.terminals)
         if self.ellipsis_on and self.rng.random() < 0.5:
             root2 = self.negated_ellipsis_clause()
             tag = "NS"
         else:
             root2 = self.verbal_clause(allow_drop=False, allow_pp=False)
             tag = "VS"
-        end2 = len(self.segments) + len(self.empties) - 1
+        end2 = len(self.terminals) - 1
         apodosis = self.phrase(start2, end2, tag)
         self.edge(apodosis, cond, "rslt")
 
@@ -264,22 +264,22 @@ class _Builder:
         return self.verbal_clause()
 
     def conjoined(self, disconnected_on: bool) -> None:
-        start1 = len(self.segments) + len(self.empties)
+        start1 = len(self.terminals)
         root1 = self.clause()
-        end1 = len(self.segments) + len(self.empties) - 1
+        end1 = len(self.terminals) - 1
         if not disconnected_on:
             return
         if self.rng.random() < 0.45:
             self.add_segment("wa", "CONJ", {"SegType": "prefix"}, lemma="wa")
-            start2 = len(self.segments) + len(self.empties)
+            start2 = len(self.terminals)
             root2 = self.clause()
-            end2 = len(self.segments) + len(self.empties) - 1
+            end2 = len(self.terminals) - 1
             # Conjoined clauses are sentence phrases whenever the profile
             # carries phrase structure, keeping gold a function of the
-            # observable features.
+            # observable features. A clause root is always a segment.
             if self.phrases_on:
-                tag1 = "VS" if _is_verbal(self, root1) else "NS"
-                tag2 = "VS" if _is_verbal(self, root2) else "NS"
+                tag1 = "VS" if self.terminals[root1][1] == "V" else "NS"
+                tag2 = "VS" if self.terminals[root2][1] == "V" else "NS"
                 p1 = self.phrase(start1, end1, tag1)
                 p2 = self.phrase(start2, end2, tag2)
                 self.edge(p2, p1, "conj")
@@ -291,13 +291,11 @@ class _Builder:
         verse = 1 + index % 100
         terminals = []
         token = 0
-        seg_iter = iter(self.segments)
-        total = len(self.segments) + len(self.empties)
-        for i in range(total):
-            if i in self.empties:
-                terminals.append(self.empties[i])
+        for term in self.terminals:
+            if isinstance(term, EmptyCategory):
+                terminals.append(term)
                 continue
-            form, pos, feats, lemma, root = next(seg_iter)
+            form, pos, feats, lemma, root = term
             if feats.get("SegType") == "suffix" and token:
                 loc = Location(chapter, verse, token, 2)
             else:
@@ -311,26 +309,12 @@ class _Builder:
         )
 
 
-def _is_verbal(builder: _Builder, root_index: int) -> bool:
-    # Root indices count empties; walk the merged sequence.
-    pos = _pos_at(builder, root_index)
-    return pos == "V"
-
-
-def _pos_at(builder: _Builder, index: int) -> str:
-    if index in builder.empties:
-        return builder.empties[index].pos
-    seg_pos = index - sum(1 for e in builder.empties if e < index)
-    return builder.segments[seg_pos][1]
-
-
 @dataclass(frozen=True)
 class Profile:
     phrases: bool = False
     ellipsis: bool = False
     nonprojective: bool = False
     disconnected: bool = False
-    nonprojective_rate: float = 0.1
 
     @staticmethod
     def parse(text: str) -> "Profile":
@@ -365,7 +349,7 @@ def generate(
     doc = TreebankDocument()
     for index in range(count):
         builder = _Builder(rng, profile.phrases, profile.ellipsis, tags)
-        injected = profile.nonprojective and rng.random() < profile.nonprojective_rate
+        injected = profile.nonprojective and rng.random() < NONPROJECTIVE_RATE
         if injected:
             builder.nonprojective_sentence()
         elif profile.phrases and rng.random() < 0.25:

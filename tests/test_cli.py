@@ -94,6 +94,25 @@ def test_las_on_a_pure_corpus(tmp_path):
     assert main(["eval", "--gold", str(corpus), "--pred", str(parsed), "--metric", "las"]) == 0
 
 
+def test_las_pools_attachment_counts(tmp_path, capsys):
+    """LAS pools counts over graphs, so it equals the ELAS recall of a pure
+    corpus; a mean of per-graph scores gives 0.891667 here."""
+    corpus = tmp_path / "pure.conllx"
+    model = tmp_path / "model.json"
+    parsed = tmp_path / "parsed.conllx"
+    assert main(["synth", "--seed", "3", "--count", "40", "--out", str(corpus)]) == 0
+    assert main(["train", "--corpus", str(corpus), "--epochs", "1", "--out", str(model)]) == 0
+    assert main(["parse", "--model", str(model), "--input", str(corpus),
+                 "--out", str(parsed)]) == 0
+    capsys.readouterr()
+    for metric in ("las", "elas"):
+        assert main(["eval", "--gold", str(corpus), "--pred", str(parsed),
+                     "--metric", metric]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "las=0.847826" in lines
+    assert "recall=0.847826" in lines and "tp=78" in lines and "gold=92" in lines
+
+
 def test_oracle_check_reproduces_the_repository_fixtures(corpus, capsys):
     assert main(["oracle-check", "--corpus", str(corpus), "--fixtures", str(FIXTURES)]) == 0
     assert "ok fig_9_12_13.transitions: fixture reproduced" in capsys.readouterr().out
@@ -121,6 +140,30 @@ def test_malformed_treebank_exits_two(tmp_path):
     bad = tmp_path / "bad.conllx"
     bad.write_text("1\tT\t_\tqaAla\tV\tSegType=stem\tseven\tsubj\n", encoding="utf-8")
     assert main(["oracle-check", "--corpus", str(bad)]) == DATA_ERROR
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1\tT\t_\tqaAla\tV\tSegType=stem\t1\tsubj", "line 1: edge endpoints must differ"),
+    ("1\tT\t_\tqaAla\tV\tloc=1:x:1:1|SegType=stem\t_\t_", "line 1: malformed location"),
+    ("1\tT\t_\tqaAla\tV\tloc=0:1:1:1|SegType=stem\t_\t_",
+     "line 1: location chapter must be >= 1"),
+], ids=["self-head", "bad-location", "zero-chapter"])
+def test_malformed_rows_exit_two(tmp_path, capsys, row, message):
+    bad = tmp_path / "bad.conllx"
+    bad.write_text(row + "\n", encoding="utf-8")
+    assert main(["oracle-check", "--corpus", str(bad)]) == DATA_ERROR
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_notation_exits_two(tmp_path, corpus, capsys):
+    model = tmp_path / "model.json"
+    notation = tmp_path / "input.txt"
+    notation.write_text("(0:1:1) [POS:N]\n", encoding="utf-8")
+    assert main(["train", "--corpus", str(corpus), "--epochs", "1", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["parse", "--model", str(model), "--input", str(notation),
+                 "--out", str(tmp_path / "out.conllx")]) == DATA_ERROR
+    assert "line 1: location chapter must be >= 1" in capsys.readouterr().err
 
 
 def test_missed_threshold_exits_three(corpus):

@@ -14,7 +14,7 @@ from hybridparse import (
     las,
     parseval,
 )
-from hybridparse.metrics import EvalReport, MetricError, parseval_graphs
+from hybridparse.metrics import EvalReport, MetricError, phrase_matches
 
 from conftest import load_graph
 
@@ -33,13 +33,13 @@ def _english_graph(relabel=None):
 
 def test_las_identity():
     g = _english_graph()
-    assert las(g, g) == 1
+    assert las(g, g).recall == 1
 
 
 def test_las_direct_ratio():
     gold = _english_graph()
     pred = _english_graph(relabel={(2, 3): "mod"})
-    assert las(gold, pred) == Fraction(3, 4)
+    assert las(gold, pred).recall == Fraction(3, 4)
 
 
 def test_las_three_of_four():
@@ -51,7 +51,13 @@ def test_las_three_of_four():
         [seg(i) for i in range(1, 6)],
         edges=[(0, 1, "subj"), (2, 1, "obj"), (3, 1, "obj"), (4, 2, "adj")],
     )
-    assert las(gold, pred) == Fraction(3, 4)
+    assert las(gold, pred).recall == Fraction(3, 4)
+
+
+def test_las_rejects_hybrid_graphs():
+    hybrid = load_graph("fig_9_11.conllx")
+    with pytest.raises(MetricError):
+        las(hybrid, hybrid)
 
 
 def test_las_requires_same_sentence():
@@ -91,7 +97,7 @@ def test_elas_recall_is_las_on_pure_graphs():
     gold = _english_graph()
     pred = _english_graph(relabel={(2, 3): "mod"})
     report = elas(gold, pred)
-    assert report.recall == las(gold, pred)
+    assert report.recall == las(gold, pred).recall
 
 
 def test_elas_deleted_edge():
@@ -161,13 +167,13 @@ def test_elas_recall_equals_las_at_scale():
     model_doc = generate(42, 60, "pure")
     for gold, other in zip(doc.graphs, model_doc.graphs):
         report = elas(gold, gold)
-        assert report.recall == las(gold, gold) == 1
+        assert report.recall == las(gold, gold).recall == 1
 
 
 def test_parseval_graphs_projection():
     gold = load_graph("fig_9_11.conllx")
-    p, r = parseval_graphs(gold, gold)
-    assert p == 1 and r == 1
+    report = phrase_matches(gold, gold)
+    assert report.precision == 1 and report.recall == 1
 
 
 def test_aggregate_differs_from_mean_of_f1():

@@ -5,6 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridparse.convert import is_convertible, lossless_pure_graphs
+from hybridparse.corpus_io import (
+    FeatureNotationError,
+    TreebankFormatError,
+    dumps_treebank,
+    format_feature_line,
+    read_feature_notation,
+    read_treebank,
+)
 from hybridparse.engine import parse_integrated, parse_multi_step
 from hybridparse.graph import ELLIPTICAL_FORM, EmptyCategory
 from hybridparse.learning import FeatureSetSpec, Model, _partition_key, extract_features, train
@@ -113,3 +121,80 @@ def test_model_survives_serialization(model, graphs):
                 want = model.classifiers[partition].score(feats)
                 assert loaded.classifiers[partition].score(feats) == want
             config = apply(config, t)
+
+
+# A valid treebank and a valid notation file, mutated line by line below.
+VALID_TREEBANK = dumps_treebank(generate(7, 6, "+phrases,+ellipsis,+disconnected"))
+
+
+def _notation_text(graphs) -> str:
+    lines = []
+    for graph in graphs:
+        tokens: dict = {}
+        for segment in graph.segments:
+            loc = segment.location
+            tokens.setdefault((loc.chapter, loc.verse, loc.token), []).append(segment)
+        for (chapter, verse, token), segments in tokens.items():
+            lines.append(f"({chapter}:{verse}:{token}) {format_feature_line(segments)}")
+    return "\n".join(lines) + "\n"
+
+
+VALID_NOTATION = _notation_text(generate(7, 6, "+phrases,+ellipsis").graphs)
+
+fragments = st.one_of(
+    st.sampled_from([
+        "", "_", "0", "-1", "99", "1-1", "3-2", "T", "E", "P", "XX", "loc=1:1", "Case=",
+        "subj", "(1:1:1)", "[]", "POS:N", "POS:ZZ", "PRON:9", "+PRON:3MS", "PCPL",
+        "(XIII)", "LEM:", "MOOD:IND", "w:CONJ+", "q+", "3MS", "+VOC",
+    ]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated(draw, text: str, separator: str):
+    """``text`` with one line changed: one character, one digit or one
+    ``separator``-split field replaced, a field copied over another (a row
+    headed by itself), or the line replaced, dropped or doubled."""
+    lines = text.split("\n")
+    at = draw(st.integers(0, len(lines) - 2))
+    line = lines[at]
+    fields = line.split(separator)
+    k, j = draw(st.integers(0, len(fields) - 1)), draw(st.integers(0, len(fields) - 1))
+    digits = [i for i, c in enumerate(line) if c.isdigit()]
+    kind = draw(st.sampled_from(["char", "digit", "field", "copy", "line", "drop", "double"]))
+    if kind == "digit" and digits:
+        i = draw(st.sampled_from(digits))
+        line = line[:i] + draw(st.sampled_from("0x9")) + line[i + 1 :]
+    elif kind in ("char", "digit"):
+        i = draw(st.integers(0, max(len(line) - 1, 0)))
+        line = line[:i] + draw(st.sampled_from("0123456789x-:|=_ \t")) + line[i + 1 :]
+    elif kind in ("field", "copy"):
+        fields[k] = draw(fragments) if kind == "field" else fields[j]
+        line = separator.join(fields)
+    elif kind == "line":
+        line = draw(fragments)
+    elif kind == "double":
+        line = line + "\n" + line
+    else:
+        line = None
+    lines[at : at + 1] = [] if line is None else [line]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated(VALID_TREEBANK, "\t"))
+def test_malformed_treebank_raises_only_the_typed_error(text):
+    try:
+        read_treebank(text)
+    except TreebankFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated(VALID_NOTATION, " "))
+def test_malformed_notation_raises_only_the_typed_errors(text):
+    try:
+        read_feature_notation(text)
+    except (TreebankFormatError, FeatureNotationError):
+        pass
