@@ -55,19 +55,32 @@ def _provenance(args: argparse.Namespace, keys: list) -> str:
     return "# " + ", ".join(parts)
 
 
-def _read_corpus(path: str) -> TreebankDocument:
+def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return read_treebank(handle)
+        return Path(path).read_text("utf-8")
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", USAGE_ERROR)
+
+
+def _read_corpus(path: str) -> TreebankDocument:
+    text = _read_text(path)
+    try:
+        return read_treebank(text)
     except (TreebankFormatError, GraphError) as exc:
+        raise CliError(f"{path}: {exc}", DATA_ERROR)
+
+
+def _read_model(path: str) -> Model:
+    text = _read_text(path)
+    try:
+        return Model.deserialize(text)
+    except TrainingError as exc:
         raise CliError(f"{path}: {exc}", DATA_ERROR)
 
 
 def _read_sentences(path: str):
     """Sentences from CoNLL-X or feature-notation input, detected by shape."""
-    text = Path(path).read_text("utf-8")
+    text = _read_text(path)
     first = next((l for l in text.splitlines() if l.strip() and not l.startswith("#")), "")
     if "[" in first and first.lstrip().startswith("("):
         entries = read_feature_notation(text)
@@ -96,7 +109,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    model = Model.deserialize(Path(args.model).read_text("utf-8"))
+    model = _read_model(args.model)
     sentences = _read_sentences(args.input)
     parse = parse_multi_step if args.pipeline == "multistep" else parse_integrated
     doc = TreebankDocument()

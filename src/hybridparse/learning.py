@@ -17,10 +17,16 @@ transition scores strictly above every other, so a tie is a mistake. Each
 partition trains until its averaged weights fit every pair whose feature
 set is not also labelled with another transition, or until the epoch cap.
 
-Weights are held feature-major (feature -> transition -> weight), in
-training and in a trained or loaded model, so that scoring costs one
-lookup per feature. Model files list them label-major (transition ->
-feature -> weight).
+Each classifier interns its expanded feature strings to integer ids, once
+per training pair, and holds one row of weights per transition, indexed by
+id. Training keeps the raw weights and, per weight, the sum of each update
+times the step it was made at, all as Python ints. After ``step`` steps the
+averaged weight is (step * raw - sum) / step: the averaging is exact, the
+check that the averaged weights fit is made on the integer numerators, and
+each stored weight is one quotient rounded once. A score adds a transition's
+weights one at a time in expanded feature order, never with ``sum()``, whose
+float rounding differs between Python versions. Model files list the
+weights label-major (transition -> feature -> weight).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import EmptyCategory, HybridGraph, NonProjectiveError, Phrase
@@ -55,6 +62,9 @@ _PHI = ("Person", "Gender", "Number")
 
 SLOTS = ("s1", "s2", "s3", "q1")
 EDGE_PAIRS = (("s1", "s2"), ("s1", "q1"), ("s2", "s3"))
+
+# Stands in for the gold label's score, so that max() gives the best wrong one.
+_BELOW_ALL = float("-inf")
 
 # Cap on training epochs per partition. It bounds the work on partitions that
 # never fit; those that fit stop earlier (see AveragedPerceptron.fit).
@@ -188,8 +198,9 @@ class AveragedPerceptron:
         self.labels = list(labels)
         self.epochs = epochs
         self.seed = seed
-        # feature -> label -> weight; only nonzero weights are kept.
-        self.weights: Dict[str, Dict[str, float]] = {}
+        # Expanded feature -> id, and per label its weights by id.
+        self.index: Dict[str, int] = {}
+        self.rows: List[List[float]] = [[] for _ in self.labels]
 
     def fit(self, pairs: Sequence[Tuple[frozenset, str]]) -> int:
         """Train on (features, label) pairs and return the epochs run.
@@ -202,96 +213,112 @@ class AveragedPerceptron:
         label can never be fitted: they are trained on but left out of both
         checks.
         """
-        # ``history`` holds each weight's [running total, last step].
-        weights: Dict[str, Dict[str, float]] = {}
-        history: Dict[str, Dict[str, list]] = {}
-        expanded = [(_conjoined(f), label) for f, label in pairs]
+        index: Dict[str, int] = {}
+        ids_of = [[index.setdefault(f, len(index)) for f in _conjoined(feats)] for feats, _ in pairs]
+        getters = [_getter(ids) for ids in ids_of]
+        position = {label: j for j, label in enumerate(self.labels)}
+        golds = [position[label] for _, label in pairs]
         fittable = _fittable(pairs)
+        # Wrong labels are searched lexically largest first, which wins a tie.
+        by_rank = sorted(range(len(self.labels)), key=self.labels.__getitem__, reverse=True)
+        # Raw weights, and the sums of each update times the step it was made
+        # at: the averaged weights are (step * raw - sums) / step.
+        raw = [[0] * len(index) for _ in self.labels]
+        sums = [[0] * len(index) for _ in self.labels]
         rng = random.Random(self.seed)
-        order = list(range(len(expanded)))
+        order = list(range(len(pairs)))
         step = 0
 
-        def upd(label, feat, delta):
-            row = weights.setdefault(feat, {})
-            w = row.get(label, 0.0)
-            past = history.setdefault(feat, {}).setdefault(label, [0.0, 0])
-            past[0] += (step - past[1]) * w
-            past[1] = step
-            row[label] = w + delta
-
-        def averaged() -> Dict[str, Dict[str, float]]:
-            out: Dict[str, Dict[str, float]] = {}
-            for feat, row in weights.items():
-                avg = {}
-                for label, w in row.items():
-                    total, stamp = history[feat][label]
-                    value = (total + (step - stamp) * w) / max(step, 1)
-                    if value:
-                        avg[label] = value
-                if avg:
-                    out[feat] = avg
-            return out
+        def numerators() -> List[List[int]]:
+            return [[step * w - u for w, u in zip(*rows)] for rows in zip(raw, sums)]
 
         epoch = 0
         for epoch in range(1, self.epochs + 1):
             rng.shuffle(order)
             mistakes = 0
             for idx in order:
-                feats, gold = expanded[idx]
                 step += 1
-                scores = _feature_major_scores(self.labels, weights, feats)
-                rival = _rival(scores, gold)
-                if rival is not None and scores[gold] <= scores[rival]:
+                get, gold = getters[idx], golds[idx]
+                scores = [sum(get(row)) for row in raw]
+                top = scores[gold]
+                scores[gold] = _BELOW_ALL
+                best = max(scores)
+                if best >= top:
                     mistakes += fittable[idx]
-                    for feat in feats:
-                        upd(gold, feat, 1.0)
-                        upd(rival, feat, -1.0)
+                    rival = next(j for j in by_rank if scores[j] == best)
+                    up, up_sums = raw[gold], sums[gold]
+                    down, down_sums = raw[rival], sums[rival]
+                    for i in ids_of[idx]:
+                        up[i] += 1
+                        up_sums[i] += step
+                        down[i] -= 1
+                        down_sums[i] -= step
             if not mistakes:
-                result = averaged()
+                averaged = numerators()
                 if all(
-                    _fits(_feature_major_scores(self.labels, result, feats), gold)
-                    for (feats, gold), ok in zip(expanded, fittable)
+                    _fits([sum(get(row)) for row in averaged], gold)
+                    for get, gold, ok in zip(getters, golds, fittable)
                     if ok
                 ):
                     break
         else:
-            result = averaged()
-        self.weights = result
+            averaged = numerators()
+        kept = {feat: i for feat, i in index.items() if any(row[i] for row in averaged)}
+        self.index = {feat: k for k, feat in enumerate(kept)}
+        self.rows = [[row[i] / step for i in kept.values()] for row in averaged]
         return epoch
 
+    def load(self, weights: Dict[str, Dict[str, float]]) -> None:
+        """Set the weights from their label-major form, as stored."""
+        unknown = set(weights) - set(self.labels)
+        if unknown:
+            raise TrainingError(f"weights for unknown labels {sorted(unknown)}")
+        index: Dict[str, int] = {}
+        for table in weights.values():
+            for feat in table:
+                index.setdefault(feat, len(index))
+        self.index = index
+        self.rows = []
+        for label in self.labels:
+            row = [0.0] * len(index)
+            for feat, w in weights.get(label, {}).items():
+                row[index[feat]] = float(w)
+            self.rows.append(row)
+
     def score(self, features: frozenset) -> Dict[str, float]:
-        return _feature_major_scores(self.labels, self.weights, _conjoined(features))
+        """Per-label weight sums over the expanded features, each added one
+        at a time in expanded feature order."""
+        index = self.index
+        ids = [index[f] for f in _conjoined(features) if f in index]
+        scores = {}
+        for label, row in zip(self.labels, self.rows):
+            total = 0.0
+            for i in ids:
+                total += row[i]
+            scores[label] = total
+        return scores
 
     def weights_by_label(self) -> Dict[str, Dict[str, float]]:
         """The weights label-major (label -> feature -> weight), as stored."""
-        out: Dict[str, Dict[str, float]] = {label: {} for label in self.labels}
-        for feat, row in self.weights.items():
-            for label, w in row.items():
-                out[label][feat] = w
-        return out
+        return {
+            label: {feat: row[i] for feat, i in self.index.items() if row[i]}
+            for label, row in zip(self.labels, self.rows)
+        }
 
 
-def _feature_major_scores(labels, weights, feats) -> Dict[str, float]:
-    """Per-label sums of ``weights`` (feature -> label -> weight) over
-    expanded ``feats``, each taken in feature order."""
-    scores = dict.fromkeys(labels, 0.0)
-    for feat in feats:
-        row = weights.get(feat)
-        if row:
-            for label, w in row.items():
-                scores[label] += w
-    return scores
+def _getter(ids: List[int]):
+    """A function from a row to the tuple of its values at ``ids``."""
+    if len(ids) == 1:
+        only = ids[0]
+        return lambda row: (row[only],)
+    return itemgetter(*ids) if ids else lambda row: ()
 
 
-def _rival(scores: Dict[str, float], gold: str) -> Optional[str]:
-    """Best-scoring wrong label; a tie goes to the lexically larger label."""
-    wrong = [label for label in scores if label != gold]
-    return max(wrong, key=lambda l: (scores[l], l)) if wrong else None
-
-
-def _fits(scores: Dict[str, float], gold: str) -> bool:
-    rival = _rival(scores, gold)
-    return rival is None or scores[gold] > scores[rival]
+def _fits(scores: List, gold: int) -> bool:
+    """Whether the gold label scores strictly above every other one."""
+    top = scores[gold]
+    scores[gold] = _BELOW_ALL
+    return max(scores) < top
 
 
 def _fittable(pairs: Sequence[Tuple[frozenset, str]]) -> List[bool]:
@@ -345,33 +372,35 @@ class Model:
 
     @staticmethod
     def deserialize(text: str, tags: TagSet = DEFAULT_TAGS) -> "Model":
-        payload = json.loads(text)
-        if payload.get("format") != "hybridparse-model":
-            raise TrainingError("not a model file")
-        known = set(tags.relations)
-        for rel in payload["relations"]:
-            if rel not in known:
-                try:
-                    parse_label(rel, tags)
-                except ValueError:
-                    raise TrainingError(f"model relation vocabulary mismatch: {rel!r}")
-        classifiers = {}
-        for pos, data in payload["classifiers"].items():
-            clf = AveragedPerceptron(data["labels"], data["epochs"], data["seed"])
-            for label, table in data["weights"].items():
-                for feat, w in table.items():
-                    clf.weights.setdefault(feat, {})[label] = w
-            classifiers[pos] = clf
-        model = Model(
-            FeatureSetSpec(payload["feature_set"]),
-            list(payload["transitions"]),
-            classifiers,
-            dict(payload["hyperparameters"]),
-            list(payload["relations"]),
-            payload.get("fingerprint", ""),
-            dict(payload.get("counts", {})),
-        )
-        return model
+        """The model a ``serialize`` text describes. Any malformed text
+        raises TrainingError."""
+        try:
+            payload = json.loads(text)
+            if not isinstance(payload, dict) or payload.get("format") != "hybridparse-model":
+                raise TrainingError("not a model file")
+            known = set(tags.relations)
+            for rel in payload["relations"]:
+                if rel not in known:
+                    try:
+                        parse_label(rel, tags)
+                    except ValueError:
+                        raise TrainingError(f"model relation vocabulary mismatch: {rel!r}")
+            classifiers = {}
+            for pos, data in payload["classifiers"].items():
+                clf = AveragedPerceptron(data["labels"], data["epochs"], data["seed"])
+                clf.load(data["weights"])
+                classifiers[pos] = clf
+            return Model(
+                FeatureSetSpec(payload["feature_set"]),
+                list(payload["transitions"]),
+                classifiers,
+                dict(payload["hyperparameters"]),
+                list(payload["relations"]),
+                payload.get("fingerprint", ""),
+                dict(payload.get("counts", {})),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TrainingError(f"malformed model file: {exc!r}") from exc
 
 
 EMPTY_PARTITION = "(empty)"

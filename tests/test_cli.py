@@ -169,3 +169,25 @@ def test_malformed_notation_exits_two(tmp_path, corpus, capsys):
 def test_missed_threshold_exits_three(corpus):
     assert main(["crossval", "--corpus", str(corpus), "--folds", "3", "--epochs", "5",
                  "--min-f1", "1.01"]) == ACCEPT_ERROR
+
+
+@pytest.mark.parametrize("missing", ["model", "input"])
+def test_parse_of_a_missing_file_exits_one(tmp_path, corpus, missing):
+    model = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(corpus), "--epochs", "1", "--out", str(model)]) == 0
+    paths = {"model": model, "input": corpus, missing: tmp_path / f"missing.{missing}"}
+    assert main(["parse", "--model", str(paths["model"]), "--input", str(paths["input"]),
+                 "--out", str(tmp_path / "out.conllx")]) == USAGE_ERROR
+
+
+@pytest.mark.parametrize("text", [
+    '{"bad": 1}',
+    "not json at all",
+    '{"format": "hybridparse-model"}',
+], ids=["not-a-model", "not-json", "missing-keys"])
+def test_parse_with_a_malformed_model_exits_two(tmp_path, corpus, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    assert main(["parse", "--model", str(model), "--input", str(corpus),
+                 "--out", str(tmp_path / "out.conllx")]) == DATA_ERROR
+    assert f"{model}:" in capsys.readouterr().err

@@ -1,4 +1,9 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridparse import (
     FeatureSetSpec,
@@ -14,11 +19,14 @@ from hybridparse import (
     predict,
     train,
 )
+from hybridparse import learning
+from hybridparse.convert import lossless_pure_graphs
 from hybridparse.engine import parse_integrated
 from hybridparse.learning import (
     EDGE_PAIRS,
     AveragedPerceptron,
     TrainingError,
+    _fittable,
     _slot_ref,
     training_pairs,
 )
@@ -187,6 +195,97 @@ def test_fit_runs_to_the_cap_on_non_separable_data():
     ]
     clf = AveragedPerceptron(["a", "b"], epochs=12, seed=0)
     assert clf.fit(pairs) == 12
+
+
+predicates = st.sampled_from(
+    ["s1:pos=N", "s1:pos=V", "s1:case=NOM", "s2:pos=N", "s2:absent", "q1:pos=P", "q1:absent"]
+)
+labelled_pairs = st.lists(
+    st.tuples(st.frozensets(predicates, min_size=1, max_size=4), st.sampled_from("abc")),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_pairs, st.integers(0, 3))
+def test_fit_below_the_cap_fits_every_fittable_pair(pairs, seed):
+    clf = AveragedPerceptron(sorted({label for _, label in pairs}), epochs=15, seed=seed)
+    if clf.fit(pairs) < 15:
+        assert fits(clf, [pair for pair, ok in zip(pairs, _fittable(pairs)) if ok])
+
+
+def test_fit_expands_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(features):
+        calls.append(features)
+        return conjoined(features)
+
+    conjoined = learning._conjoined
+    monkeypatch.setattr(learning, "_conjoined", counted)
+    pairs = [
+        (frozenset({"s1:pos=N", "q1:pos=V", "s3:absent"}), "SHIFT"),
+        (frozenset({"s1:pos=N", "q1:pos=V", "s3:pos=P"}), "REDUCE(1)"),
+    ]
+    assert AveragedPerceptron(["REDUCE(1)", "SHIFT"], epochs=50, seed=0).fit(pairs) > 1
+    assert len(calls) == len(pairs)
+
+
+# Serialized models on two fixed corpora. A learner change that moves one
+# weight or one partition's epoch count moves these hashes.
+MODEL_SHA256 = {
+    "hybrid-lemma": "7fcb93b7375365d2bf677e8cdc5d32e8ac93ed5a0bf5432e0ab50f4b8446cd23",
+    "pure-morph6": "5db8755bb56b8984b53066445206dc0dffe730357bf82747a473f8a60c97c99e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_SHA256))
+def test_model_is_pinned(case):
+    graphs = generate(11, 100, "+phrases,+ellipsis,+disconnected").graphs
+    if case == "pure-morph6":
+        graphs, spec = lossless_pure_graphs(graphs), FeatureSetSpec("morph6")
+    else:
+        spec = FeatureSetSpec("lemma")
+    text = train(graphs, spec).serialize()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MODEL_SHA256[case]
+
+
+MINIMAL_MODEL = {
+    "format": "hybridparse-model",
+    "feature_set": "pos",
+    "hyperparameters": {},
+    "transitions": ["SHIFT"],
+    "relations": [],
+    "classifiers": {"N": {"labels": ["REDUCE(1)", "SHIFT"], "epochs": 1, "seed": 0,
+                          "weights": {"SHIFT": {"q1:absent": 1.5}}}},
+}
+
+
+def _model_text(**changes) -> str:
+    return json.dumps({**MINIMAL_MODEL, **changes})
+
+
+def test_minimal_model_loads():
+    clf = Model.deserialize(_model_text()).classifiers["N"]
+    assert clf.score(frozenset({"q1:absent", "q1:pos=N"})) == {"REDUCE(1)": 0.0, "SHIFT": 1.5}
+    assert clf.weights_by_label() == {"REDUCE(1)": {}, "SHIFT": {"q1:absent": 1.5}}
+
+
+@pytest.mark.parametrize("text", [
+    "{",
+    "[]",
+    '{"format": "hybridparse-model"}',
+    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
+                                   "weights": {"REDUCE(1)": {"q1:absent": 1.0}}}}),
+    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
+                                   "weights": {"SHIFT": {"q1:absent": "heavy"}}}}),
+    _model_text(feature_set="mega"),
+], ids=["not-json", "not-an-object", "missing-keys", "unknown-label", "text-weight",
+        "unknown-feature-set"])
+def test_malformed_model_raises_training_error(text):
+    with pytest.raises(TrainingError):
+        Model.deserialize(text)
 
 
 def test_counts_record_epochs_per_partition():
