@@ -18,10 +18,10 @@ from .corpus_io import (
     GraphMetadata,
     TreebankDocument,
     TreebankFormatError,
+    dumps_treebank,
     read_feature_notation,
     read_treebank,
     sentences_from_notation,
-    write_treebank,
 )
 from .crossval import cross_validate
 from .engine import parse_integrated, parse_multi_step
@@ -62,6 +62,13 @@ def _read_text(path: str) -> str:
         raise CliError(f"no such file: {path}", USAGE_ERROR)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", USAGE_ERROR)
+
+
 def _read_corpus(path: str) -> TreebankDocument:
     text = _read_text(path)
     try:
@@ -100,7 +107,7 @@ def cmd_train(args) -> int:
         model = train(graphs, spec, seed=args.seed, epochs=args.epochs)
     except TrainingError as exc:
         raise CliError(str(exc), DATA_ERROR)
-    Path(args.out).write_text(model.serialize(), encoding="utf-8")
+    _write_text(args.out, model.serialize())
     print(_provenance(args, ["corpus", "features", "pipeline", "seed", "out"]))
     print(f"# graphs used = {model.counts['graphs_used']}, "
           f"excluded (oracle-unreachable) = {model.counts['graphs_excluded']}")
@@ -121,9 +128,8 @@ def cmd_parse(args) -> int:
         doc.graphs.append(graph)
         doc.metadata.append(GraphMetadata())
         traces.append(report)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(_provenance(args, ["model", "input", "pipeline"]) + "\n")
-        write_treebank(doc, handle)
+    header = _provenance(args, ["model", "input", "pipeline"])
+    _write_text(args.out, header + "\n" + dumps_treebank(doc))
     if args.trace:
         for i, report in enumerate(traces):
             print(f"# sentence {i + 1}")
@@ -204,8 +210,7 @@ def cmd_convert(args) -> int:
         out_doc.graphs.append(converted)
         out_doc.metadata.append(meta)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_treebank(out_doc, handle)
+        _write_text(args.out, dumps_treebank(out_doc))
     print(f"# lossy graphs: {lossy}/{len(corpus.graphs)}")
     return 0
 
@@ -263,8 +268,7 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), USAGE_ERROR)
     doc = generate(args.seed, args.count, profile)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        write_treebank(doc, handle)
+    _write_text(args.out, dumps_treebank(doc))
     print(_provenance(args, ["seed", "count", "profile", "out"]))
     print(f"wrote {len(doc.graphs)} graph(s) to {args.out}")
     return 0

@@ -18,6 +18,7 @@ from .graph import (
     GraphError,
     HybridGraph,
     MorphSegment,
+    NonProjectiveError,
     Phrase,
     empty_category,
     ref_key,
@@ -187,19 +188,16 @@ def _phrase_tag_for(graph: HybridGraph, root, span) -> str:
     return "S"
 
 
-def _first_enriched(
-    graph: HybridGraph, tags: TagSet, wanted: Callable[[EnrichedLabel], bool]
-) -> Optional[tuple]:
-    """(edge, parsed label) of the first edge, by dependent then relation,
-    whose enriched label is ``wanted``; None when there is none."""
+def _enriched(graph: HybridGraph, tags: TagSet, wanted: Callable[[EnrichedLabel], bool]):
+    """(edge, parsed label) of each edge, by dependent then relation, whose
+    enriched label is ``wanted``."""
     for edge in sorted(graph.edges, key=lambda e: (ref_key(e.dependent), e.relation)):
         try:
             parsed = parse_label(edge.relation, tags)
         except ValueError:
             continue
         if parsed and wanted(parsed):
-            return edge, parsed
-    return None
+            yield edge, parsed
 
 
 def expand_bridges(pure: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> HybridGraph:
@@ -207,7 +205,7 @@ def expand_bridges(pure: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> HybridGrap
     two edges. The restored node is inserted directly before its dependent.
     """
     while True:
-        target = _first_enriched(pure, tags, lambda parsed: parsed.bridge)
+        target = next(_enriched(pure, tags, lambda parsed: parsed.bridge), None)
         if target is None:
             return pure
         edge, parsed = target
@@ -223,6 +221,9 @@ def expand_bridges(pure: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> HybridGrap
 
 def _phrase_over(graph: HybridGraph, root) -> Phrase:
     span = graph.subgraph_span(root)
+    if span is None:
+        covered = sorted(graph.yield_of(root))
+        raise NonProjectiveError(f"subgraph of {root!r} yields a non-contiguous set {covered}")
     return Phrase(span[0], span[1], _phrase_tag_for(graph, root, span))
 
 
@@ -231,14 +232,14 @@ def expand_phrases(
 ) -> HybridGraph:
     """Second restoration stage: expansion flags materialize phrase nodes
     over the flagged endpoint's subgraph span.
+
+    Edges are expanded in one pass, by dependent then relation. An expansion
+    only replaces its own edge with a plain-labelled one, so the order of
+    the remaining flagged edges holds. An edge that cannot be expanded is
+    recorded in ``report`` and kept with its label verbatim.
     """
-    while True:
-        target = _first_enriched(
-            graph, tags, lambda parsed: parsed.dependent_expansion or parsed.head_expansion
-        )
-        if target is None:
-            return graph
-        edge, parsed = target
+    flagged = _enriched(graph, tags, lambda p: p.dependent_expansion or p.head_expansion)
+    for edge, parsed in list(flagged):
         edges = graph.edges - {edge}
         # Spans are measured without the edge being expanded, so the
         # re-anchored endpoint's subtree does not leak into the other side.
@@ -255,19 +256,10 @@ def expand_phrases(
         except GraphError as exc:
             if report is not None:
                 report.reconstruction_errors.append((_edge_str(edge), str(exc)))
-            # Label kept verbatim; edge left in place so nothing is lost.
-            marked = Edge(edge.dependent, edge.head, "\x00" + edge.relation)
-            graph = HybridGraph(graph.terminals, graph.phrases, edges | {marked})
             continue
         phrases = graph.phrases | {ref for ref in (dep, head) if isinstance(ref, Phrase)}
         graph = HybridGraph(graph.terminals, phrases, edges | {Edge(dep, head, parsed.base)})
-
-
-def _restore_marked_labels(graph: HybridGraph) -> HybridGraph:
-    edges = frozenset(
-        Edge(e.dependent, e.head, e.relation.lstrip("\x00")) for e in graph.edges
-    )
-    return HybridGraph(graph.terminals, graph.phrases, edges)
+    return graph
 
 
 def reinsert_dropped_pronouns(
@@ -314,9 +306,7 @@ def from_pure_dependency(
     report = ConversionReport()
     graph = expand_bridges(pure, tags)
     graph = reinsert_dropped_pronouns(graph, tags)
-    graph = expand_phrases(graph, tags, report)
-    graph = _restore_marked_labels(graph)
-    return graph, report
+    return expand_phrases(graph, tags, report), report
 
 
 def lossless_pure_graphs(graphs, tags: TagSet = DEFAULT_TAGS) -> list:

@@ -15,15 +15,7 @@ from .convert import from_pure_dependency
 from .graph import MorphSegment
 from .learning import Model, predict
 from .oracle import step_budget
-from .transitions import (
-    Configuration,
-    PURE_KINDS,
-    Reduce,
-    Shift,
-    Transition,
-    apply,
-    initial,
-)
+from .transitions import Configuration, PURE_KINDS, Transition, forced, initial, successor
 from .vocab import DEFAULT_TAGS, TagSet
 
 
@@ -48,9 +40,8 @@ def _greedy_parse(
     budget = step_budget(len(sentence))
     report = ParseReport()
     while not config.is_terminal_state() and len(report.trace) < budget:
-        # predict returns only legal transitions, and apply checks again.
         t = predict(model, config, tags, allowed_kinds)
-        config = apply(config, t, tags)
+        config = successor(config, t, tags)
         report.trace.append(t)
     report.predictive_steps = len(report.trace)
     if not config.is_terminal_state():
@@ -62,8 +53,8 @@ def _greedy_parse(
 def _drain(config: Configuration, tags: TagSet, report: ParseReport) -> Configuration:
     """Forced cleanup after budget exhaustion: pop and shift to the end."""
     while not config.is_terminal_state():
-        t = Reduce(1) if config.stack else Shift()
-        config = apply(config, t, tags)
+        t = forced(config)
+        config = successor(config, t, tags)
         report.trace.append(t)
     return config
 

@@ -265,18 +265,12 @@ class HybridGraph:
             stack.extend(self.dependents(node))
         return frozenset(out)
 
-    def subgraph_span(self, ref: NodeRef) -> tuple:
-        """Contiguous (start, end) interval of the node's subgraph yield.
-
-        Raises NonProjectiveError when the yield has gaps.
-        """
+    def subgraph_span(self, ref: NodeRef) -> Optional[tuple]:
+        """Contiguous (start, end) interval of the node's subgraph yield, or
+        None when the yield has gaps (the subgraph is non-projective)."""
         covered = self.yield_of(ref)
         start, end = min(covered), max(covered)
-        if len(covered) != end - start + 1:
-            raise NonProjectiveError(
-                f"subgraph of {ref!r} yields a non-contiguous set {sorted(covered)}"
-            )
-        return (start, end)
+        return (start, end) if len(covered) == end - start + 1 else None
 
     def subgraph_root(self, phrase: Phrase) -> NodeRef:
         """The unique headless node whose subgraph the phrase spans."""

@@ -38,17 +38,16 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import EmptyCategory, HybridGraph, NonProjectiveError, Phrase
+from .graph import EmptyCategory, HybridGraph, Phrase
 from .oracle import oracle_sequence
 from .transitions import (
     Configuration,
-    Reduce,
-    Shift,
     Transition,
-    apply,
+    forced,
     initial,
     legal,
     parse_transition,
+    successor,
 )
 from .vocab import COPULA_GROUP, DEFAULT_TAGS, TagSet, parse_label
 
@@ -142,12 +141,8 @@ def _dynamic_predicates(config: Configuration, slot: str, ref) -> List[str]:
     out = []
     for edge in graph.dependent_edges(ref):
         out.append(f"{slot}:deprel({edge.relation})")
-    if graph.head_of(ref) is None:
-        try:
-            graph.subgraph_span(ref)
-            out.append(f"{slot}:isroot")
-        except NonProjectiveError:
-            pass
+    if graph.head_of(ref) is None and graph.subgraph_span(ref) is not None:
+        out.append(f"{slot}:isroot")
     return out
 
 
@@ -423,9 +418,10 @@ def training_pairs(
         return None
     out = []
     config = initial(gold.segments)
+    # The oracle's walk has applied this sequence with every check.
     for t in outcome.sequence:
         out.append((_partition_key(config), extract_features(config, spec), str(t)))
-        config = apply(config, t, tags)
+        config = successor(config, t, tags)
     return out
 
 
@@ -503,7 +499,7 @@ def predict(
     tags: TagSet = DEFAULT_TAGS,
     allowed_kinds: Optional[tuple] = None,
 ) -> Transition:
-    """Highest-scoring legal transition; total via the reduce/shift fallback."""
+    """Highest-scoring legal transition; total via the ``forced`` fallback."""
     partition = _partition_key(config)
     clf = model.classifiers.get(partition)
     candidates: List[Tuple[float, str, Transition]] = []
@@ -518,7 +514,4 @@ def predict(
     for _, label, t in sorted(candidates, key=lambda c: (-c[0], c[1])):
         if legal(config, t, tags):
             return t
-    fallback = Reduce(1)
-    if legal(config, fallback, tags):
-        return fallback
-    return Shift()
+    return forced(config)

@@ -21,6 +21,11 @@ A node is *finished* when all its expected edges are built, no expected
 empty category directly after it is missing, and it does not root a
 still-missing expected phrase.
 
+Every rule yields a legal transition: rules 1 and 3-6 check it, rules 2, 7
+and 9 need a deep enough stack, and rule 10 is reached only when the queue
+is empty, so the stack is not. The walk applies each one with the checked
+``apply``, so a wrong rule raises ``IllegalTransition``.
+
 Cost. What the rules ask of the gold graph is computed once per sentence
 (``_GoldIndex``): the root of each gold phrase, the gold edges by unordered
 endpoint pair, by node and by head, the gold phrases by span, and the
@@ -40,14 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .graph import (
-    EmptyCategory,
-    HybridGraph,
-    MorphSegment,
-    NodeRef,
-    NonProjectiveError,
-    Phrase,
-)
+from .graph import EmptyCategory, GraphError, HybridGraph, MorphSegment, NodeRef, Phrase
 from .metrics import edge_signatures, elas
 from .transitions import (
     AddPhrase,
@@ -105,7 +103,7 @@ class _GoldIndex:
         for phrase in gold.phrases:
             try:
                 root = gold.subgraph_root(phrase)
-            except Exception:
+            except GraphError:
                 continue
             self.phrases_by_root.setdefault(root, []).append(phrase)
 
@@ -268,26 +266,19 @@ class _OracleState:
         # 3. adjacent pair spanning an expected phrase rooted on top
         if s1 is not None and s2 is not None:
             ext1, ext2 = graph.extent(s1), graph.extent(s2)
-            if ext2[1] + 1 == ext1[0]:
-                try:
-                    span = graph.subgraph_span(s1)
-                except NonProjectiveError:
-                    span = None
-                if span is not None:
-                    gold_span = (self.to_gold(span[0]), self.to_gold(span[1]))
-                    if gold_span == (self.to_gold(ext2[0]), self.to_gold(ext1[1])):
-                        phrase = self.gold_phrase_with_span(gold_span)
-                        if phrase is not None:
-                            t = AddPhrase(phrase.tag)
-                            if legal(config, t, self.tags):
-                                return t
+            span = graph.subgraph_span(s1) if ext2[1] + 1 == ext1[0] else None
+            if span is not None:
+                gold_span = (self.to_gold(span[0]), self.to_gold(span[1]))
+                if gold_span == (self.to_gold(ext2[0]), self.to_gold(ext1[1])):
+                    phrase = self.gold_phrase_with_span(gold_span)
+                    if phrase is not None:
+                        t = AddPhrase(phrase.tag)
+                        if legal(config, t, self.tags):
+                            return t
 
         # 4. top roots a subgraph spanned by an expected phrase
-        if s1 is not None and isinstance(s1, int) and graph.head_of(s1) is None:
-            try:
-                span = graph.subgraph_span(s1)
-            except NonProjectiveError:
-                span = None
+        if isinstance(s1, int) and graph.head_of(s1) is None:
+            span = graph.subgraph_span(s1)
             if span is not None:
                 gold_span = (self.to_gold(span[0]), self.to_gold(span[1]))
                 phrase = self.gold_phrase_with_span(gold_span)
@@ -348,11 +339,6 @@ def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOut
     sequence: List[Transition] = []
     while not config.is_terminal_state() and len(sequence) < budget:
         t = state.next_transition()
-        if not legal(config, t, tags):
-            # The default reduce may be illegal on an empty stack.
-            t = Shift() if config.queue else Reduce(1)
-            if not legal(config, t, tags):
-                break
         config = apply(config, t, tags)
         state.advance(t, config)
         sequence.append(t)

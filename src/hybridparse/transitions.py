@@ -4,6 +4,13 @@ The configuration is a queue of unread terminals, a working stack and the
 partial graph. Stacks are stored top-first, so ``stack[0]`` is s1. All
 values are immutable; ``apply`` returns a fresh configuration.
 
+``legal`` decides whether a transition may be taken. ``successor`` takes it
+without that check, for callers that have already made it (the parser's
+prediction returns only legal transitions); ``apply`` is the check followed
+by ``successor`` and raises ``IllegalTransition``. ``forced`` is the
+transition taken when nothing else is: reduce(1) on a non-empty stack, else
+shift, and always legal in a non-terminal configuration.
+
 Transitions: shift, reduce(n) for n in {1, 2}, a left edge (head on top),
 a right edge (head below top), empty-category insertion after s1, the
 combined dropped-pronoun operation, and phrase construction over the
@@ -20,7 +27,6 @@ from .graph import (
     HybridGraph,
     MorphSegment,
     NodeRef,
-    NonProjectiveError,
     Phrase,
     empty_category,
     shifted_ref,
@@ -178,12 +184,8 @@ def legal(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> 
     if isinstance(t, AddPhrase):
         if not config.stack or not isinstance(config.stack[0], int):
             return False
-        s1 = config.stack[0]
-        try:
-            span = graph.subgraph_span(s1)
-        except NonProjectiveError:
-            return False
-        return Phrase(span[0], span[1], t.tag) not in graph.phrases
+        span = graph.subgraph_span(config.stack[0])
+        return span is not None and Phrase(span[0], span[1], t.tag) not in graph.phrases
     return False
 
 
@@ -191,6 +193,16 @@ def apply(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> 
     """Apply a legal transition, returning the successor configuration."""
     if not legal(config, t, tags):
         raise IllegalTransition(f"{t} is not legal here")
+    return successor(config, t, tags)
+
+
+def forced(config: Configuration) -> Transition:
+    """Pop when the stack is non-empty, else shift."""
+    return Reduce(1) if config.stack else Shift()
+
+
+def successor(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> Configuration:
+    """The configuration after ``t``, which the caller knows to be legal."""
     graph = config.graph
     if isinstance(t, Shift):
         return Configuration(config.queue[1:], (config.queue[0],) + config.stack, graph)

@@ -191,3 +191,25 @@ def test_parse_with_a_malformed_model_exits_two(tmp_path, corpus, capsys, text):
     assert main(["parse", "--model", str(model), "--input", str(corpus),
                  "--out", str(tmp_path / "out.conllx")]) == DATA_ERROR
     assert f"{model}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, into_directory", [
+    ("train", False),
+    ("parse", False),
+    ("parse", True),
+    ("convert", False),
+    ("synth", False),
+], ids=["train", "parse", "parse-into-directory", "convert", "synth"])
+def test_an_unwritable_out_exits_one(tmp_path, corpus, capsys, command, into_directory):
+    model = tmp_path / "model.json"
+    assert main(["train", "--corpus", str(corpus), "--epochs", "1", "--out", str(model)]) == 0
+    argv = {
+        "train": ["train", "--corpus", str(corpus), "--epochs", "1"],
+        "parse": ["parse", "--model", str(model), "--input", str(corpus)],
+        "convert": ["convert", "--input", str(corpus), "--direction", "to-pure"],
+        "synth": ["synth", "--seed", "1", "--count", "2"],
+    }[command]
+    out = tmp_path if into_directory else tmp_path / "missing" / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == USAGE_ERROR
+    assert f"error: cannot write {out}: " in capsys.readouterr().err

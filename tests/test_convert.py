@@ -14,6 +14,7 @@ from hybridparse import (
     to_pure_dependency,
 )
 from hybridparse.convert import (
+    ConversionReport,
     EnrichedLabel,
     expand_bridges,
     expand_phrases,
@@ -107,6 +108,19 @@ def test_fig_9_9_two_stage_restoration():
     full, report = from_pure_dependency(pure)
     assert full == hybrid_expected
     assert not report.reconstruction_errors
+
+
+def test_failed_expansion_keeps_its_label_verbatim():
+    # The flagged dependent's subgraph yields {0, 3}, which has a gap.
+    pure = graph_from(
+        [seg(1), seg(2), seg(3, "V"), seg(4)],
+        edges=[(0, 2, "+obj"), (3, 0, "adj"), (1, 2, "subj")],
+    )
+    report = ConversionReport()
+    assert expand_phrases(pure, report=report) == pure
+    assert report.reconstruction_errors == [
+        ("0 -+obj-> 2", "subgraph of 0 yields a non-contiguous set [0, 3]")
+    ]
 
 
 def test_from_pure_identity_without_enrichment():

@@ -9,11 +9,7 @@ from hybridparse import (
     Phrase,
     graph_from,
 )
-from hybridparse.graph import (
-    GraphError,
-    IllFormedPhraseError,
-    NonProjectiveError,
-)
+from hybridparse.graph import GraphError, IllFormedPhraseError
 
 from conftest import load_graph
 
@@ -103,8 +99,7 @@ def test_subgraph_span_non_projective():
         [seg(1), seg(2), seg(3), seg(4)],
         edges=[(0, 2, "obj"), (3, 1, "conj")],
     )
-    with pytest.raises(NonProjectiveError):
-        graph.subgraph_span(1)
+    assert graph.subgraph_span(1) is None
 
 
 def test_validate_fixtures_clean():

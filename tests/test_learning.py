@@ -30,7 +30,7 @@ from hybridparse.learning import (
     _slot_ref,
     training_pairs,
 )
-from hybridparse.oracle import oracle_sequence
+from hybridparse.oracle import oracle_sequence, step_budget
 from hybridparse.vocab import DEFAULT_TAGS
 from hybridparse.metrics import elas
 from hybridparse.transitions import LeftArc, RightArc
@@ -374,3 +374,22 @@ def test_memorization_small_corpus():
     for gold in doc.graphs:
         parsed, _ = parse_integrated(model, gold.segments)
         assert elas(gold, parsed).f1 == 1
+
+
+def _looping_model() -> Model:
+    """A verb on top always inserts EMPTY(N), which then always pops."""
+    verb = AveragedPerceptron(["EMPTY(N)", "SHIFT"])
+    verb.load({"EMPTY(N)": {"s1:pos=V": 1.0}})
+    noun = AveragedPerceptron(["REDUCE(1)", "SHIFT"])
+    noun.load({"REDUCE(1)": {"s1:pos=N": 1.0}})
+    labels = ["EMPTY(N)", "REDUCE(1)", "SHIFT"]
+    return Model(FeatureSetSpec("pos"), labels, {"V": verb, "N": noun})
+
+
+def test_budget_exhaustion_drains_to_a_valid_graph():
+    graph, report = parse_integrated(_looping_model(), [seg(1, "V")])
+    assert report.budget_exhausted
+    assert report.predictive_steps == 24 == step_budget(1)
+    assert report.trace[report.predictive_steps:] == [Reduce(1), Reduce(1)]
+    assert len(graph.terminals) == 13
+    assert graph.validate() == []

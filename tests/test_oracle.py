@@ -5,6 +5,7 @@ from hybridparse import (
     LeftArc,
     Location,
     MorphSegment,
+    Phrase,
     Reduce,
     Shift,
     apply,
@@ -182,3 +183,13 @@ def test_each_gold_phrase_is_rooted_once(monkeypatch):
     assert oracle_sequence(gold).reachable
     assert set(calls) <= gold.phrases
     assert max(calls.values()) == 1
+
+
+def test_phrase_without_a_unique_root_is_unreachable():
+    # The phrase covers two headless segments: the graph validates, but the
+    # phrase has no root, so no sequence builds it.
+    gold = graph_from([seg(1), seg(2)], phrases=[Phrase(0, 1, "NS")])
+    assert gold.validate() == []
+    outcome = oracle_sequence(gold)
+    assert not outcome.reachable
+    assert outcome.sequence == [Shift(), Reduce(1), Shift(), Reduce(1)]
