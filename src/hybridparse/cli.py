@@ -60,6 +60,10 @@ def _read_text(path: str) -> str:
         return Path(path).read_text("utf-8")
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", USAGE_ERROR)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}", USAGE_ERROR)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc.reason}", DATA_ERROR)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -228,7 +232,7 @@ def cmd_oracle_check(args) -> int:
             print(f"ok {label}: {len(outcome.sequence)} transitions")
     if args.fixtures:
         for path in sorted(Path(args.fixtures).glob("*.transitions")):
-            lines = path.read_text("utf-8").splitlines()
+            lines = _read_text(str(path)).splitlines()
             corpus_path = _fixture_graph(path, lines)
             if not corpus_path.exists():
                 raise CliError(f"no graph fixture {corpus_path} for {path}", USAGE_ERROR)
@@ -277,11 +281,13 @@ def cmd_synth(args) -> int:
 def cmd_render(args) -> int:
     corpus = _read_corpus(args.input)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror}", USAGE_ERROR)
     for i, graph in enumerate(corpus.graphs):
         document = svg(graph, rtl=not args.ltr) if args.format == "svg" else emit_dot(graph)
-        path = out_dir / f"graph{i + 1:04d}.{args.format}"
-        path.write_text(document, encoding="utf-8")
+        _write_text(str(out_dir / f"graph{i + 1:04d}.{args.format}"), document)
     print(f"rendered {len(corpus.graphs)} document(s) into {args.out}")
     return 0
 

@@ -5,6 +5,22 @@ categories; empty categories occupy real indices. Phrase nodes are
 inclusive spans over terminal indices. Edges point from dependents to
 heads. Node identity is structural: a terminal is addressed by its
 0-based index, a phrase by its (start, end, tag) triple.
+
+A graph keeps derived state beside its value and carries it forward:
+
+- Edge indices by dependent and by head. The constructor builds them
+  with one pass over the edges. ``with_edge`` and ``with_phrase`` start
+  from the parent's indices instead: a shallow copy plus the one new
+  entry, never mutating a list the parent still holds.
+- Yield masks: each node's yield as an int bitmask over terminal
+  indices, so a terminal covered twice (a phrase and its root) counts
+  once. A graph from the constructor computes its masks on the first
+  ``subgraph_span`` or ``yield_of`` call. ``with_edge`` ORs the
+  dependent's mask into the head and up every head chain until a mask
+  stops changing; the lazy computation adds each edge by the same rule.
+  It keeps mask(head) a superset of mask(dependent) for every edge, so
+  it is exact on any graph, multi-headed and cyclic ones included.
+  ``with_phrase`` adds the phrase's own extent.
 """
 
 from __future__ import annotations
@@ -109,6 +125,8 @@ class Phrase:
     def __post_init__(self):
         if self.start > self.end:
             raise ValueError("phrase span start must be <= end")
+        if self.start < 0:
+            raise ValueError("phrase span start must be >= 0")
 
 
 NodeRef = Union[int, Phrase]
@@ -180,6 +198,7 @@ class HybridGraph:
     edges: frozenset = frozenset()
     _head_index: dict = field(init=False, compare=False, repr=False, default=None)
     _dep_index: dict = field(init=False, compare=False, repr=False, default=None)
+    _masks: dict = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", tuple(self.terminals))
@@ -247,56 +266,64 @@ class HybridGraph:
     def dependents(self, ref: NodeRef) -> tuple:
         return tuple(e.dependent for e in self.dependent_edges(ref))
 
+    def _yield_masks(self) -> dict:
+        """Yield bitmask of every node, computed on first use."""
+        masks = self._masks
+        if masks is None:
+            masks = {i: 1 << i for i in range(len(self.terminals))}
+            for phrase in self.phrases:
+                masks[phrase] = _own_mask(phrase)
+            for edge in self.edges:
+                dependent = edge.dependent
+                bits = masks.get(dependent) or _own_mask(dependent)
+                _spread(masks, self._head_index, edge.head, bits)
+            object.__setattr__(self, "_masks", masks)
+        return masks
+
     def yield_of(self, ref: NodeRef) -> frozenset:
         """Terminal indices covered by the node and its transitive dependents."""
         self._check_node(ref)
-        seen = set()
-        out = set()
-        stack = [ref]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if isinstance(node, Phrase):
-                out.update(range(node.start, node.end + 1))
-            else:
-                out.add(node)
-            stack.extend(self.dependents(node))
+        mask = self._yield_masks()[ref]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return frozenset(out)
 
     def subgraph_span(self, ref: NodeRef) -> Optional[tuple]:
         """Contiguous (start, end) interval of the node's subgraph yield, or
         None when the yield has gaps (the subgraph is non-projective)."""
-        covered = self.yield_of(ref)
-        start, end = min(covered), max(covered)
-        return (start, end) if len(covered) == end - start + 1 else None
+        self._check_node(ref)
+        mask = self._yield_masks()[ref]
+        start = (mask & -mask).bit_length() - 1
+        run = mask >> start
+        if run & (run + 1):
+            return None
+        return (start, start + run.bit_length() - 1)
 
     def subgraph_root(self, phrase: Phrase) -> NodeRef:
         """The unique headless node whose subgraph the phrase spans."""
         self._check_node(phrase)
-        inside = [i for i in range(phrase.start, phrase.end + 1)]
+        masks = self._yield_masks()
+        outside = ~_own_mask(phrase)
         candidates: list = []
-        for node in inside + sorted(
+        for node in list(range(phrase.start, phrase.end + 1)) + sorted(
             p for p in self.phrases
             if p != phrase and p.start >= phrase.start and p.end <= phrase.end
         ):
-            if self.head_of(node) is not None:
-                continue
-            covered = self.yield_of(node)
-            if all(phrase.start <= i <= phrase.end for i in covered):
-                candidates.append((node, covered))
+            if self.head_of(node) is None and not masks[node] & outside:
+                candidates.append((node, masks[node]))
         # A headless node whose yield sits strictly inside another
         # candidate's yield is covered by that subgraph (e.g. a preposition
         # under an attached prepositional phrase), not a root of its own.
-        roots = []
-        for cand, covered in candidates:
-            dominated = any(
-                cand != other and covered < other_covered
-                for other, other_covered in candidates
+        roots = [
+            cand for cand, covered in candidates
+            if not any(
+                covered != other and covered & other == covered
+                for _, other in candidates
             )
-            if not dominated:
-                roots.append(cand)
+        ]
         if len(roots) != 1:
             raise IllFormedPhraseError(
                 f"phrase {phrase} covers {len(roots)} headless root(s)"
@@ -305,13 +332,43 @@ class HybridGraph:
 
     # -- construction ----------------------------------------------------
 
+    def _carried(self, phrases, edges, heads, deps, masks) -> "HybridGraph":
+        """A graph over the same terminals whose derived state is given,
+        not rebuilt: the constructor's pass over every edge is skipped."""
+        graph = object.__new__(HybridGraph)
+        put = object.__setattr__
+        put(graph, "terminals", self.terminals)
+        put(graph, "phrases", phrases)
+        put(graph, "edges", edges)
+        put(graph, "_head_index", heads)
+        put(graph, "_dep_index", deps)
+        put(graph, "_masks", masks)
+        return graph
+
     def with_edge(self, edge: Edge) -> "HybridGraph":
         self._check_node(edge.dependent)
         self._check_node(edge.head)
-        return HybridGraph(self.terminals, self.phrases, self.edges | {edge})
+        if edge in self.edges:
+            return self
+        heads = dict(self._head_index)
+        heads[edge.dependent] = heads.get(edge.dependent, []) + [edge]
+        deps = dict(self._dep_index)
+        deps[edge.head] = deps.get(edge.head, []) + [edge]
+        masks = self._masks
+        if masks is not None:
+            masks = dict(masks)
+            _spread(masks, heads, edge.head, masks[edge.dependent])
+        return self._carried(self.phrases, self.edges | {edge}, heads, deps, masks)
 
     def with_phrase(self, phrase: Phrase) -> "HybridGraph":
-        return HybridGraph(self.terminals, self.phrases | {phrase}, self.edges)
+        if phrase in self.phrases:
+            return self
+        masks = self._masks
+        if masks is not None:
+            masks = {**masks, phrase: _own_mask(phrase)}
+        return self._carried(
+            self.phrases | {phrase}, self.edges, self._head_index, self._dep_index, masks
+        )
 
     def with_terminal_inserted(self, at: int, terminal: Terminal) -> "HybridGraph":
         """Insert a terminal at index ``at``, shifting later indices and spans."""
@@ -404,6 +461,30 @@ class HybridGraph:
             edges = self._head_index.get(node, ())
             node = edges[0].head if edges else None
         return False
+
+
+def _own_mask(ref: NodeRef) -> int:
+    """Bitmask of the terminals the node itself occupies."""
+    if isinstance(ref, Phrase):
+        return ((1 << (ref.end - ref.start + 1)) - 1) << ref.start
+    return 1 << ref
+
+
+def _spread(masks: dict, heads: dict, node: NodeRef, bits: int) -> None:
+    """OR ``bits`` into ``node``'s mask and up every head chain, stopping
+    wherever a mask does not change."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        # A constructed graph may hold an edge to a node it lacks (see
+        # ``validate``); such a node starts from its own extent.
+        old = masks.get(node) or _own_mask(node)
+        new = old | bits
+        if new == old:
+            continue
+        masks[node] = new
+        for edge in heads.get(node, ()):
+            stack.append(edge.head)
 
 
 def _is_enriched(label: str, tags: TagSet) -> bool:

@@ -213,3 +213,26 @@ def test_an_unwritable_out_exits_one(tmp_path, corpus, capsys, command, into_dir
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == USAGE_ERROR
     assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_a_directory_as_input_exits_one(tmp_path, capsys):
+    assert main(["oracle-check", "--corpus", str(tmp_path)]) == USAGE_ERROR
+    assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
+
+
+def test_an_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.conllx"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["oracle-check", "--corpus", str(bad)]) == DATA_ERROR
+    assert f"error: {bad}: not UTF-8 text: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["out", "drawing"])
+def test_an_unwritable_render_out_exits_one(tmp_path, corpus, capsys, blocked):
+    """``--out`` names an existing file, or a drawing's path is a directory."""
+    out = corpus if blocked == "out" else tmp_path / "drawings"
+    if blocked == "drawing":
+        (out / "graph0001.svg").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["render", "--input", str(corpus), "--out", str(out)]) == USAGE_ERROR
+    assert "error: cannot write " in capsys.readouterr().err

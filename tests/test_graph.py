@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from hybridparse import (
@@ -194,3 +196,82 @@ def test_root_agrees_with_span():
     for phrase in graph.phrases:
         root = graph.subgraph_root(phrase)
         assert graph.subgraph_span(root) == (phrase.start, phrase.end)
+
+
+def test_phrase_rejects_a_negative_start():
+    # A yield is a bitmask over terminal indices, which cannot hold -1.
+    with pytest.raises(ValueError):
+        Phrase(-1, 0, "NP")
+
+
+def reference_yield(graph, ref):
+    """Terminal indices covered by ``ref`` and its transitive dependents,
+    found by walking the dependents: the yield computed from scratch."""
+    seen = set()
+    out = set()
+    stack = [ref]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, Phrase):
+            out.update(range(node.start, node.end + 1))
+        else:
+            out.add(node)
+        stack.extend(graph.dependents(node))
+    return frozenset(out)
+
+
+def reference_span(graph, ref):
+    covered = reference_yield(graph, ref)
+    start, end = min(covered), max(covered)
+    return (start, end) if len(covered) == end - start + 1 else None
+
+
+NP = Phrase(1, 2, "NP")
+HAND_BUILT = {
+    # 2 has two heads and a dependent; the phrase overlaps 1's yield.
+    "multi-head": [(0, 2, "subj"), (2, 1, "obj"), (2, 3, "obj"), (NP, 4, "obj"), (1, 4, "obj")],
+    # 0 -> 1 -> 2 -> 0 is a cycle, with 3 and the phrase hanging off it.
+    "cyclic": [(0, 1, "subj"), (1, 2, "obj"), (2, 0, "obj"), (3, 2, "obj"), (NP, 3, "obj")],
+    # 2 covers 0, 2 and 4: a gapped, non-projective yield.
+    "gapped": [(0, 2, "subj"), (4, 2, "obj"), (NP, 3, "obj")],
+}
+
+
+def assert_yields_match_the_walk(graph):
+    """Yields as a walk finds them, and edge indices as the constructor
+    builds them."""
+    rebuilt = HybridGraph(graph.terminals, graph.phrases, graph.edges)
+    for ref in list(range(len(graph))) + sorted(graph.phrases):
+        assert graph.yield_of(ref) == reference_yield(graph, ref), ref
+        assert graph.subgraph_span(ref) == reference_span(graph, ref), ref
+        assert set(graph.head_edges(ref)) == set(rebuilt.head_edges(ref)), ref
+        assert graph.dependent_edges(ref) == rebuilt.dependent_edges(ref), ref
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_yields_match_a_walk_of_the_dependents(name):
+    """Built at once (masks computed on first use) or one edge at a time in
+    every order (masks carried forward), each graph on the way has the
+    yields of a walk; earlier graphs are left as they were."""
+    terminals = [seg(i) for i in range(1, 6)]
+    edges = HAND_BUILT[name]
+    assert_yields_match_the_walk(graph_from(terminals, edges, [NP]))
+    for order in permutations(edges):
+        graph = graph_from(terminals, phrases=[NP])
+        graph.subgraph_span(0)
+        steps = [graph]
+        for dep, head, rel in order:
+            graph = graph.with_edge(Edge(dep, head, rel))
+            steps.append(graph)
+        for step in steps:
+            assert_yields_match_the_walk(step)
+    assert steps[-1] == graph_from(terminals, edges, [NP])
+
+
+def test_adding_what_is_present_returns_the_graph():
+    graph = graph_from([seg(1), seg(2)], [(0, 1, "subj")], [Phrase(0, 1, "S")])
+    assert graph.with_edge(Edge(0, 1, "subj")) is graph
+    assert graph.with_phrase(Phrase(0, 1, "S")) is graph

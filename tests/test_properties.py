@@ -1,5 +1,7 @@
 """Property tests over synthetic graphs drawn by seed and profile."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,18 @@ from hybridparse.corpus_io import (
     read_treebank,
 )
 from hybridparse.engine import parse_integrated, parse_multi_step
-from hybridparse.graph import ELLIPTICAL_FORM, EmptyCategory
+from hybridparse.graph import ELLIPTICAL_FORM, EmptyCategory, HybridGraph
 from hybridparse.learning import FeatureSetSpec, Model, _partition_key, extract_features, train
 from hybridparse.oracle import oracle_next, oracle_sequence
 from hybridparse.synth import generate
-from hybridparse.transitions import apply, initial, replay
+from hybridparse.transitions import (
+    InsertEmpty,
+    InsertPronoun,
+    apply,
+    initial,
+    replay,
+    successor,
+)
 
 from conftest import concatenate
 
@@ -103,6 +112,66 @@ def test_parser_outputs_are_valid(model, pure_model, graphs):
     for graph in graphs + [concatenate(graphs)]:
         assert parse_integrated(model, graph.segments)[0].validate() == []
         assert parse_multi_step(pure_model, graph.segments)[0].validate() == []
+
+
+def assert_same_as_rebuilt(graph):
+    """The state a graph carried forward from its parent agrees, node by
+    node, with the state the constructor builds from the same value."""
+    rebuilt = HybridGraph(graph.terminals, graph.phrases, graph.edges)
+    for ref in list(range(len(graph))) + sorted(graph.phrases):
+        assert graph.subgraph_span(ref) == rebuilt.subgraph_span(ref)
+        assert graph.yield_of(ref) == rebuilt.yield_of(ref)
+        assert graph.head_of(ref) == rebuilt.head_of(ref)
+        assert graph.dependent_edges(ref) == rebuilt.dependent_edges(ref)
+
+
+@SETTINGS
+@given(corpora)
+def test_carried_graph_state_equals_a_rebuild(model, graphs):
+    """After every step of the oracle's walk and of a parse."""
+    for graph in graphs + [concatenate(graphs)]:
+        parsed = parse_integrated(model, graph.segments)[1].trace
+        for sequence in (oracle_sequence(graph).sequence, parsed):
+            config = initial(graph.segments)
+            assert_same_as_rebuilt(config.graph)
+            for t in sequence:
+                config = successor(config, t)
+                assert_same_as_rebuilt(config.graph)
+
+
+def test_parse_steps_do_not_rebuild_the_graph(model, monkeypatch):
+    """On a long sentence, only the initial graph and insertions run the
+    constructor, and no span is found by walking dependent edges."""
+    sentence = concatenate(generate(3, 30, "+phrases,+ellipsis,+disconnected").graphs)
+    counts: Counter = Counter()
+    build = HybridGraph.__post_init__
+    span = HybridGraph.subgraph_span
+    dependent_edges = HybridGraph.dependent_edges
+
+    def counted_build(self):
+        counts["builds"] += 1
+        build(self)
+
+    def counted_span(self, ref):
+        counts["open spans"] += 1
+        try:
+            return span(self, ref)
+        finally:
+            counts["open spans"] -= 1
+            counts["spans"] += 1
+
+    def counted_dependent_edges(self, ref):
+        counts["dependent_edges within a span"] += counts["open spans"] > 0
+        return dependent_edges(self, ref)
+
+    monkeypatch.setattr(HybridGraph, "__post_init__", counted_build)
+    monkeypatch.setattr(HybridGraph, "subgraph_span", counted_span)
+    monkeypatch.setattr(HybridGraph, "dependent_edges", counted_dependent_edges)
+    graph, report = parse_integrated(model, sentence.segments)
+    insertions = sum(isinstance(t, (InsertEmpty, InsertPronoun)) for t in report.trace)
+    assert len(graph.edges) > 100 and counts["spans"] > 1000
+    assert counts["dependent_edges within a span"] == 0
+    assert counts["builds"] <= 1 + insertions
 
 
 @settings(max_examples=10, deadline=None)
