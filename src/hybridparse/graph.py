@@ -254,6 +254,13 @@ class HybridGraph:
     def head_edges(self, ref: NodeRef) -> tuple:
         return tuple(self._head_index.get(ref, ()))
 
+    def edge_indices(self) -> tuple:
+        """(edges by dependent, edges by head): node -> list of edges, the
+        lists unsorted and every list non-empty. Unchecked, for callers that
+        only read; the lists are shared with the graphs this one came from
+        or gives rise to, so they must not be changed."""
+        return self._head_index, self._dep_index
+
     def dependent_edges(self, ref: NodeRef) -> tuple:
         """Edges in which ``ref`` is the head, sorted for determinism."""
         return tuple(

@@ -6,6 +6,15 @@ feature sets Pos < Morph6 < Morph9 < Lemma < Phi; dynamic predicates
 describe the partially built graph (existing dependent relations, rooted
 subgraphs, and previously parsed edges between slot pairs).
 
+``extract_features`` makes one pass over the four slots, reading s1-s3 from
+the stack and q1 from the queue by position. A terminal's morphological
+predicates come from its sorted ``features`` pairs, through a table per
+feature set level and slot of the predicate prefix of each key, so no dict
+is built per slot. The dynamic predicates and ``graph:edge`` read the
+graph's edge lists by dependent and by head as the graph carries them
+(``HybridGraph.edge_indices``), unchecked and unsorted: every ref comes from
+the configuration, and the result is a set.
+
 One multiclass scorer is trained per part-of-speech at the top of the
 stack; the reference scorer is an averaged perceptron over the binary
 predicates plus explicit pairwise conjunctions of the s1 and s2 slot
@@ -19,12 +28,23 @@ set is not also labelled with another transition, or until the epoch cap.
 
 Each classifier interns its expanded feature strings to integer ids, once
 per training pair, and holds one row of weights per transition, indexed by
-id. Training keeps the raw weights and, per weight, the sum of each update
-times the step it was made at, all as Python ints. After ``step`` steps the
-averaged weight is (step * raw - sum) / step: the averaging is exact, the
-check that the averaged weights fit is made on the integer numerators, and
-each stored weight is one quotient rounded once. A score adds a transition's
-weights one at a time in expanded feature order, never with ``sum()``, whose
+id. A feature set expands to its sorted predicates followed by each s1 x s2
+conjunction ``f"{a}&{b}"`` (``_conjoined``). Training keeps the raw weights
+and, per weight, the sum of each update times the step it was made at, all
+as Python ints. After ``step`` steps the averaged weight is
+(step * raw - sum) / step: the averaging is exact, the check that the
+averaged weights fit is made on the integer numerators, and each stored
+weight is one quotient rounded once.
+
+Scoring builds no conjunction string. When a classifier is fitted or
+loaded it derives a table s1 predicate -> s2 predicate -> id from its index
+(``_pair_table``), registering each indexed string that starts with "s1:"
+at every "&s2:" in it, since a lemma may hold "&s2:" as well; so (a, b) is
+in the table exactly when ``f"{a}&{b}"`` is indexed. A score takes the ids
+of the sorted predicates, then the table's hits for each s1 predicate
+against each s2 predicate, which is the expanded order, and adds a
+transition's weights one at a time in that order. Float addition is not
+associative, so the order fixes the result; ``sum()`` is never used, as its
 float rounding differs between Python versions. Model files list the
 weights label-major (transition -> feature -> weight).
 """
@@ -96,78 +116,101 @@ class FeatureSetSpec:
 
 
 def _slot_ref(config: Configuration, slot: str):
+    """The node in a slot, or None when it is empty: the definition of the
+    slots that ``extract_features`` reads by position."""
     if slot == "q1":
         return config.q1
     return config.stack_item(int(slot[1]))
 
 
-def _static_predicates(config: Configuration, slot: str, ref, spec: FeatureSetSpec) -> List[str]:
-    graph = config.graph
-    if ref is None:
-        return [f"{slot}:absent"]
-    out = []
-    if isinstance(ref, Phrase):
-        out.append(f"{slot}:phrase={ref.tag}")
-        return out
-    term = graph.terminals[ref]
-    out.append(f"{slot}:pos={term.pos}")
-    if isinstance(term, EmptyCategory):
-        return out
-    feats = term.feature_map
-    level = spec.level
-    if level >= 1:
-        for key in _MORPH6:
-            if key in feats:
-                out.append(f"{slot}:{key.lower()}={feats[key]}")
-    if level >= 2:
-        for key in _MORPH9:
-            if key in feats:
-                out.append(f"{slot}:{key.lower()}={feats[key]}")
-        if feats.get("SP") == COPULA_GROUP:
-            out.append(f"{slot}:copula")
-    if level >= 3 and term.lemma:
-        out.append(f"{slot}:lemma={term.lemma}")
-    if level >= 4:
-        for key in _PHI:
-            if key in feats:
-                out.append(f"{slot}:{key.lower()}={feats[key]}")
-    return out
+def _morph_keys(level: int) -> tuple:
+    """The morphological keys a feature set level describes."""
+    return (
+        (_MORPH6 if level >= 1 else ())
+        + (_MORPH9 if level >= 2 else ())
+        + (_PHI if level >= 4 else ())
+    )
 
 
-def _dynamic_predicates(config: Configuration, slot: str, ref) -> List[str]:
-    if ref is None:
-        return []
-    graph = config.graph
-    out = []
-    for edge in graph.dependent_edges(ref):
-        out.append(f"{slot}:deprel({edge.relation})")
-    if graph.head_of(ref) is None and graph.subgraph_span(ref) is not None:
-        out.append(f"{slot}:isroot")
-    return out
+# Per level and slot, morphological key -> predicate prefix ("s1:case=").
+_PREFIXES = tuple(
+    {slot: {key: f"{slot}:{key.lower()}=" for key in _morph_keys(level)} for slot in SLOTS}
+    for level in range(len(FEATURE_SETS))
+)
+
+# The graph:edge predicates, each with the positions of its two slots.
+_EDGE_PREDICATES = tuple(
+    (SLOTS.index(a), SLOTS.index(b), f"graph:edge({a},{b})") for a, b in EDGE_PAIRS
+)
 
 
 def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:
     """Binary predicate set describing a configuration under a feature set."""
-    refs = {slot: _slot_ref(config, slot) for slot in SLOTS}
-    out: List[str] = []
-    for slot in SLOTS:
-        out.extend(_static_predicates(config, slot, refs[slot], spec))
-        out.extend(_dynamic_predicates(config, slot, refs[slot]))
+    stack, queue = config.stack, config.queue
+    depth = len(stack)
+    refs = (
+        stack[0] if depth > 0 else None,
+        stack[1] if depth > 1 else None,
+        stack[2] if depth > 2 else None,
+        queue[0] if queue else None,
+    )
     graph = config.graph
-    for a, b in EDGE_PAIRS:
-        ra, rb = refs[a], refs[b]
-        if ra is None or rb is None:
+    terminals = graph.terminals
+    heads, deps = graph.edge_indices()
+    level = spec.level
+    prefixes_of = _PREFIXES[level]
+    out: List[str] = []
+    add = out.append
+    for slot, ref in zip(SLOTS, refs):
+        if ref is None:
+            add(f"{slot}:absent")
             continue
-        if _linked(graph, ra, rb):
-            out.append(f"graph:edge({a},{b})")
+        if isinstance(ref, Phrase):
+            add(f"{slot}:phrase={ref.tag}")
+        else:
+            term = terminals[ref]
+            add(f"{slot}:pos={term.pos}")
+            if not isinstance(term, EmptyCategory):
+                prefixes = prefixes_of[slot]
+                copula = False
+                last = None
+                # Features are sorted by key; a repeated key takes its last
+                # value, as in ``feature_map``.
+                for key, value in term.features:
+                    prefix = prefixes.get(key)
+                    if prefix is None:
+                        if key == "SP":
+                            copula = value == COPULA_GROUP
+                    elif key == last:
+                        out[-1] = prefix + value
+                    else:
+                        add(prefix + value)
+                        last = key
+                if copula and level >= 2:
+                    add(f"{slot}:copula")
+                if level >= 3 and term.lemma:
+                    add(f"{slot}:lemma={term.lemma}")
+        for edge in deps.get(ref, ()):
+            add(f"{slot}:deprel({edge.relation})")
+        if not heads.get(ref) and graph.subgraph_span(ref) is not None:
+            add(f"{slot}:isroot")
+    for a, b, name in _EDGE_PREDICATES:
+        ra, rb = refs[a], refs[b]
+        if ra is not None and rb is not None and _linked(heads, ra, rb):
+            add(name)
     return frozenset(out)
 
 
-def _linked(graph: HybridGraph, a, b) -> bool:
-    """Whether an edge joins ``a`` and ``b``, in either direction."""
-    return any(e.head == b for e in graph.head_edges(a)) or any(
-        e.head == a for e in graph.head_edges(b)
-    )
+def _linked(heads: dict, a, b) -> bool:
+    """Whether an edge joins ``a`` and ``b``, in either direction, given the
+    edges by dependent."""
+    for edge in heads.get(a, ()):
+        if edge.head == b:
+            return True
+    for edge in heads.get(b, ()):
+        if edge.head == a:
+            return True
+    return False
 
 
 def _conjoined(features: frozenset) -> List[str]:
@@ -180,6 +223,23 @@ def _conjoined(features: frozenset) -> List[str]:
         for b in s2:
             out.append(f"{a}&{b}")
     return out
+
+
+def _pair_table(index: Dict[str, int]) -> Dict[str, Dict[str, int]]:
+    """s1 predicate -> s2 predicate -> id of the indexed ``f"{a}&{b}"``.
+
+    An indexed string is registered at every "&s2:" it holds, because a
+    lemma may contain "&s2:" too: (a, b) is registered for a string exactly
+    when the string is a + "&" + b."""
+    pairs: Dict[str, Dict[str, int]] = {}
+    for feat, i in index.items():
+        if not feat.startswith("s1:"):
+            continue
+        at = feat.find("&s2:")
+        while at >= 0:
+            pairs.setdefault(feat[:at], {})[feat[at + 1 :]] = i
+            at = feat.find("&s2:", at + 1)
+    return pairs
 
 
 class AveragedPerceptron:
@@ -196,6 +256,8 @@ class AveragedPerceptron:
         # Expanded feature -> id, and per label its weights by id.
         self.index: Dict[str, int] = {}
         self.rows: List[List[float]] = [[] for _ in self.labels]
+        # s1 predicate -> s2 predicate -> id of their conjunction.
+        self.pairs: Dict[str, Dict[str, int]] = {}
 
     def fit(self, pairs: Sequence[Tuple[frozenset, str]]) -> int:
         """Train on (features, label) pairs and return the epochs run.
@@ -261,6 +323,7 @@ class AveragedPerceptron:
         kept = {feat: i for feat, i in index.items() if any(row[i] for row in averaged)}
         self.index = {feat: k for k, feat in enumerate(kept)}
         self.rows = [[row[i] / step for i in kept.values()] for row in averaged]
+        self.pairs = _pair_table(self.index)
         return epoch
 
     def load(self, weights: Dict[str, Dict[str, float]]) -> None:
@@ -279,12 +342,23 @@ class AveragedPerceptron:
             for feat, w in weights.get(label, {}).items():
                 row[index[feat]] = float(w)
             self.rows.append(row)
+        self.pairs = _pair_table(index)
 
     def score(self, features: frozenset) -> Dict[str, float]:
         """Per-label weight sums over the expanded features, each added one
-        at a time in expanded feature order."""
+        at a time in expanded feature order (see ``_conjoined``)."""
         index = self.index
-        ids = [index[f] for f in _conjoined(features) if f in index]
+        items = sorted(features)
+        ids = [index[f] for f in items if f in index]
+        s2 = [f for f in items if f.startswith("s2:")]
+        pairs = self.pairs
+        for a in items:
+            hits = pairs.get(a)
+            if hits is not None:
+                for b in s2:
+                    i = hits.get(b)
+                    if i is not None:
+                        ids.append(i)
         scores = {}
         for label, row in zip(self.labels, self.rows):
             total = 0.0
@@ -502,16 +576,18 @@ def predict(
     """Highest-scoring legal transition; total via the ``forced`` fallback."""
     partition = _partition_key(config)
     clf = model.classifiers.get(partition)
+    # (-score, label, transition): labels are unique, so the sort never
+    # compares transitions.
     candidates: List[Tuple[float, str, Transition]] = []
     if clf is not None:
-        feats = extract_features(config, model.feature_set)
-        scores = clf.score(feats)
+        scores = clf.score(extract_features(config, model.feature_set))
+        parsed = model.parsed_labels
         for label, score in scores.items():
-            t = model.parsed_labels[label]
+            t = parsed[label]
             if allowed_kinds and not isinstance(t, allowed_kinds):
                 continue
-            candidates.append((score, label, t))
-    for _, label, t in sorted(candidates, key=lambda c: (-c[0], c[1])):
+            candidates.append((-score, label, t))
+    for _, _, t in sorted(candidates):
         if legal(config, t, tags):
             return t
     return forced(config)

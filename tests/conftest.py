@@ -3,13 +3,30 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from hybridparse.corpus_io import read_treebank
 from hybridparse.graph import Edge, HybridGraph, Phrase
+from hybridparse.synth import generate
 from hybridparse.transitions import parse_transition
 from hybridparse.vocab import DEFAULT_TAGS
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+PROFILES = (
+    "pure",
+    "+phrases",
+    "+ellipsis",
+    "+phrases,+ellipsis",
+    "+phrases,+ellipsis,+disconnected",
+)
+
+# Four synthetic graphs of one seed and profile.
+corpora = st.builds(
+    lambda seed, profile: generate(seed, 4, profile).graphs,
+    st.integers(0, 10_000),
+    st.sampled_from(PROFILES),
+)
 
 _acceptance_lines: list = []
 

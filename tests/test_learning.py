@@ -1,5 +1,8 @@
+import functools
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +24,11 @@ from hybridparse import (
 )
 from hybridparse import learning
 from hybridparse.convert import lossless_pure_graphs
-from hybridparse.engine import parse_integrated
+from hybridparse.engine import parse_integrated, parse_multi_step
+from hybridparse.graph import EmptyCategory, HybridGraph, Phrase
 from hybridparse.learning import (
     EDGE_PAIRS,
+    SLOTS,
     AveragedPerceptron,
     TrainingError,
     _fittable,
@@ -31,11 +36,11 @@ from hybridparse.learning import (
     training_pairs,
 )
 from hybridparse.oracle import oracle_sequence, step_budget
-from hybridparse.vocab import DEFAULT_TAGS
+from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 from hybridparse.metrics import elas
-from hybridparse.transitions import LeftArc, RightArc
+from hybridparse.transitions import LeftArc, RightArc, successor
 
-from conftest import concatenate, load_graph
+from conftest import concatenate, corpora, load_graph
 
 
 def seg(i, pos="N", **feats):
@@ -232,6 +237,8 @@ def test_fit_expands_each_pair_once(monkeypatch):
     assert len(calls) == len(pairs)
 
 
+PROFILE = "+phrases,+ellipsis,+disconnected"
+
 # Serialized models on two fixed corpora. A learner change that moves one
 # weight or one partition's epoch count moves these hashes.
 MODEL_SHA256 = {
@@ -240,15 +247,231 @@ MODEL_SHA256 = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _pinned_model(case: str) -> Model:
+    """The model MODEL_SHA256 pins, trained once and shared by the tests."""
+    graphs = generate(11, 100, PROFILE).graphs
+    if case == "pure-morph6":
+        return train(lossless_pure_graphs(graphs), FeatureSetSpec("morph6"))
+    return train(graphs, FeatureSetSpec("lemma"))
+
+
 @pytest.mark.parametrize("case", sorted(MODEL_SHA256))
 def test_model_is_pinned(case):
-    graphs = generate(11, 100, "+phrases,+ellipsis,+disconnected").graphs
-    if case == "pure-morph6":
-        graphs, spec = lossless_pure_graphs(graphs), FeatureSetSpec("morph6")
-    else:
-        spec = FeatureSetSpec("lemma")
-    text = train(graphs, spec).serialize()
+    text = _pinned_model(case).serialize()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MODEL_SHA256[case]
+
+
+# Each pipeline's output graphs for a held-out corpus, parsed with the pinned
+# models. A change to featurization, to a score's float additions or to the
+# parser's tie-breaking that moves one edge moves these hashes.
+PARSE_SHA256 = {
+    "integrated": "ba0bd44c4a434692da6ecf6ed988332b3d52fc589aacbd70496e3b3f1048e3f8",
+    "multistep": "a9c29eefcb34e9f6d5bd1383dde0e47c445fe7f5d623894f5b6aacd2d4ab329b",
+}
+
+
+def _graph_lines(graph: HybridGraph) -> list:
+    """A graph as text: its terminals, then its sorted phrases and edges."""
+    return (
+        [repr(t) for t in graph.terminals]
+        + [repr(p) for p in sorted(graph.phrases)]
+        + sorted(repr(e) for e in graph.edges)
+    )
+
+
+@pytest.mark.parametrize("pipeline", sorted(PARSE_SHA256))
+def test_parse_outputs_are_pinned(pipeline):
+    held_out = generate(12, 40, PROFILE).graphs
+    sentences = held_out + [concatenate(held_out[:20]), concatenate(held_out[20:])]
+    if pipeline == "multistep":
+        model, parse = _pinned_model("pure-morph6"), parse_multi_step
+    else:
+        model, parse = _pinned_model("hybrid-lemma"), parse_integrated
+    lines = []
+    for gold in sentences:
+        lines.extend(_graph_lines(parse(model, gold.segments)[0]))
+        lines.append("")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == PARSE_SHA256[pipeline]
+
+
+# The featurizer and the scorer written plainly, as references that
+# extract_features and AveragedPerceptron.score must reproduce exactly: a
+# dict of slot refs, a feature_map per slot, the sorted dependent edges, and
+# every s1 x s2 conjunction built as a string and looked up.
+_MORPH6 = ("Voice", "Mood", "Case", "State")
+_MORPH9 = ("PronType", "SegType")
+_PHI = ("Person", "Gender", "Number")
+
+
+def _reference_static(config, slot, ref, spec):
+    if ref is None:
+        return [f"{slot}:absent"]
+    if isinstance(ref, Phrase):
+        return [f"{slot}:phrase={ref.tag}"]
+    term = config.graph.terminals[ref]
+    out = [f"{slot}:pos={term.pos}"]
+    if isinstance(term, EmptyCategory):
+        return out
+    feats = term.feature_map
+    if spec.level >= 1:
+        out += [f"{slot}:{key.lower()}={feats[key]}" for key in _MORPH6 if key in feats]
+    if spec.level >= 2:
+        out += [f"{slot}:{key.lower()}={feats[key]}" for key in _MORPH9 if key in feats]
+        if feats.get("SP") == COPULA_GROUP:
+            out.append(f"{slot}:copula")
+    if spec.level >= 3 and term.lemma:
+        out.append(f"{slot}:lemma={term.lemma}")
+    if spec.level >= 4:
+        out += [f"{slot}:{key.lower()}={feats[key]}" for key in _PHI if key in feats]
+    return out
+
+
+def _reference_dynamic(config, slot, ref):
+    if ref is None:
+        return []
+    graph = config.graph
+    out = [f"{slot}:deprel({edge.relation})" for edge in graph.dependent_edges(ref)]
+    if graph.head_of(ref) is None and graph.subgraph_span(ref) is not None:
+        out.append(f"{slot}:isroot")
+    return out
+
+
+def _reference_features(config, spec) -> frozenset:
+    refs = {slot: _slot_ref(config, slot) for slot in SLOTS}
+    out = []
+    for slot in SLOTS:
+        out += _reference_static(config, slot, refs[slot], spec)
+        out += _reference_dynamic(config, slot, refs[slot])
+    graph = config.graph
+    for a, b in EDGE_PAIRS:
+        ra, rb = refs[a], refs[b]
+        if ra is None or rb is None:
+            continue
+        if any(e.head == rb for e in graph.head_edges(ra)) or any(
+            e.head == ra for e in graph.head_edges(rb)
+        ):
+            out.append(f"graph:edge({a},{b})")
+    return frozenset(out)
+
+
+def _reference_score(clf, features) -> dict:
+    """Per label, the weights of the sorted features and then of each s1 x s2
+    conjunction string, added one at a time."""
+    items = sorted(features)
+    expanded = items + [
+        f"{a}&{b}" for a in items if a.startswith("s1:") for b in items if b.startswith("s2:")
+    ]
+    ids = [clf.index[f] for f in expanded if f in clf.index]
+    scores = {}
+    for label, row in zip(clf.labels, clf.rows):
+        total = 0.0
+        for i in ids:
+            total += row[i]
+        scores[label] = total
+    return scores
+
+
+def _hex(scores: dict) -> dict:
+    return {label: value.hex() for label, value in scores.items()}
+
+
+def assert_matches_the_reference(model, config):
+    feats = extract_features(config, model.feature_set)
+    assert feats == _reference_features(config, model.feature_set)
+    for clf in model.classifiers.values():
+        assert _hex(clf.score(feats)) == _hex(_reference_score(clf, feats))
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora)
+def test_features_and_scores_match_the_reference(graphs):
+    """At every configuration of the oracle's walk and of each pipeline's
+    parse, scored by every classifier of the pinned models."""
+    pipelines = (("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step))
+    for case, parse in pipelines:
+        model = _pinned_model(case)
+        for graph in graphs + [concatenate(graphs)]:
+            parsed = parse(model, graph.segments)[1].trace
+            for sequence in (oracle_sequence(graph).sequence, parsed):
+                config = initial(graph.segments)
+                for t in sequence:
+                    assert_matches_the_reference(model, config)
+                    config = successor(config, t)
+
+
+def test_conjunctions_are_found_at_every_split():
+    """A lemma may hold "&", even "&s2:", so one stored string can be the
+    conjunction of more than one s1 and s2 predicate pair."""
+    weights = {
+        "s1:lemma=x&y": 1.0,
+        "s1:lemma=x&y&s2:pos=N": 2.0,
+        # The lemma "x&s2:pos=N" alone, or the lemma x with s2:pos=N.
+        "s1:lemma=x&s2:pos=N": 4.0,
+        # The lemma "x&s2:pos=N" with s2:pos=V: found at the second split.
+        "s1:lemma=x&s2:pos=N&s2:pos=V": 8.0,
+        "s1:lemma=x&s2:pos=N&s2:pos=N": 16.0,
+    }
+    classifier = {"labels": ["REDUCE(1)", "SHIFT"], "epochs": 1, "seed": 0,
+                  "weights": {"SHIFT": weights, "REDUCE(1)": {"s2:pos=V": 0.5}}}
+    model = Model.deserialize(_model_text(feature_set="lemma", classifiers={"N": classifier}))
+    got = {}
+    for lemma in ("x", "x&y", "x&s2:pos=N"):
+        for pos in ("N", "V"):
+            config = initial([seg(1, pos), seg(2, "N", lemma=lemma)])
+            config = apply(apply(config, Shift()), Shift())
+            assert_matches_the_reference(model, config)
+            got[lemma, pos] = model.classifiers["N"].score(extract_features(config, model.feature_set))
+    assert got["x", "N"]["SHIFT"] == 4.0
+    assert got["x&y", "N"]["SHIFT"] == 1.0 + 2.0
+    assert got["x&s2:pos=N", "N"]["SHIFT"] == 4.0 + 16.0
+    assert got["x&s2:pos=N", "V"]["SHIFT"] == 4.0 + 8.0
+
+
+def test_a_repeated_feature_key_takes_its_last_value():
+    """A treebank row may repeat a key; the predicates describe the value
+    that ``feature_map`` keeps, the last in sorted order."""
+    repeated = MorphSegment(
+        Location(6, 1, 1), "w1", "V",
+        (("Case", "NOM"), ("Case", "ACC"), ("SP", "kaAn"), ("SP", "laysa"), ("SegType", "stem")),
+        "x",
+    )
+    config = apply(initial([repeated]), Shift())
+    for name in ("morph9", "phi"):
+        spec = FeatureSetSpec(name)
+        feats = extract_features(config, spec)
+        assert feats == _reference_features(config, spec)
+        assert "s1:case=NOM" in feats and "s1:case=ACC" not in feats
+        assert "s1:copula" not in feats
+
+
+def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
+    """Scoring finds conjunctions in the classifier's pair table, and the
+    dynamic predicates read the graph's edge lists as they are: a long parse
+    builds no conjunction string and has learning sort no dependent edges."""
+    model = _pinned_model("hybrid-lemma")
+    sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    counts: Counter = Counter()
+    conjoined = learning._conjoined
+    dependent_edges = HybridGraph.dependent_edges
+
+    def counted_conjoined(features):
+        counts["_conjoined"] += 1
+        return conjoined(features)
+
+    def counted_dependent_edges(self, ref):
+        counts["dependent_edges from learning"] += (
+            sys._getframe(1).f_globals["__name__"] == learning.__name__
+        )
+        return dependent_edges(self, ref)
+
+    monkeypatch.setattr(learning, "_conjoined", counted_conjoined)
+    monkeypatch.setattr(HybridGraph, "dependent_edges", counted_dependent_edges)
+    graph, report = parse_integrated(model, sentence.segments)
+    assert len(report.trace) > 500 and len(graph.edges) > 100
+    assert counts["_conjoined"] == 0
+    assert counts["dependent_edges from learning"] == 0
 
 
 MINIMAL_MODEL = {

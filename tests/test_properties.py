@@ -29,21 +29,7 @@ from hybridparse.transitions import (
     successor,
 )
 
-from conftest import concatenate
-
-PROFILES = (
-    "pure",
-    "+phrases",
-    "+ellipsis",
-    "+phrases,+ellipsis",
-    "+phrases,+ellipsis,+disconnected",
-)
-
-corpora = st.builds(
-    lambda seed, profile: generate(seed, 4, profile).graphs,
-    st.integers(0, 10_000),
-    st.sampled_from(PROFILES),
-)
+from conftest import concatenate, corpora
 
 empty_categories = st.sampled_from(
     [EmptyCategory("PRON", "huwa"), EmptyCategory("N", ELLIPTICAL_FORM)]
