@@ -5,6 +5,13 @@ Hybrid-to-pure removes dropped subject pronouns, folds phrase nodes into
 and collapses two-edge chains through an empty category into a single
 ``r1|pos|r2`` bridge label. Pure-to-hybrid runs the inverse in the order
 bridges, then phrase expansions, then dropped-pronoun reinsertion.
+
+Each stage that deletes or inserts terminals makes one ascending scan and
+one ``HybridGraph.edited`` call. That equals editing one terminal at a time
+because no edit makes another candidate eligible: a dropped pronoun has no
+dependents, a chain's endpoints are not empty categories, restored bridge
+edges are not bridges, and a reinserted subject concerns only its verb.
+How one drop can keep a later pronoun is noted at ``_drop_subject_pronouns``.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from .graph import (
     MorphSegment,
     NonProjectiveError,
     Phrase,
+    TerminalEdit,
     empty_category,
     ref_key,
-    shifted_ref,
 )
 from .vocab import DEFAULT_TAGS, EnrichedLabel, TagSet, parse_label
 
@@ -41,32 +48,27 @@ class ConversionReport:
 
 
 def _drop_subject_pronouns(graph: HybridGraph) -> tuple:
-    """Remove dependent-less PRON empty categories with a subj edge to a verb."""
-    dropped = 0
-    while True:
-        target = None
-        for i, term in enumerate(graph.terminals):
-            if not isinstance(term, EmptyCategory) or term.pos != "PRON":
-                continue
-            head_edges = graph.head_edges(i)
-            if len(head_edges) != 1 or head_edges[0].relation != "subj":
-                continue
-            head = head_edges[0].head
-            if isinstance(head, Phrase):
-                continue
-            head_term = graph.terminals[head]
-            if not isinstance(head_term, MorphSegment) or head_term.pos != "V":
-                continue
-            if graph.dependents(i):
-                continue
-            if any(p.start == i == p.end for p in graph.phrases):
-                continue
-            target = i
-            break
-        if target is None:
-            return graph, dropped
-        graph = graph.without_terminal(target)
-        dropped += 1
+    """Remove dependent-less PRON empty categories with a subj edge to a verb.
+
+    A pronoun stays when the drops before it would leave it the only
+    terminal of a phrase span: the phrase ends at it and every earlier
+    terminal of the span is dropped.
+    """
+    dropped: set = set()
+    for i, term in enumerate(graph.terminals):
+        if not isinstance(term, EmptyCategory) or term.pos != "PRON":
+            continue
+        heads = graph.head_edges(i)
+        if len(heads) != 1 or heads[0].relation != "subj" or isinstance(heads[0].head, Phrase):
+            continue
+        head = graph.terminals[heads[0].head]
+        if (
+            isinstance(head, MorphSegment) and head.pos == "V"
+            and not graph.dependent_edges(i)
+            and not any(p.end == i and dropped.issuperset(range(p.start, i)) for p in graph.phrases)
+        ):
+            dropped.add(i)
+    return graph.edited(TerminalEdit(len(graph), deleted=dropped)), len(dropped)
 
 
 def _fold_phrases(graph: HybridGraph, report: ConversionReport) -> HybridGraph:
@@ -97,35 +99,25 @@ def _fold_phrases(graph: HybridGraph, report: ConversionReport) -> HybridGraph:
 
 def _collapse_chains(graph: HybridGraph, report: ConversionReport) -> HybridGraph:
     """Fold each a -> e -> b chain through an empty category into one edge."""
-    while True:
-        target = None
-        for i, term in enumerate(graph.terminals):
-            if not isinstance(term, EmptyCategory):
-                continue
-            incoming = graph.dependent_edges(i)
-            outgoing = graph.head_edges(i)
-            if any(p.start == i == p.end for p in graph.phrases):
-                continue
-            if len(incoming) == 1 and len(outgoing) == 1:
-                a_edge, b_edge = incoming[0], outgoing[0]
-                endpoints_ok = not any(
-                    isinstance(r, int) and isinstance(graph.terminals[r], EmptyCategory)
-                    for r in (a_edge.dependent, b_edge.head)
-                )
-                if endpoints_ok:
-                    target = (i, a_edge, b_edge)
-                    break
-        if target is None:
-            break
-        index, a_edge, b_edge = target
-        bridged = Edge(
-            a_edge.dependent,
-            b_edge.head,
-            f"{a_edge.relation}|{graph.terminals[index].pos}|{b_edge.relation}",
-        )
-        # Removing the empty category drops both chain edges.
-        graph = graph.with_edge(bridged).without_terminal(index)
-        report.converted_empty_categories += 1
+    collapsed: set = set()
+    bridged = []
+    for i, term in enumerate(graph.terminals):
+        if not isinstance(term, EmptyCategory):
+            continue
+        incoming, outgoing = graph.dependent_edges(i), graph.head_edges(i)
+        if len(incoming) != 1 or len(outgoing) != 1:
+            continue
+        a, b = incoming[0], outgoing[0]
+        # Phrases are folded by now, so both ends of a chain are terminals.
+        if not any(isinstance(graph.terminals[r], EmptyCategory) for r in (a.dependent, b.head)):
+            collapsed.add(i)
+            bridged.append((a.dependent, b.head, f"{a.relation}|{term.pos}|{b.relation}"))
+    # Deleting the empty categories drops both edges of every chain.
+    edit = TerminalEdit(len(graph), deleted=collapsed)
+    graph = graph.edited(
+        edit, added=[Edge(edit.move(a), edit.move(b), label) for a, b, label in bridged]
+    )
+    report.converted_empty_categories += len(collapsed)
     for i, term in enumerate(graph.terminals):
         if isinstance(term, EmptyCategory):
             report.loss_details.append(
@@ -202,21 +194,26 @@ def _enriched(graph: HybridGraph, tags: TagSet, wanted: Callable[[EnrichedLabel]
 
 def expand_bridges(pure: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> HybridGraph:
     """First restoration stage: bridge labels become an empty category and
-    two edges. The restored node is inserted directly before its dependent.
+    two edges. The restored node is inserted directly before its dependent,
+    after any restored there for a bridge that comes earlier by dependent
+    then relation.
     """
-    while True:
-        target = next(_enriched(pure, tags, lambda parsed: parsed.bridge), None)
-        if target is None:
-            return pure
-        edge, parsed = target
-        rel1, pos, rel2 = parsed.bridge
-        ec = edge.dependent.start if isinstance(edge.dependent, Phrase) else edge.dependent
+    bridges = sorted(
+        _enriched(pure, tags, lambda parsed: parsed.bridge),
+        key=lambda bridge: pure.extent(bridge[0].dependent)[0],
+    )
+    inserted = []
+    for edge, parsed in bridges:
         anchor = pure.terminals[edge.head] if isinstance(edge.head, int) else None
-        without = HybridGraph(pure.terminals, pure.phrases, pure.edges - {edge})
-        grown = without.with_terminal_inserted(ec, empty_category(pos, anchor, tags))
-        dep = shifted_ref(edge.dependent, ec)
-        head = shifted_ref(edge.head, ec)
-        pure = grown.with_edge(Edge(dep, ec, rel1)).with_edge(Edge(ec, head, rel2))
+        restored = empty_category(parsed.bridge[1], anchor, tags)
+        inserted.append((pure.extent(edge.dependent)[0], restored))
+    edit = TerminalEdit(len(pure), inserted=inserted)
+    # The k-th restored node lands k places after its insertion point.
+    added = []
+    for k, ((edge, parsed), (at, _)) in enumerate(zip(bridges, inserted)):
+        rel1, _, rel2 = parsed.bridge
+        added += [Edge(edit.move(edge.dependent), at + k, rel1), Edge(at + k, edit.move(edge.head), rel2)]
+    return pure.edited(edit, removed={edge for edge, _ in bridges}, added=added)
 
 
 def _phrase_over(graph: HybridGraph, root) -> Phrase:
@@ -239,11 +236,11 @@ def expand_phrases(
     recorded in ``report`` and kept with its label verbatim.
     """
     flagged = _enriched(graph, tags, lambda p: p.dependent_expansion or p.head_expansion)
+    phrases, edges = graph.phrases, graph.edges
     for edge, parsed in list(flagged):
-        edges = graph.edges - {edge}
         # Spans are measured without the edge being expanded, so the
         # re-anchored endpoint's subtree does not leak into the other side.
-        stripped = HybridGraph(graph.terminals, graph.phrases, edges)
+        stripped = HybridGraph(graph.terminals, phrases, edges - {edge})
         dep, head = edge.dependent, edge.head
         try:
             if parsed.dependent_expansion:
@@ -257,9 +254,10 @@ def expand_phrases(
             if report is not None:
                 report.reconstruction_errors.append((_edge_str(edge), str(exc)))
             continue
-        phrases = graph.phrases | {ref for ref in (dep, head) if isinstance(ref, Phrase)}
-        graph = HybridGraph(graph.terminals, phrases, edges | {Edge(dep, head, parsed.base)})
-    return graph
+        phrases |= {ref for ref in (dep, head) if isinstance(ref, Phrase)}
+        edges = stripped.edges | {Edge(dep, head, parsed.base)}
+    # Only spans need a graph per expansion; the result is built once.
+    return graph if edges is graph.edges else HybridGraph(graph.terminals, phrases, edges)
 
 
 def reinsert_dropped_pronouns(
@@ -270,25 +268,21 @@ def reinsert_dropped_pronouns(
     Verbs carrying a special-group (SP) feature are skipped: the copula
     group takes subjx/predx instead of a subject.
     """
-    index = 0
-    while index < len(graph.terminals):
-        term = graph.terminals[index]
-        if (
-            isinstance(term, MorphSegment)
-            and term.pos == "V"
-            and not term.feature("SP")
-            and not any(
-                e.relation in ("subj", "subjx") for e in graph.dependent_edges(index)
-            )
-        ):
-            graph = graph.with_terminal_inserted(
-                index + 1, empty_category("PRON", term, tags)
-            )
-            graph = graph.with_edge(Edge(index + 1, index, "subj"))
-            index += 2
-            continue
-        index += 1
-    return graph
+    verbs = [
+        i for i, term in enumerate(graph.terminals)
+        if isinstance(term, MorphSegment)
+        and term.pos == "V"
+        and not term.feature("SP")
+        and not any(e.relation in ("subj", "subjx") for e in graph.dependent_edges(i))
+    ]
+    if not verbs:
+        return graph
+    # Each pronoun goes directly after its verb, so the k-th verb moves k
+    # places and its pronoun lands after it.
+    edit = TerminalEdit(
+        len(graph), inserted=[(v + 1, empty_category("PRON", graph.terminals[v], tags)) for v in verbs]
+    )
+    return graph.edited(edit, added=[Edge(v + k + 1, v + k, "subj") for k, v in enumerate(verbs)])
 
 
 def from_pure_dependency(

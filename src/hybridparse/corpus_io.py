@@ -93,10 +93,14 @@ def _parse_feats(text: str, line_no: int) -> tuple:
     location = None
     is_reference = False
     if text != "_":
+        seen = set()
         for item in text.split("|"):
             if "=" not in item:
                 raise TreebankFormatError(f"malformed FEATS item {item!r}", line_no)
             key, value = item.split("=", 1)
+            if key in seen:
+                raise TreebankFormatError(f"repeated FEATS key {key!r}", line_no)
+            seen.add(key)
             if key == "loc":
                 try:
                     location = parse_location(f"({value})")

@@ -21,11 +21,20 @@ A graph keeps derived state beside its value and carries it forward:
   It keeps mask(head) a superset of mask(dependent) for every edge, so
   it is exact on any graph, multi-headed and cyclic ones included.
   ``with_phrase`` adds the phrase's own extent.
+
+One rule renumbers references across an edit that deletes or inserts
+terminals (``TerminalEdit.move``; ``HybridGraph.edited`` applies it). With
+all indices taken before the edit, an index or span start ``i`` becomes
+``i - #{deleted < i} + #{insert points <= i}`` and a span end ``e`` becomes
+``e - #{deleted <= e} + #{insert points <= e}``. It composes the
+one-terminal edits, so one edit equals its terminals edited one at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .vocab import DEFAULT_TAGS, TagSet, parse_label
@@ -84,6 +93,9 @@ class MorphSegment:
             feats = tuple(sorted(feats.items()))
         else:
             feats = tuple(sorted(feats))
+        if len(dict(feats)) < len(feats):
+            key = next(a for (a, _), (b, _) in zip(feats, feats[1:]) if a == b)
+            raise ValueError(f"repeated feature key {key!r}")
         object.__setattr__(self, "features", feats)
 
     def feature(self, name: str, default: str = "") -> str:
@@ -163,23 +175,38 @@ def empty_category(
     return EmptyCategory(pos, ELLIPTICAL_FORM)
 
 
-def shifted_ref(ref: NodeRef, at: int) -> NodeRef:
-    """The reference after inserting one terminal at index ``at``."""
-    if isinstance(ref, Phrase):
-        start = ref.start + 1 if ref.start >= at else ref.start
-        end = ref.end + 1 if ref.end >= at else ref.end
-        return Phrase(start, end, ref.tag)
-    return ref + 1 if ref >= at else ref
+class TerminalEdit:
+    """An edit of ``n`` terminals: those at the indices ``deleted`` go, and
+    each ``(at, terminal)`` of ``inserted`` goes before index ``at``
+    (``n`` appends), several at one index in the given order; an index
+    outside the terminals raises ``GraphError``. ``move`` is the
+    renumbering rule of the module docstring."""
 
+    def __init__(self, n: int, deleted=(), inserted=()):
+        self.deleted = frozenset(deleted)
+        self._gone = gone = sorted(self.deleted)
+        self.inserted = sorted(inserted, key=itemgetter(0))
+        self._points = points = [at for at, _ in self.inserted]
+        if (
+            gone and not 0 <= gone[0] <= gone[-1] < n
+            or points and not 0 <= points[0] <= points[-1] <= n
+        ):
+            raise GraphError(f"edit outside the {n} terminals")
+        # No index before the first deleted index or insertion point moves.
+        self._first = gone[0] if gone else n
+        if points and points[0] < self._first:
+            self._first = points[0]
 
-def unshifted_ref(ref: NodeRef, index: int) -> NodeRef:
-    """The reference after removing the terminal at ``index``; a span
-    starting there starts at the next terminal."""
-    if isinstance(ref, Phrase):
-        start = ref.start - 1 if ref.start > index else ref.start
-        end = ref.end - 1 if ref.end >= index else ref.end
-        return Phrase(start, end, ref.tag)
-    return ref - 1 if ref > index else ref
+    def move(self, ref: NodeRef) -> NodeRef:
+        """The reference after the edit."""
+        if isinstance(ref, Phrase):
+            if ref.end < self._first:
+                return ref
+            end = self.move(ref.end) - (ref.end in self.deleted)
+            return Phrase(self.move(ref.start), end, ref.tag)
+        if ref < self._first:
+            return ref
+        return ref - bisect_left(self._gone, ref) + bisect_right(self._points, ref)
 
 
 def ref_key(ref: NodeRef) -> tuple:
@@ -377,31 +404,30 @@ class HybridGraph:
             self.phrases | {phrase}, self.edges, self._head_index, self._dep_index, masks
         )
 
-    def with_terminal_inserted(self, at: int, terminal: Terminal) -> "HybridGraph":
-        """Insert a terminal at index ``at``, shifting later indices and spans."""
-        if not 0 <= at <= len(self.terminals):
-            raise GraphError(f"insert position {at} out of range")
-        terminals = self.terminals[:at] + (terminal,) + self.terminals[at:]
-        phrases = frozenset(shifted_ref(p, at) for p in self.phrases)
-        edges = frozenset(
-            Edge(shifted_ref(e.dependent, at), shifted_ref(e.head, at), e.relation)
-            for e in self.edges
-        )
-        return HybridGraph(terminals, phrases, edges)
-
-    def without_terminal(self, index: int) -> "HybridGraph":
-        """Delete a terminal and its edges, renumbering later indices and
-        spans. The terminal must not be the sole one of a phrase span."""
-        if not 0 <= index < len(self.terminals):
-            raise GraphError(f"unknown terminal index {index}")
-        terminals = self.terminals[:index] + self.terminals[index + 1 :]
-        phrases = frozenset(unshifted_ref(p, index) for p in self.phrases)
-        edges = frozenset(
-            Edge(unshifted_ref(e.dependent, index), unshifted_ref(e.head, index), e.relation)
-            for e in self.edges
-            if index not in (e.dependent, e.head)
-        )
-        return HybridGraph(terminals, phrases, edges)
+    def edited(self, edit: TerminalEdit, removed=frozenset(), added=()) -> "HybridGraph":
+        """The graph after ``edit`` of its terminals, whose deleted terminals
+        take their edges along. ``removed`` edges, numbered as before the
+        edit, are left out; ``added`` ones, numbered as after it, are put in.
+        An empty edit returns the graph itself."""
+        if not (edit.deleted or edit.inserted or removed or added):
+            return self
+        gone, move = edit._gone, edit.move
+        terminals = list(self.terminals)
+        for index in reversed(gone):
+            del terminals[index]
+        for k, (at, terminal) in enumerate(edit.inserted):
+            terminals.insert(at - bisect_left(gone, at) + k, terminal)
+        kept = self.edges - removed if removed else self.edges
+        if gone:
+            kept = [e for e in kept if e.dependent not in edit.deleted and e.head not in edit.deleted]
+        edges = set(added)
+        for e in kept:
+            dep, head = move(e.dependent), move(e.head)
+            # An edge whose endpoints stay put is kept as it is.
+            if (dep, head) != (e.dependent, e.head):
+                e = Edge(dep, head, e.relation)
+            edges.add(e)
+        return HybridGraph(tuple(terminals), frozenset(map(move, self.phrases)), frozenset(edges))
 
     # -- validation --------------------------------------------------------
 
@@ -412,23 +438,19 @@ class HybridGraph:
         for i, term in enumerate(self.terminals):
             if not tags.is_pos(term.pos):
                 out.append(Violation("unknown-pos", f"terminal {i}: {term.pos}"))
-        for phrase in sorted(self.phrases):
+        phrases = sorted(self.phrases)
+        for k, phrase in enumerate(phrases):
             if not (0 <= phrase.start <= phrase.end < n):
                 out.append(Violation("phrase-bounds", str(phrase)))
             if not tags.is_phrase_tag(phrase.tag):
                 out.append(Violation("unknown-phrase-tag", str(phrase)))
-            for other in sorted(self.phrases):
-                if other == phrase or other < phrase:
-                    continue
-                disjoint = other.end < phrase.start or other.start > phrase.end
-                nested = (
-                    (other.start >= phrase.start and other.end <= phrase.end)
-                    or (phrase.start >= other.start and phrase.end <= other.end)
-                )
-                if not (disjoint or nested):
-                    out.append(
-                        Violation("phrase-overlap", f"{phrase} crosses {other}")
-                    )
+            # Later phrases start no earlier; from the first that starts
+            # after this one ends, all are disjoint from it.
+            for other in phrases[k + 1 :]:
+                if other.start > phrase.end:
+                    break
+                if other.end > phrase.end and other.start > phrase.start:
+                    out.append(Violation("phrase-overlap", f"{phrase} crosses {other}"))
         seen_dependents = set()
         for edge in sorted(self.edges, key=lambda e: (ref_key(e.dependent), ref_key(e.head))):
             for ref in (edge.dependent, edge.head):

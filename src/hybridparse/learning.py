@@ -115,14 +115,6 @@ class FeatureSetSpec:
         return _SET_LEVELS[self.name]
 
 
-def _slot_ref(config: Configuration, slot: str):
-    """The node in a slot, or None when it is empty: the definition of the
-    slots that ``extract_features`` reads by position."""
-    if slot == "q1":
-        return config.q1
-    return config.stack_item(int(slot[1]))
-
-
 def _morph_keys(level: int) -> tuple:
     """The morphological keys a feature set level describes."""
     return (
@@ -173,19 +165,13 @@ def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:
             if not isinstance(term, EmptyCategory):
                 prefixes = prefixes_of[slot]
                 copula = False
-                last = None
-                # Features are sorted by key; a repeated key takes its last
-                # value, as in ``feature_map``.
                 for key, value in term.features:
                     prefix = prefixes.get(key)
                     if prefix is None:
                         if key == "SP":
                             copula = value == COPULA_GROUP
-                    elif key == last:
-                        out[-1] = prefix + value
                     else:
                         add(prefix + value)
-                        last = key
                 if copula and level >= 2:
                     add(f"{slot}:copula")
                 if level >= 3 and term.lemma:

@@ -28,8 +28,8 @@ from .graph import (
     MorphSegment,
     NodeRef,
     Phrase,
+    TerminalEdit,
     empty_category,
-    shifted_ref,
 )
 from .vocab import DEFAULT_TAGS, TagSet
 
@@ -128,13 +128,6 @@ class Configuration:
     @property
     def s1(self) -> Optional[NodeRef]:
         return self.stack[0] if self.stack else None
-
-    def stack_item(self, n: int) -> Optional[NodeRef]:
-        return self.stack[n - 1] if len(self.stack) >= n else None
-
-    @property
-    def q1(self) -> Optional[int]:
-        return self.queue[0] if self.queue else None
 
     def is_terminal_state(self) -> bool:
         return not self.queue and not self.stack
@@ -238,10 +231,10 @@ def _insert_after_top(config: Configuration, pos: str, tags: TagSet) -> Configur
     s1 = config.stack[0]
     at = s1 + 1
     terminal = empty_category(pos, config.graph.terminals[s1], tags)
-    new_graph = config.graph.with_terminal_inserted(at, terminal)
-    queue = tuple(shifted_ref(i, at) for i in config.queue)
-    stack = (at,) + tuple(shifted_ref(ref, at) for ref in config.stack)
-    return Configuration(queue, stack, new_graph)
+    edit = TerminalEdit(len(config.graph.terminals), inserted=((at, terminal),))
+    queue = tuple(map(edit.move, config.queue))
+    stack = (at,) + tuple(map(edit.move, config.stack))
+    return Configuration(queue, stack, config.graph.edited(edit))
 
 
 def replay(sentence: Sequence[MorphSegment], sequence, tags: TagSet = DEFAULT_TAGS) -> Configuration:

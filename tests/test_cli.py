@@ -147,7 +147,9 @@ def test_malformed_treebank_exits_two(tmp_path):
     ("1\tT\t_\tqaAla\tV\tloc=1:x:1:1|SegType=stem\t_\t_", "line 1: malformed location"),
     ("1\tT\t_\tqaAla\tV\tloc=0:1:1:1|SegType=stem\t_\t_",
      "line 1: location chapter must be >= 1"),
-], ids=["self-head", "bad-location", "zero-chapter"])
+    ("1\tT\t_\tkaAna\tV\tSegType=stem|SP=kaAn|SP=laysa\t_\t_",
+     "line 1: repeated FEATS key 'SP'"),
+], ids=["self-head", "bad-location", "zero-chapter", "repeated-key"])
 def test_malformed_rows_exit_two(tmp_path, capsys, row, message):
     bad = tmp_path / "bad.conllx"
     bad.write_text(row + "\n", encoding="utf-8")

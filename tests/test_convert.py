@@ -1,3 +1,7 @@
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 
 from hybridparse import (
@@ -21,9 +25,11 @@ from hybridparse.convert import (
     parse_label,
     reinsert_dropped_pronouns,
 )
+from hybridparse.corpus_io import TreebankDocument, dumps_treebank
+from hybridparse.graph import GraphError, ref_key
 from hybridparse.metrics import elas
 
-from conftest import load_graph
+from conftest import concatenate, load_graph
 
 
 def seg(i, pos="N", **feats):
@@ -157,6 +163,32 @@ def test_two_dependent_empty_category_is_lossy():
     assert not is_convertible(graph)
 
 
+def test_a_pronoun_left_alone_in_its_phrase_stays():
+    """Dropping the first pronoun of a phrase leaves the second the only
+    terminal of the span, so the second stays."""
+    verb = seg(1, "V", Person="3", Gender="M", Number="S")
+    pron = EmptyCategory("PRON", "huwa")
+    graph = HybridGraph(
+        (verb, pron, pron),
+        frozenset({Phrase(1, 2, "S")}),
+        frozenset({Edge(1, 0, "subj"), Edge(2, 0, "subj")}),
+    )
+    pure, report = to_pure_dependency(graph)
+    assert report.dropped_pronouns == 1
+    assert pure.terminals == (verb, pron)
+
+
+def test_a_chain_through_two_empty_categories_is_not_collapsed():
+    """A chain's endpoints must not be empty categories, so neither link of
+    a -> e1 -> e2 -> b collapses."""
+    terms = (seg(1, "V"), EmptyCategory("N", "*"), EmptyCategory("N", "*"), seg(2))
+    graph = graph_from(terms, edges=[(3, 1, "adj"), (1, 2, "link"), (2, 0, "circ")])
+    pure, report = to_pure_dependency(graph)
+    assert pure == graph
+    assert report.converted_empty_categories == 0
+    assert [reason for _, reason in report.loss_details] == ["unconverted empty category"] * 2
+
+
 def test_nested_phrase_with_crossing_edge_not_convertible():
     # non-projective subtree under a phrase: reconstruction cannot span it
     terms = tuple(seg(i) for i in range(1, 6))
@@ -213,3 +245,87 @@ def test_relabeling_deterministic():
         a, _ = from_pure_dependency(pure)
         b, _ = from_pure_dependency(pure)
         assert a == b
+
+
+# Conversion outputs in both directions, pinned: the sha256 of the converted
+# treebanks and of every report field, over each profile's graphs, two
+# concatenations of them, and the same pure graphs with edges relabeled at
+# random. A change to the order in which a stage finds or renumbers its
+# terminals that moves one index moves these hashes.
+CONVERSION_SHA256 = {
+    "+phrases,+ellipsis": "35c8fd641f56992f5c530cfef44a64b1fdaed854313891d3785764bc2dba2cfd",
+    "+phrases,+ellipsis,+disconnected": "d619761040554e8165e753b9559b3b8feae17b44dd195798845e2eeaab7b2867",
+    "+phrases,+ellipsis,+non-projective": "4c890fff2c3abf8afa9a507524b15c304b1fcedf405cac15c545cb2d9745ff72",
+}
+
+RELABELS = (
+    "+subj", "obj+", "+adj+", "+link", "conj+", "+pred", "link|N|circ",
+    "+link|N|circ", "adj|PRON|subj", "subj|V|obj", "obj|N|obj+",
+)
+
+
+def _relabeled(graph: HybridGraph, rng: random.Random) -> HybridGraph:
+    """``graph`` with about half of its edges given a random enriched
+    label. Edges are visited sorted, so the draw does not depend on the
+    iteration order of a frozenset."""
+    edges = []
+    for edge in sorted(graph.edges, key=lambda e: (ref_key(e.dependent), ref_key(e.head), e.relation)):
+        if rng.random() < 0.5:
+            edge = Edge(edge.dependent, edge.head, rng.choice(RELABELS))
+        edges.append(edge)
+    return HybridGraph(graph.terminals, graph.phrases, frozenset(edges))
+
+
+def _conversion_text(graphs) -> str:
+    pures, restored, lines = [], [], []
+    for graph in graphs:
+        pure, report = to_pure_dependency(graph)
+        hybrid, back = from_pure_dependency(pure)
+        pures.append(pure)
+        restored.append(hybrid)
+        lines += [repr(report), repr(back)]
+    rng = random.Random(7)
+    for pure in pures:
+        try:
+            hybrid, back = from_pure_dependency(_relabeled(pure, rng))
+        except (GraphError, ValueError) as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+        else:
+            lines.append(dumps_treebank(TreebankDocument([hybrid])) + repr(back))
+    return "\n".join(
+        [dumps_treebank(TreebankDocument(pures)), dumps_treebank(TreebankDocument(restored))]
+        + lines
+    )
+
+
+@pytest.mark.parametrize("profile", sorted(CONVERSION_SHA256))
+def test_conversion_outputs_are_pinned(profile):
+    graphs = generate(41, 60, profile).graphs
+    text = _conversion_text(graphs + [concatenate(graphs[:25]), concatenate(graphs)])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CONVERSION_SHA256[profile]
+
+
+def test_conversion_builds_do_not_grow_with_terminal_edits(monkeypatch):
+    """Each stage that deletes or inserts terminals builds at most one graph,
+    and so does expanding phrases for its result, so beyond those only
+    phrases cost a build each: folding one, or expanding one flagged edge."""
+    hybrid = concatenate(generate(5, 60, "+phrases,+ellipsis").graphs)
+    pure, report = to_pure_dependency(hybrid)
+    flagged = sum(
+        1 for e in expand_bridges(pure).edges
+        if (parsed := parse_label(e.relation)) and (parsed.dependent_expansion or parsed.head_expansion)
+    )
+    assert report.dropped_pronouns > 10 and report.converted_empty_categories > 10
+    counts: Counter = Counter()
+    build = HybridGraph.__post_init__
+
+    def counted_build(self):
+        counts["builds"] += 1
+        build(self)
+
+    monkeypatch.setattr(HybridGraph, "__post_init__", counted_build)
+    assert to_pure_dependency(hybrid) == (pure, report)
+    assert counts["builds"] <= len(hybrid.phrases) + 2
+    counts.clear()
+    from_pure_dependency(pure)
+    assert counts["builds"] <= flagged + 3

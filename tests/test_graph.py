@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridparse import (
     Edge,
@@ -11,7 +13,8 @@ from hybridparse import (
     Phrase,
     graph_from,
 )
-from hybridparse.graph import GraphError, IllFormedPhraseError
+from hybridparse.graph import GraphError, IllFormedPhraseError, TerminalEdit, Violation
+from hybridparse.vocab import DEFAULT_TAGS
 
 from conftest import load_graph
 
@@ -165,7 +168,7 @@ def test_insertion_shifts_spans_and_edges():
         edges=[(0, 1, "subj"), (2, 1, "obj")],
         phrases=[Phrase(1, 2, "VS")],
     )
-    grown = graph.with_terminal_inserted(2, EmptyCategory("N", "*"))
+    grown = graph.edited(TerminalEdit(3, inserted=[(2, EmptyCategory("N", "*"))]))
     assert len(grown.terminals) == 4
     assert Phrase(1, 3, "VS") in grown.phrases
     assert Edge(3, 1, "obj") in grown.edges
@@ -179,15 +182,15 @@ def test_removal_shrinks_spans_and_drops_edges():
         phrases=[Phrase(1, 2, "VS")],
     )
     # The removed terminal ends the span.
-    shrunk = graph.without_terminal(2)
+    shrunk = graph.edited(TerminalEdit(4, deleted={2}))
     assert shrunk.phrases == {Phrase(1, 1, "VS")}
     assert shrunk.edges == {Edge(0, 1, "subj"), Edge(2, 1, "obj")}
     # The removed terminal starts the span.
-    assert graph.without_terminal(1).phrases == {Phrase(1, 1, "VS")}
-    assert graph.without_terminal(0).phrases == {Phrase(0, 1, "VS")}
-    assert graph.without_terminal(3).phrases == graph.phrases
+    assert graph.edited(TerminalEdit(4, deleted={1})).phrases == {Phrase(1, 1, "VS")}
+    assert graph.edited(TerminalEdit(4, deleted={0})).phrases == {Phrase(0, 1, "VS")}
+    assert graph.edited(TerminalEdit(4, deleted={3})).phrases == graph.phrases
     with pytest.raises(GraphError):
-        graph.without_terminal(4)
+        TerminalEdit(4, deleted={4})
 
 
 def test_root_agrees_with_span():
@@ -275,3 +278,46 @@ def test_adding_what_is_present_returns_the_graph():
     graph = graph_from([seg(1), seg(2)], [(0, 1, "subj")], [Phrase(0, 1, "S")])
     assert graph.with_edge(Edge(0, 1, "subj")) is graph
     assert graph.with_phrase(Phrase(0, 1, "S")) is graph
+
+
+PHRASE_RULES = ("phrase-bounds", "unknown-phrase-tag", "phrase-overlap")
+
+
+def _all_pairs_phrase_violations(graph, tags=DEFAULT_TAGS) -> list:
+    """The phrase checks of ``validate`` written plainly: each phrase in
+    order, then every later phrase tested for a crossing."""
+    out = []
+    n = len(graph.terminals)
+    for phrase in sorted(graph.phrases):
+        if not (0 <= phrase.start <= phrase.end < n):
+            out.append(Violation("phrase-bounds", str(phrase)))
+        if not tags.is_phrase_tag(phrase.tag):
+            out.append(Violation("unknown-phrase-tag", str(phrase)))
+        for other in sorted(graph.phrases):
+            if other <= phrase:
+                continue
+            disjoint = other.end < phrase.start or other.start > phrase.end
+            nested = (
+                (other.start >= phrase.start and other.end <= phrase.end)
+                or (phrase.start >= other.start and phrase.end <= other.end)
+            )
+            if not (disjoint or nested):
+                out.append(Violation("phrase-overlap", f"{phrase} crosses {other}"))
+    return out
+
+
+phrases = st.builds(
+    lambda start, length, tag: Phrase(start, start + length, tag),
+    st.integers(0, 9),
+    st.integers(0, 5),
+    st.sampled_from(["S", "VS", "NS", "PP", "XX"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.lists(phrases, max_size=12))
+def test_phrase_violations_match_an_all_pairs_check(n, spans):
+    """Crossing, out-of-bounds and unknown-tag phrases, in the same order."""
+    graph = HybridGraph(tuple(seg(i) for i in range(1, n + 1)), frozenset(spans))
+    got = [v for v in graph.validate() if v.rule in PHRASE_RULES]
+    assert got == _all_pairs_phrase_violations(graph)

@@ -32,7 +32,6 @@ from hybridparse.learning import (
     AveragedPerceptron,
     TrainingError,
     _fittable,
-    _slot_ref,
     training_pairs,
 )
 from hybridparse.oracle import oracle_sequence, step_budget
@@ -79,6 +78,13 @@ def test_extract_features_edge_predicate():
     config = apply(config, LeftArc("subj"))
     feats = extract_features(config, FeatureSetSpec("pos"))
     assert "graph:edge(s1,s2)" in feats
+
+
+def _slot_ref(config, slot: str):
+    """The node in a slot, or None when it is empty: the slots that
+    ``extract_features`` reads by position, defined by name."""
+    items = config.queue if slot == "q1" else config.stack[int(slot[1]) - 1 :]
+    return items[0] if items else None
 
 
 def _scanned_features(config, spec):
@@ -429,21 +435,14 @@ def test_conjunctions_are_found_at_every_split():
     assert got["x&s2:pos=N", "V"]["SHIFT"] == 4.0 + 8.0
 
 
-def test_a_repeated_feature_key_takes_its_last_value():
-    """A treebank row may repeat a key; the predicates describe the value
-    that ``feature_map`` keeps, the last in sorted order."""
-    repeated = MorphSegment(
-        Location(6, 1, 1), "w1", "V",
-        (("Case", "NOM"), ("Case", "ACC"), ("SP", "kaAn"), ("SP", "laysa"), ("SegType", "stem")),
-        "x",
-    )
-    config = apply(initial([repeated]), Shift())
-    for name in ("morph9", "phi"):
-        spec = FeatureSetSpec(name)
-        feats = extract_features(config, spec)
-        assert feats == _reference_features(config, spec)
-        assert "s1:case=NOM" in feats and "s1:case=ACC" not in feats
-        assert "s1:copula" not in feats
+def test_a_repeated_feature_key_is_rejected():
+    """A segment holds one value per feature key, so ``feature``,
+    ``feature_map``, the predicates and a written row all agree."""
+    with pytest.raises(ValueError, match="repeated feature key 'SP'"):
+        MorphSegment(
+            Location(6, 1, 1), "w1", "V",
+            (("SP", "kaAn"), ("SegType", "stem"), ("SP", "laysa")),
+        )
 
 
 def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):

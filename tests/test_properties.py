@@ -16,9 +16,16 @@ from hybridparse.corpus_io import (
     read_treebank,
 )
 from hybridparse.engine import parse_integrated, parse_multi_step
-from hybridparse.graph import ELLIPTICAL_FORM, EmptyCategory, HybridGraph
+from hybridparse.graph import (
+    ELLIPTICAL_FORM,
+    EmptyCategory,
+    HybridGraph,
+    Location,
+    MorphSegment,
+    TerminalEdit,
+)
 from hybridparse.learning import FeatureSetSpec, Model, _partition_key, extract_features, train
-from hybridparse.oracle import oracle_next, oracle_sequence
+from hybridparse.oracle import oracle_next, oracle_sequence, step_budget
 from hybridparse.synth import generate
 from hybridparse.transitions import (
     InsertEmpty,
@@ -28,6 +35,7 @@ from hybridparse.transitions import (
     replay,
     successor,
 )
+from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 
 from conftest import concatenate, corpora
 
@@ -43,7 +51,8 @@ SETTINGS = settings(max_examples=20, deadline=None)
 def test_removing_an_inserted_terminal_restores_the_graph(graphs, ec):
     for graph in graphs:
         for at in range(len(graph) + 1):
-            assert graph.with_terminal_inserted(at, ec).without_terminal(at) == graph
+            grown = graph.edited(TerminalEdit(len(graph), inserted=[(at, ec)]))
+            assert grown.edited(TerminalEdit(len(grown), deleted={at})) == graph
 
 
 @SETTINGS
@@ -98,6 +107,39 @@ def test_parser_outputs_are_valid(model, pure_model, graphs):
     for graph in graphs + [concatenate(graphs)]:
         assert parse_integrated(model, graph.segments)[0].validate() == []
         assert parse_multi_step(pure_model, graph.segments)[0].validate() == []
+
+
+@st.composite
+def segment_sequences(draw):
+    """1 to 60 segments, each with a POS tag drawn from the whole tag set
+    (so partitions the models never saw), and some features and lemmas."""
+    out = []
+    for i in range(draw(st.integers(1, 60))):
+        pos = draw(st.sampled_from(sorted(DEFAULT_TAGS.pos_tags)))
+        feats = {"SegType": draw(st.sampled_from(["prefix", "stem", "suffix"]))}
+        for key, values in (
+            ("Case", ["NOM", "ACC", "GEN"]),
+            ("SP", [COPULA_GROUP, "<in~"]),
+            ("Person", ["1", "2", "3"]),
+            ("Number", ["S", "D", "P"]),
+        ):
+            if draw(st.booleans()):
+                feats[key] = draw(st.sampled_from(values))
+        lemma = draw(st.sampled_from([None, "qaAla", "kaAna", "x"]))
+        out.append(MorphSegment(Location(1, 1, i + 1), f"w{i}", pos, feats, lemma))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(segment_sequences())
+def test_both_pipelines_are_total(model, pure_model, sentence):
+    """Any segment sequence parses to a valid graph within the step budget;
+    the multi-step pipeline hands its conversion whatever labels the model
+    predicts, expandable or not."""
+    for parse, parser_model in ((parse_integrated, model), (parse_multi_step, pure_model)):
+        graph, report = parse(parser_model, sentence)
+        assert graph.validate() == []
+        assert report.predictive_steps <= step_budget(len(sentence))
 
 
 def assert_same_as_rebuilt(graph):
