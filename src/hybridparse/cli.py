@@ -50,6 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}", USAGE_ERROR)
 
 
+def _int_from(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def convert(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    convert.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return convert
+
+
 def _provenance(args: argparse.Namespace, keys: list) -> str:
     parts = [f"{k} = {getattr(args, k)}" for k in keys if getattr(args, k, None) is not None]
     return "# " + ", ".join(parts)
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def epochs_option(p):
         p.add_argument(
-            "--epochs", type=int, default=DEFAULT_EPOCHS,
+            "--epochs", type=_int_from(1), default=DEFAULT_EPOCHS,
             help="cap on training epochs per POS partition; a partition stops "
                  "earlier once its averaged weights score the gold transition "
                  "strictly highest on every pair whose features are not also "
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="k-fold cross-validation report")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_int_from(2), default=10)
     p.add_argument("--features", default="lemma",
                    choices=["pos", "morph6", "morph9", "lemma", "phi"])
     p.add_argument("--pipeline", default="integrated", choices=["integrated", "multistep"])
@@ -357,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_from(1), required=True)
     p.add_argument("--profile", default="pure")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)

@@ -14,10 +14,10 @@ A graph keeps derived state beside its value and carries it forward:
   entry, never mutating a list the parent still holds.
 - Yield masks: each node's yield as an int bitmask over terminal
   indices, so a terminal covered twice (a phrase and its root) counts
-  once. A graph from the constructor computes its masks on the first
-  ``subgraph_span`` or ``yield_of`` call. ``with_edge`` ORs the
-  dependent's mask into the head and up every head chain until a mask
-  stops changing; the lazy computation adds each edge by the same rule.
+  once. A graph from the constructor computes its masks on first use
+  (``yield_masks``); ``mask_span`` is the one contiguity test. ``with_edge``
+  ORs the dependent's mask into the head and up every head chain until a
+  mask stops changing; the lazy computation adds each edge by the same rule.
   It keeps mask(head) a superset of mask(dependent) for every edge, so
   it is exact on any graph, multi-headed and cyclic ones included.
   ``with_phrase`` adds the phrase's own extent.
@@ -297,11 +297,9 @@ class HybridGraph:
             )
         )
 
-    def dependents(self, ref: NodeRef) -> tuple:
-        return tuple(e.dependent for e in self.dependent_edges(ref))
-
-    def _yield_masks(self) -> dict:
-        """Yield bitmask of every node, computed on first use."""
+    def yield_masks(self) -> dict:
+        """Node -> yield bitmask, computed on first use. Unchecked and shared
+        with the graphs this one gives rise to, like ``edge_indices``."""
         masks = self._masks
         if masks is None:
             masks = {i: 1 << i for i in range(len(self.terminals))}
@@ -317,7 +315,7 @@ class HybridGraph:
     def yield_of(self, ref: NodeRef) -> frozenset:
         """Terminal indices covered by the node and its transitive dependents."""
         self._check_node(ref)
-        mask = self._yield_masks()[ref]
+        mask = self.yield_masks()[ref]
         out = []
         while mask:
             low = mask & -mask
@@ -329,17 +327,12 @@ class HybridGraph:
         """Contiguous (start, end) interval of the node's subgraph yield, or
         None when the yield has gaps (the subgraph is non-projective)."""
         self._check_node(ref)
-        mask = self._yield_masks()[ref]
-        start = (mask & -mask).bit_length() - 1
-        run = mask >> start
-        if run & (run + 1):
-            return None
-        return (start, start + run.bit_length() - 1)
+        return mask_span(self.yield_masks()[ref])
 
     def subgraph_root(self, phrase: Phrase) -> NodeRef:
         """The unique headless node whose subgraph the phrase spans."""
         self._check_node(phrase)
-        masks = self._yield_masks()
+        masks = self.yield_masks()
         outside = ~_own_mask(phrase)
         candidates: list = []
         for node in list(range(phrase.start, phrase.end + 1)) + sorted(
@@ -490,6 +483,15 @@ class HybridGraph:
             edges = self._head_index.get(node, ())
             node = edges[0].head if edges else None
         return False
+
+
+def mask_span(mask: int) -> Optional[tuple]:
+    """(first, last) bit of a non-empty mask whose bits form one run, else None."""
+    start = (mask & -mask).bit_length() - 1
+    run = mask >> start
+    if run & (run + 1):
+        return None
+    return (start, start + run.bit_length() - 1)
 
 
 def _own_mask(ref: NodeRef) -> int:

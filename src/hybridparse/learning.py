@@ -12,8 +12,9 @@ predicates come from its sorted ``features`` pairs, through a table per
 feature set level and slot of the predicate prefix of each key, so no dict
 is built per slot. The dynamic predicates and ``graph:edge`` read the
 graph's edge lists by dependent and by head as the graph carries them
-(``HybridGraph.edge_indices``), unchecked and unsorted: every ref comes from
-the configuration, and the result is a set.
+(``HybridGraph.edge_indices``), unsorted, since the result is a set, and
+``isroot`` the yield masks (``mask_span``), all unchecked: every ref comes
+from the configuration.
 
 One multiclass scorer is trained per part-of-speech at the top of the
 stack; the reference scorer is an averaged perceptron over the binary
@@ -21,7 +22,10 @@ predicates plus explicit pairwise conjunctions of the s1 and s2 slot
 predicates, standing in for a quadratic-kernel maximum-margin machine
 whose hyperparameters are carried as model metadata.
 
-Training follows the perceptron rule: a pair is a mistake unless its gold
+Each configuration the oracle's walk visits gives one training pair
+(``training_pairs``). ``train_from_pairs`` fits a model to graphs and their
+pairs, so cross-validation derives each graph's pairs once. Training
+follows the perceptron rule: a pair is a mistake unless its gold
 transition scores strictly above every other, so a tie is a mistake. Each
 partition trains until its averaged weights fit every pair whose feature
 set is not also labelled with another transition, or until the epoch cap.
@@ -58,16 +62,14 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import EmptyCategory, HybridGraph, Phrase
+from .graph import EmptyCategory, HybridGraph, Phrase, mask_span
 from .oracle import oracle_sequence
 from .transitions import (
     Configuration,
     Transition,
     forced,
-    initial,
     legal,
     parse_transition,
-    successor,
 )
 from .vocab import COPULA_GROUP, DEFAULT_TAGS, TagSet, parse_label
 
@@ -178,7 +180,7 @@ def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:
                     add(f"{slot}:lemma={term.lemma}")
         for edge in deps.get(ref, ()):
             add(f"{slot}:deprel({edge.relation})")
-        if not heads.get(ref) and graph.subgraph_span(ref) is not None:
+        if not heads.get(ref) and mask_span(graph.yield_masks()[ref]) is not None:
             add(f"{slot}:isroot")
     for a, b, name in _EDGE_PREDICATES:
         ra, rb = refs[a], refs[b]
@@ -471,18 +473,13 @@ def _partition_key(config: Configuration) -> str:
 def training_pairs(
     gold: HybridGraph, spec: FeatureSetSpec, tags: TagSet = DEFAULT_TAGS
 ) -> Optional[list]:
-    """(partition, features, transition) triples from the oracle sequence,
-    or None when the graph is oracle-unreachable."""
-    outcome = oracle_sequence(gold, tags)
-    if not outcome.reachable:
-        return None
+    """(partition, features, transition) triples, one per configuration of
+    the oracle's walk, or None when the graph is oracle-unreachable."""
     out = []
-    config = initial(gold.segments)
-    # The oracle's walk has applied this sequence with every check.
-    for t in outcome.sequence:
-        out.append((_partition_key(config), extract_features(config, spec), str(t)))
-        config = successor(config, t, tags)
-    return out
+    outcome = oracle_sequence(gold, tags, visit=lambda config, t: out.append(
+        (_partition_key(config), extract_features(config, spec), str(t))
+    ))
+    return out if outcome.reachable else None
 
 
 def train(
@@ -492,41 +489,48 @@ def train(
     epochs: int = DEFAULT_EPOCHS,
     tags: TagSet = DEFAULT_TAGS,
 ) -> Model:
-    """Fit one classifier per POS partition from oracle-derived pairs.
+    """Fit a model to each graph's ``training_pairs`` (``train_from_pairs``)."""
+    graphs = list(corpus.graphs if hasattr(corpus, "graphs") else corpus)
+    pairs = [training_pairs(gold, spec, tags) for gold in graphs]
+    return train_from_pairs(graphs, pairs, spec, seed, epochs)
+
+
+def train_from_pairs(
+    graphs: list, pairs: list, spec: FeatureSetSpec, seed: int = 0, epochs: int = DEFAULT_EPOCHS
+) -> Model:
+    """Fit one classifier per POS partition to each graph's ``training_pairs``,
+    where None marks an oracle-unreachable graph, counted as excluded.
 
     ``epochs`` caps the training of each partition. A partition stops earlier
     once its averaged weights score the gold transition strictly highest on
     every pair whose feature set is not also labelled otherwise; a tie counts
     as a mistake. ``counts["epochs_per_partition"]`` records the epochs each
     partition ran; one that stopped below the cap fits its pairs."""
-    graphs = list(corpus.graphs if hasattr(corpus, "graphs") else corpus)
     if not graphs:
         raise TrainingError("empty corpus")
     by_partition: Dict[str, list] = {}
     transitions: set = set()
     relations: set = set()
     used = excluded = 0
-    for gold in graphs:
-        pairs = training_pairs(gold, spec, tags)
-        if pairs is None:
+    for gold, triples in zip(graphs, pairs):
+        if triples is None:
             excluded += 1
             continue
         used += 1
-        for partition, feats, label in pairs:
+        for partition, feats, label in triples:
             by_partition.setdefault(partition, []).append((feats, label))
             transitions.add(label)
-        for edge in gold.edges:
-            relations.add(edge.relation)
+        relations.update(edge.relation for edge in gold.edges)
     if not by_partition:
         raise TrainingError("no trainable graphs in corpus")
     vocab = sorted(transitions)
     classifiers: Dict[str, AveragedPerceptron] = {}
     epochs_run: Dict[str, int] = {}
     for partition in sorted(by_partition):
-        pairs = by_partition[partition]
-        labels = sorted({label for _, label in pairs})
+        partition_pairs = by_partition[partition]
+        labels = sorted({label for _, label in partition_pairs})
         clf = AveragedPerceptron(labels, epochs=epochs, seed=seed)
-        epochs_run[partition] = clf.fit(pairs)
+        epochs_run[partition] = clf.fit(partition_pairs)
         classifiers[partition] = clf
     fingerprint = _corpus_fingerprint(graphs)
     counts = {

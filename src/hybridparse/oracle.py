@@ -36,14 +36,16 @@ empty-category anchors in gold terms. Shift and reduce change none of
 these, an arc adds one edge and a phrase one phrase; an insertion
 renumbers terminals, so the state is rebuilt from the configuration.
 ``oracle_next`` builds the same index and state from scratch and runs the
-same rules.
+same rules. A caller that needs each configuration of the walk (training-pair
+extraction) passes ``oracle_sequence`` a ``visit`` hook rather than replaying
+the sequence; the hook changes no output.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .graph import EmptyCategory, GraphError, HybridGraph, MorphSegment, NodeRef, Phrase
 from .metrics import edge_signatures, elas
@@ -328,8 +330,12 @@ def oracle_next(config: Configuration, gold: HybridGraph, tags: TagSet = DEFAULT
     return _OracleState(_GoldIndex(gold), config, tags).next_transition()
 
 
-def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOutcome:
-    """Derive the full canonical sequence and check it rebuilds the graph."""
+def oracle_sequence(
+    gold: HybridGraph, tags: TagSet = DEFAULT_TAGS, *, visit: Optional[Callable] = None
+) -> OracleOutcome:
+    """Derive the full canonical sequence and check it rebuilds the graph.
+    ``visit(config, t)``, if given, is called with each configuration the
+    walk reaches and the transition it takes there, on unreachable graphs too."""
     segments = gold.segments
     if not segments:
         return OracleOutcome([], False)
@@ -339,6 +345,8 @@ def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOut
     sequence: List[Transition] = []
     while not config.is_terminal_state() and len(sequence) < budget:
         t = state.next_transition()
+        if visit is not None:
+            visit(config, t)
         config = apply(config, t, tags)
         state.advance(t, config)
         sequence.append(t)
@@ -349,9 +357,7 @@ def oracle_sequence(gold: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> OracleOut
         and len(gold.phrases) == len(replayed.phrases)
         and len(gold.terminals) == len(replayed.terminals)
     )
-    reachable = (
-        config.is_terminal_state() and report.f1 == 1 and counts_match
-    )
+    reachable = config.is_terminal_state() and report.f1 == 1 and counts_match
     uncovered = frozenset() if reachable else _uncovered(gold, replayed)
     return OracleOutcome(sequence, reachable, uncovered, replayed)
 

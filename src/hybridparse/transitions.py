@@ -235,11 +235,3 @@ def _insert_after_top(config: Configuration, pos: str, tags: TagSet) -> Configur
     queue = tuple(map(edit.move, config.queue))
     stack = (at,) + tuple(map(edit.move, config.stack))
     return Configuration(queue, stack, config.graph.edited(edit))
-
-
-def replay(sentence: Sequence[MorphSegment], sequence, tags: TagSet = DEFAULT_TAGS) -> Configuration:
-    """Run a transition sequence from the initial configuration."""
-    config = initial(sentence)
-    for t in sequence:
-        config = apply(config, t, tags)
-    return config

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hybridparse.corpus_io import read_treebank
 from hybridparse.graph import Edge, HybridGraph, Phrase
 from hybridparse.synth import generate
-from hybridparse.transitions import parse_transition
+from hybridparse.transitions import apply, initial, parse_transition
 from hybridparse.vocab import DEFAULT_TAGS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,6 +67,32 @@ def concatenate(graphs) -> HybridGraph:
         phrases.update(moved(p) for p in g.phrases)
         edges.update(Edge(moved(e.dependent), moved(e.head), e.relation) for e in g.edges)
     return HybridGraph(tuple(terminals), frozenset(phrases), frozenset(edges))
+
+
+def record_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.<name>`` and rebind the wrapper in every hybridparse
+    module that holds the function; returns the list of each call's
+    positional arguments, in call order."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "hybridparse" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+def replay(sentence, sequence, tags=DEFAULT_TAGS):
+    """The configuration a transition sequence reaches from the initial one,
+    each transition applied with its legality check."""
+    config = initial(sentence)
+    for t in sequence:
+        config = apply(config, t, tags)
+    return config
 
 
 def load_transitions(name: str):

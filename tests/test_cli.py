@@ -118,7 +118,7 @@ def test_oracle_check_reproduces_the_repository_fixtures(corpus, capsys):
     assert "ok fig_9_12_13.transitions: fixture reproduced" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_one(tmp_path, corpus):
+def test_usage_errors_exit_one(tmp_path, corpus, capsys):
     assert main(["crossval", "--corpus", str(corpus), "--bogus"]) == USAGE_ERROR
     assert main(["crossval", "--corpus", str(corpus), "--config", "cfg"]) == USAGE_ERROR
     assert main(["oracle-check", "--corpus", str(corpus), "--bogus"]) == USAGE_ERROR
@@ -126,6 +126,23 @@ def test_usage_errors_exit_one(tmp_path, corpus):
     assert main([]) == USAGE_ERROR
     missing = tmp_path / "missing.conllx"
     assert main(["oracle-check", "--corpus", str(missing)]) == USAGE_ERROR
+    capsys.readouterr()
+    model = tmp_path / "model.json"
+    out_of_range = [
+        (["synth", "--seed", "1", "--count", "0", "--out", str(tmp_path / "s")], "--count"),
+        (["train", "--corpus", str(corpus), "--epochs", "0", "--out", str(model)], "--epochs"),
+        (["train", "--corpus", str(corpus), "--epochs", "-3", "--out", str(model)], "--epochs"),
+        (["crossval", "--corpus", str(corpus), "--epochs", "-1"], "--epochs"),
+        (["crossval", "--corpus", str(corpus), "--folds", "1"], "--folds"),
+        (["crossval", "--corpus", str(corpus), "--folds", "two"], "--folds"),
+    ]
+    for argv, option in out_of_range:
+        assert main(argv) == USAGE_ERROR, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err, argv
+    assert not model.exists()
+    # A well-formed fold count that the corpus cannot fill is a data error.
+    assert main(["crossval", "--corpus", str(corpus), "--folds", "13"]) == DATA_ERROR
 
 
 def test_help_and_version_exit_zero(capsys):

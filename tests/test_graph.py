@@ -222,7 +222,7 @@ def reference_yield(graph, ref):
             out.update(range(node.start, node.end + 1))
         else:
             out.add(node)
-        stack.extend(graph.dependents(node))
+        stack.extend(e.dependent for e in graph.dependent_edges(node))
     return frozenset(out)
 
 

@@ -22,7 +22,7 @@ from hybridparse import (
     predict,
     train,
 )
-from hybridparse import learning
+from hybridparse import learning, transitions
 from hybridparse.convert import lossless_pure_graphs
 from hybridparse.engine import parse_integrated, parse_multi_step
 from hybridparse.graph import EmptyCategory, HybridGraph, Phrase
@@ -39,7 +39,7 @@ from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 from hybridparse.metrics import elas
 from hybridparse.transitions import LeftArc, RightArc, successor
 
-from conftest import concatenate, corpora, load_graph
+from conftest import concatenate, corpora, load_graph, record_calls
 
 
 def seg(i, pos="N", **feats):
@@ -471,6 +471,38 @@ def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
     assert len(report.trace) > 500 and len(graph.edges) > 100
     assert counts["_conjoined"] == 0
     assert counts["dependent_edges from learning"] == 0
+
+
+def test_featurization_asks_no_checked_span(monkeypatch):
+    """isroot reads the yield masks unchecked: featurizing a parse makes no
+    ``subgraph_span`` call."""
+    model = _pinned_model("hybrid-lemma")
+    sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    from_learning = Counter()
+    subgraph_span = HybridGraph.subgraph_span
+
+    def counted(self, ref):
+        from_learning[sys._getframe(1).f_globals["__name__"] == learning.__name__] += 1
+        return subgraph_span(self, ref)
+
+    monkeypatch.setattr(HybridGraph, "subgraph_span", counted)
+    parse_integrated(model, sentence.segments)
+    assert from_learning[False] > 0 and from_learning[True] == 0
+
+
+def test_training_walks_each_graph_once(monkeypatch):
+    """Training pairs come from the oracle's own walk: one oracle walk per
+    graph, in graph order, and one ``successor`` call per oracle step, where
+    a replay of each sequence would make two."""
+    graphs = generate(13, 12, PROFILE).graphs + generate(56, 10, "+non-projective").graphs
+    steps = sum(len(oracle_sequence(g).sequence) for g in graphs)
+    walks = record_calls(monkeypatch, learning, "oracle_sequence")
+    successors = record_calls(monkeypatch, transitions, "successor")
+    model = train(graphs, FeatureSetSpec("lemma"), epochs=2)
+    assert model.counts["graphs_excluded"] > 0
+    assert [args[0] for args in walks] == graphs
+    assert all(a is b for (a, *_), b in zip(walks, graphs))
+    assert len(successors) == steps
 
 
 MINIMAL_MODEL = {

@@ -32,12 +32,11 @@ from hybridparse.transitions import (
     InsertPronoun,
     apply,
     initial,
-    replay,
     successor,
 )
 from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 
-from conftest import concatenate, corpora
+from conftest import concatenate, corpora, replay
 
 empty_categories = st.sampled_from(
     [EmptyCategory("PRON", "huwa"), EmptyCategory("N", ELLIPTICAL_FORM)]
@@ -169,21 +168,23 @@ def test_carried_graph_state_equals_a_rebuild(model, graphs):
 
 def test_parse_steps_do_not_rebuild_the_graph(model, monkeypatch):
     """On a long sentence, only the initial graph and insertions run the
-    constructor, and no span is found by walking dependent edges."""
+    constructor, and no span is found by walking dependent edges. Every span
+    lookup (``subgraph_span`` and featurization's isroot) reads the yield
+    masks, so those reads are counted as spans."""
     sentence = concatenate(generate(3, 30, "+phrases,+ellipsis,+disconnected").graphs)
     counts: Counter = Counter()
     build = HybridGraph.__post_init__
-    span = HybridGraph.subgraph_span
+    masks = HybridGraph.yield_masks
     dependent_edges = HybridGraph.dependent_edges
 
     def counted_build(self):
         counts["builds"] += 1
         build(self)
 
-    def counted_span(self, ref):
+    def counted_masks(self):
         counts["open spans"] += 1
         try:
-            return span(self, ref)
+            return masks(self)
         finally:
             counts["open spans"] -= 1
             counts["spans"] += 1
@@ -193,7 +194,7 @@ def test_parse_steps_do_not_rebuild_the_graph(model, monkeypatch):
         return dependent_edges(self, ref)
 
     monkeypatch.setattr(HybridGraph, "__post_init__", counted_build)
-    monkeypatch.setattr(HybridGraph, "subgraph_span", counted_span)
+    monkeypatch.setattr(HybridGraph, "yield_masks", counted_masks)
     monkeypatch.setattr(HybridGraph, "dependent_edges", counted_dependent_edges)
     graph, report = parse_integrated(model, sentence.segments)
     insertions = sum(isinstance(t, (InsertEmpty, InsertPronoun)) for t in report.trace)

@@ -16,9 +16,9 @@ from hybridparse import (
     initial,
     legal,
 )
-from hybridparse.transitions import IllegalTransition, parse_transition, replay
+from hybridparse.transitions import IllegalTransition, parse_transition
 
-from conftest import load_graph, load_transitions
+from conftest import load_graph, load_transitions, replay
 
 
 def seg(i, pos="N", **feats):
