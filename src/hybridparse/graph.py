@@ -20,7 +20,8 @@ A graph keeps derived state beside its value and carries it forward:
   mask stops changing; the lazy computation adds each edge by the same rule.
   It keeps mask(head) a superset of mask(dependent) for every edge, so
   it is exact on any graph, multi-headed and cyclic ones included.
-  ``with_phrase`` adds the phrase's own extent.
+  ``with_phrase`` adds the phrase's own extent. ``edited`` carries the
+  masks across an edit that only inserts terminals.
 
 One rule renumbers references across an edit that deletes or inserts
 terminals (``TerminalEdit.move``; ``HybridGraph.edited`` applies it). With
@@ -401,7 +402,8 @@ class HybridGraph:
         """The graph after ``edit`` of its terminals, whose deleted terminals
         take their edges along. ``removed`` edges, numbered as before the
         edit, are left out; ``added`` ones, numbered as after it, are put in.
-        An empty edit returns the graph itself."""
+        An empty edit returns the graph itself. An edit that only inserts
+        terminals carries the yield masks, if computed (``_inserted_masks``)."""
         if not (edit.deleted or edit.inserted or removed or added):
             return self
         gone, move = edit._gone, edit.move
@@ -420,7 +422,10 @@ class HybridGraph:
             if (dep, head) != (e.dependent, e.head):
                 e = Edge(dep, head, e.relation)
             edges.add(e)
-        return HybridGraph(tuple(terminals), frozenset(map(move, self.phrases)), frozenset(edges))
+        graph = HybridGraph(tuple(terminals), frozenset(map(move, self.phrases)), frozenset(edges))
+        if self._masks is not None and not (gone or removed or added):
+            object.__setattr__(graph, "_masks", _inserted_masks(self._masks, edit, graph._head_index))
+        return graph
 
     # -- validation --------------------------------------------------------
 
@@ -499,6 +504,43 @@ def _own_mask(ref: NodeRef) -> int:
     if isinstance(ref, Phrase):
         return ((1 << (ref.end - ref.start + 1)) - 1) << ref.start
     return 1 << ref
+
+
+def _inserted_masks(masks: dict, edit: TerminalEdit, heads: dict) -> dict:
+    """The yield masks after ``edit``, which only inserts terminals, given
+    the masks before it and the edges by dependent after it. Each node and
+    each bit moves by ``edit.move``, and each inserted terminal gets its own
+    bit. A phrase whose moved span covers an inserted terminal gains its bit,
+    spread up the phrase's heads: the masks a fresh computation gives."""
+    # The inserted terminals' indices after the edit, ascending. Opening a
+    # gap at each in turn moves every bit as ``edit.move`` does.
+    points = edit._points
+    inserted = [at + k for k, at in enumerate(points)]
+    # A mask below the first insertion point holds no bit that moves, and
+    # its node (whose own extent it holds) does not move either.
+    below = 1 << inserted[0]
+    out = {}
+    moved_phrases = []
+    for ref, mask in masks.items():
+        if mask >= below:
+            if isinstance(ref, Phrase):
+                ref = edit.move(ref)
+                moved_phrases.append(ref)
+            else:
+                ref += bisect_right(points, ref)
+            for i in inserted:
+                mask += mask >> i << i
+        out[ref] = mask
+    for i in inserted:
+        out[i] = 1 << i
+    for phrase in moved_phrases:
+        bits = 0
+        for i in inserted:
+            if phrase.start <= i <= phrase.end:
+                bits |= 1 << i
+        if bits:
+            _spread(out, heads, phrase, bits)
+    return out
 
 
 def _spread(masks: dict, heads: dict, node: NodeRef, bits: int) -> None:

@@ -31,14 +31,16 @@ partition trains until its averaged weights fit every pair whose feature
 set is not also labelled with another transition, or until the epoch cap.
 
 Each classifier interns its expanded feature strings to integer ids, once
-per training pair, and holds one row of weights per transition, indexed by
-id. A feature set expands to its sorted predicates followed by each s1 x s2
-conjunction ``f"{a}&{b}"`` (``_conjoined``). Training keeps the raw weights
-and, per weight, the sum of each update times the step it was made at, all
-as Python ints. After ``step`` steps the averaged weight is
-(step * raw - sum) / step: the averaging is exact, the check that the
-averaged weights fit is made on the integer numerators, and each stored
-weight is one quotient rounded once.
+per distinct feature set of its training pairs, and holds one row of
+weights per transition, indexed by id. A feature set expands to its sorted
+predicates followed by each s1 x s2 conjunction ``f"{a}&{b}"``
+(``_conjoined``). Training keeps the raw weights and, per weight, the sum of
+each update times the step it was made at, all as Python ints. After
+``step`` steps the averaged weight is (step * raw - sum) / step: the
+averaging is exact, the check that the averaged weights fit is made on the
+integer numerators, and each stored weight is one quotient rounded once.
+Pairs that share a feature set share its raw scores until the next update,
+which the integer weights make exact (see ``AveragedPerceptron.fit``).
 
 Scoring builds no conjunction string. When a classifier is fitted or
 loaded it derives a table s1 predicate -> s2 predicate -> id from its index
@@ -257,19 +259,38 @@ class AveragedPerceptron:
         need further epochs. Pairs whose feature set also occurs with another
         label can never be fitted: they are trained on but left out of both
         checks.
+
+        Each distinct feature set is numbered in order of first appearance
+        and expanded, interned and given its getter once, so the index is the
+        one a pass pair by pair would build. Pairs that share a set share its
+        raw scores: they are kept with the number of updates made when they
+        were computed and reused until the next mistake updates the weights.
+        The raw weights are ints, so a reused sum is the sum recomputed. The
+        averaged-weights check scores each fittable set once, since all the
+        pairs of such a set carry its one label.
         """
+        number: Dict[frozenset, int] = {}
+        set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
         index: Dict[str, int] = {}
-        ids_of = [[index.setdefault(f, len(index)) for f in _conjoined(feats)] for feats, _ in pairs]
+        ids_of = [[index.setdefault(f, len(index)) for f in _conjoined(feats)] for feats in number]
         getters = [_getter(ids) for ids in ids_of]
         position = {label: j for j, label in enumerate(self.labels)}
         golds = [position[label] for _, label in pairs]
-        fittable = _fittable(pairs)
+        # Per set, its labels: one labelled two ways can never be fitted.
+        labelled: List[set] = [set() for _ in number]
+        for k, gold in zip(set_of, golds):
+            labelled[k].add(gold)
+        fittable = [len(labels) == 1 for labels in labelled]
+        checked = [(get, min(labels)) for get, labels in zip(getters, labelled) if len(labels) == 1]
         # Wrong labels are searched lexically largest first, which wins a tie.
         by_rank = sorted(range(len(self.labels)), key=self.labels.__getitem__, reverse=True)
         # Raw weights, and the sums of each update times the step it was made
         # at: the averaged weights are (step * raw - sums) / step.
         raw = [[0] * len(index) for _ in self.labels]
         sums = [[0] * len(index) for _ in self.labels]
+        # Per set, (updates made when its raw scores were computed, scores).
+        memo: List[Tuple[int, List[int]]] = [(-1, [])] * len(number)
+        updates = 0
         rng = random.Random(self.seed)
         order = list(range(len(pairs)))
         step = 0
@@ -283,28 +304,31 @@ class AveragedPerceptron:
             mistakes = 0
             for idx in order:
                 step += 1
-                get, gold = getters[idx], golds[idx]
-                scores = [sum(get(row)) for row in raw]
+                k, gold = set_of[idx], golds[idx]
+                at, scores = memo[k]
+                if at != updates:
+                    get = getters[k]
+                    scores = [sum(get(row)) for row in raw]
+                    memo[k] = (updates, scores)
                 top = scores[gold]
+                # The memo keeps the scores: the gold one is masked in a copy.
+                scores = scores.copy()
                 scores[gold] = _BELOW_ALL
                 best = max(scores)
                 if best >= top:
-                    mistakes += fittable[idx]
+                    mistakes += fittable[k]
+                    updates += 1
                     rival = next(j for j in by_rank if scores[j] == best)
                     up, up_sums = raw[gold], sums[gold]
                     down, down_sums = raw[rival], sums[rival]
-                    for i in ids_of[idx]:
+                    for i in ids_of[k]:
                         up[i] += 1
                         up_sums[i] += step
                         down[i] -= 1
                         down_sums[i] -= step
             if not mistakes:
                 averaged = numerators()
-                if all(
-                    _fits([sum(get(row)) for row in averaged], gold)
-                    for get, gold, ok in zip(getters, golds, fittable)
-                    if ok
-                ):
+                if all(_fits([sum(get(row)) for row in averaged], gold) for get, gold in checked):
                     break
         else:
             averaged = numerators()
@@ -376,14 +400,6 @@ def _fits(scores: List, gold: int) -> bool:
     top = scores[gold]
     scores[gold] = _BELOW_ALL
     return max(scores) < top
-
-
-def _fittable(pairs: Sequence[Tuple[frozenset, str]]) -> List[bool]:
-    """Per pair, False when its feature set also occurs with another label."""
-    labels_of: Dict[frozenset, set] = {}
-    for feats, label in pairs:
-        labels_of.setdefault(feats, set()).add(label)
-    return [len(labels_of[feats]) == 1 for feats, _ in pairs]
 
 
 @dataclass

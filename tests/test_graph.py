@@ -16,7 +16,7 @@ from hybridparse import (
 from hybridparse.graph import GraphError, IllFormedPhraseError, TerminalEdit, Violation
 from hybridparse.vocab import DEFAULT_TAGS
 
-from conftest import load_graph
+from conftest import concatenate, corpora, load_graph
 
 
 def seg(i, pos="N", form=None, **feats):
@@ -272,6 +272,45 @@ def test_yields_match_a_walk_of_the_dependents(name):
         for step in steps:
             assert_yields_match_the_walk(step)
     assert steps[-1] == graph_from(terminals, edges, [NP])
+
+
+def assert_insertion_carries_the_masks(graph, inserted) -> HybridGraph:
+    """An insertion into a graph whose masks are computed carries them, equal
+    to the masks a fresh graph computes."""
+    graph.yield_masks()
+    grown = graph.edited(TerminalEdit(len(graph), inserted=inserted))
+    assert grown._masks is not None
+    fresh = HybridGraph(grown.terminals, grown.phrases, grown.edges)
+    assert grown.yield_masks() == fresh.yield_masks()
+    return grown
+
+
+ELLIPTICAL = EmptyCategory("N", "*")
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_an_insertion_carries_the_yield_masks(name):
+    """At every point, and at two points at once: NP spans 1-2, so an
+    insertion at 2 falls inside it and its heads gain the new terminal."""
+    graph = graph_from([seg(i) for i in range(1, 6)], HAND_BUILT[name], [NP])
+    for at in range(len(graph) + 1):
+        assert_insertion_carries_the_masks(graph, [(at, ELLIPTICAL)])
+        for other in range(at, len(graph) + 1):
+            assert_insertion_carries_the_masks(graph, [(other, ELLIPTICAL), (at, ELLIPTICAL)])
+    grown = assert_insertion_carries_the_masks(graph, [(2, ELLIPTICAL)])
+    heads = grown.head_edges(Phrase(1, 3, "NP"))
+    assert heads and all(2 in grown.yield_of(edge.head) for edge in heads)
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora, st.lists(st.integers(0, 1000), min_size=1, max_size=3))
+def test_insertions_into_synthetic_graphs_carry_the_yield_masks(graphs, points):
+    """Phrases straddle insertion points wherever a point falls inside one."""
+    for graph in graphs + [concatenate(graphs)]:
+        n = len(graph)
+        for at in range(n + 1):
+            assert_insertion_carries_the_masks(graph, [(at, ELLIPTICAL)])
+        assert_insertion_carries_the_masks(graph, [(at % (n + 1), ELLIPTICAL) for at in points])
 
 
 def test_adding_what_is_present_returns_the_graph():
