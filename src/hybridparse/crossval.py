@@ -8,7 +8,8 @@ averaging per-fold F1 scores and is the only aggregation offered.
 
 Once per call, each graph is put in the pipeline's training form (the
 multi-step pipeline converts it to pure dependency, dropping it when that is
-lossy) and walked once by the oracle for its training pairs. Once per fold,
+lossy), walked once by the oracle for its training pairs and serialized once
+for the corpus fingerprint (``treebank_blocks``). Once per fold,
 a model is fitted to the other folds' pairs in shuffled order, as ``train``
 would fit it (``train_from_pairs``), and the held-out graphs are parsed.
 """
@@ -19,7 +20,13 @@ import random
 
 from .convert import lossless_pure_graphs
 from .engine import parse_integrated, parse_multi_step
-from .learning import DEFAULT_EPOCHS, FeatureSetSpec, train_from_pairs, training_pairs
+from .learning import (
+    DEFAULT_EPOCHS,
+    FeatureSetSpec,
+    train_from_pairs,
+    training_pairs,
+    treebank_blocks,
+)
 from .metrics import EvalReport, elas
 from .vocab import DEFAULT_TAGS, TagSet
 
@@ -51,11 +58,17 @@ def cross_validate(
     forms = [lossless_pure_graphs(s, tags) for s in slices] if multistep else slices
     parse = parse_multi_step if multistep else parse_integrated
     pairs = [[training_pairs(g, spec, tags) for g in form] for form in forms]
+    blocks = [treebank_blocks(form) for form in forms]
     reports = []
     for k, held_out in enumerate(slices):
         rest = [j for j in range(folds) if j != k]
         model = train_from_pairs(
-            [g for j in rest for g in forms[j]], [p for j in rest for p in pairs[j]], spec, seed, epochs
+            [g for j in rest for g in forms[j]],
+            [p for j in rest for p in pairs[j]],
+            [b for j in rest for b in blocks[j]],
+            spec,
+            seed,
+            epochs,
         )
         for gold in held_out:
             predicted, _ = parse(model, gold.segments, tags)

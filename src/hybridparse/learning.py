@@ -53,6 +53,18 @@ transition's weights one at a time in that order. Float addition is not
 associative, so the order fixes the result; ``sum()`` is never used, as its
 float rounding differs between Python versions. Model files list the
 weights label-major (transition -> feature -> weight).
+
+Parsing ranks each distinct feature set once per classifier. A classifier
+gives one bit to each predicate it knows: each indexed string and each s1
+and s2 predicate of the pair table. A set's key is the int mask of the bits
+of its known predicates (``AveragedPerceptron.mask``), and ``rankings`` maps
+a key to the labels as transitions, best first. This is exact: a score reads
+only the set's known predicates, so two sets with one mask give the same ids
+in the same order and bit-identical sums. ``predict`` ranks on a miss,
+skips the kinds ``allowed_kinds`` excludes after the ranking, so that one
+memo serves both pipelines, and returns the first legal transition.
+``fit`` and ``load`` assign the bits afresh and clear the memo, which
+otherwise grows by one entry per distinct mask the classifier sees.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .corpus_io import TreebankDocument, dumps_treebank
 from .graph import EmptyCategory, HybridGraph, Phrase, mask_span
 from .oracle import oracle_sequence
 from .transitions import (
@@ -248,6 +261,10 @@ class AveragedPerceptron:
         self.rows: List[List[float]] = [[] for _ in self.labels]
         # s1 predicate -> s2 predicate -> id of their conjunction.
         self.pairs: Dict[str, Dict[str, int]] = {}
+        # Known predicate -> its bit, and the ranking memo: mask -> labels as
+        # transitions, best first (see predict).
+        self.bits: Dict[str, int] = {}
+        self.rankings: Dict[int, Tuple[Transition, ...]] = {}
 
     def fit(self, pairs: Sequence[Tuple[frozenset, str]]) -> int:
         """Train on (features, label) pairs and return the epochs run.
@@ -335,7 +352,7 @@ class AveragedPerceptron:
         kept = {feat: i for feat, i in index.items() if any(row[i] for row in averaged)}
         self.index = {feat: k for k, feat in enumerate(kept)}
         self.rows = [[row[i] / step for i in kept.values()] for row in averaged]
-        self.pairs = _pair_table(self.index)
+        self._derive_tables()
         return epoch
 
     def load(self, weights: Dict[str, Dict[str, float]]) -> None:
@@ -354,7 +371,29 @@ class AveragedPerceptron:
             for feat, w in weights.get(label, {}).items():
                 row[index[feat]] = float(w)
             self.rows.append(row)
-        self.pairs = _pair_table(index)
+        self._derive_tables()
+
+    def _derive_tables(self) -> None:
+        """The pair table and the predicate bits of the current index, and
+        an empty ranking memo."""
+        self.pairs = _pair_table(self.index)
+        known = dict.fromkeys(self.pairs)
+        for hits in self.pairs.values():
+            known.update(dict.fromkeys(hits))
+        known.update(dict.fromkeys(self.index))
+        self.bits = {feat: 1 << k for k, feat in enumerate(known)}
+        self.rankings = {}
+
+    def mask(self, features: frozenset) -> int:
+        """The bits of the predicates in ``features`` that this classifier
+        knows: sets with the same mask get the same scores."""
+        bits = self.bits
+        mask = 0
+        for feat in features:
+            bit = bits.get(feat)
+            if bit is not None:
+                mask |= bit
+        return mask
 
     def score(self, features: frozenset) -> Dict[str, float]:
         """Per-label weight sums over the expanded features, each added one
@@ -508,14 +547,20 @@ def train(
     """Fit a model to each graph's ``training_pairs`` (``train_from_pairs``)."""
     graphs = list(corpus.graphs if hasattr(corpus, "graphs") else corpus)
     pairs = [training_pairs(gold, spec, tags) for gold in graphs]
-    return train_from_pairs(graphs, pairs, spec, seed, epochs)
+    return train_from_pairs(graphs, pairs, treebank_blocks(graphs), spec, seed, epochs)
 
 
 def train_from_pairs(
-    graphs: list, pairs: list, spec: FeatureSetSpec, seed: int = 0, epochs: int = DEFAULT_EPOCHS
+    graphs: list,
+    pairs: list,
+    blocks: List[str],
+    spec: FeatureSetSpec,
+    seed: int = 0,
+    epochs: int = DEFAULT_EPOCHS,
 ) -> Model:
     """Fit one classifier per POS partition to each graph's ``training_pairs``,
-    where None marks an oracle-unreachable graph, counted as excluded.
+    where None marks an oracle-unreachable graph, counted as excluded. The
+    corpus fingerprint hashes the graphs' ``treebank_blocks``.
 
     ``epochs`` caps the training of each partition. A partition stops earlier
     once its averaged weights score the gold transition strictly highest on
@@ -548,7 +593,7 @@ def train_from_pairs(
         clf = AveragedPerceptron(labels, epochs=epochs, seed=seed)
         epochs_run[partition] = clf.fit(partition_pairs)
         classifiers[partition] = clf
-    fingerprint = _corpus_fingerprint(graphs)
+    fingerprint = _corpus_fingerprint(blocks)
     counts = {
         "graphs_used": used,
         "graphs_excluded": excluded,
@@ -566,11 +611,18 @@ def train_from_pairs(
     )
 
 
-def _corpus_fingerprint(graphs: list) -> str:
-    from .corpus_io import TreebankDocument, dumps_treebank
+def treebank_blocks(graphs) -> List[str]:
+    """Each graph's lines in a treebank document: joined in order, they are
+    the document of the graphs."""
+    return [dumps_treebank(TreebankDocument([graph])) for graph in graphs]
 
-    text = dumps_treebank(TreebankDocument(list(graphs)))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+def _corpus_fingerprint(blocks: List[str]) -> str:
+    """The sha256 of the treebank document the blocks make up."""
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def predict(
@@ -579,21 +631,24 @@ def predict(
     tags: TagSet = DEFAULT_TAGS,
     allowed_kinds: Optional[tuple] = None,
 ) -> Transition:
-    """Highest-scoring legal transition; total via the ``forced`` fallback."""
-    partition = _partition_key(config)
-    clf = model.classifiers.get(partition)
-    # (-score, label, transition): labels are unique, so the sort never
-    # compares transitions.
-    candidates: List[Tuple[float, str, Transition]] = []
+    """Highest-scoring legal transition; total via the ``forced`` fallback.
+
+    The classifier's labels are ranked once per mask (``rankings``) and the
+    kinds ``allowed_kinds`` excludes are skipped afterwards, which keeps the
+    order, so one ranking serves both pipelines."""
+    clf = model.classifiers.get(_partition_key(config))
     if clf is not None:
-        scores = clf.score(extract_features(config, model.feature_set))
-        parsed = model.parsed_labels
-        for label, score in scores.items():
-            t = parsed[label]
+        features = extract_features(config, model.feature_set)
+        key = clf.mask(features)
+        ranking = clf.rankings.get(key)
+        if ranking is None:
+            # (-score, label): labels are unique, so ties go to the smaller label.
+            ranked = sorted((-score, label) for label, score in clf.score(features).items())
+            parsed = model.parsed_labels
+            ranking = clf.rankings[key] = tuple(parsed[label] for _, label in ranked)
+        for t in ranking:
             if allowed_kinds and not isinstance(t, allowed_kinds):
                 continue
-            candidates.append((-score, label, t))
-    for _, _, t in sorted(candidates):
-        if legal(config, t, tags):
-            return t
+            if legal(config, t, tags):
+                return t
     return forced(config)

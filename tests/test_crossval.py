@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hybridparse import convert, crossval, oracle
+from hybridparse import convert, corpus_io, crossval, oracle
 from hybridparse.convert import lossless_pure_graphs, to_pure_dependency
 from hybridparse.engine import parse_integrated, parse_multi_step
 from hybridparse.graph import Edge, EmptyCategory, HybridGraph, Location, MorphSegment
@@ -151,14 +151,18 @@ def test_fold_models_and_counts_are_pinned(monkeypatch, pipeline):
 
 @pytest.mark.parametrize("pipeline", crossval.PIPELINES)
 def test_each_graph_is_converted_and_walked_once(monkeypatch, pipeline):
-    """Each graph's training form and pairs are derived once for all the
-    folds, not once per fold that trains on it."""
+    """Each graph's training form, pairs and treebank block (which the
+    fold models' fingerprints hash) are derived once for all the folds, not
+    once per fold that trains on it."""
     graphs = PINNED_CORPUS
     lossless = [g for g in graphs if not to_pure_dependency(g)[1].lossy]
     assert len(lossless) < len(graphs)
     walks = record_calls(monkeypatch, oracle, "oracle_sequence")
     conversions = record_calls(monkeypatch, convert, "to_pure_dependency")
+    serialized = record_calls(monkeypatch, corpus_io, "dumps_treebank")
     crossval.cross_validate(graphs, 4, SPEC, pipeline, epochs=2)
+    assert [len(doc.graphs) for (doc,) in serialized] == [1] * len(walks)
+    assert [doc.graphs[0] for (doc,) in serialized] == [args[0] for args in walks]
     if pipeline == "multistep":
         assert sorted(id(args[0]) for args in conversions) == sorted(map(id, graphs))
         assert len(walks) == len(lossless)

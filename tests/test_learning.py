@@ -745,3 +745,170 @@ def test_budget_exhaustion_drains_to_a_valid_graph():
     assert report.trace[report.predictive_steps:] == [Reduce(1), Reduce(1)]
     assert len(graph.terminals) == 13
     assert graph.validate() == []
+
+
+# The ranking memo: predict ranks a classifier's labels once per mask of the
+# predicates it knows, and filters by kind afterwards.
+
+
+def _reference_predict(model, config, tags=DEFAULT_TAGS, allowed_kinds=None):
+    """predict with no memo: score, sort by (-score, label), filter, then
+    the first legal transition or the forced one."""
+    clf = model.classifiers.get(learning._partition_key(config))
+    candidates = []
+    if clf is not None:
+        scores = clf.score(extract_features(config, model.feature_set))
+        for label, score in scores.items():
+            t = model.parsed_labels[label]
+            if allowed_kinds and not isinstance(t, allowed_kinds):
+                continue
+            candidates.append((-score, label, t))
+    for _, _, t in sorted(candidates):
+        if transitions.legal(config, t, tags):
+            return t
+    return transitions.forced(config)
+
+
+def _fresh(model: Model) -> Model:
+    """The same model with empty ranking memos."""
+    return Model.deserialize(model.serialize())
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora)
+def test_predict_matches_the_reference(graphs):
+    """At every configuration of each pipeline's parse, predict gives the
+    reference's transition for both kind filters, from one memo per model.
+    The parses run on the shared model and the checks on a fresh one, where
+    the filtered call comes first, so a memo that kept filtered rankings
+    would lose the other kinds."""
+    pipelines = (("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step))
+    for case, parse in pipelines:
+        model = _fresh(_pinned_model(case))
+        for graph in graphs + [concatenate(graphs)]:
+            config = initial(graph.segments)
+            for t in parse(_pinned_model(case), graph.segments)[1].trace:
+                for kinds in (transitions.PURE_KINDS, None):
+                    expected = _reference_predict(model, config, DEFAULT_TAGS, kinds)
+                    assert predict(model, config, DEFAULT_TAGS, kinds) == expected
+                config = successor(config, t)
+
+
+def _known(clf) -> set:
+    """The predicates a classifier's scores can read."""
+    inner = {b for hits in clf.pairs.values() for b in hits}
+    return set(clf.index) | set(clf.pairs) | inner
+
+
+@pytest.mark.parametrize("case", ["hybrid-lemma", "pure-morph6"])
+def test_a_second_parse_scores_nothing(monkeypatch, case):
+    """The first parse scores at most once per distinct set of known
+    predicates per classifier; the same parse again scores nothing."""
+    model = _fresh(_pinned_model(case))
+    parse = parse_multi_step if case == "pure-morph6" else parse_integrated
+    sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    scored = []
+    score = AveragedPerceptron.score
+
+    def counted(self, features):
+        scored.append(features)
+        return score(self, features)
+
+    monkeypatch.setattr(AveragedPerceptron, "score", counted)
+    first, report = parse(model, sentence.segments)
+    first_calls = len(scored)
+    config, seen = initial(sentence.segments), set()
+    for t in report.trace[: report.predictive_steps]:
+        partition = learning._partition_key(config)
+        clf = model.classifiers.get(partition)
+        if clf is not None:
+            feats = extract_features(config, model.feature_set)
+            seen.add((partition, frozenset(feats & _known(clf))))
+        config = successor(config, t)
+    assert 0 < first_calls <= len(seen) < report.predictive_steps
+    second, _ = parse(model, sentence.segments)
+    assert len(scored) == first_calls
+    assert _graph_lines(second) == _graph_lines(first)
+
+
+def test_the_memo_tells_apart_sets_that_differ_in_a_conjunction_only():
+    """No predicate below is weighted alone, so only the pair table tells
+    the sets apart: by the s1 lemma, then by the s2 part of speech. The lemma
+    z is unknown: its labels tie, and the smaller one ranks first."""
+    weights = {
+        "SHIFT": {"s1:lemma=x&s2:pos=V": 1.0},
+        "REDUCE(1)": {"s1:lemma=y&s2:pos=V": 1.0, "s1:lemma=x&s2:pos=N": 2.0},
+    }
+    classifier = {"labels": ["REDUCE(1)", "SHIFT"], "epochs": 1, "seed": 0, "weights": weights}
+    model = Model.deserialize(_model_text(feature_set="lemma", classifiers={"N": classifier}))
+    got = []
+    for pos, lemma in (("V", "x"), ("V", "y"), ("N", "x"), ("V", "x"), ("V", "z")):
+        config = initial([seg(1, pos), seg(2, "N", lemma=lemma), seg(3)])
+        config = apply(apply(config, Shift()), Shift())
+        assert predict(model, config) == _reference_predict(model, config)
+        got.append(predict(model, config))
+    assert got == [Shift(), Reduce(1), Reduce(1), Shift(), Reduce(1)]
+
+
+def _predictions(clf, configs) -> list:
+    model = Model(FeatureSetSpec("lemma"), clf.labels, {"N": clf})
+    return [predict(model, config) for config in configs]
+
+
+def test_a_refit_classifier_predicts_as_a_fresh_one():
+    """Fitting again clears the rankings of the old weights. The second fit
+    swaps the first one's labels, so the classifier knows the same predicates
+    before and after, and a ranking kept from before would be found again."""
+    labels = ["REDUCE(1)", "SHIFT"]
+    pairs = [
+        (frozenset({"s1:pos=N", "q1:pos=V"}), "SHIFT"),
+        (frozenset({"s1:pos=N", "q1:pos=N"}), "REDUCE(1)"),
+    ] * 3
+    swapped = [(feats, labels[label == "REDUCE(1)"]) for feats, label in pairs]
+    configs = [apply(initial([seg(1), seg(2, pos)]), Shift()) for pos in ("V", "N")]
+
+    def fitted(pairs):
+        clf = AveragedPerceptron(labels, epochs=5)
+        clf.fit(pairs)
+        return clf
+
+    clf = fitted(pairs)
+    assert _predictions(clf, configs) == [Shift(), Reduce(1)]
+    known = _known(clf)
+    clf.fit(swapped)
+    assert _known(clf) == known
+    assert _predictions(clf, configs) == _predictions(fitted(swapped), configs) == [Reduce(1), Shift()]
+
+
+def test_a_reloaded_classifier_predicts_as_a_fresh_one():
+    """Loading again clears the rankings of the old weights. The second load
+    negates the first one's weights, so the classifier knows the same
+    predicates before and after, and a ranking kept from before would be
+    found again."""
+    spec = FeatureSetSpec("lemma")
+    graphs = generate(21, 30, PROFILE).graphs
+    triples = [t for g in graphs for t in training_pairs(g, spec)]
+    pairs = [(feats, label) for partition, feats, label in triples if partition == "N"]
+    labels = sorted({label for _, label in pairs})
+    configs = []
+    for graph in graphs:
+        config = initial(graph.segments)
+        for t in oracle_sequence(graph).sequence:
+            if learning._partition_key(config) == "N":
+                configs.append(config)
+            config = successor(config, t)
+    trained = AveragedPerceptron(labels, epochs=5)
+    trained.fit(pairs)
+    weights = trained.weights_by_label()
+    negated = {label: {f: -w for f, w in row.items()} for label, row in weights.items()}
+    fresh = AveragedPerceptron(labels)
+    fresh.load(negated)
+    expected = _predictions(fresh, configs)
+
+    clf = AveragedPerceptron(labels)
+    clf.load(weights)
+    assert _predictions(clf, configs) != expected
+    known = _known(clf)
+    clf.load(negated)
+    assert _known(clf) == known
+    assert _predictions(clf, configs) == expected
