@@ -3,7 +3,9 @@
 Integrated parsing predicts over the full transition set and builds the
 hybrid graph directly. Multi-step parsing restricts prediction to shift,
 reduce and the two edge transitions, then reconstructs phrase structure
-and ellipsis from the enriched labels of the pure dependency result.
+and ellipsis from the enriched labels of the pure dependency result. Either
+parse steps one configuration in place (``transitions.step``) and takes
+its graph once, at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .convert import from_pure_dependency
 from .graph import MorphSegment
 from .learning import Model, predict
 from .oracle import step_budget
-from .transitions import Configuration, PURE_KINDS, Transition, forced, initial, successor
+from .transitions import Configuration, PURE_KINDS, Transition, forced, initial, step
 from .vocab import DEFAULT_TAGS, TagSet
 
 
@@ -41,22 +43,21 @@ def _greedy_parse(
     report = ParseReport()
     while not config.is_terminal_state() and len(report.trace) < budget:
         t = predict(model, config, tags, allowed_kinds)
-        config = successor(config, t, tags)
+        step(config, t, tags)
         report.trace.append(t)
     report.predictive_steps = len(report.trace)
     if not config.is_terminal_state():
         report.budget_exhausted = True
-        config = _drain(config, tags, report)
+        _drain(config, tags, report)
     return config.graph, report
 
 
-def _drain(config: Configuration, tags: TagSet, report: ParseReport) -> Configuration:
+def _drain(config: Configuration, tags: TagSet, report: ParseReport) -> None:
     """Forced cleanup after budget exhaustion: pop and shift to the end."""
     while not config.is_terminal_state():
         t = forced(config)
-        config = successor(config, t, tags)
+        step(config, t, tags)
         report.trace.append(t)
-    return config
 
 
 def parse_integrated(

@@ -6,22 +6,18 @@ inclusive spans over terminal indices. Edges point from dependents to
 heads. Node identity is structural: a terminal is addressed by its
 0-based index, a phrase by its (start, end, tag) triple.
 
-A graph keeps derived state beside its value and carries it forward:
+A graph keeps derived state beside its value:
 
-- Edge indices by dependent and by head. The constructor builds them
-  with one pass over the edges. ``with_edge`` and ``with_phrase`` start
-  from the parent's indices instead: a shallow copy plus the one new
-  entry, never mutating a list the parent still holds.
-- Yield masks: each node's yield as an int bitmask over terminal
-  indices, so a terminal covered twice (a phrase and its root) counts
-  once. A graph from the constructor computes its masks on first use
-  (``yield_masks``); ``mask_span`` is the one contiguity test. ``with_edge``
-  ORs the dependent's mask into the head and up every head chain until a
-  mask stops changing; the lazy computation adds each edge by the same rule.
-  It keeps mask(head) a superset of mask(dependent) for every edge, so
-  it is exact on any graph, multi-headed and cyclic ones included.
-  ``with_phrase`` adds the phrase's own extent. ``edited`` carries the
-  masks across an edit that only inserts terminals.
+- Edge indices by dependent and by head, which the constructor builds with
+  one pass over the edges.
+- Yield masks: each node's yield as an int bitmask over terminal indices,
+  so a terminal covered twice (a phrase and its root) counts once. They are
+  computed on first use (``yield_masks``), each edge added by ``spread``:
+  it ORs the dependent's mask into the head and up every head chain until a
+  mask stops changing, which keeps mask(head) a superset of mask(dependent)
+  for every edge, so it is exact on any graph, multi-headed and cyclic ones
+  included. ``mask_span`` is the one contiguity test. The parser's working
+  graph (``transitions.Configuration``) keeps its masks by the same rule.
 
 One rule renumbers references across an edit that deletes or inserts
 terminals (``TerminalEdit.move``; ``HybridGraph.edited`` applies it). With
@@ -265,7 +261,8 @@ class HybridGraph:
             return ref.tag
         return self.terminals[ref].pos
 
-    def extent(self, ref: NodeRef) -> tuple:
+    @staticmethod
+    def extent(ref: NodeRef) -> tuple:
         """Surface interval occupied by the node itself (not its subgraph)."""
         if isinstance(ref, Phrase):
             return (ref.start, ref.end)
@@ -282,13 +279,6 @@ class HybridGraph:
     def head_edges(self, ref: NodeRef) -> tuple:
         return tuple(self._head_index.get(ref, ()))
 
-    def edge_indices(self) -> tuple:
-        """(edges by dependent, edges by head): node -> list of edges, the
-        lists unsorted and every list non-empty. Unchecked, for callers that
-        only read; the lists are shared with the graphs this one came from
-        or gives rise to, so they must not be changed."""
-        return self._head_index, self._dep_index
-
     def dependent_edges(self, ref: NodeRef) -> tuple:
         """Edges in which ``ref`` is the head, sorted for determinism."""
         return tuple(
@@ -299,17 +289,17 @@ class HybridGraph:
         )
 
     def yield_masks(self) -> dict:
-        """Node -> yield bitmask, computed on first use. Unchecked and shared
-        with the graphs this one gives rise to, like ``edge_indices``."""
+        """Node -> yield bitmask, computed on first use. Unchecked: callers
+        only read it."""
         masks = self._masks
         if masks is None:
             masks = {i: 1 << i for i in range(len(self.terminals))}
             for phrase in self.phrases:
-                masks[phrase] = _own_mask(phrase)
+                masks[phrase] = own_mask(phrase)
             for edge in self.edges:
                 dependent = edge.dependent
-                bits = masks.get(dependent) or _own_mask(dependent)
-                _spread(masks, self._head_index, edge.head, bits)
+                bits = masks.get(dependent) or own_mask(dependent)
+                spread(masks, self._head_index, edge.head, bits)
             object.__setattr__(self, "_masks", masks)
         return masks
 
@@ -334,7 +324,7 @@ class HybridGraph:
         """The unique headless node whose subgraph the phrase spans."""
         self._check_node(phrase)
         masks = self.yield_masks()
-        outside = ~_own_mask(phrase)
+        outside = ~own_mask(phrase)
         candidates: list = []
         for node in list(range(phrase.start, phrase.end + 1)) + sorted(
             p for p in self.phrases
@@ -360,50 +350,11 @@ class HybridGraph:
 
     # -- construction ----------------------------------------------------
 
-    def _carried(self, phrases, edges, heads, deps, masks) -> "HybridGraph":
-        """A graph over the same terminals whose derived state is given,
-        not rebuilt: the constructor's pass over every edge is skipped."""
-        graph = object.__new__(HybridGraph)
-        put = object.__setattr__
-        put(graph, "terminals", self.terminals)
-        put(graph, "phrases", phrases)
-        put(graph, "edges", edges)
-        put(graph, "_head_index", heads)
-        put(graph, "_dep_index", deps)
-        put(graph, "_masks", masks)
-        return graph
-
-    def with_edge(self, edge: Edge) -> "HybridGraph":
-        self._check_node(edge.dependent)
-        self._check_node(edge.head)
-        if edge in self.edges:
-            return self
-        heads = dict(self._head_index)
-        heads[edge.dependent] = heads.get(edge.dependent, []) + [edge]
-        deps = dict(self._dep_index)
-        deps[edge.head] = deps.get(edge.head, []) + [edge]
-        masks = self._masks
-        if masks is not None:
-            masks = dict(masks)
-            _spread(masks, heads, edge.head, masks[edge.dependent])
-        return self._carried(self.phrases, self.edges | {edge}, heads, deps, masks)
-
-    def with_phrase(self, phrase: Phrase) -> "HybridGraph":
-        if phrase in self.phrases:
-            return self
-        masks = self._masks
-        if masks is not None:
-            masks = {**masks, phrase: _own_mask(phrase)}
-        return self._carried(
-            self.phrases | {phrase}, self.edges, self._head_index, self._dep_index, masks
-        )
-
     def edited(self, edit: TerminalEdit, removed=frozenset(), added=()) -> "HybridGraph":
         """The graph after ``edit`` of its terminals, whose deleted terminals
         take their edges along. ``removed`` edges, numbered as before the
         edit, are left out; ``added`` ones, numbered as after it, are put in.
-        An empty edit returns the graph itself. An edit that only inserts
-        terminals carries the yield masks, if computed (``_inserted_masks``)."""
+        An empty edit returns the graph itself."""
         if not (edit.deleted or edit.inserted or removed or added):
             return self
         gone, move = edit._gone, edit.move
@@ -422,10 +373,7 @@ class HybridGraph:
             if (dep, head) != (e.dependent, e.head):
                 e = Edge(dep, head, e.relation)
             edges.add(e)
-        graph = HybridGraph(tuple(terminals), frozenset(map(move, self.phrases)), frozenset(edges))
-        if self._masks is not None and not (gone or removed or added):
-            object.__setattr__(graph, "_masks", _inserted_masks(self._masks, edit, graph._head_index))
-        return graph
+        return HybridGraph(tuple(terminals), frozenset(map(move, self.phrases)), frozenset(edges))
 
     # -- validation --------------------------------------------------------
 
@@ -479,16 +427,6 @@ class HybridGraph:
                 node = edges[0].head if edges else None
         return out
 
-    def would_cycle(self, dependent: NodeRef, head: NodeRef) -> bool:
-        """True if adding dependent->head would close a head-chain cycle."""
-        node = head
-        while node is not None:
-            if node == dependent:
-                return True
-            edges = self._head_index.get(node, ())
-            node = edges[0].head if edges else None
-        return False
-
 
 def mask_span(mask: int) -> Optional[tuple]:
     """(first, last) bit of a non-empty mask whose bits form one run, else None."""
@@ -499,59 +437,24 @@ def mask_span(mask: int) -> Optional[tuple]:
     return (start, start + run.bit_length() - 1)
 
 
-def _own_mask(ref: NodeRef) -> int:
+def own_mask(ref: NodeRef) -> int:
     """Bitmask of the terminals the node itself occupies."""
     if isinstance(ref, Phrase):
         return ((1 << (ref.end - ref.start + 1)) - 1) << ref.start
     return 1 << ref
 
 
-def _inserted_masks(masks: dict, edit: TerminalEdit, heads: dict) -> dict:
-    """The yield masks after ``edit``, which only inserts terminals, given
-    the masks before it and the edges by dependent after it. Each node and
-    each bit moves by ``edit.move``, and each inserted terminal gets its own
-    bit. A phrase whose moved span covers an inserted terminal gains its bit,
-    spread up the phrase's heads: the masks a fresh computation gives."""
-    # The inserted terminals' indices after the edit, ascending. Opening a
-    # gap at each in turn moves every bit as ``edit.move`` does.
-    points = edit._points
-    inserted = [at + k for k, at in enumerate(points)]
-    # A mask below the first insertion point holds no bit that moves, and
-    # its node (whose own extent it holds) does not move either.
-    below = 1 << inserted[0]
-    out = {}
-    moved_phrases = []
-    for ref, mask in masks.items():
-        if mask >= below:
-            if isinstance(ref, Phrase):
-                ref = edit.move(ref)
-                moved_phrases.append(ref)
-            else:
-                ref += bisect_right(points, ref)
-            for i in inserted:
-                mask += mask >> i << i
-        out[ref] = mask
-    for i in inserted:
-        out[i] = 1 << i
-    for phrase in moved_phrases:
-        bits = 0
-        for i in inserted:
-            if phrase.start <= i <= phrase.end:
-                bits |= 1 << i
-        if bits:
-            _spread(out, heads, phrase, bits)
-    return out
-
-
-def _spread(masks: dict, heads: dict, node: NodeRef, bits: int) -> None:
+def spread(masks: dict, heads: dict, node: NodeRef, bits: int) -> None:
     """OR ``bits`` into ``node``'s mask and up every head chain, stopping
     wherever a mask does not change."""
     stack = [node]
     while stack:
         node = stack.pop()
-        # A constructed graph may hold an edge to a node it lacks (see
-        # ``validate``); such a node starts from its own extent.
-        old = masks.get(node) or _own_mask(node)
+        # A node with no mask starts from its own extent: the parser's
+        # working graph keeps none for a node whose yield is its extent, and
+        # a constructed graph may hold an edge to a node it lacks (see
+        # ``validate``).
+        old = masks.get(node) or own_mask(node)
         new = old | bits
         if new == old:
             continue

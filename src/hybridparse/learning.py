@@ -7,14 +7,17 @@ describe the partially built graph (existing dependent relations, rooted
 subgraphs, and previously parsed edges between slot pairs).
 
 ``extract_features`` makes one pass over the four slots, reading s1-s3 from
-the stack and q1 from the queue by position. A terminal's morphological
-predicates come from its sorted ``features`` pairs, through a table per
-feature set level and slot of the predicate prefix of each key, so no dict
-is built per slot. The dynamic predicates and ``graph:edge`` read the
-graph's edge lists by dependent and by head as the graph carries them
-(``HybridGraph.edge_indices``), unsorted, since the result is a set, and
-``isroot`` the yield masks (``mask_span``), all unchecked: every ref comes
-from the configuration.
+the stack and q1 from the queue front by position, all from the
+configuration's working state. A terminal's static predicates (pos,
+morphology, copula, lemma) are computed once per slot and feature set level
+and kept in the configuration's ``static_cache``, which is exact because
+terminals are frozen values; its morphological predicates come from its
+sorted ``features`` pairs, through a table per level and slot of the
+predicate prefix of each key. The names that depend on the slot alone
+(``absent``, ``isroot``, ``deprel(rel)``) come from tables. The dynamic
+predicates and ``graph:edge`` read the working graph's edge lists by
+dependent and by head, unsorted, since the result is a set, and ``isroot``
+its yield masks (``mask_span``).
 
 One multiclass scorer is trained per part-of-speech at the top of the
 stack; the reference scorer is an averaged perceptron over the binary
@@ -152,51 +155,80 @@ _EDGE_PREDICATES = tuple(
     (SLOTS.index(a), SLOTS.index(b), f"graph:edge({a},{b})") for a, b in EDGE_PAIRS
 )
 
+# Per slot position, its fixed predicate names and prefixes.
+_ABSENT = tuple(f"{slot}:absent" for slot in SLOTS)
+_ISROOT = tuple(f"{slot}:isroot" for slot in SLOTS)
+_PHRASE = tuple(f"{slot}:phrase=" for slot in SLOTS)
+# Per slot position, relation -> its deprel predicate: a memo of a pure
+# function, as large as the relation vocabulary.
+_DEPREL = tuple({} for _ in SLOTS)
+# Entries per terminal in ``Configuration.static_cache``: one per slot
+# position and feature set level.
+_CACHE_WIDTH = len(SLOTS) * len(FEATURE_SETS)
+
+
+def _static_predicates(term, slot: str, level: int) -> tuple:
+    """A terminal's predicates in a slot that do not depend on the graph:
+    pos, morphology, copula and lemma."""
+    out = [f"{slot}:pos={term.pos}"]
+    if not isinstance(term, EmptyCategory):
+        prefixes = _PREFIXES[level][slot]
+        copula = False
+        for key, value in term.features:
+            prefix = prefixes.get(key)
+            if prefix is None:
+                if key == "SP":
+                    copula = value == COPULA_GROUP
+            else:
+                out.append(prefix + value)
+        if copula and level >= 2:
+            out.append(f"{slot}:copula")
+        if level >= 3 and term.lemma:
+            out.append(f"{slot}:lemma={term.lemma}")
+    return tuple(out)
+
 
 def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:
     """Binary predicate set describing a configuration under a feature set."""
-    stack, queue = config.stack, config.queue
-    depth = len(stack)
+    pushed, terminals = config.pushed, config.terminals
+    depth = len(pushed)
     refs = (
-        stack[0] if depth > 0 else None,
-        stack[1] if depth > 1 else None,
-        stack[2] if depth > 2 else None,
-        queue[0] if queue else None,
+        pushed[-1] if depth > 0 else None,
+        pushed[-2] if depth > 1 else None,
+        pushed[-3] if depth > 2 else None,
+        config.front if config.front < len(terminals) else None,
     )
-    graph = config.graph
-    terminals = graph.terminals
-    heads, deps = graph.edge_indices()
+    heads, deps, masks = config.heads, config.deps, config.masks
+    cache = config.static_cache
     level = spec.level
-    prefixes_of = _PREFIXES[level]
     out: List[str] = []
     add = out.append
-    for slot, ref in zip(SLOTS, refs):
+    for k, ref in enumerate(refs):
         if ref is None:
-            add(f"{slot}:absent")
+            add(_ABSENT[k])
             continue
         if isinstance(ref, Phrase):
-            add(f"{slot}:phrase={ref.tag}")
+            add(_PHRASE[k] + ref.tag)
         else:
-            term = terminals[ref]
-            add(f"{slot}:pos={term.pos}")
-            if not isinstance(term, EmptyCategory):
-                prefixes = prefixes_of[slot]
-                copula = False
-                for key, value in term.features:
-                    prefix = prefixes.get(key)
-                    if prefix is None:
-                        if key == "SP":
-                            copula = value == COPULA_GROUP
-                    else:
-                        add(prefix + value)
-                if copula and level >= 2:
-                    add(f"{slot}:copula")
-                if level >= 3 and term.lemma:
-                    add(f"{slot}:lemma={term.lemma}")
-        for edge in deps.get(ref, ()):
-            add(f"{slot}:deprel({edge.relation})")
-        if not heads.get(ref) and mask_span(graph.yield_masks()[ref]) is not None:
-            add(f"{slot}:isroot")
+            entry = cache[ref]
+            if entry is None:
+                entry = cache[ref] = [None] * _CACHE_WIDTH
+            at = k * len(FEATURE_SETS) + level
+            static = entry[at]
+            if static is None:
+                static = entry[at] = _static_predicates(terminals[ref], SLOTS[k], level)
+            out.extend(static)
+        edges = deps.get(ref)
+        if edges:
+            names = _DEPREL[k]
+            for edge in edges:
+                name = names.get(edge.relation)
+                if name is None:
+                    name = names[edge.relation] = f"{SLOTS[k]}:deprel({edge.relation})"
+                add(name)
+        # A node with no mask yields its own extent, which is one run.
+        if ref not in heads and (ref not in masks or mask_span(masks[ref]) is not None):
+            add(_ISROOT[k])
     for a, b, name in _EDGE_PREDICATES:
         ra, rb = refs[a], refs[b]
         if ra is not None and rb is not None and _linked(heads, ra, rb):
@@ -519,10 +551,11 @@ EMPTY_PARTITION = "(empty)"
 
 
 def _partition_key(config: Configuration) -> str:
-    s1 = config.s1
-    if s1 is None:
+    """The part of speech of s1, or the phrase tag when s1 is a phrase."""
+    if not config.pushed:
         return EMPTY_PARTITION
-    return config.graph.pos_of(s1)
+    s1 = config.pushed[-1]
+    return s1.tag if isinstance(s1, Phrase) else config.terminals[s1].pos
 
 
 def training_pairs(

@@ -23,8 +23,8 @@ still-missing expected phrase.
 
 Every rule yields a legal transition: rules 1 and 3-6 check it, rules 2, 7
 and 9 need a deep enough stack, and rule 10 is reached only when the queue
-is empty, so the stack is not. The walk applies each one with the checked
-``apply``, so a wrong rule raises ``IllegalTransition``.
+is empty, so the stack is not. The walk checks each one with ``legal``
+before it steps, so a wrong rule raises ``IllegalTransition``.
 
 Cost. What the rules ask of the gold graph is computed once per sentence
 (``_GoldIndex``): the root of each gold phrase, the gold edges by unordered
@@ -36,9 +36,14 @@ empty-category anchors in gold terms. Shift and reduce change none of
 these, an arc adds one edge and a phrase one phrase; an insertion
 renumbers terminals, so the state is rebuilt from the configuration.
 ``oracle_next`` builds the same index and state from scratch and runs the
-same rules. A caller that needs each configuration of the walk (training-pair
+same rules. The walk steps one configuration in place (``transitions.step``)
+and the rules read its working state.
+
+A caller that needs each configuration of the walk (training-pair
 extraction) passes ``oracle_sequence`` a ``visit`` hook rather than replaying
-the sequence; the hook changes no output.
+the sequence; the hook changes no output. The configuration it is given is
+valid only during the call: the walk steps it on afterwards, so a hook that
+keeps one must keep ``config.copy()``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .metrics import edge_signatures, elas
 from .transitions import (
     AddPhrase,
     Configuration,
+    IllegalTransition,
     InsertEmpty,
     InsertPronoun,
     LeftArc,
@@ -59,9 +65,9 @@ from .transitions import (
     RightArc,
     Shift,
     Transition,
-    apply,
     initial,
     legal,
+    step,
 )
 from .vocab import DEFAULT_TAGS, TagSet
 
@@ -141,36 +147,37 @@ class _OracleState:
 
     def _rebuild(self, config: Configuration) -> None:
         self.config = config
-        graph = config.graph
-        self.working_to_gold = _alignment(graph.terminals, self.index.segment_indices)
+        terminals = config.terminals
+        self.working_to_gold = _alignment(terminals, self.index.segment_indices)
         to_gold = self.to_gold
         self.built_edges = {
-            (to_gold(e.dependent), to_gold(e.head), e.relation) for e in graph.edges
+            (to_gold(e.dependent), to_gold(e.head), e.relation)
+            for edges in config.heads.values()
+            for e in edges
         }
-        self.built_phrases = {to_gold(p) for p in graph.phrases}
+        self.built_phrases = {to_gold(p) for p in config.phrases}
         self.built_anchors = {
             to_gold(i)
-            for i, t in enumerate(graph.terminals)
+            for i, t in enumerate(terminals)
             if isinstance(t, EmptyCategory)
         }
 
-    def advance(self, t: Transition, config: Configuration) -> None:
-        """Move to ``config``, the result of applying ``t``.
+    def advance(self, t: Transition) -> None:
+        """Follow the configuration, which has just taken ``t`` in place.
 
         An arc adds one built edge and a phrase one built phrase. An
         insertion renumbers terminals and may realign earlier empty
         categories, so the state is rebuilt.
         """
+        config = self.config
         if isinstance(t, (InsertEmpty, InsertPronoun)):
             self._rebuild(config)
-            return
-        self.config = config
-        if isinstance(t, (LeftArc, RightArc)):
-            s1, s2 = config.stack[0], config.stack[1]
+        elif isinstance(t, (LeftArc, RightArc)):
+            s1, s2 = config.pushed[-1], config.pushed[-2]
             dep, head = (s2, s1) if isinstance(t, LeftArc) else (s1, s2)
             self.built_edges.add((self.to_gold(dep), self.to_gold(head), t.relation))
         elif isinstance(t, AddPhrase):
-            self.built_phrases.add(self.to_gold(config.stack[0]))
+            self.built_phrases.add(self.to_gold(config.pushed[-1]))
 
     # -- helpers over gold vs working ------------------------------------
 
@@ -244,10 +251,12 @@ class _OracleState:
 
     def next_transition(self) -> Transition:
         config = self.config
-        stack, graph = config.stack, config.graph
-        s1 = stack[0] if stack else None
-        s2 = stack[1] if len(stack) > 1 else None
-        s3 = stack[2] if len(stack) > 2 else None
+        pushed = config.pushed
+        depth = len(pushed)
+        s1 = pushed[-1] if depth > 0 else None
+        s2 = pushed[-2] if depth > 1 else None
+        s3 = pushed[-3] if depth > 2 else None
+        queued = config.front < len(config.terminals)
 
         # 1. edge between s1 and s2
         if s1 is not None and s2 is not None:
@@ -267,8 +276,8 @@ class _OracleState:
 
         # 3. adjacent pair spanning an expected phrase rooted on top
         if s1 is not None and s2 is not None:
-            ext1, ext2 = graph.extent(s1), graph.extent(s2)
-            span = graph.subgraph_span(s1) if ext2[1] + 1 == ext1[0] else None
+            ext1, ext2 = HybridGraph.extent(s1), HybridGraph.extent(s2)
+            span = config.span(s1) if ext2[1] + 1 == ext1[0] else None
             if span is not None:
                 gold_span = (self.to_gold(span[0]), self.to_gold(span[1]))
                 if gold_span == (self.to_gold(ext2[0]), self.to_gold(ext1[1])):
@@ -279,8 +288,8 @@ class _OracleState:
                             return t
 
         # 4. top roots a subgraph spanned by an expected phrase
-        if isinstance(s1, int) and graph.head_of(s1) is None:
-            span = graph.subgraph_span(s1)
+        if isinstance(s1, int) and s1 not in config.heads:
+            span = config.span(s1)
             if span is not None:
                 gold_span = (self.to_gold(span[0]), self.to_gold(span[1]))
                 phrase = self.gold_phrase_with_span(gold_span)
@@ -290,7 +299,7 @@ class _OracleState:
                         return t
 
         # 5. dropped subject pronoun once the queue is exhausted
-        if not config.queue and s1 is not None and isinstance(s1, int):
+        if not queued and s1 is not None and isinstance(s1, int):
             ec_at = self.missing_ec_after(s1)
             if ec_at is not None:
                 ec = self.gold.terminals[ec_at]
@@ -312,7 +321,7 @@ class _OracleState:
             return Reduce(1)
 
         # 8. shift
-        if config.queue:
+        if queued:
             return Shift()
 
         # 9. clear a blocked pair: s1 and s3 form an expected edge
@@ -335,7 +344,8 @@ def oracle_sequence(
 ) -> OracleOutcome:
     """Derive the full canonical sequence and check it rebuilds the graph.
     ``visit(config, t)``, if given, is called with each configuration the
-    walk reaches and the transition it takes there, on unreachable graphs too."""
+    walk reaches and the transition it takes there, on unreachable graphs
+    too; the configuration is valid only during the call."""
     segments = gold.segments
     if not segments:
         return OracleOutcome([], False)
@@ -347,8 +357,10 @@ def oracle_sequence(
         t = state.next_transition()
         if visit is not None:
             visit(config, t)
-        config = apply(config, t, tags)
-        state.advance(t, config)
+        if not legal(config, t, tags):
+            raise IllegalTransition(f"{t} is not legal here")
+        step(config, t, tags)
+        state.advance(t)
         sequence.append(t)
     replayed = config.graph
     report = elas(gold, replayed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hybridparse.corpus_io import read_treebank
-from hybridparse.graph import Edge, HybridGraph, Phrase
+from hybridparse.graph import Edge, HybridGraph, Phrase, own_mask, ref_key
 from hybridparse.synth import generate
 from hybridparse.transitions import apply, initial, parse_transition
 from hybridparse.vocab import DEFAULT_TAGS
@@ -93,6 +93,61 @@ def replay(sentence, sequence, tags=DEFAULT_TAGS):
     for t in sequence:
         config = apply(config, t, tags)
     return config
+
+
+def working_state(config) -> tuple:
+    """Everything a configuration holds, copied, including its indices and
+    masks."""
+    return (
+        list(config.terminals),
+        config.front,
+        list(config.pushed),
+        {ref: list(edges) for ref, edges in config.heads.items()},
+        {ref: list(edges) for ref, edges in config.deps.items()},
+        set(config.phrases),
+        dict(config.masks),
+    )
+
+
+def _bits(mask: int) -> frozenset:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def assert_working_state_equals_a_rebuild(config):
+    """The working graph of a configuration agrees, node by node, with the
+    graph the constructor builds from the same terminals, phrases and edges:
+    span, yield, head edges (and head, where there is at most one) and
+    sorted dependent edges. Each edge is listed once by
+    dependent and once by head, no list is empty, no queue terminal has an
+    edge, a mask is kept only for a node whose yield goes beyond its own
+    extent, and the stack is ordered as insertions assume."""
+    by_dependent = [e for edges in config.heads.values() for e in edges]
+    by_head = [e for edges in config.deps.values() for e in edges]
+    rebuilt = HybridGraph(tuple(config.terminals), frozenset(config.phrases), frozenset(by_dependent))
+    assert len(by_dependent) == len(by_head) == len(rebuilt.edges)
+    assert set(by_head) == rebuilt.edges
+    assert all(config.heads.values()) and all(config.deps.values())
+    assert config.graph == rebuilt
+    nodes = list(range(len(rebuilt))) + sorted(rebuilt.phrases)
+    assert set(config.masks) <= set(nodes)
+    for ref in nodes:
+        assert config.span(ref) == rebuilt.subgraph_span(ref), ref
+        assert _bits(config.yield_mask(ref)) == rebuilt.yield_of(ref), ref
+        heads = config.heads.get(ref, ())
+        assert set(heads) == set(rebuilt.head_edges(ref)), ref
+        if len(heads) < 2:
+            assert (heads[0].head if heads else None) == rebuilt.head_of(ref), ref
+        dependents = config.deps.get(ref, ())
+        assert tuple(sorted(dependents, key=lambda e: (ref_key(e.dependent), e.relation))) == (
+            rebuilt.dependent_edges(ref)
+        ), ref
+        assert ref not in config.masks or config.masks[ref] != own_mask(ref), ref
+    for i in config.queue:
+        assert i not in config.heads and i not in config.deps
+    # An insertion after s1 moves no stack item: their extents end before the
+    # queue, and the ends never decrease toward the top.
+    ends = [HybridGraph.extent(ref)[1] for ref in config.pushed]
+    assert ends == sorted(ends) and all(end < config.front for end in ends)
 
 
 def load_transitions(name: str):

@@ -14,9 +14,16 @@ from hybridparse import (
     graph_from,
 )
 from hybridparse.graph import GraphError, IllFormedPhraseError, TerminalEdit, Violation
+from hybridparse.transitions import Configuration, InsertEmpty, Reduce, step, successor
 from hybridparse.vocab import DEFAULT_TAGS
 
-from conftest import concatenate, corpora, load_graph
+from conftest import (
+    assert_working_state_equals_a_rebuild,
+    concatenate,
+    corpora,
+    load_graph,
+    working_state,
+)
 
 
 def seg(i, pos="N", form=None, **feats):
@@ -254,69 +261,88 @@ def assert_yields_match_the_walk(graph):
         assert graph.dependent_edges(ref) == rebuilt.dependent_edges(ref), ref
 
 
+def assert_working_yields_match_the_walk(config):
+    """A working graph's yields as a walk finds them, and its state as the
+    constructor builds it."""
+    assert_working_state_equals_a_rebuild(config)
+    graph = config.graph
+    for ref in list(range(len(graph))) + sorted(graph.phrases):
+        assert config.span(ref) == reference_span(graph, ref), ref
+
+
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_yields_match_a_walk_of_the_dependents(name):
-    """Built at once (masks computed on first use) or one edge at a time in
-    every order (masks carried forward), each graph on the way has the
-    yields of a walk; earlier graphs are left as they were."""
+    """Built at once (masks computed on first use) or in a working graph one
+    edge at a time in every order (masks spread as arcs spread them), each
+    graph on the way has the yields of a walk."""
     terminals = [seg(i) for i in range(1, 6)]
-    edges = HAND_BUILT[name]
-    assert_yields_match_the_walk(graph_from(terminals, edges, [NP]))
+    edges = [Edge(dep, head, rel) for dep, head, rel in HAND_BUILT[name]]
+    assert_yields_match_the_walk(graph_from(terminals, HAND_BUILT[name], [NP]))
     for order in permutations(edges):
-        graph = graph_from(terminals, phrases=[NP])
-        graph.subgraph_span(0)
-        steps = [graph]
-        for dep, head, rel in order:
-            graph = graph.with_edge(Edge(dep, head, rel))
-            steps.append(graph)
-        for step in steps:
-            assert_yields_match_the_walk(step)
-    assert steps[-1] == graph_from(terminals, edges, [NP])
+        for k in range(len(order) + 1):
+            config = Configuration(terminals, [NP], order[:k], front=len(terminals))
+            assert_working_yields_match_the_walk(config)
+    assert config.graph == graph_from(terminals, HAND_BUILT[name], [NP])
 
 
-def assert_insertion_carries_the_masks(graph, inserted) -> HybridGraph:
-    """An insertion into a graph whose masks are computed carries them, equal
-    to the masks a fresh graph computes."""
-    graph.yield_masks()
-    grown = graph.edited(TerminalEdit(len(graph), inserted=inserted))
-    assert grown._masks is not None
-    fresh = HybridGraph(grown.terminals, grown.phrases, grown.edges)
-    assert grown.yield_masks() == fresh.yield_masks()
-    return grown
-
-
-ELLIPTICAL = EmptyCategory("N", "*")
+def inserted_after(config, anchors) -> None:
+    """Insert an empty category after each anchor in turn, ``anchors``
+    descending, starting from a stack of the anchors, the first on top;
+    after each insertion the working state equals a rebuild, and a copy
+    stepped by ``successor`` reaches it, leaving the configuration as it
+    was."""
+    for _ in anchors:
+        before = working_state(config)
+        grown = successor(config, InsertEmpty("N"))
+        assert working_state(config) == before
+        step(config, InsertEmpty("N"))
+        assert working_state(grown) == working_state(config)
+        assert_working_yields_match_the_walk(config)
+        step(config, Reduce(1))
+        step(config, Reduce(1))
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_an_insertion_carries_the_yield_masks(name):
-    """At every point, and at two points at once: NP spans 1-2, so an
-    insertion at 2 falls inside it and its heads gain the new terminal."""
-    graph = graph_from([seg(i) for i in range(1, 6)], HAND_BUILT[name], [NP])
-    for at in range(len(graph) + 1):
-        assert_insertion_carries_the_masks(graph, [(at, ELLIPTICAL)])
-        for other in range(at, len(graph) + 1):
-            assert_insertion_carries_the_masks(graph, [(other, ELLIPTICAL), (at, ELLIPTICAL)])
-    grown = assert_insertion_carries_the_masks(graph, [(2, ELLIPTICAL)])
-    heads = grown.head_edges(Phrase(1, 3, "NP"))
-    assert heads and all(2 in grown.yield_of(edge.head) for edge in heads)
+    """An insertion into a working graph keeps its masks exact, after every
+    terminal and after two at once, renumbering the edges and the phrases
+    behind the point. NP spans 1-2, so an insertion at 2 falls inside it and
+    its heads gain the new terminal; it then takes the place of a second NP
+    over 1-3, which moves on to 1-4."""
+    terminals = [seg(i) for i in range(1, 6)]
+    edges = [Edge(dep, head, rel) for dep, head, rel in HAND_BUILT[name]]
+    n = len(terminals)
+
+    def working(anchors):
+        return Configuration(terminals, [NP, Phrase(1, 3, "NP")], edges, front=n, stack=anchors)
+
+    for anchor in range(n):
+        inserted_after(working((anchor,)), [anchor])
+        for below in range(anchor):
+            inserted_after(working((anchor, below)), [anchor, below])
+    config = working((1,))
+    step(config, InsertEmpty("N"))
+    assert config.phrases == {Phrase(1, 3, "NP"), Phrase(1, 4, "NP")}
+    heads = config.heads[Phrase(1, 3, "NP")]
+    assert heads and all(config.yield_mask(edge.head) >> 2 & 1 for edge in heads)
 
 
 @settings(max_examples=20, deadline=None)
 @given(corpora, st.lists(st.integers(0, 1000), min_size=1, max_size=3))
 def test_insertions_into_synthetic_graphs_carry_the_yield_masks(graphs, points):
-    """Phrases straddle insertion points wherever a point falls inside one."""
+    """After every segment of a whole graph, and after several in turn;
+    phrases straddle insertion points wherever a point falls inside one."""
     for graph in graphs + [concatenate(graphs)]:
         n = len(graph)
-        for at in range(n + 1):
-            assert_insertion_carries_the_masks(graph, [(at, ELLIPTICAL)])
-        assert_insertion_carries_the_masks(graph, [(at % (n + 1), ELLIPTICAL) for at in points])
+        segments = [i for i, t in enumerate(graph.terminals) if isinstance(t, MorphSegment)]
 
+        def working(anchors):
+            return Configuration(graph.terminals, graph.phrases, graph.edges, front=n, stack=anchors)
 
-def test_adding_what_is_present_returns_the_graph():
-    graph = graph_from([seg(1), seg(2)], [(0, 1, "subj")], [Phrase(0, 1, "S")])
-    assert graph.with_edge(Edge(0, 1, "subj")) is graph
-    assert graph.with_phrase(Phrase(0, 1, "S")) is graph
+        for anchor in segments:
+            inserted_after(working((anchor,)), [anchor])
+        anchors = sorted({segments[p % len(segments)] for p in points}, reverse=True)
+        inserted_after(working(tuple(anchors)), anchors)
 
 
 PHRASE_RULES = ("phrase-bounds", "unknown-phrase-tag", "phrase-overlap")

@@ -572,8 +572,9 @@ def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
 
 
 def test_featurization_asks_no_checked_span(monkeypatch):
-    """isroot reads the yield masks unchecked: featurizing a parse makes no
-    ``subgraph_span`` call."""
+    """isroot reads the working graph's yield masks: featurizing a parse
+    makes no ``subgraph_span`` call, from learning or anywhere else, while a
+    call on the returned graph is counted."""
     model = _pinned_model("hybrid-lemma")
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     from_learning = Counter()
@@ -584,23 +585,26 @@ def test_featurization_asks_no_checked_span(monkeypatch):
         return subgraph_span(self, ref)
 
     monkeypatch.setattr(HybridGraph, "subgraph_span", counted)
-    parse_integrated(model, sentence.segments)
-    assert from_learning[False] > 0 and from_learning[True] == 0
+    graph, _ = parse_integrated(model, sentence.segments)
+    assert not from_learning
+    graph.subgraph_span(0)
+    assert from_learning == {False: 1}
 
 
 def test_training_walks_each_graph_once(monkeypatch):
     """Training pairs come from the oracle's own walk: one oracle walk per
-    graph, in graph order, and one ``successor`` call per oracle step, where
-    a replay of each sequence would make two."""
+    graph, in graph order, and one in-place ``step`` per oracle step, with no
+    ``successor`` copy, where a replay of each sequence would take two."""
     graphs = generate(13, 12, PROFILE).graphs + generate(56, 10, "+non-projective").graphs
     steps = sum(len(oracle_sequence(g).sequence) for g in graphs)
     walks = record_calls(monkeypatch, learning, "oracle_sequence")
-    successors = record_calls(monkeypatch, transitions, "successor")
+    stepped = record_calls(monkeypatch, transitions, "step")
+    copies = record_calls(monkeypatch, transitions, "successor")
     model = train(graphs, FeatureSetSpec("lemma"), epochs=2)
     assert model.counts["graphs_excluded"] > 0
     assert [args[0] for args in walks] == graphs
     assert all(a is b for (a, *_), b in zip(walks, graphs))
-    assert len(successors) == steps
+    assert len(stepped) == steps and not copies
 
 
 MINIMAL_MODEL = {

@@ -1,5 +1,6 @@
 """Property tests over synthetic graphs drawn by seed and profile."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -28,15 +29,28 @@ from hybridparse.learning import FeatureSetSpec, Model, _partition_key, extract_
 from hybridparse.oracle import oracle_next, oracle_sequence, step_budget
 from hybridparse.synth import generate
 from hybridparse.transitions import (
+    AddPhrase,
     InsertEmpty,
     InsertPronoun,
+    LeftArc,
+    Reduce,
+    RightArc,
+    Shift,
     apply,
     initial,
+    legal,
+    step,
     successor,
 )
 from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 
-from conftest import concatenate, corpora, replay
+from conftest import (
+    assert_working_state_equals_a_rebuild,
+    concatenate,
+    corpora,
+    replay,
+    working_state,
+)
 
 empty_categories = st.sampled_from(
     [EmptyCategory("PRON", "huwa"), EmptyCategory("N", ELLIPTICAL_FORM)]
@@ -155,52 +169,85 @@ def assert_same_as_rebuilt(graph):
 @SETTINGS
 @given(corpora)
 def test_carried_graph_state_equals_a_rebuild(model, graphs):
-    """After every step of the oracle's walk and of a parse."""
+    """At every step of the oracle's walk and of a parse, stepped in place,
+    the working graph equals a rebuild. ``successor`` and ``apply`` leave
+    their argument as it was and reach the state ``step`` reaches. A graph
+    taken from the configuration before a step is unchanged by it and by
+    every later step."""
     for graph in graphs + [concatenate(graphs)]:
         parsed = parse_integrated(model, graph.segments)[1].trace
         for sequence in (oracle_sequence(graph).sequence, parsed):
             config = initial(graph.segments)
-            assert_same_as_rebuilt(config.graph)
+            taken = []
             for t in sequence:
-                config = successor(config, t)
-                assert_same_as_rebuilt(config.graph)
+                assert_working_state_equals_a_rebuild(config)
+                before = working_state(config)
+                stepped = successor(config, t), apply(config, t)
+                assert working_state(config) == before
+                value = config.graph
+                taken.append((value, (value.terminals, value.phrases, value.edges)))
+                step(config, t)
+                assert all(working_state(other) == working_state(config) for other in stepped)
+            assert_working_state_equals_a_rebuild(config)
+            assert config.is_terminal_state()
+            for value, parts in taken:
+                assert (value.terminals, value.phrases, value.edges) == parts
+            # The derived state too, where the most has happened since.
+            for value, _ in taken[:: max(1, len(taken) // 8)]:
+                assert_same_as_rebuilt(value)
+
+
+# Every transition kind, for walks that choose among the legal ones at random.
+CANDIDATES = (
+    Shift(), Reduce(1), Reduce(2), LeftArc("subj"), RightArc("obj"),
+    InsertEmpty("N"), InsertPronoun(), AddPhrase("NP"), AddPhrase("VS"),
+)
+
+
+@SETTINGS
+@given(corpora, st.integers(0, 2**32 - 1))
+def test_random_legal_walks_keep_the_working_graph_exact(graphs, seed):
+    """Walks of random legal transitions over a long sentence pop nodes
+    before inserting after them, so insertions fall before the queue front
+    and renumber edges, masks and straddled phrases, which the oracle's and
+    a trained parser's walks hardly do. After every step the working graph
+    equals a rebuild, and ``successor`` reaches the same state as ``step``
+    without changing its argument."""
+    rng = random.Random(seed)
+    sentence = concatenate(graphs).segments
+    config = initial(sentence)
+    for _ in range(6 * len(sentence)):
+        if config.is_terminal_state():
+            break
+        t = rng.choice([t for t in CANDIDATES if legal(config, t)])
+        before = working_state(config)
+        copied = successor(config, t)
+        assert working_state(config) == before
+        step(config, t)
+        assert working_state(copied) == working_state(config)
+        assert_working_state_equals_a_rebuild(config)
 
 
 def test_parse_steps_do_not_rebuild_the_graph(model, monkeypatch):
-    """On a long sentence, only the initial graph and insertions run the
-    constructor, and no span is found by walking dependent edges. Every span
-    lookup (``subgraph_span`` and featurization's isroot) reads the yield
-    masks, so those reads are counted as spans."""
+    """On a long sentence with insertions and phrases, the parse runs the
+    constructor once, for the graph it returns, and never asks a
+    ``HybridGraph`` for a span, a yield or dependent edges: each step reads
+    and changes the working graph."""
     sentence = concatenate(generate(3, 30, "+phrases,+ellipsis,+disconnected").graphs)
     counts: Counter = Counter()
     build = HybridGraph.__post_init__
-    masks = HybridGraph.yield_masks
-    dependent_edges = HybridGraph.dependent_edges
 
     def counted_build(self):
         counts["builds"] += 1
         build(self)
 
-    def counted_masks(self):
-        counts["open spans"] += 1
-        try:
-            return masks(self)
-        finally:
-            counts["open spans"] -= 1
-            counts["spans"] += 1
-
-    def counted_dependent_edges(self, ref):
-        counts["dependent_edges within a span"] += counts["open spans"] > 0
-        return dependent_edges(self, ref)
-
     monkeypatch.setattr(HybridGraph, "__post_init__", counted_build)
-    monkeypatch.setattr(HybridGraph, "yield_masks", counted_masks)
-    monkeypatch.setattr(HybridGraph, "dependent_edges", counted_dependent_edges)
+    for name in ("yield_masks", "subgraph_span", "yield_of", "dependent_edges", "head_of"):
+        monkeypatch.setattr(HybridGraph, name, lambda *args, name=name: counts.update([name]))
     graph, report = parse_integrated(model, sentence.segments)
     insertions = sum(isinstance(t, (InsertEmpty, InsertPronoun)) for t in report.trace)
-    assert len(graph.edges) > 100 and counts["spans"] > 1000
-    assert counts["dependent_edges within a span"] == 0
-    assert counts["builds"] <= 1 + insertions
+    assert len(graph.edges) > 100 and len(graph.phrases) > 10 and insertions > 0
+    assert counts == {"builds": 1}
 
 
 @settings(max_examples=10, deadline=None)
