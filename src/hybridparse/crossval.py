@@ -8,10 +8,11 @@ averaging per-fold F1 scores and is the only aggregation offered.
 
 Once per call, each graph is put in the pipeline's training form (the
 multi-step pipeline converts it to pure dependency, dropping it when that is
-lossy), walked once by the oracle for its training pairs and serialized once
-for the corpus fingerprint (``treebank_blocks``). Once per fold,
-a model is fitted to the other folds' pairs in shuffled order, as ``train``
-would fit it (``train_from_pairs``), and the held-out graphs are parsed.
+lossy), walked once by the oracle for its training pairs, featurized over
+one growing vocabulary, and serialized once for the corpus fingerprint
+(``treebank_blocks``). Once per fold, a model is fitted to the other folds'
+pairs in shuffled order, as ``train`` would fit it (``train_from_pairs``),
+and the held-out graphs are parsed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .engine import parse_integrated, parse_multi_step
 from .learning import (
     DEFAULT_EPOCHS,
     FeatureSetSpec,
+    Vocabulary,
     train_from_pairs,
     training_pairs,
     treebank_blocks,
@@ -57,7 +59,8 @@ def cross_validate(
     multistep = pipeline == "multistep"
     forms = [lossless_pure_graphs(s, tags) for s in slices] if multistep else slices
     parse = parse_multi_step if multistep else parse_integrated
-    pairs = [[training_pairs(g, spec, tags) for g in form] for form in forms]
+    vocabulary = Vocabulary(grow=True)
+    pairs = [[training_pairs(g, spec, tags, vocabulary) for g in form] for form in forms]
     blocks = [treebank_blocks(form) for form in forms]
     reports = []
     for k, held_out in enumerate(slices):
@@ -65,6 +68,7 @@ def cross_validate(
         model = train_from_pairs(
             [g for j in rest for g in forms[j]],
             [p for j in rest for p in pairs[j]],
+            vocabulary,
             [b for j in rest for b in blocks[j]],
             spec,
             seed,

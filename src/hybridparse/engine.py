@@ -26,6 +26,10 @@ class ParseReport:
     trace: List[Transition] = field(default_factory=list)
     budget_exhausted: bool = False
     predictive_steps: int = 0
+    # Predictive steps whose best-ranked allowed transition was illegal, and
+    # those that fell back to ``forced`` (see ``learning.predict``).
+    illegal_top_steps: int = 0
+    forced_steps: int = 0
     reconstruction_errors: list = field(default_factory=list)
 
     def trace_text(self) -> str:
@@ -42,7 +46,7 @@ def _greedy_parse(
     budget = step_budget(len(sentence))
     report = ParseReport()
     while not config.is_terminal_state() and len(report.trace) < budget:
-        t = predict(model, config, tags, allowed_kinds)
+        t = predict(model, config, tags, allowed_kinds, report)
         step(config, t, tags)
         report.trace.append(t)
     report.predictive_steps = len(report.trace)

@@ -1,73 +1,68 @@
-"""Feature extraction, binarization and the trainable classifier bank.
+"""The trainable classifier bank: training, scoring and prediction.
 
-Configurations are described by binary predicates over the top three
-stack items and the queue front. Static predicates follow the nested
-feature sets Pos < Morph6 < Morph9 < Lemma < Phi; dynamic predicates
-describe the partially built graph (existing dependent relations, rooted
-subgraphs, and previously parsed edges between slot pairs).
-
-``extract_features`` makes one pass over the four slots, reading s1-s3 from
-the stack and q1 from the queue front by position, all from the
-configuration's working state. A terminal's static predicates (pos,
-morphology, copula, lemma) are computed once per slot and feature set level
-and kept in the configuration's ``static_cache``, which is exact because
-terminals are frozen values; its morphological predicates come from its
-sorted ``features`` pairs, through a table per level and slot of the
-predicate prefix of each key. The names that depend on the slot alone
-(``absent``, ``isroot``, ``deprel(rel)``) come from tables. The dynamic
-predicates and ``graph:edge`` read the working graph's edge lists by
-dependent and by head, unsorted, since the result is a set, and ``isroot``
-its yield masks (``mask_span``).
-
-One multiclass scorer is trained per part-of-speech at the top of the
-stack; the reference scorer is an averaged perceptron over the binary
-predicates plus explicit pairwise conjunctions of the s1 and s2 slot
-predicates, standing in for a quadratic-kernel maximum-margin machine
-whose hyperparameters are carried as model metadata.
+Configurations are described by the binary predicates of ``features``, as
+bits of a predicate ``Vocabulary``. One multiclass scorer is trained per
+part-of-speech at the top of the stack; the reference scorer is an averaged
+perceptron over the binary predicates plus explicit pairwise conjunctions
+of the s1 and s2 slot predicates, standing in for a quadratic-kernel
+maximum-margin machine whose hyperparameters are carried as model metadata.
 
 Each configuration the oracle's walk visits gives one training pair
-(``training_pairs``). ``train_from_pairs`` fits a model to graphs and their
-pairs, so cross-validation derives each graph's pairs once. Training
-follows the perceptron rule: a pair is a mistake unless its gold
-transition scores strictly above every other, so a tie is a mistake. Each
-partition trains until its averaged weights fit every pair whose feature
-set is not also labelled with another transition, or until the epoch cap.
+(``training_pairs``). Training featurizes with ``featurize``, as parsing
+does, over one growing vocabulary per training run, so a feature set is an
+int. ``train_from_pairs`` fits a model to graphs and their pairs, so
+cross-validation derives each graph's pairs once. Training follows the
+perceptron rule: a pair is a mistake unless its gold transition scores
+strictly above every other, so a tie is a mistake. Each partition trains
+until its averaged weights fit every pair whose feature set is not also
+labelled with another transition, or until the epoch cap.
 
 Each classifier interns its expanded feature strings to integer ids, once
-per distinct feature set of its training pairs, and holds one row of
-weights per transition, indexed by id. A feature set expands to its sorted
-predicates followed by each s1 x s2 conjunction ``f"{a}&{b}"``
-(``_conjoined``). Training keeps the raw weights and, per weight, the sum of
-each update times the step it was made at, all as Python ints. After
-``step`` steps the averaged weight is (step * raw - sum) / step: the
-averaging is exact, the check that the averaged weights fit is made on the
-integer numerators, and each stored weight is one quotient rounded once.
-Pairs that share a feature set share its raw scores until the next update,
-which the integer weights make exact (see ``AveragedPerceptron.fit``).
+per distinct feature set of its training pairs (``fit`` numbers the
+distinct ints and decodes each one once), and holds one row of weights per
+transition, indexed by id. A
+feature set expands to its sorted predicates followed by each s1 x s2
+conjunction ``f"{a}&{b}"`` (``_conjoined``). Training keeps the raw weights
+and, per weight, the sum of each update times the step it was made at, all
+as Python ints. After ``step`` steps the averaged weight is
+(step * raw - sum) / step: the averaging is exact, the check that the
+averaged weights fit is made on the integer numerators, and each stored
+weight is one quotient rounded once. Pairs that share a feature set share
+its raw scores until the next update, which the integer weights make exact
+(see ``AveragedPerceptron.fit``). Model files list the weights label-major
+(transition -> feature -> weight), as strings.
 
-Scoring builds no conjunction string. When a classifier is fitted or
-loaded it derives a table s1 predicate -> s2 predicate -> id from its index
-(``_pair_table``), registering each indexed string that starts with "s1:"
-at every "&s2:" in it, since a lemma may hold "&s2:" as well; so (a, b) is
-in the table exactly when ``f"{a}&{b}"`` is indexed. A score takes the ids
-of the sorted predicates, then the table's hits for each s1 predicate
-against each s2 predicate, which is the expanded order, and adds a
-transition's weights one at a time in that order. Float addition is not
-associative, so the order fixes the result; ``sum()`` is never used, as its
-float rounding differs between Python versions. Model files list the
-weights label-major (transition -> feature -> weight).
+A classifier knows each indexed string, conjunctions included, since a
+lemma predicate may spell one, and each s1 and s2 predicate of its pair
+table (``_pair_table``). The table registers each indexed string that
+starts with "s1:" at every "&s2:" in it, since a lemma may hold "&s2:" as
+well; so (a, b) is in the table exactly when ``f"{a}&{b}"`` is indexed. The
+``Model`` numbers every predicate any of its classifiers knows, in sorted
+order, as its ``vocabulary``: bit p of a key is ``vocabulary.names[p]``. It
+binds each classifier to it, and the classifier keeps ``known``, the int of
+its bits, and its ids and pair table by bit position.
 
-Parsing ranks each distinct feature set once per classifier. A classifier
-gives one bit to each predicate it knows: each indexed string and each s1
-and s2 predicate of the pair table. A set's key is the int mask of the bits
-of its known predicates (``AveragedPerceptron.mask``), and ``rankings`` maps
-a key to the labels as transitions, best first. This is exact: a score reads
-only the set's known predicates, so two sets with one mask give the same ids
-in the same order and bit-identical sums. ``predict`` ranks on a miss,
+A score reads a key: the bits of a set's known predicates. It takes the ids
+of the key's bits in ascending order, then, for each bit with a pair row in
+ascending order, the row's hits among the key's s2 bits in ascending order.
+The vocabulary is numbered in sorted predicate order, so ascending bits are
+the sorted predicates and this is the expanded order of ``_conjoined``
+without its strings. A transition's weights are added one at a time in that
+order. Float addition is not associative, so the order fixes the result;
+``sum()`` is never used, as its float rounding differs between Python
+versions.
+
+Parsing ranks each distinct key once per classifier. ``predict`` featurizes
+over the model's vocabulary, where a predicate no classifier knows gets no
+bit, and keys ``rankings`` by ``bits & clf.known``, which maps a key to the
+labels as transitions, best first. This is exact: a score reads only the
+known predicates, so two sets with one key give the same ids in the same
+order and bit-identical sums. ``predict`` scores the key itself on a miss,
 skips the kinds ``allowed_kinds`` excludes after the ranking, so that one
 memo serves both pipelines, and returns the first legal transition.
-``fit`` and ``load`` assign the bits afresh and clear the memo, which
-otherwise grows by one entry per distinct mask the classifier sees.
+``fit`` and ``load`` unbind a classifier, binding clears its memo, and
+``predict`` binds the model again when a classifier is not bound to its
+vocabulary. The memo otherwise grows by one entry per distinct key.
 """
 
 from __future__ import annotations
@@ -77,10 +72,21 @@ import json
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .corpus_io import TreebankDocument, dumps_treebank
-from .graph import EmptyCategory, HybridGraph, Phrase, mask_span
+# extract_features, SLOTS and EDGE_PAIRS are re-exported: the benchmark's
+# tracer rebinds ``learning.extract_features`` by name.
+from .features import (
+    EDGE_PAIRS,
+    SLOTS,
+    FeatureSetSpec,
+    Vocabulary,
+    extract_features,
+    featurize,
+    positions,
+)
+from .graph import HybridGraph, Phrase
 from .oracle import oracle_sequence
 from .transitions import (
     Configuration,
@@ -89,18 +95,7 @@ from .transitions import (
     legal,
     parse_transition,
 )
-from .vocab import COPULA_GROUP, DEFAULT_TAGS, TagSet, parse_label
-
-FEATURE_SETS = ("pos", "morph6", "morph9", "lemma", "phi")
-
-# Static morphological predicates added by each nested feature set.
-_SET_LEVELS = {name: i for i, name in enumerate(FEATURE_SETS)}
-_MORPH6 = ("Voice", "Mood", "Case", "State")
-_MORPH9 = ("PronType", "SegType")
-_PHI = ("Person", "Gender", "Number")
-
-SLOTS = ("s1", "s2", "s3", "q1")
-EDGE_PAIRS = (("s1", "s2"), ("s1", "q1"), ("s2", "s3"))
+from .vocab import DEFAULT_TAGS, TagSet, parse_label
 
 # Stands in for the gold label's score, so that max() gives the best wrong one.
 _BELOW_ALL = float("-inf")
@@ -120,132 +115,6 @@ HYPERPARAMETERS = {
 
 class TrainingError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class FeatureSetSpec:
-    name: str
-
-    def __post_init__(self):
-        if self.name not in FEATURE_SETS:
-            raise ValueError(f"unknown feature set {self.name!r}")
-
-    @property
-    def level(self) -> int:
-        return _SET_LEVELS[self.name]
-
-
-def _morph_keys(level: int) -> tuple:
-    """The morphological keys a feature set level describes."""
-    return (
-        (_MORPH6 if level >= 1 else ())
-        + (_MORPH9 if level >= 2 else ())
-        + (_PHI if level >= 4 else ())
-    )
-
-
-# Per level and slot, morphological key -> predicate prefix ("s1:case=").
-_PREFIXES = tuple(
-    {slot: {key: f"{slot}:{key.lower()}=" for key in _morph_keys(level)} for slot in SLOTS}
-    for level in range(len(FEATURE_SETS))
-)
-
-# The graph:edge predicates, each with the positions of its two slots.
-_EDGE_PREDICATES = tuple(
-    (SLOTS.index(a), SLOTS.index(b), f"graph:edge({a},{b})") for a, b in EDGE_PAIRS
-)
-
-# Per slot position, its fixed predicate names and prefixes.
-_ABSENT = tuple(f"{slot}:absent" for slot in SLOTS)
-_ISROOT = tuple(f"{slot}:isroot" for slot in SLOTS)
-_PHRASE = tuple(f"{slot}:phrase=" for slot in SLOTS)
-# Per slot position, relation -> its deprel predicate: a memo of a pure
-# function, as large as the relation vocabulary.
-_DEPREL = tuple({} for _ in SLOTS)
-# Entries per terminal in ``Configuration.static_cache``: one per slot
-# position and feature set level.
-_CACHE_WIDTH = len(SLOTS) * len(FEATURE_SETS)
-
-
-def _static_predicates(term, slot: str, level: int) -> tuple:
-    """A terminal's predicates in a slot that do not depend on the graph:
-    pos, morphology, copula and lemma."""
-    out = [f"{slot}:pos={term.pos}"]
-    if not isinstance(term, EmptyCategory):
-        prefixes = _PREFIXES[level][slot]
-        copula = False
-        for key, value in term.features:
-            prefix = prefixes.get(key)
-            if prefix is None:
-                if key == "SP":
-                    copula = value == COPULA_GROUP
-            else:
-                out.append(prefix + value)
-        if copula and level >= 2:
-            out.append(f"{slot}:copula")
-        if level >= 3 and term.lemma:
-            out.append(f"{slot}:lemma={term.lemma}")
-    return tuple(out)
-
-
-def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:
-    """Binary predicate set describing a configuration under a feature set."""
-    pushed, terminals = config.pushed, config.terminals
-    depth = len(pushed)
-    refs = (
-        pushed[-1] if depth > 0 else None,
-        pushed[-2] if depth > 1 else None,
-        pushed[-3] if depth > 2 else None,
-        config.front if config.front < len(terminals) else None,
-    )
-    heads, deps, masks = config.heads, config.deps, config.masks
-    cache = config.static_cache
-    level = spec.level
-    out: List[str] = []
-    add = out.append
-    for k, ref in enumerate(refs):
-        if ref is None:
-            add(_ABSENT[k])
-            continue
-        if isinstance(ref, Phrase):
-            add(_PHRASE[k] + ref.tag)
-        else:
-            entry = cache[ref]
-            if entry is None:
-                entry = cache[ref] = [None] * _CACHE_WIDTH
-            at = k * len(FEATURE_SETS) + level
-            static = entry[at]
-            if static is None:
-                static = entry[at] = _static_predicates(terminals[ref], SLOTS[k], level)
-            out.extend(static)
-        edges = deps.get(ref)
-        if edges:
-            names = _DEPREL[k]
-            for edge in edges:
-                name = names.get(edge.relation)
-                if name is None:
-                    name = names[edge.relation] = f"{SLOTS[k]}:deprel({edge.relation})"
-                add(name)
-        # A node with no mask yields its own extent, which is one run.
-        if ref not in heads and (ref not in masks or mask_span(masks[ref]) is not None):
-            add(_ISROOT[k])
-    for a, b, name in _EDGE_PREDICATES:
-        ra, rb = refs[a], refs[b]
-        if ra is not None and rb is not None and _linked(heads, ra, rb):
-            add(name)
-    return frozenset(out)
-
-
-def _linked(heads: dict, a, b) -> bool:
-    """Whether an edge joins ``a`` and ``b``, in either direction, given the
-    edges by dependent."""
-    for edge in heads.get(a, ()):
-        if edge.head == b:
-            return True
-    for edge in heads.get(b, ()):
-        if edge.head == a:
-            return True
-    return False
 
 
 def _conjoined(features: frozenset) -> List[str]:
@@ -291,15 +160,16 @@ class AveragedPerceptron:
         # Expanded feature -> id, and per label its weights by id.
         self.index: Dict[str, int] = {}
         self.rows: List[List[float]] = [[] for _ in self.labels]
-        # s1 predicate -> s2 predicate -> id of their conjunction.
+        # s1 predicate -> s2 predicate -> id of their conjunction, and every
+        # predicate a score reads.
         self.pairs: Dict[str, Dict[str, int]] = {}
-        # Known predicate -> its bit, and the ranking memo: mask -> labels as
-        # transitions, best first (see predict).
-        self.bits: Dict[str, int] = {}
-        self.rankings: Dict[int, Tuple[Transition, ...]] = {}
+        self.predicates: frozenset = frozenset()
+        self._unbind()
 
-    def fit(self, pairs: Sequence[Tuple[frozenset, str]]) -> int:
-        """Train on (features, label) pairs and return the epochs run.
+    def fit(self, pairs: Sequence[Tuple[object, str]], decode: Optional[Callable] = None) -> int:
+        """Train on (features, label) pairs and return the epochs run. The
+        features are a frozenset of predicates, or an int that ``decode``
+        maps to one.
 
         A pair is a mistake, and updates the weights, unless its gold label
         scores strictly above the best wrong label, so a tie is a mistake.
@@ -310,18 +180,21 @@ class AveragedPerceptron:
         checks.
 
         Each distinct feature set is numbered in order of first appearance
-        and expanded, interned and given its getter once, so the index is the
-        one a pass pair by pair would build. Pairs that share a set share its
+        and decoded, expanded, interned and given its getter once, so the
+        index is the one a pass pair by pair would build. Pairs that share a set share its
         raw scores: they are kept with the number of updates made when they
         were computed and reused until the next mistake updates the weights.
         The raw weights are ints, so a reused sum is the sum recomputed. The
         averaged-weights check scores each fittable set once, since all the
         pairs of such a set carry its one label.
         """
-        number: Dict[frozenset, int] = {}
+        number: dict = {}
         set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
         index: Dict[str, int] = {}
-        ids_of = [[index.setdefault(f, len(index)) for f in _conjoined(feats)] for feats in number]
+        ids_of = [
+            [index.setdefault(f, len(index)) for f in _conjoined(decode(key) if decode else key)]
+            for key in number
+        ]
         getters = [_getter(ids) for ids in ids_of]
         position = {label: j for j, label in enumerate(self.labels)}
         golds = [position[label] for _, label in pairs]
@@ -406,40 +279,64 @@ class AveragedPerceptron:
         self._derive_tables()
 
     def _derive_tables(self) -> None:
-        """The pair table and the predicate bits of the current index, and
-        an empty ranking memo."""
+        """The pair table and the predicates of the current index, unbound."""
         self.pairs = _pair_table(self.index)
-        known = dict.fromkeys(self.pairs)
-        for hits in self.pairs.values():
-            known.update(dict.fromkeys(hits))
-        known.update(dict.fromkeys(self.index))
-        self.bits = {feat: 1 << k for k, feat in enumerate(known)}
+        inner = {b for hits in self.pairs.values() for b in hits}
+        self.predicates = frozenset(self.index).union(self.pairs, inner)
+        self._unbind()
+
+    def _unbind(self) -> None:
+        self.vocabulary: Optional[Vocabulary] = None
+        self.known = self.s2_bits = 0
+        # Per bit position: its id, and its pair row (s2 position -> id), or None.
+        self.plain: List[Optional[int]] = []
+        self.pair_rows: List[Optional[Dict[int, int]]] = []
+        # The ranking memo: key -> labels as transitions, best first (predict).
+        self.rankings: Dict[int, Tuple[Transition, ...]] = {}
+
+    def bind(self, vocabulary: Vocabulary) -> None:
+        """Key scores by the bits of ``vocabulary``, a fixed vocabulary in
+        sorted predicate order that holds every predicate this classifier
+        knows, and empty the ranking memo."""
+        ids = vocabulary.ids
+        plain: list = [None] * len(ids)
+        pair_rows: list = [None] * len(ids)
+        known = s2 = 0
+        for f, i in self.index.items():
+            p = ids[f]
+            plain[p] = i
+            known |= 1 << p
+        for a, hits in self.pairs.items():
+            p = ids[a]
+            known |= 1 << p
+            row = pair_rows[p] = {}
+            for b, i in hits.items():
+                q = ids[b]
+                row[q] = i
+                s2 |= 1 << q
+        self.plain, self.pair_rows = plain, pair_rows
+        self.known, self.s2_bits = known | s2, s2
+        self.vocabulary = vocabulary
         self.rankings = {}
 
-    def mask(self, features: frozenset) -> int:
-        """The bits of the predicates in ``features`` that this classifier
-        knows: sets with the same mask get the same scores."""
-        bits = self.bits
-        mask = 0
-        for feat in features:
-            bit = bits.get(feat)
-            if bit is not None:
-                mask |= bit
-        return mask
-
-    def score(self, features: frozenset) -> Dict[str, float]:
+    def score(self, features) -> Dict[str, float]:
         """Per-label weight sums over the expanded features, each added one
-        at a time in expanded feature order (see ``_conjoined``)."""
-        index = self.index
-        items = sorted(features)
-        ids = [index[f] for f in items if f in index]
-        s2 = [f for f in items if f.startswith("s2:")]
-        pairs = self.pairs
-        for a in items:
-            hits = pairs.get(a)
-            if hits is not None:
-                for b in s2:
-                    i = hits.get(b)
+        at a time in expanded feature order (see ``_conjoined``).
+
+        ``features`` is a key, the bits of known predicates over the bound
+        vocabulary, or a set of predicates, scored as its key; an unbound
+        classifier is then bound to a vocabulary of its own predicates."""
+        if not isinstance(features, int):
+            if self.vocabulary is None:
+                self.bind(Vocabulary(sorted(self.predicates)))
+            features = self.vocabulary.encode(features) & self.known
+        bits = positions(features)
+        ids = [i for i in map(self.plain.__getitem__, bits) if i is not None]
+        s2 = positions(features & self.s2_bits)
+        for row in map(self.pair_rows.__getitem__, bits):
+            if row is not None:
+                for q in s2:
+                    i = row.get(q)
                     if i is not None:
                         ids.append(i)
         scores = {}
@@ -484,13 +381,27 @@ class Model:
     counts: dict = field(default_factory=dict)
     # Each classifier label parsed once, for predict.
     parsed_labels: Dict[str, Transition] = field(init=False, repr=False, compare=False)
+    # Every predicate a classifier knows, in sorted order (see bind).
+    vocabulary: Vocabulary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.bind()
+
+    def bind(self) -> None:
+        """Parse each classifier label, number every predicate any classifier
+        knows, in sorted order, and bind each classifier to that
+        vocabulary."""
         self.parsed_labels = {
             label: parse_transition(label)
             for clf in self.classifiers.values()
             for label in clf.labels
         }
+        known: set = set()
+        for clf in self.classifiers.values():
+            known.update(clf.predicates)
+        self.vocabulary = Vocabulary(sorted(known))
+        for clf in self.classifiers.values():
+            clf.bind(self.vocabulary)
 
     def serialize(self) -> str:
         payload = {
@@ -559,15 +470,25 @@ def _partition_key(config: Configuration) -> str:
 
 
 def training_pairs(
-    gold: HybridGraph, spec: FeatureSetSpec, tags: TagSet = DEFAULT_TAGS
+    gold: HybridGraph,
+    spec: FeatureSetSpec,
+    tags: TagSet = DEFAULT_TAGS,
+    vocabulary: Optional[Vocabulary] = None,
 ) -> Optional[list]:
     """(partition, features, transition) triples, one per configuration of
-    the oracle's walk, or None when the graph is oracle-unreachable."""
+    the oracle's walk, or None when the graph is oracle-unreachable. The
+    features are the bits of a growing ``vocabulary`` when one is given, and
+    a frozenset of predicates otherwise."""
+    bits = Vocabulary(grow=True) if vocabulary is None else vocabulary
     out = []
     outcome = oracle_sequence(gold, tags, visit=lambda config, t: out.append(
-        (_partition_key(config), extract_features(config, spec), str(t))
+        (_partition_key(config), featurize(config, spec, bits), str(t))
     ))
-    return out if outcome.reachable else None
+    if not outcome.reachable:
+        return None
+    if vocabulary is None:
+        return [(partition, bits.decode(feats), t) for partition, feats, t in out]
+    return out
 
 
 def train(
@@ -577,15 +498,18 @@ def train(
     epochs: int = DEFAULT_EPOCHS,
     tags: TagSet = DEFAULT_TAGS,
 ) -> Model:
-    """Fit a model to each graph's ``training_pairs`` (``train_from_pairs``)."""
+    """Fit a model to each graph's ``training_pairs`` (``train_from_pairs``),
+    featurized over one growing vocabulary."""
     graphs = list(corpus.graphs if hasattr(corpus, "graphs") else corpus)
-    pairs = [training_pairs(gold, spec, tags) for gold in graphs]
-    return train_from_pairs(graphs, pairs, treebank_blocks(graphs), spec, seed, epochs)
+    vocabulary = Vocabulary(grow=True)
+    pairs = [training_pairs(gold, spec, tags, vocabulary) for gold in graphs]
+    return train_from_pairs(graphs, pairs, vocabulary, treebank_blocks(graphs), spec, seed, epochs)
 
 
 def train_from_pairs(
     graphs: list,
     pairs: list,
+    vocabulary: Vocabulary,
     blocks: List[str],
     spec: FeatureSetSpec,
     seed: int = 0,
@@ -593,7 +517,8 @@ def train_from_pairs(
 ) -> Model:
     """Fit one classifier per POS partition to each graph's ``training_pairs``,
     where None marks an oracle-unreachable graph, counted as excluded. The
-    corpus fingerprint hashes the graphs' ``treebank_blocks``.
+    pairs' features are bits of ``vocabulary``. The corpus fingerprint hashes
+    the graphs' ``treebank_blocks``.
 
     ``epochs`` caps the training of each partition. A partition stops earlier
     once its averaged weights score the gold transition strictly highest on
@@ -624,7 +549,7 @@ def train_from_pairs(
         partition_pairs = by_partition[partition]
         labels = sorted({label for _, label in partition_pairs})
         clf = AveragedPerceptron(labels, epochs=epochs, seed=seed)
-        epochs_run[partition] = clf.fit(partition_pairs)
+        epochs_run[partition] = clf.fit(partition_pairs, vocabulary.decode)
         classifiers[partition] = clf
     fingerprint = _corpus_fingerprint(blocks)
     counts = {
@@ -663,25 +588,36 @@ def predict(
     config: Configuration,
     tags: TagSet = DEFAULT_TAGS,
     allowed_kinds: Optional[tuple] = None,
+    report=None,
 ) -> Transition:
     """Highest-scoring legal transition; total via the ``forced`` fallback.
 
-    The classifier's labels are ranked once per mask (``rankings``) and the
+    The classifier's labels are ranked once per key (``rankings``) and the
     kinds ``allowed_kinds`` excludes are skipped afterwards, which keeps the
-    order, so one ranking serves both pipelines."""
+    order, so one ranking serves both pipelines. ``report``, if given, counts
+    a step whose best-ranked allowed transition is illegal in its
+    ``illegal_top_steps`` and a step that falls back to ``forced`` in its
+    ``forced_steps``."""
     clf = model.classifiers.get(_partition_key(config))
     if clf is not None:
-        features = extract_features(config, model.feature_set)
-        key = clf.mask(features)
+        if clf.vocabulary is not model.vocabulary:
+            model.bind()
+        key = featurize(config, model.feature_set, model.vocabulary) & clf.known
         ranking = clf.rankings.get(key)
         if ranking is None:
             # (-score, label): labels are unique, so ties go to the smaller label.
-            ranked = sorted((-score, label) for label, score in clf.score(features).items())
+            ranked = sorted((-score, label) for label, score in clf.score(key).items())
             parsed = model.parsed_labels
             ranking = clf.rankings[key] = tuple(parsed[label] for _, label in ranked)
+        top = True
         for t in ranking:
             if allowed_kinds and not isinstance(t, allowed_kinds):
                 continue
             if legal(config, t, tags):
                 return t
+            if top and report is not None:
+                report.illegal_top_steps += 1
+            top = False
+    if report is not None:
+        report.forced_steps += 1
     return forced(config)

@@ -33,8 +33,8 @@ endpoint pair, by node and by head, the gold phrases by span, and the
 ``_OracleState`` across the whole walk of ``oracle_sequence``: the
 alignment of working to gold terminals, and the built edges, phrases and
 empty-category anchors in gold terms. Shift and reduce change none of
-these, an arc adds one edge and a phrase one phrase; an insertion
-renumbers terminals, so the state is rebuilt from the configuration.
+these, an arc adds one edge and a phrase one phrase; an insertion aligns
+the new terminal and realigns only the empty categories right after it.
 ``oracle_next`` builds the same index and state from scratch and runs the
 same rules. The walk steps one configuration in place (``transitions.step``)
 and the rules read its working state.
@@ -134,6 +134,13 @@ def _alignment(terminals, gold_segments: list) -> list:
     return mapping
 
 
+def _remap(entries: set, remap: Callable) -> None:
+    """Replace, in place, each entry that ``remap`` changes by its image."""
+    changed = {entry: new for entry in entries if (new := remap(entry)) != entry}
+    entries.difference_update(changed)
+    entries.update(changed.values())
+
+
 class _OracleState:
     """A working configuration seen in gold terms: its alignment and the
     edges, phrases and empty-category anchors it has built, each mapped to
@@ -143,9 +150,6 @@ class _OracleState:
         self.index = index
         self.gold = index.gold
         self.tags = tags
-        self._rebuild(config)
-
-    def _rebuild(self, config: Configuration) -> None:
         self.config = config
         terminals = config.terminals
         self.working_to_gold = _alignment(terminals, self.index.segment_indices)
@@ -166,18 +170,51 @@ class _OracleState:
         """Follow the configuration, which has just taken ``t`` in place.
 
         An arc adds one built edge and a phrase one built phrase. An
-        insertion renumbers terminals and may realign earlier empty
-        categories, so the state is rebuilt.
+        insertion aligns the new terminal (``_inserted``), and the pronoun
+        operation adds its ``subj`` edge as well.
         """
         config = self.config
         if isinstance(t, (InsertEmpty, InsertPronoun)):
-            self._rebuild(config)
+            self._inserted(config.pushed[-1])
+            if isinstance(t, InsertPronoun):
+                self.built_edges.add(
+                    (self.to_gold(config.pushed[-1]), self.to_gold(config.pushed[-2]), "subj")
+                )
         elif isinstance(t, (LeftArc, RightArc)):
             s1, s2 = config.pushed[-1], config.pushed[-2]
             dep, head = (s2, s1) if isinstance(t, LeftArc) else (s1, s2)
             self.built_edges.add((self.to_gold(dep), self.to_gold(head), t.relation))
         elif isinstance(t, AddPhrase):
             self.built_phrases.add(self.to_gold(config.pushed[-1]))
+
+    def _inserted(self, at: int) -> None:
+        """Align the empty category just inserted at ``at``, after a node.
+
+        It aligns one past its left neighbour, and so does each empty
+        category of the run that follows it, each one past the last. Only
+        that run's gold indices change, each by one: the built entries that
+        name them are remapped, and the new index becomes an anchor.
+        Segments keep theirs. The alignment is one-to-one along the walk,
+        so a gold index names the one working terminal aligned to it."""
+        mapping, terminals = self.working_to_gold, self.config.terminals
+        mapping.insert(at, mapping[at - 1] + 1)
+        moved = {}  # old gold index -> new
+        j = at + 1
+        while j < len(terminals) and isinstance(terminals[j], EmptyCategory):
+            new = mapping[j - 1] + 1
+            moved[mapping[j]] = new
+            mapping[j] = new
+            j += 1
+        if moved:
+            def remap(ref):
+                if isinstance(ref, Phrase):
+                    return Phrase(moved.get(ref.start, ref.start), moved.get(ref.end, ref.end), ref.tag)
+                return moved.get(ref, ref)
+
+            _remap(self.built_edges, lambda e: (remap(e[0]), remap(e[1]), e[2]))
+            _remap(self.built_phrases, remap)
+            _remap(self.built_anchors, remap)
+        self.built_anchors.add(mapping[at])
 
     # -- helpers over gold vs working ------------------------------------
 

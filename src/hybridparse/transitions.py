@@ -146,7 +146,8 @@ class Configuration:
       exact at every step, but only for a node whose yield goes beyond its
       own extent (``own_mask``), so an edge-less terminal costs nothing.
     - ``static_cache`` runs parallel to the terminals: each one's static
-      predicates per slot and feature set level (``learning``).
+      predicates per slot and feature set level, as bits of the vocabulary
+      ``static_owner`` (``features.featurize``).
 
     ``queue`` and ``stack`` (top first) are tuples, and ``graph`` is a
     ``HybridGraph`` built on first use after a step. The constructor takes
@@ -155,7 +156,7 @@ class Configuration:
 
     __slots__ = (
         "terminals", "front", "pushed", "heads", "deps", "phrases", "masks",
-        "static_cache", "_graph",
+        "static_cache", "static_owner", "_graph",
     )
 
     def __init__(self, terminals, phrases=(), edges=(), front: int = 0, stack=()):
@@ -167,6 +168,7 @@ class Configuration:
         self.phrases = set(phrases)
         self.masks: dict = {}
         self.static_cache: list = [None] * len(self.terminals)
+        self.static_owner = None
         self._graph: Optional[HybridGraph] = None
         for edge in edges:
             self._add_edge(edge)
@@ -206,6 +208,7 @@ class Configuration:
         other.phrases = set(self.phrases)
         other.masks = dict(self.masks)
         other.static_cache = list(self.static_cache)
+        other.static_owner = self.static_owner
         other._graph = self._graph
         return other
 

@@ -32,6 +32,7 @@ from hybridparse.learning import (
     SLOTS,
     AveragedPerceptron,
     TrainingError,
+    featurize,
     training_pairs,
 )
 from hybridparse.oracle import oracle_sequence, step_budget
@@ -751,8 +752,8 @@ def test_budget_exhaustion_drains_to_a_valid_graph():
     assert graph.validate() == []
 
 
-# The ranking memo: predict ranks a classifier's labels once per mask of the
-# predicates it knows, and filters by kind afterwards.
+# The ranking memo: predict ranks a classifier's labels once per key, the
+# bits of the predicates it knows, and filters by kind afterwards.
 
 
 def _reference_predict(model, config, tags=DEFAULT_TAGS, allowed_kinds=None):
@@ -860,9 +861,10 @@ def _predictions(clf, configs) -> list:
 
 
 def test_a_refit_classifier_predicts_as_a_fresh_one():
-    """Fitting again clears the rankings of the old weights. The second fit
-    swaps the first one's labels, so the classifier knows the same predicates
-    before and after, and a ranking kept from before would be found again."""
+    """Fitting again clears the rankings of the old weights, also in a model
+    that holds the classifier already. The second fit swaps the first one's
+    labels, so the classifier knows the same predicates before and after,
+    and a ranking kept from before would be found again."""
     labels = ["REDUCE(1)", "SHIFT"]
     pairs = [
         (frozenset({"s1:pos=N", "q1:pos=V"}), "SHIFT"),
@@ -878,9 +880,12 @@ def test_a_refit_classifier_predicts_as_a_fresh_one():
 
     clf = fitted(pairs)
     assert _predictions(clf, configs) == [Shift(), Reduce(1)]
+    # A model made before the refit binds the refit classifier again.
+    before = Model(FeatureSetSpec("lemma"), clf.labels, {"N": clf})
     known = _known(clf)
     clf.fit(swapped)
     assert _known(clf) == known
+    assert [predict(before, config) for config in configs] == [Reduce(1), Shift()]
     assert _predictions(clf, configs) == _predictions(fitted(swapped), configs) == [Reduce(1), Shift()]
 
 
@@ -916,3 +921,108 @@ def test_a_reloaded_classifier_predicts_as_a_fresh_one():
     clf.load(negated)
     assert _known(clf) == known
     assert _predictions(clf, configs) == expected
+
+
+# Predicates as bits of the model's vocabulary: featurize, the key scorer and
+# predict against the string references above.
+
+
+def _string_keyed_predict(model, config, memo, allowed_kinds=None):
+    """predict with its memo keyed by the partition and the classifier's
+    known predicates as strings, and each ranking scored by
+    ``_reference_score``."""
+    partition = learning._partition_key(config)
+    clf = model.classifiers.get(partition)
+    if clf is not None:
+        feats = extract_features(config, model.feature_set)
+        key = (partition, frozenset(feats & _known(clf)))
+        ranking = memo.get(key)
+        if ranking is None:
+            scores = _reference_score(clf, feats)
+            ranked = sorted((-score, label) for label, score in scores.items())
+            ranking = memo[key] = [model.parsed_labels[label] for _, label in ranked]
+        for t in ranking:
+            if allowed_kinds and not isinstance(t, allowed_kinds):
+                continue
+            if transitions.legal(config, t):
+                return t
+    return transitions.forced(config)
+
+
+@settings(max_examples=10, deadline=None)
+@given(corpora)
+def test_bits_keys_and_predictions_match_the_string_references(graphs):
+    """At every configuration of the oracle's walk and of each pipeline's
+    parse: the bits decode to extract_features's set restricted to the
+    model's predicates, every classifier scores its key as the reference
+    scores the set, and predict gives the string-keyed predict's transition
+    for both kind filters."""
+    pipelines = (("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step))
+    for case, parse in pipelines:
+        model = _fresh(_pinned_model(case))
+        vocabulary = model.vocabulary
+        names = set(vocabulary.names)
+        memo = {}
+        for graph in graphs + [concatenate(graphs)]:
+            parsed = parse(_pinned_model(case), graph.segments)[1].trace
+            for sequence in (oracle_sequence(graph).sequence, parsed):
+                config = initial(graph.segments)
+                for t in sequence:
+                    feats = extract_features(config, model.feature_set)
+                    bits = featurize(config, model.feature_set, vocabulary)
+                    assert vocabulary.decode(bits) == feats & names
+                    for clf in model.classifiers.values():
+                        got = clf.score(bits & clf.known)
+                        assert _hex(got) == _hex(_reference_score(clf, feats))
+                    for kinds in (transitions.PURE_KINDS, None):
+                        expected = _string_keyed_predict(model, config, memo, kinds)
+                        assert predict(model, config, DEFAULT_TAGS, kinds) == expected
+                    config = successor(config, t)
+
+
+def test_the_vocabulary_is_every_known_predicate_in_sorted_order():
+    model = _pinned_model("hybrid-lemma")
+    known = set().union(*(_known(clf) for clf in model.classifiers.values()))
+    assert model.vocabulary.names == sorted(known)
+    for clf in model.classifiers.values():
+        assert model.vocabulary.decode(clf.known) == _known(clf)
+
+
+@pytest.mark.parametrize("pipeline", ["integrated", "multistep"])
+def test_parsing_describes_no_set_and_scores_each_new_key_once(monkeypatch, pipeline):
+    """A long parse calls no extract_features, and each classifier scores
+    once per key it adds to its ranking memo."""
+    if pipeline == "multistep":
+        model, parse = _fresh(_pinned_model("pure-morph6")), parse_multi_step
+    else:
+        model, parse = _fresh(_pinned_model("hybrid-lemma")), parse_integrated
+    sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    described = record_calls(monkeypatch, learning, "extract_features")
+    scored = []
+    score = AveragedPerceptron.score
+
+    def counted(self, features):
+        scored.append(self)
+        return score(self, features)
+
+    monkeypatch.setattr(AveragedPerceptron, "score", counted)
+    _, report = parse(model, sentence.segments)
+    assert report.predictive_steps > 200 and not described
+    assert len(scored) == sum(len(clf.rankings) for clf in model.classifiers.values())
+    for clf in model.classifiers.values():
+        assert sum(s is clf for s in scored) == len(clf.rankings)
+
+
+@pytest.mark.parametrize("parse", [parse_integrated, parse_multi_step])
+def test_the_report_counts_illegal_top_labels_and_forced_steps(parse):
+    """LEFT(subj) always ranks first. It is illegal on a one-item stack and
+    once s2 has its head, and the first step has no classifier:
+
+    SHIFT (forced), SHIFT (top illegal), LEFT(subj), REDUCE(1) (top illegal,
+    forced), REDUCE(1) (top illegal, forced)."""
+    clf = AveragedPerceptron(["LEFT(subj)", "SHIFT"])
+    clf.load({"LEFT(subj)": {"s1:pos=N": 1.0}})
+    model = Model(FeatureSetSpec("pos"), clf.labels, {"N": clf})
+    _, report = parse(model, [seg(1), seg(2)])
+    assert [str(t) for t in report.trace] == ["SHIFT", "SHIFT", "LEFT(subj)", "REDUCE(1)", "REDUCE(1)"]
+    assert (report.illegal_top_steps, report.forced_steps) == (3, 3)

@@ -15,9 +15,12 @@ from hybridparse import (
     oracle_next,
     oracle_sequence,
 )
+from hybridparse.graph import EmptyCategory
 from hybridparse.metrics import elas
-from hybridparse.oracle import step_budget
+from hybridparse.oracle import _GoldIndex, _OracleState, step_budget
 from hybridparse.synth import is_nonprojective
+from hybridparse.transitions import AddPhrase, InsertEmpty, RightArc, step
+from hybridparse.vocab import DEFAULT_TAGS
 from hybridparse import generate, Profile
 
 from conftest import concatenate, load_graph, load_transitions
@@ -193,3 +196,36 @@ def test_phrase_without_a_unique_root_is_unreachable():
     outcome = oracle_sequence(gold)
     assert not outcome.reachable
     assert outcome.sequence == [Shift(), Reduce(1), Shift(), Reduce(1)]
+
+
+def _state_fields(state) -> tuple:
+    return (
+        list(state.working_to_gold),
+        set(state.built_edges),
+        set(state.built_phrases),
+        set(state.built_anchors),
+    )
+
+
+def test_an_insertion_realigns_the_empty_categories_after_it():
+    """An insertion after a node that an empty category already follows
+    realigns that one, and the edge, phrase and anchor naming it, as a state
+    built from scratch aligns them. The oracle itself never inserts there."""
+    a, b = seg(1, "V"), seg(2)
+    gold = HybridGraph((a, EmptyCategory("N", "*"), EmptyCategory("N", "*"), b))
+    index = _GoldIndex(gold)
+    config = initial([a, b])
+    state = _OracleState(index, config, DEFAULT_TAGS)
+    sequence = [
+        Shift(), InsertEmpty("N"), RightArc("obj"), AddPhrase("NP"),
+        Reduce(1), Reduce(1), InsertEmpty("N"),
+    ]
+    for t in sequence:
+        assert legal(config, t)
+        step(config, t)
+        state.advance(t)
+    fresh = _OracleState(index, config, DEFAULT_TAGS)
+    assert _state_fields(state) == _state_fields(fresh)
+    assert _state_fields(state) == (
+        [0, 1, 2, 3], {(2, 0, "obj")}, {Phrase(2, 2, "NP")}, {1, 2}
+    )
