@@ -20,11 +20,10 @@ configuration as that int and builds no string or set on the way:
   int per slot and feature set level, kept in the configuration's
   ``static_cache``, which is exact because terminals are frozen values. The
   cache belongs to one vocabulary (``static_owner``): another one empties it
-  first. On a miss, the vocabulary's ``static_bits`` gives the int, made
-  from the predicates as strings once per slot, level and distinct part of
-  speech, features and lemma. The morphological predicates come from the
-  sorted ``features`` pairs, through a table per level and slot of the
-  predicate prefix of each key.
+  first. On a miss, the predicates are built as strings and encoded, once
+  per terminal, slot and level of a walk. The morphological predicates come
+  from the sorted ``features`` pairs, through a table per level and slot of
+  the predicate prefix of each key.
 - The dynamic predicates and ``graph:edge`` read the working graph's edge
   lists by dependent and by head, and ``isroot`` its yield masks
   (``mask_span``). A predicate without a bit is not computed.
@@ -118,8 +117,6 @@ class Vocabulary:
         # Per slot position, phrase tag or relation -> bit.
         self.phrase: tuple = tuple({} for _ in SLOTS)
         self.deprel: tuple = tuple({} for _ in SLOTS)
-        # (static_cache entry, what a terminal's static predicates read) -> bits.
-        self.static: dict = {}
 
     def bit(self, name: str) -> int:
         """The predicate's bit: 0 when a fixed vocabulary does not know it."""
@@ -140,19 +137,6 @@ class Vocabulary:
     def decode(self, bits: int) -> frozenset:
         names = self.names
         return frozenset(names[p] for p in positions(bits))
-
-    def static_bits(self, term, k: int, level: int) -> int:
-        """The bits of a terminal's static predicates in slot position ``k``
-        at a feature set level, kept per the fields they read."""
-        at = k * len(FEATURE_SETS) + level
-        if isinstance(term, EmptyCategory):
-            key = (at, term.pos)
-        else:
-            key = (at, term.pos, term.features, term.lemma)
-        bits = self.static.get(key)
-        if bits is None:
-            bits = self.static[key] = self.encode(_static_predicates(term, SLOTS[k], level))
-        return bits
 
 
 def _static_predicates(term, slot: str, level: int) -> tuple:
@@ -212,7 +196,9 @@ def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabular
             at = k * len(FEATURE_SETS) + level
             static = entry[at]
             if static is None:
-                static = entry[at] = vocabulary.static_bits(terminals[ref], k, level)
+                static = entry[at] = vocabulary.encode(
+                    _static_predicates(terminals[ref], SLOTS[k], level)
+                )
             bits |= static
         edges = deps.get(ref)
         if edges:

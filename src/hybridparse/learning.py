@@ -166,10 +166,9 @@ class AveragedPerceptron:
         self.predicates: frozenset = frozenset()
         self._unbind()
 
-    def fit(self, pairs: Sequence[Tuple[object, str]], decode: Optional[Callable] = None) -> int:
+    def fit(self, pairs: Sequence[Tuple[int, str]], decode: Callable[[int], frozenset]) -> int:
         """Train on (features, label) pairs and return the epochs run. The
-        features are a frozenset of predicates, or an int that ``decode``
-        maps to one.
+        features are an int that ``decode`` maps to a set of predicates.
 
         A pair is a mistake, and updates the weights, unless its gold label
         scores strictly above the best wrong label, so a tie is a mistake.
@@ -192,7 +191,7 @@ class AveragedPerceptron:
         set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
         index: Dict[str, int] = {}
         ids_of = [
-            [index.setdefault(f, len(index)) for f in _conjoined(decode(key) if decode else key)]
+            [index.setdefault(f, len(index)) for f in _conjoined(decode(key))]
             for key in number
         ]
         getters = [_getter(ids) for ids in ids_of]
@@ -319,20 +318,13 @@ class AveragedPerceptron:
         self.vocabulary = vocabulary
         self.rankings = {}
 
-    def score(self, features) -> Dict[str, float]:
-        """Per-label weight sums over the expanded features, each added one
-        at a time in expanded feature order (see ``_conjoined``).
-
-        ``features`` is a key, the bits of known predicates over the bound
-        vocabulary, or a set of predicates, scored as its key; an unbound
-        classifier is then bound to a vocabulary of its own predicates."""
-        if not isinstance(features, int):
-            if self.vocabulary is None:
-                self.bind(Vocabulary(sorted(self.predicates)))
-            features = self.vocabulary.encode(features) & self.known
-        bits = positions(features)
+    def score(self, key: int) -> Dict[str, float]:
+        """Per-label weight sums over the expanded features of a key, the
+        bits of known predicates over the bound vocabulary, each added one
+        at a time in expanded feature order (see ``_conjoined``)."""
+        bits = positions(key)
         ids = [i for i in map(self.plain.__getitem__, bits) if i is not None]
-        s2 = positions(features & self.s2_bits)
+        s2 = positions(key & self.s2_bits)
         for row in map(self.pair_rows.__getitem__, bits):
             if row is not None:
                 for q in s2:
@@ -472,23 +464,17 @@ def _partition_key(config: Configuration) -> str:
 def training_pairs(
     gold: HybridGraph,
     spec: FeatureSetSpec,
-    tags: TagSet = DEFAULT_TAGS,
-    vocabulary: Optional[Vocabulary] = None,
+    tags: TagSet,
+    vocabulary: Vocabulary,
 ) -> Optional[list]:
     """(partition, features, transition) triples, one per configuration of
     the oracle's walk, or None when the graph is oracle-unreachable. The
-    features are the bits of a growing ``vocabulary`` when one is given, and
-    a frozenset of predicates otherwise."""
-    bits = Vocabulary(grow=True) if vocabulary is None else vocabulary
+    features are the bits of ``vocabulary``, a growing one."""
     out = []
     outcome = oracle_sequence(gold, tags, visit=lambda config, t: out.append(
-        (_partition_key(config), featurize(config, spec, bits), str(t))
+        (_partition_key(config), featurize(config, spec, vocabulary), str(t))
     ))
-    if not outcome.reachable:
-        return None
-    if vocabulary is None:
-        return [(partition, bits.decode(feats), t) for partition, feats, t in out]
-    return out
+    return out if outcome.reachable else None
 
 
 def train(

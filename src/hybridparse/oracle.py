@@ -34,7 +34,7 @@ endpoint pair, by node and by head, the gold phrases by span, and the
 alignment of working to gold terminals, and the built edges, phrases and
 empty-category anchors in gold terms. Shift and reduce change none of
 these, an arc adds one edge and a phrase one phrase; an insertion aligns
-the new terminal and realigns only the empty categories right after it.
+the new terminal and leaves every other alignment as it is.
 ``oracle_next`` builds the same index and state from scratch and runs the
 same rules. The walk steps one configuration in place (``transitions.step``)
 and the rules read its working state.
@@ -134,13 +134,6 @@ def _alignment(terminals, gold_segments: list) -> list:
     return mapping
 
 
-def _remap(entries: set, remap: Callable) -> None:
-    """Replace, in place, each entry that ``remap`` changes by its image."""
-    changed = {entry: new for entry in entries if (new := remap(entry)) != entry}
-    entries.difference_update(changed)
-    entries.update(changed.values())
-
-
 class _OracleState:
     """A working configuration seen in gold terms: its alignment and the
     edges, phrases and empty-category anchors it has built, each mapped to
@@ -188,32 +181,16 @@ class _OracleState:
             self.built_phrases.add(self.to_gold(config.pushed[-1]))
 
     def _inserted(self, at: int) -> None:
-        """Align the empty category just inserted at ``at``, after a node.
+        """Align the empty category just inserted at ``at``, one past its
+        left neighbour, and make its gold index an anchor.
 
-        It aligns one past its left neighbour, and so does each empty
-        category of the run that follows it, each one past the last. Only
-        that run's gold indices change, each by one: the built entries that
-        name them are remapped, and the new index becomes an anchor.
-        Segments keep theirs. The alignment is one-to-one along the walk,
-        so a gold index names the one working terminal aligned to it."""
+        No other alignment changes. The rules insert after s1 only when the
+        gold empty category that follows it has no anchor, and a working
+        empty category right after s1 would be aligned to it and anchor it;
+        so a segment, or nothing, follows the new one."""
         mapping, terminals = self.working_to_gold, self.config.terminals
+        assert at + 1 == len(terminals) or not isinstance(terminals[at + 1], EmptyCategory)
         mapping.insert(at, mapping[at - 1] + 1)
-        moved = {}  # old gold index -> new
-        j = at + 1
-        while j < len(terminals) and isinstance(terminals[j], EmptyCategory):
-            new = mapping[j - 1] + 1
-            moved[mapping[j]] = new
-            mapping[j] = new
-            j += 1
-        if moved:
-            def remap(ref):
-                if isinstance(ref, Phrase):
-                    return Phrase(moved.get(ref.start, ref.start), moved.get(ref.end, ref.end), ref.tag)
-                return moved.get(ref, ref)
-
-            _remap(self.built_edges, lambda e: (remap(e[0]), remap(e[1]), e[2]))
-            _remap(self.built_phrases, remap)
-            _remap(self.built_anchors, remap)
         self.built_anchors.add(mapping[at])
 
     # -- helpers over gold vs working ------------------------------------

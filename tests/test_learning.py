@@ -26,6 +26,7 @@ from hybridparse import (
 from hybridparse import learning, transitions
 from hybridparse.convert import lossless_pure_graphs
 from hybridparse.engine import parse_integrated, parse_multi_step
+from hybridparse.features import Vocabulary
 from hybridparse.graph import EmptyCategory, HybridGraph, Phrase
 from hybridparse.learning import (
     EDGE_PAIRS,
@@ -123,7 +124,6 @@ def test_feature_vectors_nest_by_spec():
     doc = generate(51, 15, "+phrases,+ellipsis")
     specs = [FeatureSetSpec(n) for n in ("pos", "morph6", "morph9", "lemma", "phi")]
     for gold in doc.graphs:
-        pairs = training_pairs(gold, specs[0])
         config = initial(gold.segments)
         from hybridparse.oracle import oracle_sequence
 
@@ -134,15 +134,30 @@ def test_feature_vectors_nest_by_spec():
             config = apply(config, t)
 
 
+def _fit(clf, pairs) -> int:
+    """Fit a classifier to (predicate set, label) pairs, each set given as
+    the bits of a growing vocabulary."""
+    vocabulary = Vocabulary(grow=True)
+    return clf.fit([(vocabulary.encode(feats), label) for feats, label in pairs], vocabulary.decode)
+
+
+def _score(clf, feats) -> dict:
+    """A classifier's scores of a predicate set: the key of its known
+    predicates, over its vocabulary or, unbound, over one of its own."""
+    if clf.vocabulary is None:
+        clf.bind(Vocabulary(sorted(clf.predicates)))
+    return clf.score(clf.vocabulary.encode(feats) & clf.known)
+
+
 def test_perceptron_learns_separable_data():
     clf = AveragedPerceptron(["a", "b"], epochs=10, seed=1)
     rows = [
         (frozenset({"s1:pos=N"}), "a"),
         (frozenset({"s1:pos=V"}), "b"),
     ]
-    clf.fit(rows * 5)
+    _fit(clf, rows * 5)
     for feats, gold in rows:
-        scores = clf.score(feats)
+        scores = _score(clf, feats)
         other = "b" if gold == "a" else "a"
         assert scores[gold] > scores[other]
 
@@ -150,7 +165,7 @@ def test_perceptron_learns_separable_data():
 def fits(clf, pairs):
     """Whether every pair's gold label scores strictly above all others."""
     for feats, gold in pairs:
-        scores = clf.score(feats)
+        scores = _score(clf, feats)
         if any(scores[gold] <= v for label, v in scores.items() if label != gold):
             return False
     return True
@@ -165,7 +180,7 @@ def test_fit_stops_once_averaged_weights_fit():
         (frozenset({"s1:pos=P", "q1:pos=N"}), "SHIFT"),
     ] * 3
     clf = AveragedPerceptron(sorted({label for _, label in pairs}), epochs=50, seed=4)
-    ran = clf.fit(pairs)
+    ran = _fit(clf, pairs)
     assert 1 <= ran < 50
     assert fits(clf, pairs)
 
@@ -178,7 +193,7 @@ def test_fit_waits_for_the_averaged_weights():
         (frozenset({"s1:pos=N", "q1:pos=V", "s3:pos=P"}), "REDUCE(1)"),
     ]
     clf = AveragedPerceptron(["REDUCE(1)", "SHIFT"], epochs=50, seed=0)
-    assert clf.fit(pairs) == 3
+    assert _fit(clf, pairs) == 3
     assert fits(clf, pairs)
 
 
@@ -192,7 +207,7 @@ def test_fit_leaves_out_pairs_labelled_two_ways():
         (frozenset({"s1:pos=N"}), "b"),
     ]
     clf = AveragedPerceptron(["a", "b"], epochs=50, seed=0)
-    ran = clf.fit((fittable + conflicting) * 3)
+    ran = _fit(clf, (fittable + conflicting) * 3)
     assert ran < 50
     assert fits(clf, fittable)
 
@@ -206,7 +221,7 @@ def test_fit_runs_to_the_cap_on_non_separable_data():
         (frozenset({"q1:x", "q1:y"}), "b"),
     ]
     clf = AveragedPerceptron(["a", "b"], epochs=12, seed=0)
-    assert clf.fit(pairs) == 12
+    assert _fit(clf, pairs) == 12
 
 
 def _fittable(pairs) -> list:
@@ -232,7 +247,7 @@ labelled_pairs = st.lists(
 @given(labelled_pairs, st.integers(0, 3))
 def test_fit_below_the_cap_fits_every_fittable_pair(pairs, seed):
     clf = AveragedPerceptron(sorted({label for _, label in pairs}), epochs=15, seed=seed)
-    if clf.fit(pairs) < 15:
+    if _fit(clf, pairs) < 15:
         assert fits(clf, [pair for pair, ok in zip(pairs, _fittable(pairs)) if ok])
 
 
@@ -317,7 +332,7 @@ def test_fit_matches_the_per_pair_reference(pairs, times, conflicting, seed, shu
     labels = sorted({label for _, label in pairs})
     clf = AveragedPerceptron(labels, epochs=15, seed=seed)
     epoch, index, weights = _reference_fit(labels, 15, seed, pairs)
-    assert clf.fit(pairs) == epoch
+    assert _fit(clf, pairs) == epoch
     assert list(clf.index.items()) == list(index.items())
     assert _hex_weights(clf.weights_by_label()) == _hex_weights(weights)
 
@@ -335,7 +350,7 @@ def test_fit_expands_each_feature_set_once(monkeypatch):
         (frozenset({"s1:pos=N", "q1:pos=V", "s3:absent"}), "SHIFT"),
         (frozenset({"s1:pos=N", "q1:pos=V", "s3:pos=P"}), "REDUCE(1)"),
     ] * 3 + [(frozenset({"s1:pos=N", "q1:pos=V", "s3:absent"}), "REDUCE(1)")]
-    assert AveragedPerceptron(["REDUCE(1)", "SHIFT"], epochs=50, seed=0).fit(pairs) > 1
+    assert _fit(AveragedPerceptron(["REDUCE(1)", "SHIFT"], epochs=50, seed=0), pairs) > 1
     assert len(calls) == 2 and set(calls) == {feats for feats, _ in pairs}
 
 
@@ -486,7 +501,7 @@ def assert_matches_the_reference(model, config):
     feats = extract_features(config, model.feature_set)
     assert feats == _reference_features(config, model.feature_set)
     for clf in model.classifiers.values():
-        assert _hex(clf.score(feats)) == _hex(_reference_score(clf, feats))
+        assert _hex(_score(clf, feats)) == _hex(_reference_score(clf, feats))
 
 
 @settings(max_examples=20, deadline=None)
@@ -527,7 +542,7 @@ def test_conjunctions_are_found_at_every_split():
             config = initial([seg(1, pos), seg(2, "N", lemma=lemma)])
             config = apply(apply(config, Shift()), Shift())
             assert_matches_the_reference(model, config)
-            got[lemma, pos] = model.classifiers["N"].score(extract_features(config, model.feature_set))
+            got[lemma, pos] = _score(model.classifiers["N"], extract_features(config, model.feature_set))
     assert got["x", "N"]["SHIFT"] == 4.0
     assert got["x&y", "N"]["SHIFT"] == 1.0 + 2.0
     assert got["x&s2:pos=N", "N"]["SHIFT"] == 4.0 + 16.0
@@ -625,7 +640,7 @@ def _model_text(**changes) -> str:
 
 def test_minimal_model_loads():
     clf = Model.deserialize(_model_text()).classifiers["N"]
-    assert clf.score(frozenset({"q1:absent", "q1:pos=N"})) == {"REDUCE(1)": 0.0, "SHIFT": 1.5}
+    assert _score(clf, {"q1:absent", "q1:pos=N"}) == {"REDUCE(1)": 0.0, "SHIFT": 1.5}
     assert clf.weights_by_label() == {"REDUCE(1)": {}, "SHIFT": {"q1:absent": 1.5}}
 
 
@@ -762,7 +777,7 @@ def _reference_predict(model, config, tags=DEFAULT_TAGS, allowed_kinds=None):
     clf = model.classifiers.get(learning._partition_key(config))
     candidates = []
     if clf is not None:
-        scores = clf.score(extract_features(config, model.feature_set))
+        scores = _score(clf, extract_features(config, model.feature_set))
         for label, score in scores.items():
             t = model.parsed_labels[label]
             if allowed_kinds and not isinstance(t, allowed_kinds):
@@ -807,21 +822,26 @@ def _known(clf) -> set:
 
 @pytest.mark.parametrize("case", ["hybrid-lemma", "pure-morph6"])
 def test_a_second_parse_scores_nothing(monkeypatch, case):
-    """The first parse scores at most once per distinct set of known
-    predicates per classifier; the same parse again scores nothing."""
+    """The first parse calls no extract_features, and each classifier scores
+    once per key it adds to its ranking memo, so at most once per distinct
+    set of known predicates; the same parse again scores nothing."""
     model = _fresh(_pinned_model(case))
     parse = parse_multi_step if case == "pure-morph6" else parse_integrated
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    described = record_calls(monkeypatch, learning, "extract_features")
     scored = []
     score = AveragedPerceptron.score
 
-    def counted(self, features):
-        scored.append(features)
-        return score(self, features)
+    def counted(self, key):
+        scored.append(self)
+        return score(self, key)
 
     monkeypatch.setattr(AveragedPerceptron, "score", counted)
     first, report = parse(model, sentence.segments)
     first_calls = len(scored)
+    assert not described
+    for clf in model.classifiers.values():
+        assert sum(s is clf for s in scored) == len(clf.rankings)
     config, seen = initial(sentence.segments), set()
     for t in report.trace[: report.predictive_steps]:
         partition = learning._partition_key(config)
@@ -875,7 +895,7 @@ def test_a_refit_classifier_predicts_as_a_fresh_one():
 
     def fitted(pairs):
         clf = AveragedPerceptron(labels, epochs=5)
-        clf.fit(pairs)
+        _fit(clf, pairs)
         return clf
 
     clf = fitted(pairs)
@@ -883,7 +903,7 @@ def test_a_refit_classifier_predicts_as_a_fresh_one():
     # A model made before the refit binds the refit classifier again.
     before = Model(FeatureSetSpec("lemma"), clf.labels, {"N": clf})
     known = _known(clf)
-    clf.fit(swapped)
+    _fit(clf, swapped)
     assert _known(clf) == known
     assert [predict(before, config) for config in configs] == [Reduce(1), Shift()]
     assert _predictions(clf, configs) == _predictions(fitted(swapped), configs) == [Reduce(1), Shift()]
@@ -896,7 +916,8 @@ def test_a_reloaded_classifier_predicts_as_a_fresh_one():
     found again."""
     spec = FeatureSetSpec("lemma")
     graphs = generate(21, 30, PROFILE).graphs
-    triples = [t for g in graphs for t in training_pairs(g, spec)]
+    vocabulary = Vocabulary(grow=True)
+    triples = [t for g in graphs for t in training_pairs(g, spec, DEFAULT_TAGS, vocabulary)]
     pairs = [(feats, label) for partition, feats, label in triples if partition == "N"]
     labels = sorted({label for _, label in pairs})
     configs = []
@@ -907,7 +928,7 @@ def test_a_reloaded_classifier_predicts_as_a_fresh_one():
                 configs.append(config)
             config = successor(config, t)
     trained = AveragedPerceptron(labels, epochs=5)
-    trained.fit(pairs)
+    trained.fit(pairs, vocabulary.decode)
     weights = trained.weights_by_label()
     negated = {label: {f: -w for f, w in row.items()} for label, row in weights.items()}
     fresh = AveragedPerceptron(labels)
@@ -986,31 +1007,6 @@ def test_the_vocabulary_is_every_known_predicate_in_sorted_order():
     assert model.vocabulary.names == sorted(known)
     for clf in model.classifiers.values():
         assert model.vocabulary.decode(clf.known) == _known(clf)
-
-
-@pytest.mark.parametrize("pipeline", ["integrated", "multistep"])
-def test_parsing_describes_no_set_and_scores_each_new_key_once(monkeypatch, pipeline):
-    """A long parse calls no extract_features, and each classifier scores
-    once per key it adds to its ranking memo."""
-    if pipeline == "multistep":
-        model, parse = _fresh(_pinned_model("pure-morph6")), parse_multi_step
-    else:
-        model, parse = _fresh(_pinned_model("hybrid-lemma")), parse_integrated
-    sentence = concatenate(generate(3, 30, PROFILE).graphs)
-    described = record_calls(monkeypatch, learning, "extract_features")
-    scored = []
-    score = AveragedPerceptron.score
-
-    def counted(self, features):
-        scored.append(self)
-        return score(self, features)
-
-    monkeypatch.setattr(AveragedPerceptron, "score", counted)
-    _, report = parse(model, sentence.segments)
-    assert report.predictive_steps > 200 and not described
-    assert len(scored) == sum(len(clf.rankings) for clf in model.classifiers.values())
-    for clf in model.classifiers.values():
-        assert sum(s is clf for s in scored) == len(clf.rankings)
 
 
 @pytest.mark.parametrize("parse", [parse_integrated, parse_multi_step])

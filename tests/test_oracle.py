@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from hybridparse import (
     HybridGraph,
     LeftArc,
@@ -207,25 +209,24 @@ def _state_fields(state) -> tuple:
     )
 
 
-def test_an_insertion_realigns_the_empty_categories_after_it():
-    """An insertion after a node that an empty category already follows
-    realigns that one, and the edge, phrase and anchor naming it, as a state
-    built from scratch aligns them. The oracle itself never inserts there."""
+def test_an_insertion_aligns_in_place_and_never_precedes_an_empty_category():
+    """A state that follows the walk's insertion, arc and phrase equals one
+    built from scratch. An insertion after a node that an empty category
+    already follows would realign that one: the oracle never makes it, and
+    the state refuses to follow it."""
     a, b = seg(1, "V"), seg(2)
     gold = HybridGraph((a, EmptyCategory("N", "*"), EmptyCategory("N", "*"), b))
     index = _GoldIndex(gold)
     config = initial([a, b])
     state = _OracleState(index, config, DEFAULT_TAGS)
-    sequence = [
-        Shift(), InsertEmpty("N"), RightArc("obj"), AddPhrase("NP"),
-        Reduce(1), Reduce(1), InsertEmpty("N"),
-    ]
+    sequence = [Shift(), InsertEmpty("N"), RightArc("obj"), AddPhrase("NP"), Reduce(1), Reduce(1)]
     for t in sequence:
         assert legal(config, t)
         step(config, t)
         state.advance(t)
     fresh = _OracleState(index, config, DEFAULT_TAGS)
     assert _state_fields(state) == _state_fields(fresh)
-    assert _state_fields(state) == (
-        [0, 1, 2, 3], {(2, 0, "obj")}, {Phrase(2, 2, "NP")}, {1, 2}
-    )
+    assert _state_fields(state) == ([0, 1, 3], {(1, 0, "obj")}, {Phrase(1, 1, "NP")}, {1})
+    step(config, InsertEmpty("N"))
+    with pytest.raises(AssertionError):
+        state.advance(InsertEmpty("N"))
