@@ -11,7 +11,7 @@ its graph once, at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .convert import from_pure_dependency
 from .graph import MorphSegment
@@ -26,9 +26,12 @@ class ParseReport:
     trace: List[Transition] = field(default_factory=list)
     budget_exhausted: bool = False
     predictive_steps: int = 0
-    # Predictive steps whose best-ranked allowed transition was illegal, and
-    # those that fell back to ``forced`` (see ``learning.predict``).
+    # Predictive steps whose best-ranked allowed transition was illegal; of
+    # those, rank among the allowed transitions (the best is 1) of the one
+    # taken -> steps, and those that fell back to ``forced`` (see
+    # ``learning.predict``). Nothing serializes these counts.
     illegal_top_steps: int = 0
+    fallback_ranks: Dict[int, int] = field(default_factory=dict)
     forced_steps: int = 0
     reconstruction_errors: list = field(default_factory=list)
 

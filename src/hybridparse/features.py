@@ -16,14 +16,21 @@ configuration as that int and builds no string or set on the way:
   pair, computed when the vocabulary is made; ``phrase=<tag>`` and
   ``deprel(<rel>)`` have a table per slot, tag or relation -> bit, filled on
   first use.
-- A terminal's static predicates (pos, morphology, copula, lemma) are one
-  int per slot and feature set level, kept in the configuration's
-  ``static_cache``, which is exact because terminals are frozen values. The
-  cache belongs to one vocabulary (``static_owner``): another one empties it
-  first. On a miss, the predicates are built as strings and encoded, once
-  per terminal, slot and level of a walk. The morphological predicates come
-  from the sorted ``features`` pairs, through a table per level and slot of
-  the predicate prefix of each key.
+- A terminal's static predicates (pos, morphology, copula, lemma) read
+  only its pos, features and lemma, so the vocabulary memoizes their bits
+  per feature set level by those fields (``static_bits``): one miss builds
+  the predicates as strings and encodes them for all four slots, a tuple of
+  one int per slot position. A fixed vocabulary keys a lemma that no slot's
+  ``lemma=`` predicate holds, and every lemma below the lemma level, as
+  None: such a lemma has no bit in any slot, so the bits are the same. A
+  memo level therefore holds at most the distinct (pos, features) tags it
+  has seen times (the known lemmas + 1) entries, and does not grow with the
+  word types that are parsed. A growing vocabulary keys every lemma. The
+  morphological predicates come from the sorted ``features`` pairs, through
+  a table per level and slot of the predicate prefix of each key.
+- The configuration's ``static_cache`` keeps each terminal's tuple for the
+  walk, exact because terminals are frozen values. It belongs to one memo
+  level of one vocabulary (``static_owner``); another one empties it first.
 - The dynamic predicates and ``graph:edge`` read the working graph's edge
   lists by dependent and by head, and ``isroot`` its yield masks
   (``mask_span``). A predicate without a bit is not computed.
@@ -82,9 +89,9 @@ _PREFIXES = tuple(
     for level in range(len(FEATURE_SETS))
 )
 
-# Entries per terminal in ``Configuration.static_cache``: one per slot
-# position and feature set level.
-_CACHE_WIDTH = len(SLOTS) * len(FEATURE_SETS)
+# The predicate prefix of a lemma in each slot, all of one length.
+_LEMMA_PREFIXES = tuple(f"{slot}:lemma=" for slot in SLOTS)
+_LEMMA_LEVEL = _SET_LEVELS["lemma"]
 
 
 def positions(bits: int) -> List[int]:
@@ -117,6 +124,14 @@ class Vocabulary:
         # Per slot position, phrase tag or relation -> bit.
         self.phrase: tuple = tuple({} for _ in SLOTS)
         self.deprel: tuple = tuple({} for _ in SLOTS)
+        # Every lemma some slot's lemma predicate holds, or None when the
+        # vocabulary grows and keys every lemma.
+        self.lemmas = None if grow else frozenset(
+            name[len(_LEMMA_PREFIXES[0]) :] for name in self.names if name.startswith(_LEMMA_PREFIXES)
+        )
+        # Per feature set level, (pos, features, lemma) -> static bits per
+        # slot position (static_bits).
+        self.static: tuple = tuple({} for _ in FEATURE_SETS)
 
     def bit(self, name: str) -> int:
         """The predicate's bit: 0 when a fixed vocabulary does not know it."""
@@ -138,6 +153,28 @@ class Vocabulary:
         names = self.names
         return frozenset(names[p] for p in positions(bits))
 
+    def static_bits(self, term, level: int) -> tuple:
+        """The bits of a terminal's static predicates at a feature set level,
+        one int per slot position, memoized by the fields they read. The
+        memo holds at most, per level, the distinct (pos, features) tags
+        seen times (the known lemmas + 1) entries (see the module
+        docstring)."""
+        if isinstance(term, EmptyCategory):
+            # Its predicates are those of a segment without features or lemma.
+            key = (term.pos, (), None)
+        else:
+            lemma = term.lemma
+            if level < _LEMMA_LEVEL or (self.lemmas is not None and lemma not in self.lemmas):
+                lemma = None
+            key = (term.pos, term.features, lemma)
+        memo = self.static[level]
+        bits = memo.get(key)
+        if bits is None:
+            bits = memo[key] = tuple(
+                self.encode(_static_predicates(term, slot, level)) for slot in SLOTS
+            )
+        return bits
+
 
 def _static_predicates(term, slot: str, level: int) -> tuple:
     """A terminal's predicates in a slot that do not depend on the graph:
@@ -155,7 +192,7 @@ def _static_predicates(term, slot: str, level: int) -> tuple:
                 out.append(prefix + value)
         if copula and level >= 2:
             out.append(f"{slot}:copula")
-        if level >= 3 and term.lemma:
+        if level >= _LEMMA_LEVEL and term.lemma:
             out.append(f"{slot}:lemma={term.lemma}")
     return tuple(out)
 
@@ -172,11 +209,12 @@ def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabular
         config.front if config.front < len(terminals) else None,
     )
     heads, deps, masks = config.heads, config.deps, config.masks
-    if config.static_owner is not vocabulary:
-        config.static_owner = vocabulary
+    level = spec.level
+    memo = vocabulary.static[level]
+    if config.static_owner is not memo:
+        config.static_owner = memo
         config.static_cache = [None] * len(terminals)
     cache = config.static_cache
-    level = spec.level
     isroot = vocabulary.isroot
     bits = 0
     for k, ref in enumerate(refs):
@@ -190,16 +228,10 @@ def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabular
                 bit = tags[ref.tag] = vocabulary.bit(f"{SLOTS[k]}:phrase={ref.tag}")
             bits |= bit
         else:
-            entry = cache[ref]
-            if entry is None:
-                entry = cache[ref] = [None] * _CACHE_WIDTH
-            at = k * len(FEATURE_SETS) + level
-            static = entry[at]
+            static = cache[ref]
             if static is None:
-                static = entry[at] = vocabulary.encode(
-                    _static_predicates(terminals[ref], SLOTS[k], level)
-                )
-            bits |= static
+                static = cache[ref] = vocabulary.static_bits(terminals[ref], level)
+            bits |= static[k]
         edges = deps.get(ref)
         if edges:
             relations = vocabulary.deprel[k]

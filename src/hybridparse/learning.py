@@ -28,8 +28,8 @@ as Python ints. After ``step`` steps the averaged weight is
 (step * raw - sum) / step: the averaging is exact, the check that the
 averaged weights fit is made on the integer numerators, and each stored
 weight is one quotient rounded once. Pairs that share a feature set share
-its raw scores until the next update, which the integer weights make exact
-(see ``AveragedPerceptron.fit``). Model files list the weights label-major
+its raw scores, and a reuse sums again only the rows updated since, which
+the integer weights make exact (see ``AveragedPerceptron.fit``). Model files list the weights label-major
 (transition -> feature -> weight), as strings.
 
 A classifier knows each indexed string, conjunctions included, since a
@@ -182,8 +182,11 @@ class AveragedPerceptron:
         and decoded, expanded, interned and given its getter once, so the
         index is the one a pass pair by pair would build. Pairs that share a set share its
         raw scores: they are kept with the number of updates made when they
-        were computed and reused until the next mistake updates the weights.
-        The raw weights are ints, so a reused sum is the sum recomputed. The
+        were last brought up to date. An update changes two rows, the gold
+        label's and the rival's, and each label keeps the number of updates
+        made by its row's last change, so a reuse sums again only the rows
+        changed since. The raw weights are ints, so a reused sum is the sum
+        recomputed. The
         averaged-weights check scores each fittable set once, since all the
         pairs of such a set carry its one label.
         """
@@ -209,8 +212,10 @@ class AveragedPerceptron:
         # at: the averaged weights are (step * raw - sums) / step.
         raw = [[0] * len(index) for _ in self.labels]
         sums = [[0] * len(index) for _ in self.labels]
-        # Per set, (updates made when its raw scores were computed, scores).
-        memo: List[Tuple[int, List[int]]] = [(-1, [])] * len(number)
+        # Per set, [updates made when its raw scores were last brought up to
+        # date, scores], and per label the updates made by its row's last change.
+        memo: List[Optional[list]] = [None] * len(number)
+        changed = [0] * len(self.labels)
         updates = 0
         rng = random.Random(self.seed)
         order = list(range(len(pairs)))
@@ -226,11 +231,19 @@ class AveragedPerceptron:
             for idx in order:
                 step += 1
                 k, gold = set_of[idx], golds[idx]
-                at, scores = memo[k]
-                if at != updates:
+                entry = memo[k]
+                if entry is None:
                     get = getters[k]
                     scores = [sum(get(row)) for row in raw]
-                    memo[k] = (updates, scores)
+                    memo[k] = [updates, scores]
+                else:
+                    at, scores = entry
+                    if at != updates:
+                        get = getters[k]
+                        for j, when in enumerate(changed):
+                            if when > at:
+                                scores[j] = sum(get(raw[j]))
+                        entry[0] = updates
                 top = scores[gold]
                 # The memo keeps the scores: the gold one is masked in a copy.
                 scores = scores.copy()
@@ -240,6 +253,7 @@ class AveragedPerceptron:
                     mistakes += fittable[k]
                     updates += 1
                     rival = next(j for j in by_rank if scores[j] == best)
+                    changed[gold] = changed[rival] = updates
                     up, up_sums = raw[gold], sums[gold]
                     down, down_sums = raw[rival], sums[rival]
                     for i in ids_of[k]:
@@ -582,8 +596,9 @@ def predict(
     kinds ``allowed_kinds`` excludes are skipped afterwards, which keeps the
     order, so one ranking serves both pipelines. ``report``, if given, counts
     a step whose best-ranked allowed transition is illegal in its
-    ``illegal_top_steps`` and a step that falls back to ``forced`` in its
-    ``forced_steps``."""
+    ``illegal_top_steps``, the rank among the allowed transitions (the best
+    is 1) of the one taken instead in its ``fallback_ranks``, and a step
+    that falls back to ``forced`` in its ``forced_steps``."""
     clf = model.classifiers.get(_partition_key(config))
     if clf is not None:
         if clf.vocabulary is not model.vocabulary:
@@ -595,15 +610,19 @@ def predict(
             ranked = sorted((-score, label) for label, score in clf.score(key).items())
             parsed = model.parsed_labels
             ranking = clf.rankings[key] = tuple(parsed[label] for _, label in ranked)
-        top = True
+        # Allowed transitions found illegal so far.
+        passed = 0
         for t in ranking:
             if allowed_kinds and not isinstance(t, allowed_kinds):
                 continue
             if legal(config, t, tags):
+                if passed and report is not None:
+                    ranks = report.fallback_ranks
+                    ranks[passed + 1] = ranks.get(passed + 1, 0) + 1
                 return t
-            if top and report is not None:
+            if not passed and report is not None:
                 report.illegal_top_steps += 1
-            top = False
+            passed += 1
     if report is not None:
         report.forced_steps += 1
     return forced(config)

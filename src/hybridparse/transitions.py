@@ -146,8 +146,11 @@ class Configuration:
       exact at every step, but only for a node whose yield goes beyond its
       own extent (``own_mask``), so an edge-less terminal costs nothing.
     - ``static_cache`` runs parallel to the terminals: each one's static
-      predicates per slot and feature set level, as bits of the vocabulary
-      ``static_owner`` (``features.featurize``).
+      predicate bits, one int per slot position, as ``static_owner`` gives
+      them. The owner is one feature set level's memo of a vocabulary
+      (``features.Vocabulary.static_bits``); ``featurize`` empties the
+      cache when another owner comes, so it serves one walk's vocabulary
+      and level.
 
     ``queue`` and ``stack`` (top first) are tuples, and ``graph`` is a
     ``HybridGraph`` built on first use after a step. The constructor takes

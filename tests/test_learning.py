@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,10 @@ from hybridparse import (
     predict,
     train,
 )
-from hybridparse import learning, transitions
+from hybridparse import features, learning, transitions
 from hybridparse.convert import lossless_pure_graphs
 from hybridparse.engine import parse_integrated, parse_multi_step
-from hybridparse.features import Vocabulary
+from hybridparse.features import FEATURE_SETS, Vocabulary, _static_predicates
 from hybridparse.graph import EmptyCategory, HybridGraph, Phrase
 from hybridparse.learning import (
     EDGE_PAIRS,
@@ -1022,3 +1023,121 @@ def test_the_report_counts_illegal_top_labels_and_forced_steps(parse):
     _, report = parse(model, [seg(1), seg(2)])
     assert [str(t) for t in report.trace] == ["SHIFT", "SHIFT", "LEFT(subj)", "REDUCE(1)", "REDUCE(1)"]
     assert (report.illegal_top_steps, report.forced_steps) == (3, 3)
+    # The second step takes SHIFT, the second allowed label.
+    assert report.fallback_ranks == {2: 1}
+
+
+def _reference_static_bits(vocabulary, term, level) -> tuple:
+    return tuple(vocabulary.encode(_static_predicates(term, slot, level)) for slot in SLOTS)
+
+
+# Terminals that the synthetic corpora may lack: an empty category, a copula,
+# a lemma that no vocabulary below knows, a segment without a lemma, and
+# three segments of one (pos, features) tag with different lemmas, the first
+# one known in slot s2 only.
+_HAND_TERMINALS = [
+    EmptyCategory("PRON", "huwa"),
+    seg(1, "V", SP=COPULA_GROUP, lemma="kaAn"),
+    seg(2, "N", Case="NOM", lemma="kitAb"),
+    seg(3, "N", Case="NOM", lemma="qalam"),
+    seg(4, "N", Case="NOM", lemma="unseen"),
+    seg(5, "N", Case="NOM"),
+]
+_ONE_SLOT_LEMMA = sorted(["s2:lemma=kitAb", "s1:lemma=kaAn", "s1:pos=N", "q1:case=NOM", "s1:copula"])
+
+
+@settings(max_examples=10, deadline=None)
+@given(corpora)
+def test_memoized_static_bits_match_their_predicates(graphs):
+    """At every feature set level, over the pinned model's vocabulary, a
+    hand-made fixed one and a growing one: the memoized static bits of every
+    terminal in every slot are its predicates encoded, both from the memo
+    and from the static_cache of the oracle's walk of the concatenation,
+    featurized at every level in turn."""
+    sentence = concatenate(graphs)
+    terminals = list(sentence.terminals) + _HAND_TERMINALS
+    levels = range(len(FEATURE_SETS))
+    for names, grow in (
+        (_pinned_model("hybrid-lemma").vocabulary.names, False),
+        (_ONE_SLOT_LEMMA, False),
+        ((), True),
+    ):
+        vocabulary = Vocabulary(names, grow)
+        for level in levels:
+            memoized = [vocabulary.static_bits(term, level) for term in terminals]
+            for term, bits in zip(terminals, memoized):
+                assert bits == _reference_static_bits(vocabulary, term, level), (term, level)
+        config = initial(sentence.segments)
+        for t in oracle_sequence(sentence).sequence:
+            for level in levels:
+                featurize(config, FeatureSetSpec(FEATURE_SETS[level]), vocabulary)
+                for term, bits in zip(config.terminals, config.static_cache):
+                    if bits is not None:
+                        assert bits == _reference_static_bits(vocabulary, term, level), (term, level)
+            config = successor(config, t)
+
+
+def test_a_parse_builds_static_strings_once_per_memo_key(monkeypatch):
+    """A terminal's static predicate strings are built once per slot and
+    distinct (level, pos, features, known lemma or None), not once per
+    terminal of each walk."""
+    model = _fresh(_pinned_model("hybrid-lemma"))
+    sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    names = set(model.vocabulary.names)
+    built = record_calls(monkeypatch, features, "_static_predicates")
+    parse_integrated(model, sentence.segments)
+
+    def key(term, slot, level):
+        if isinstance(term, EmptyCategory):
+            return slot, level, term.pos, (), None
+        known = any(f"{s}:lemma={term.lemma}" in names for s in SLOTS)
+        return slot, level, term.pos, term.features, term.lemma if known else None
+
+    counts = Counter(key(*args) for args in built)
+    assert len(sentence.segments) > 100 and counts
+    assert max(counts.values()) == 1
+
+
+def test_the_static_memo_does_not_grow_with_word_types():
+    """Parsing the same sentence again with a fresh lemma on every segment
+    adds at most one memo entry per (pos, features) tag, keyed without a
+    lemma, and the memo keeps at most the tags times (the known lemmas + 1)
+    entries."""
+    model = _fresh(_pinned_model("hybrid-lemma"))
+    vocabulary = model.vocabulary
+    segments = concatenate(generate(3, 30, PROFILE).graphs).segments
+    memo = vocabulary.static[model.feature_set.level]
+    parse_integrated(model, segments)
+    first = set(memo)
+    renamed = [replace(term, lemma=f"fresh{i}") for i, term in enumerate(segments)]
+    parse_integrated(model, renamed)
+    added = set(memo) - first
+    assert first and added
+    assert all(lemma is None for _, _, lemma in added)
+    assert {lemma for _, _, lemma in memo} - {None} <= vocabulary.lemmas
+    tags = {(pos, feats) for pos, feats, _ in memo}
+    assert len(memo) <= len(tags) * (len(vocabulary.lemmas) + 1)
+    assert sum(map(len, vocabulary.static)) == len(memo)
+
+
+def test_fit_sums_again_only_the_rows_an_update_changed(monkeypatch):
+    """An update changes the gold and the rival label's rows, and a reused
+    set sums again only the rows changed since it was last brought up to
+    date. Recomputing every row of a set after any update made 42,740 row
+    sums on this corpus."""
+    sums = Counter()
+    getter = learning._getter
+
+    def counting(ids):
+        get = getter(ids)
+
+        def counted(row):
+            sums["rows"] += 1
+            return get(row)
+
+        return counted
+
+    monkeypatch.setattr(learning, "_getter", counting)
+    model = train(generate(13, 40, PROFILE).graphs, FeatureSetSpec("lemma"))
+    assert max(model.counts["epochs_per_partition"].values()) > 2
+    assert sums["rows"] <= 23_976
