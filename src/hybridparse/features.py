@@ -89,7 +89,7 @@ _PREFIXES = tuple(
     for level in range(len(FEATURE_SETS))
 )
 
-# The predicate prefix of a lemma in each slot, all of one length.
+# The predicate prefix of a lemma in each slot.
 _LEMMA_PREFIXES = tuple(f"{slot}:lemma=" for slot in SLOTS)
 _LEMMA_LEVEL = _SET_LEVELS["lemma"]
 
@@ -127,7 +127,7 @@ class Vocabulary:
         # Every lemma some slot's lemma predicate holds, or None when the
         # vocabulary grows and keys every lemma.
         self.lemmas = None if grow else frozenset(
-            name[len(_LEMMA_PREFIXES[0]) :] for name in self.names if name.startswith(_LEMMA_PREFIXES)
+            name.partition("=")[2] for name in self.names if name.startswith(_LEMMA_PREFIXES)
         )
         # Per feature set level, (pos, features, lemma) -> static bits per
         # slot position (static_bits).
@@ -155,10 +155,9 @@ class Vocabulary:
 
     def static_bits(self, term, level: int) -> tuple:
         """The bits of a terminal's static predicates at a feature set level,
-        one int per slot position, memoized by the fields they read. The
-        memo holds at most, per level, the distinct (pos, features) tags
-        seen times (the known lemmas + 1) entries (see the module
-        docstring)."""
+        one int per slot position, memoized by the fields they read. Per
+        level, the memo holds at most the distinct (pos, features) tags seen
+        times (the known lemmas + 1) entries."""
         if isinstance(term, EmptyCategory):
             # Its predicates are those of a segment without features or lemma.
             key = (term.pos, (), None)

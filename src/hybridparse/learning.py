@@ -29,8 +29,9 @@ as Python ints. After ``step`` steps the averaged weight is
 averaged weights fit is made on the integer numerators, and each stored
 weight is one quotient rounded once. Pairs that share a feature set share
 its raw scores, and a reuse sums again only the rows updated since, which
-the integer weights make exact (see ``AveragedPerceptron.fit``). Model files list the weights label-major
-(transition -> feature -> weight), as strings.
+the integer weights make exact (see ``AveragedPerceptron.fit``). Model
+files list the weights label-major (transition -> feature -> weight), as
+strings.
 
 A classifier knows each indexed string, conjunctions included, since a
 lemma predicate may spell one, and each s1 and s2 predicate of its pair
@@ -213,8 +214,9 @@ class AveragedPerceptron:
         raw = [[0] * len(index) for _ in self.labels]
         sums = [[0] * len(index) for _ in self.labels]
         # Per set, [updates made when its raw scores were last brought up to
-        # date, scores], and per label the updates made by its row's last change.
-        memo: List[Optional[list]] = [None] * len(number)
+        # date, scores], and per label the updates made by its row's last
+        # change. A set starts at -1, so its first use sums every row.
+        memo = [[-1, [0] * len(self.labels)] for _ in number]
         changed = [0] * len(self.labels)
         updates = 0
         rng = random.Random(self.seed)
@@ -232,18 +234,13 @@ class AveragedPerceptron:
                 step += 1
                 k, gold = set_of[idx], golds[idx]
                 entry = memo[k]
-                if entry is None:
+                at, scores = entry
+                if at != updates:
                     get = getters[k]
-                    scores = [sum(get(row)) for row in raw]
-                    memo[k] = [updates, scores]
-                else:
-                    at, scores = entry
-                    if at != updates:
-                        get = getters[k]
-                        for j, when in enumerate(changed):
-                            if when > at:
-                                scores[j] = sum(get(raw[j]))
-                        entry[0] = updates
+                    for j, when in enumerate(changed):
+                        if when > at:
+                            scores[j] = sum(get(raw[j]))
+                    entry[0] = updates
                 top = scores[gold]
                 # The memo keeps the scores: the gold one is masked in a copy.
                 scores = scores.copy()
