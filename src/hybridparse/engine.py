@@ -10,8 +10,9 @@ its graph once, at the end.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .convert import from_pure_dependency
 from .graph import MorphSegment
@@ -31,7 +32,7 @@ class ParseReport:
     # taken -> steps, and those that fell back to ``forced`` (see
     # ``learning.predict``). Nothing serializes these counts.
     illegal_top_steps: int = 0
-    fallback_ranks: Dict[int, int] = field(default_factory=dict)
+    fallback_ranks: Counter = field(default_factory=Counter)
     forced_steps: int = 0
     reconstruction_errors: list = field(default_factory=list)
 

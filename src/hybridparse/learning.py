@@ -614,8 +614,7 @@ def predict(
                 continue
             if legal(config, t, tags):
                 if passed and report is not None:
-                    ranks = report.fallback_ranks
-                    ranks[passed + 1] = ranks.get(passed + 1, 0) + 1
+                    report.fallback_ranks[passed + 1] += 1
                 return t
             if not passed and report is not None:
                 report.illegal_top_steps += 1
