@@ -3,9 +3,9 @@
 Integrated parsing predicts over the full transition set and builds the
 hybrid graph directly. Multi-step parsing restricts prediction to shift,
 reduce and the two edge transitions, then reconstructs phrase structure
-and ellipsis from the enriched labels of the pure dependency result. Either
-parse steps one configuration in place (``transitions.step``) and takes
-its graph once, at the end.
+and ellipsis from the enriched labels of the pure dependency result, which
+it edits on in place. Either steps one configuration (``transitions.step``)
+and takes its graph once, at the end.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _greedy_parse(
     if not config.is_terminal_state():
         report.budget_exhausted = True
         _drain(config, tags, report)
-    return config.graph, report
+    return config, report
 
 
 def _drain(config: Configuration, tags: TagSet, report: ParseReport) -> None:
@@ -72,14 +72,15 @@ def parse_integrated(
     model: Model, sentence: Sequence[MorphSegment], tags: TagSet = DEFAULT_TAGS
 ) -> tuple:
     """Greedy one-step hybrid parse. Returns (graph, report)."""
-    return _greedy_parse(model, sentence, tags, None)
+    config, report = _greedy_parse(model, sentence, tags, None)
+    return config.graph, report
 
 
 def parse_multi_step(
     model: Model, sentence: Sequence[MorphSegment], tags: TagSet = DEFAULT_TAGS
 ) -> tuple:
     """Pure-dependency parse followed by hybrid reconstruction."""
-    pure, report = _greedy_parse(model, sentence, tags, PURE_KINDS)
-    hybrid, conversion = from_pure_dependency(pure, tags)
+    config, report = _greedy_parse(model, sentence, tags, PURE_KINDS)
+    hybrid, conversion = from_pure_dependency(config, tags)
     report.reconstruction_errors = conversion.reconstruction_errors
     return hybrid, report

@@ -16,11 +16,12 @@ A graph keeps derived state beside its value:
   it ORs the dependent's mask into the head and up every head chain until a
   mask stops changing, which keeps mask(head) a superset of mask(dependent)
   for every edge, so it is exact on any graph, multi-headed and cyclic ones
-  included. ``mask_span`` is the one contiguity test. The parser's working
-  graph (``transitions.Configuration``) keeps its masks by the same rule.
+  included. ``mask_span`` is the one contiguity test. The working graph
+  that is edited in place (``transitions.Configuration``) keeps its masks
+  by the same rule.
 
 One rule renumbers references across an edit that deletes or inserts
-terminals (``TerminalEdit.move``; ``HybridGraph.edited`` applies it). With
+terminals (``TerminalEdit.move``; ``Configuration.edit`` applies it). With
 all indices taken before the edit, an index or span start ``i`` becomes
 ``i - #{deleted < i} + #{insert points <= i}`` and a span end ``e`` becomes
 ``e - #{deleted <= e} + #{insert points <= e}``. It composes the
@@ -177,11 +178,12 @@ class TerminalEdit:
     each ``(at, terminal)`` of ``inserted`` goes before index ``at``
     (``n`` appends), several at one index in the given order; an index
     outside the terminals raises ``GraphError``. ``move`` is the
-    renumbering rule of the module docstring."""
+    renumbering rule of the module docstring; ``landed`` gives where each
+    inserted terminal ends up, and no index below ``first`` moves."""
 
     def __init__(self, n: int, deleted=(), inserted=()):
         self.deleted = frozenset(deleted)
-        self._gone = gone = sorted(self.deleted)
+        self.gone = gone = sorted(self.deleted)
         self.inserted = sorted(inserted, key=itemgetter(0))
         self._points = points = [at for at, _ in self.inserted]
         if (
@@ -189,21 +191,20 @@ class TerminalEdit:
             or points and not 0 <= points[0] <= points[-1] <= n
         ):
             raise GraphError(f"edit outside the {n} terminals")
-        # No index before the first deleted index or insertion point moves.
-        self._first = gone[0] if gone else n
-        if points and points[0] < self._first:
-            self._first = points[0]
+        # After the terminals kept before it and those inserted before it.
+        self.landed = [at - bisect_left(gone, at) + k for k, at in enumerate(points)]
+        self.first = min(gone[0] if gone else n, points[0] if points else n)
 
     def move(self, ref: NodeRef) -> NodeRef:
         """The reference after the edit."""
         if isinstance(ref, Phrase):
-            if ref.end < self._first:
+            if ref.end < self.first:
                 return ref
             end = self.move(ref.end) - (ref.end in self.deleted)
             return Phrase(self.move(ref.start), end, ref.tag)
-        if ref < self._first:
+        if ref < self.first:
             return ref
-        return ref - bisect_left(self._gone, ref) + bisect_right(self._points, ref)
+        return ref - bisect_left(self.gone, ref) + bisect_right(self._points, ref)
 
 
 def ref_key(ref: NodeRef) -> tuple:
@@ -223,6 +224,7 @@ class HybridGraph:
     _head_index: dict = field(init=False, compare=False, repr=False, default=None)
     _dep_index: dict = field(init=False, compare=False, repr=False, default=None)
     _masks: dict = field(init=False, compare=False, repr=False, default=None)
+    _starts: dict = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", tuple(self.terminals))
@@ -253,13 +255,6 @@ class HybridGraph:
     def _check_node(self, ref: NodeRef) -> None:
         if not self.has_node(ref):
             raise GraphError(f"unknown node {ref!r}")
-
-    def pos_of(self, ref: NodeRef) -> str:
-        """POS tag of a terminal, or the phrase tag for phrase nodes."""
-        self._check_node(ref)
-        if isinstance(ref, Phrase):
-            return ref.tag
-        return self.terminals[ref].pos
 
     @staticmethod
     def extent(ref: NodeRef) -> tuple:
@@ -303,17 +298,6 @@ class HybridGraph:
             object.__setattr__(self, "_masks", masks)
         return masks
 
-    def yield_of(self, ref: NodeRef) -> frozenset:
-        """Terminal indices covered by the node and its transitive dependents."""
-        self._check_node(ref)
-        mask = self.yield_masks()[ref]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(out)
-
     def subgraph_span(self, ref: NodeRef) -> Optional[tuple]:
         """Contiguous (start, end) interval of the node's subgraph yield, or
         None when the yield has gaps (the subgraph is non-projective)."""
@@ -323,57 +307,10 @@ class HybridGraph:
     def subgraph_root(self, phrase: Phrase) -> NodeRef:
         """The unique headless node whose subgraph the phrase spans."""
         self._check_node(phrase)
-        masks = self.yield_masks()
-        outside = ~own_mask(phrase)
-        candidates: list = []
-        for node in list(range(phrase.start, phrase.end + 1)) + sorted(
-            p for p in self.phrases
-            if p != phrase and p.start >= phrase.start and p.end <= phrase.end
-        ):
-            if self.head_of(node) is None and not masks[node] & outside:
-                candidates.append((node, masks[node]))
-        # A headless node whose yield sits strictly inside another
-        # candidate's yield is covered by that subgraph (e.g. a preposition
-        # under an attached prepositional phrase), not a root of its own.
-        roots = [
-            cand for cand, covered in candidates
-            if not any(
-                covered != other and covered & other == covered
-                for _, other in candidates
-            )
-        ]
-        if len(roots) != 1:
-            raise IllFormedPhraseError(
-                f"phrase {phrase} covers {len(roots)} headless root(s)"
-            )
-        return roots[0]
-
-    # -- construction ----------------------------------------------------
-
-    def edited(self, edit: TerminalEdit, removed=frozenset(), added=()) -> "HybridGraph":
-        """The graph after ``edit`` of its terminals, whose deleted terminals
-        take their edges along. ``removed`` edges, numbered as before the
-        edit, are left out; ``added`` ones, numbered as after it, are put in.
-        An empty edit returns the graph itself."""
-        if not (edit.deleted or edit.inserted or removed or added):
-            return self
-        gone, move = edit._gone, edit.move
-        terminals = list(self.terminals)
-        for index in reversed(gone):
-            del terminals[index]
-        for k, (at, terminal) in enumerate(edit.inserted):
-            terminals.insert(at - bisect_left(gone, at) + k, terminal)
-        kept = self.edges - removed if removed else self.edges
-        if gone:
-            kept = [e for e in kept if e.dependent not in edit.deleted and e.head not in edit.deleted]
-        edges = set(added)
-        for e in kept:
-            dep, head = move(e.dependent), move(e.head)
-            # An edge whose endpoints stay put is kept as it is.
-            if (dep, head) != (e.dependent, e.head):
-                e = Edge(dep, head, e.relation)
-            edges.add(e)
-        return HybridGraph(tuple(terminals), frozenset(map(move, self.phrases)), frozenset(edges))
+        self._check_node(phrase.end)  # a phrase past the last terminal has no root
+        if self._starts is None:
+            object.__setattr__(self, "_starts", phrases_by(self.phrases))
+        return subgraph_root(phrase, self._starts, self._head_index, self.yield_masks().__getitem__)
 
     # -- validation --------------------------------------------------------
 
@@ -450,8 +387,8 @@ def spread(masks: dict, heads: dict, node: NodeRef, bits: int) -> None:
     stack = [node]
     while stack:
         node = stack.pop()
-        # A node with no mask starts from its own extent: the parser's
-        # working graph keeps none for a node whose yield is its extent, and
+        # A node with no mask starts from its own extent: the working
+        # graph keeps none for a node whose yield is its extent, and
         # a constructed graph may hold an edge to a node it lacks (see
         # ``validate``).
         old = masks.get(node) or own_mask(node)
@@ -461,6 +398,46 @@ def spread(masks: dict, heads: dict, node: NodeRef, bits: int) -> None:
         masks[node] = new
         for edge in heads.get(node, ()):
             stack.append(edge.head)
+
+
+def phrases_by(phrases, side: str = "start") -> dict:
+    """Index -> the phrases that start (or end) there."""
+    out: dict = {}
+    for phrase in phrases:
+        out.setdefault(getattr(phrase, side), []).append(phrase)
+    return out
+
+
+def nodes_within(starts: dict, start: int, end: int):
+    """The terminals from ``start`` to ``end``, then the phrases of
+    ``starts`` (``phrases_by``) that lie within them."""
+    yield from range(start, end + 1)
+    for i in range(start, end + 1):
+        for phrase in starts.get(i, ()):
+            if phrase.end <= end:
+                yield phrase
+
+
+def subgraph_root(phrase: Phrase, starts: dict, heads: dict, mask_of) -> NodeRef:
+    """The unique headless node whose subgraph ``phrase`` spans, in a graph
+    with the edges ``heads`` by dependent, the phrases ``starts`` by start
+    index and the yield masks ``mask_of(node)``. Only the nodes within the
+    span are looked at."""
+    outside = ~own_mask(phrase)
+    candidates: list = []
+    for node in nodes_within(starts, phrase.start, phrase.end):
+        if node != phrase and node not in heads and not mask_of(node) & outside:
+            candidates.append((node, mask_of(node)))
+    # A headless node whose yield sits strictly inside another candidate's
+    # yield is covered by that subgraph (e.g. a preposition under an
+    # attached prepositional phrase), not a root of its own.
+    roots = [
+        cand for cand, covered in candidates
+        if not any(covered != other and covered & other == covered for _, other in candidates)
+    ]
+    if len(roots) != 1:
+        raise IllFormedPhraseError(f"phrase {phrase} covers {len(roots)} headless root(s)")
+    return roots[0]
 
 
 def _is_enriched(label: str, tags: TagSet) -> bool:

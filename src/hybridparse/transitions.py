@@ -10,10 +10,13 @@ and runs no graph constructor.
 Who may mutate a configuration: ``step`` takes a transition in place, and
 only the walk that made the configuration calls it: the parser
 (``engine``) and the oracle (``oracle_sequence``), each on the one
-configuration of its walk. Everything else reads. ``successor`` and
-``apply`` are pure: they step a copy and leave their argument as it was, so
-a caller may branch from one configuration. ``config.graph`` is a
-``HybridGraph`` value that later steps do not change.
+configuration of its walk. Conversion (``convert``) edits one working graph
+per conversion, a ``working`` copy or the configuration the multi-step
+parser hands over, through ``add_edge``, ``remove_edges``, ``remove_phrase``
+and ``edit``. Everything else reads. ``successor`` and ``apply`` are pure:
+they step a copy and leave their argument as it was, so a caller may branch
+from one configuration. ``config.graph`` is a ``HybridGraph`` value that
+later changes do not change.
 
 ``legal`` decides whether a transition may be taken. ``step`` and
 ``successor`` take it without that check, for callers that have already
@@ -135,7 +138,8 @@ def parse_transition(text: str) -> Transition:
 
 
 class Configuration:
-    """A parser configuration, changed in place by ``step``.
+    """A parser configuration, changed in place by ``step`` (and, as a
+    working graph, by conversion).
 
     - ``terminals`` is a list. The queue is the run from ``front`` to the
       last terminal, and a queue terminal carries no edge.
@@ -153,7 +157,7 @@ class Configuration:
       and level.
 
     ``queue`` and ``stack`` (top first) are tuples, and ``graph`` is a
-    ``HybridGraph`` built on first use after a step. The constructor takes
+    ``HybridGraph`` built on first use after a change. The constructor takes
     the terminals and, for a partial graph, adds the edges as arcs do.
     """
 
@@ -174,7 +178,7 @@ class Configuration:
         self.static_owner = None
         self._graph: Optional[HybridGraph] = None
         for edge in edges:
-            self._add_edge(edge)
+            self.add_edge(edge)
 
     @property
     def queue(self) -> tuple:
@@ -215,81 +219,82 @@ class Configuration:
         other._graph = self._graph
         return other
 
-    # -- mutation, by ``step`` only ------------------------------------------
+    # -- mutation, by ``step`` and by conversion ------------------------------
 
-    def _add_edge(self, edge: Edge) -> None:
+    def add_edge(self, edge: Edge) -> None:
         """Two list entries and one spread mask."""
+        self._graph = None
         heads, masks, dependent = self.heads, self.masks, edge.dependent
         heads.setdefault(dependent, []).append(edge)
         self.deps.setdefault(edge.head, []).append(edge)
         spread(masks, heads, edge.head, masks.get(dependent) or own_mask(dependent))
 
-    def _insert(self, at: int, terminal) -> None:
-        """Insert ``terminal`` before index ``at``, at most the queue front,
-        renumbering by ``TerminalEdit.move`` what lies at or right of it.
-
-        Queue terminals carry nothing and the queue is a run, so only the
-        terminals in ``[at, front)`` with edges and the phrases ending at or
-        after ``at`` move, and only they and the nodes above them hold mask
-        bits at or after ``at``, which move up by one. A phrase that spans
-        ``at`` gains the new terminal, and the nodes above it its bit. Stack
-        items never move: the ends of their extents never decrease toward
-        the top, so none ends after s1, and insertions go after s1."""
-        terminals = self.terminals
-        front = self.front
-        terminals.insert(at, terminal)
-        self.static_cache.insert(at, None)
-        self.front = front + 1
-        if at == front:
-            return
+    def remove_edges(self, edges) -> None:
+        """Take out the collection ``edges``. A mask can shrink, and round a
+        cycle a dependent's mask holds the removed bits too, so the masks of
+        the heads and of every node above them are reset, and then their
+        dependents' masks are spread into them again."""
+        self._graph = None
         heads, deps, masks = self.heads, self.deps, self.masks
-        moved = [i for i in range(at, front) if i in heads or i in deps]
-        moved += sorted(p for p in self.phrases if p.end >= at)
-        if not moved:
-            return
-        move = TerminalEdit(len(terminals) - 1, inserted=((at, terminal),)).move
-        above = set(moved)
-        todo = list(moved)
-        while todo:
-            for edge in heads.get(todo.pop(), ()):
-                if edge.head not in above:
-                    above.add(edge.head)
-                    todo.append(edge.head)
+        for edge in edges:
+            for index, ref in ((heads, edge.dependent), (deps, edge.head)):
+                index[ref].remove(edge)
+                if not index[ref]:
+                    del index[ref]
+        above = list(dict.fromkeys(edge.head for edge in edges))
+        seen = set(above)
         for node in above:
-            mask = masks.get(node)
-            if mask is not None:
-                masks[node] = mask + (mask >> at << at)
-        # Each node's entries, taken out before any goes back under its new ref.
-        entries = [(ref, heads.pop(ref, ()), deps.pop(ref, ()), masks.pop(ref, None)) for ref in moved]
-        renamed: dict = {}
-        for _, up, down, _ in entries:
-            for edge in (*up, *down):
-                if edge not in renamed:
-                    renamed[edge] = Edge(move(edge.dependent), move(edge.head), edge.relation)
-        for old, new in renamed.items():
-            for index, ref in ((heads, old.dependent), (deps, old.head)):
-                edges = index.get(ref)
-                if edges is not None:
-                    edges[edges.index(old)] = new
-        for ref, up, down, mask in entries:
-            new_ref = move(ref)
-            if up:
-                heads[new_ref] = [renamed[e] for e in up]
-            if down:
-                deps[new_ref] = [renamed[e] for e in down]
-            if mask is not None:
-                masks[new_ref] = mask
+            for edge in heads.get(node, ()):
+                if edge.head not in seen:
+                    seen.add(edge.head)
+                    above.append(edge.head)
+        for node in above:
+            masks.pop(node, None)
+        for node in above:
+            for edge in deps.get(node, ()):
+                spread(masks, heads, node, self.yield_mask(edge.dependent))
+
+    def remove_phrase(self, phrase: Phrase) -> None:
+        """Take out ``phrase`` with its edges."""
+        self.remove_edges([*self.heads.get(phrase, ()), *self.deps.get(phrase, ())])
+        self.phrases.discard(phrase)
+
+    def edit(self, edit: TerminalEdit) -> None:
+        """Apply ``edit``, whose indices lie at or before the queue front.
+
+        Queue terminals carry nothing, so only the terminals in
+        ``[edit.first, front)`` with edges and the phrases ending at or
+        after ``edit.first`` move: their edges are taken out (a deleted
+        terminal's for good) and put back renumbered by ``TerminalEdit.move``,
+        so a phrase spanning an insertion point spreads the new bit. In a
+        parse no stack item moves: the ends of their extents never decrease
+        toward the top, so none ends after s1, and insertions go after s1."""
+        self._graph = None
+        for i in reversed(edit.gone):
+            del self.terminals[i], self.static_cache[i]
+        for at, (_, terminal) in zip(edit.landed, edit.inserted):
+            self.terminals.insert(at, terminal)
+            self.static_cache.insert(at, None)
+        front, self.front = self.front, self.front - len(edit.gone) + len(edit.inserted)
+        if edit.first >= front:
+            return  # nothing moves: no edge or phrase reaches the queue
+        heads, deps = self.heads, self.deps
+        moved = [i for i in range(edit.first, front) if i in heads or i in deps]
+        moved += sorted(p for p in self.phrases if p.end >= edit.first)
+        edges = list(dict.fromkeys(e for ref in moved for e in (*heads.get(ref, ()), *deps.get(ref, ()))))
+        self.remove_edges(edges)
         phrases = [ref for ref in moved if isinstance(ref, Phrase)]
         self.phrases.difference_update(phrases)
-        self.phrases.update(map(move, phrases))
-        bit = 1 << at
-        for phrase in phrases:
-            if phrase.start < at:
-                phrase = move(phrase)
-                if phrase in masks:
-                    masks[phrase] |= bit
-                for edge in heads.get(phrase, ()):
-                    spread(masks, heads, edge.head, bit)
+        self.phrases.update(map(edit.move, phrases))
+        for e in edges:
+            if e.dependent not in edit.deleted and e.head not in edit.deleted:
+                self.add_edge(Edge(edit.move(e.dependent), edit.move(e.head), e.relation))
+
+
+def working(graph: HybridGraph) -> Configuration:
+    """A working copy of ``graph`` to edit in place: every terminal read
+    and the stack empty."""
+    return Configuration(graph.terminals, graph.phrases, graph.edges, front=len(graph))
 
 
 def initial(sentence: Sequence[MorphSegment]) -> Configuration:
@@ -374,14 +379,14 @@ def step(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> N
     elif isinstance(t, Reduce):
         del pushed[-t.n]
     elif isinstance(t, LeftArc):
-        config._add_edge(Edge(pushed[-2], pushed[-1], t.relation))
+        config.add_edge(Edge(pushed[-2], pushed[-1], t.relation))
     elif isinstance(t, RightArc):
-        config._add_edge(Edge(pushed[-1], pushed[-2], t.relation))
+        config.add_edge(Edge(pushed[-1], pushed[-2], t.relation))
     elif isinstance(t, InsertEmpty):
         _insert_after_top(config, t.pos, tags)
     elif isinstance(t, InsertPronoun):
         _insert_after_top(config, "PRON", tags)
-        config._add_edge(Edge(pushed[-1], pushed[-2], "subj"))
+        config.add_edge(Edge(pushed[-1], pushed[-2], "subj"))
     elif isinstance(t, AddPhrase):
         start, end = config.span(pushed[-1])
         phrase = Phrase(start, end, t.tag)
@@ -395,5 +400,6 @@ def _insert_after_top(config: Configuration, pos: str, tags: TagSet) -> None:
     """Insert an empty category after s1 and push it; a pronoun after a verb
     takes the verb's phi features (see ``graph.empty_category``)."""
     s1 = config.pushed[-1]
-    config._insert(s1 + 1, empty_category(pos, config.terminals[s1], tags))
+    inserted = ((s1 + 1, empty_category(pos, config.terminals[s1], tags)),)
+    config.edit(TerminalEdit(len(config.terminals), inserted=inserted))
     config.pushed.append(s1 + 1)

@@ -109,7 +109,7 @@ def working_state(config) -> tuple:
     )
 
 
-def _bits(mask: int) -> frozenset:
+def mask_bits(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -132,7 +132,7 @@ def assert_working_state_equals_a_rebuild(config):
     assert set(config.masks) <= set(nodes)
     for ref in nodes:
         assert config.span(ref) == rebuilt.subgraph_span(ref), ref
-        assert _bits(config.yield_mask(ref)) == rebuilt.yield_of(ref), ref
+        assert config.yield_mask(ref) == rebuilt.yield_masks()[ref], ref
         heads = config.heads.get(ref, ())
         assert set(heads) == set(rebuilt.head_edges(ref)), ref
         if len(heads) < 2:

@@ -13,8 +13,9 @@ from hybridparse import (
     MorphSegment,
     Phrase,
 )
-from hybridparse.convert import expand_bridges, to_pure_dependency
+from hybridparse.convert import ConversionReport, expand_bridges, to_pure_dependency
 from hybridparse.corpus_io import GraphMetadata, TreebankDocument, dumps_treebank
+from hybridparse.transitions import working
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -247,8 +248,9 @@ def verse_4_141():
     save("fig_6_22_hybrid.conllx", graph, "(4:141)")
     pure, _ = to_pure_dependency(graph)
     save("fig_9_7_pure.conllx", pure, "(4:141)")
-    stage1 = expand_bridges(pure)
-    save("fig_9_9_stage1.conllx", stage1, "(4:141)")
+    stage1 = working(pure)
+    expand_bridges(stage1, ConversionReport())
+    save("fig_9_9_stage1.conllx", stage1.graph, "(4:141)")
 
 
 def main():

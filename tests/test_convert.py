@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridparse import (
     Edge,
@@ -18,6 +20,8 @@ from hybridparse import (
     to_pure_dependency,
 )
 from hybridparse.convert import (
+    FROM_PURE_STAGES,
+    TO_PURE_STAGES,
     ConversionReport,
     EnrichedLabel,
     expand_bridges,
@@ -28,8 +32,10 @@ from hybridparse.convert import (
 from hybridparse.corpus_io import TreebankDocument, dumps_treebank
 from hybridparse.graph import GraphError, ref_key
 from hybridparse.metrics import elas
+from hybridparse.transitions import working
+from hybridparse.vocab import DEFAULT_TAGS
 
-from conftest import concatenate, load_graph
+from conftest import assert_working_state_equals_a_rebuild, concatenate, corpora, load_graph
 
 
 def seg(i, pos="N", **feats):
@@ -105,11 +111,12 @@ def test_fig_9_9_two_stage_restoration():
     pure = load_graph("fig_9_7_pure.conllx")
     stage1_expected = load_graph("fig_9_9_stage1.conllx")
     hybrid_expected = load_graph("fig_6_22_hybrid.conllx")
-    stage1 = expand_bridges(pure)
-    assert stage1 == stage1_expected
-    stage2 = expand_phrases(stage1)
-    restored = reinsert_dropped_pronouns(stage2)
-    assert restored == hybrid_expected
+    config, report = working(pure), ConversionReport()
+    expand_bridges(config, report)
+    assert config.graph == stage1_expected
+    expand_phrases(config, report)
+    reinsert_dropped_pronouns(config, report)
+    assert config.graph == hybrid_expected
     # and the public entry point gives the same result
     full, report = from_pure_dependency(pure)
     assert full == hybrid_expected
@@ -122,11 +129,20 @@ def test_failed_expansion_keeps_its_label_verbatim():
         [seg(1), seg(2), seg(3, "V"), seg(4)],
         edges=[(0, 2, "+obj"), (3, 0, "adj"), (1, 2, "subj")],
     )
-    report = ConversionReport()
-    assert expand_phrases(pure, report=report) == pure
+    config, report = working(pure), ConversionReport()
+    expand_phrases(config, report)
+    assert config.graph == pure
     assert report.reconstruction_errors == [
         ("0 -+obj-> 2", "subgraph of 0 yields a non-contiguous set [0, 3]")
     ]
+    # The edge went out to measure the span and came back, masks and all.
+    assert_working_state_equals_a_rebuild(config)
+    # An endpoint past the last terminal has no span to expand onto.
+    dangling = graph_from([seg(1), seg(2, "V")], edges=[(7, 1, "+obj")])
+    config, report = working(dangling), ConversionReport()
+    expand_phrases(config, report)
+    assert config.graph == dangling
+    assert report.reconstruction_errors == [("7 -+obj-> 1", "unknown node 7")]
 
 
 def test_from_pure_identity_without_enrichment():
@@ -135,17 +151,22 @@ def test_from_pure_identity_without_enrichment():
     assert restored == pure
 
 
+def reinserted(graph: HybridGraph) -> HybridGraph:
+    config = working(graph)
+    reinsert_dropped_pronouns(config, ConversionReport())
+    return config.graph
+
+
 def test_pronoun_reinsertion_skips_copula_group():
     graph = graph_from(
         [seg(1, "V", SP="kaAn", Person="3", Gender="M", Number="S")]
     )
-    restored = reinsert_dropped_pronouns(graph)
-    assert restored == graph
+    assert reinserted(graph) == graph
 
 
 def test_pronoun_reinsertion_adds_subject():
     graph = graph_from([seg(1, "V", Person="3", Gender="F", Number="S")])
-    restored = reinsert_dropped_pronouns(graph)
+    restored = reinserted(graph)
     assert len(restored.terminals) == 2
     ec = restored.terminals[1]
     assert isinstance(ec, EmptyCategory) and ec.form == "hiya"
@@ -306,16 +327,13 @@ def test_conversion_outputs_are_pinned(profile):
 
 
 def test_conversion_builds_do_not_grow_with_terminal_edits(monkeypatch):
-    """Each stage that deletes or inserts terminals builds at most one graph,
-    and so does expanding phrases for its result, so beyond those only
-    phrases cost a build each: folding one, or expanding one flagged edge."""
+    """Each direction edits one working graph and builds its result once,
+    however many terminals its stages delete or insert and however many
+    phrases it folds or expands."""
     hybrid = concatenate(generate(5, 60, "+phrases,+ellipsis").graphs)
     pure, report = to_pure_dependency(hybrid)
-    flagged = sum(
-        1 for e in expand_bridges(pure).edges
-        if (parsed := parse_label(e.relation)) and (parsed.dependent_expansion or parsed.head_expansion)
-    )
     assert report.dropped_pronouns > 10 and report.converted_empty_categories > 10
+    assert report.converted_phrases > 10
     counts: Counter = Counter()
     build = HybridGraph.__post_init__
 
@@ -325,7 +343,40 @@ def test_conversion_builds_do_not_grow_with_terminal_edits(monkeypatch):
 
     monkeypatch.setattr(HybridGraph, "__post_init__", counted_build)
     assert to_pure_dependency(hybrid) == (pure, report)
-    assert counts["builds"] <= len(hybrid.phrases) + 2
+    assert counts["builds"] == 1
     counts.clear()
-    from_pure_dependency(pure)
-    assert counts["builds"] <= flagged + 3
+    restored, back = from_pure_dependency(pure)
+    assert restored == hybrid and not back.reconstruction_errors
+    assert counts["builds"] <= 1
+
+
+def converted_stage_by_stage(graph: HybridGraph, stages, converted: tuple) -> HybridGraph:
+    """Run ``stages`` on a working copy of ``graph``, checking the working
+    state against a rebuild after each; the result and the report are
+    ``converted``, what the public entry point gave."""
+    config, report = working(graph), ConversionReport()
+    for stage in stages:
+        stage(config, report, DEFAULT_TAGS)
+        assert_working_state_equals_a_rebuild(config)
+    assert (config.graph, report) == converted
+    return config.graph
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora, st.integers(0, 10_000))
+def test_every_conversion_stage_keeps_the_working_state_exact(graphs, seed):
+    """Folding, expanding, deleting and inserting keep the working graph's
+    indices and masks equal to a rebuild after every stage of both
+    directions: on single graphs, on their concatenation, and on pure graphs
+    with random enriched labels, where expansions fail and put their edge
+    back."""
+    rng = random.Random(seed)
+    for graph in graphs + [concatenate(graphs)]:
+        pure = converted_stage_by_stage(graph, TO_PURE_STAGES, to_pure_dependency(graph))
+        converted_stage_by_stage(pure, FROM_PURE_STAGES, from_pure_dependency(pure))
+        relabeled = _relabeled(pure, rng)
+        try:
+            converted = from_pure_dependency(relabeled)
+        except (GraphError, ValueError):
+            continue
+        converted_stage_by_stage(relabeled, FROM_PURE_STAGES, converted)

@@ -14,7 +14,7 @@ from hybridparse import (
     graph_from,
 )
 from hybridparse.graph import GraphError, IllFormedPhraseError, TerminalEdit, Violation
-from hybridparse.transitions import Configuration, InsertEmpty, Reduce, step, successor
+from hybridparse.transitions import Configuration, InsertEmpty, Reduce, step, successor, working
 from hybridparse.vocab import DEFAULT_TAGS
 
 from conftest import (
@@ -22,6 +22,7 @@ from conftest import (
     concatenate,
     corpora,
     load_graph,
+    mask_bits,
     working_state,
 )
 
@@ -169,13 +170,22 @@ def test_structural_equality():
     assert a != c
 
 
+def edited(graph: HybridGraph, edit: TerminalEdit) -> HybridGraph:
+    """``graph`` after ``edit``, applied in place to a working copy whose
+    state equals a rebuild afterwards."""
+    config = working(graph)
+    config.edit(edit)
+    assert_working_yields_match_the_walk(config)
+    return config.graph
+
+
 def test_insertion_shifts_spans_and_edges():
     graph = graph_from(
         [seg(1), seg(2, "V"), seg(3)],
         edges=[(0, 1, "subj"), (2, 1, "obj")],
         phrases=[Phrase(1, 2, "VS")],
     )
-    grown = graph.edited(TerminalEdit(3, inserted=[(2, EmptyCategory("N", "*"))]))
+    grown = edited(graph, TerminalEdit(3, inserted=[(2, EmptyCategory("N", "*"))]))
     assert len(grown.terminals) == 4
     assert Phrase(1, 3, "VS") in grown.phrases
     assert Edge(3, 1, "obj") in grown.edges
@@ -189,13 +199,13 @@ def test_removal_shrinks_spans_and_drops_edges():
         phrases=[Phrase(1, 2, "VS")],
     )
     # The removed terminal ends the span.
-    shrunk = graph.edited(TerminalEdit(4, deleted={2}))
+    shrunk = edited(graph, TerminalEdit(4, deleted={2}))
     assert shrunk.phrases == {Phrase(1, 1, "VS")}
     assert shrunk.edges == {Edge(0, 1, "subj"), Edge(2, 1, "obj")}
     # The removed terminal starts the span.
-    assert graph.edited(TerminalEdit(4, deleted={1})).phrases == {Phrase(1, 1, "VS")}
-    assert graph.edited(TerminalEdit(4, deleted={0})).phrases == {Phrase(0, 1, "VS")}
-    assert graph.edited(TerminalEdit(4, deleted={3})).phrases == graph.phrases
+    assert edited(graph, TerminalEdit(4, deleted={1})).phrases == {Phrase(1, 1, "VS")}
+    assert edited(graph, TerminalEdit(4, deleted={0})).phrases == {Phrase(0, 1, "VS")}
+    assert edited(graph, TerminalEdit(4, deleted={3})).phrases == graph.phrases
     with pytest.raises(GraphError):
         TerminalEdit(4, deleted={4})
 
@@ -255,7 +265,7 @@ def assert_yields_match_the_walk(graph):
     builds them."""
     rebuilt = HybridGraph(graph.terminals, graph.phrases, graph.edges)
     for ref in list(range(len(graph))) + sorted(graph.phrases):
-        assert graph.yield_of(ref) == reference_yield(graph, ref), ref
+        assert mask_bits(graph.yield_masks()[ref]) == reference_yield(graph, ref), ref
         assert graph.subgraph_span(ref) == reference_span(graph, ref), ref
         assert set(graph.head_edges(ref)) == set(rebuilt.head_edges(ref)), ref
         assert graph.dependent_edges(ref) == rebuilt.dependent_edges(ref), ref
@@ -283,6 +293,55 @@ def test_yields_match_a_walk_of_the_dependents(name):
             config = Configuration(terminals, [NP], order[:k], front=len(terminals))
             assert_working_yields_match_the_walk(config)
     assert config.graph == graph_from(terminals, HAND_BUILT[name], [NP])
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_removing_edges_keeps_the_yield_masks_exact(name):
+    """Edges taken out one at a time, in every order, take their bits out
+    of every mask above them, also round the cycle, where the dependents'
+    masks hold the removed edge's bits; taking out the phrase takes its
+    edges along."""
+    terminals = [seg(i) for i in range(1, 6)]
+    edges = [Edge(dep, head, rel) for dep, head, rel in HAND_BUILT[name]]
+    for order in permutations(edges):
+        config = Configuration(terminals, [NP], edges, front=len(terminals))
+        for k, edge in enumerate(order):
+            config.remove_edges([edge])
+            assert_working_yields_match_the_walk(config)
+            assert config.graph == HybridGraph(tuple(terminals), frozenset([NP]), frozenset(order[k + 1 :]))
+    config = Configuration(terminals, [NP], edges, front=len(terminals))
+    config.remove_phrase(NP)
+    assert_working_yields_match_the_walk(config)
+    assert config.graph.edges == {e for e in edges if NP not in (e.dependent, e.head)}
+    assert not config.phrases
+
+
+def edited_anew(graph: HybridGraph, edit: TerminalEdit) -> HybridGraph:
+    """``graph`` after ``edit``, built anew: the terminals spliced, and the
+    phrases and the edges between kept terminals renumbered by ``move``."""
+    terminals = [t for i, t in enumerate(graph.terminals) if i not in edit.deleted]
+    for at, (_, terminal) in zip(edit.landed, edit.inserted):
+        terminals.insert(at, terminal)
+    edges = [
+        (edit.move(e.dependent), edit.move(e.head), e.relation)
+        for e in graph.edges
+        if e.dependent not in edit.deleted and e.head not in edit.deleted
+    ]
+    return graph_from(terminals, edges, map(edit.move, graph.phrases))
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_an_edit_in_one_pass_equals_a_rebuild(name):
+    """A deletion together with one or two insertions, anywhere, including
+    inside the phrase and at one index, leaves the masks exact and the
+    graph that renumbering every reference gives."""
+    graph = graph_from([seg(i) for i in range(1, 6)], HAND_BUILT[name], [NP])
+    ec, pron = EmptyCategory("N", "*"), EmptyCategory("PRON", "huwa")
+    for gone in [(), *((i,) for i in range(5)), (0, 3), (2, 4)]:
+        for at in range(6):
+            for inserted in ([(at, ec)], [(at, ec), (at, pron)], [(at, ec), (5 - at, pron)]):
+                edit = TerminalEdit(5, deleted=gone, inserted=inserted)
+                assert edited(graph, edit) == edited_anew(graph, edit), (gone, inserted)
 
 
 def inserted_after(config, anchors) -> None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridparse.convert import is_convertible, lossless_pure_graphs
+from hybridparse.convert import from_pure_dependency, is_convertible, lossless_pure_graphs
 from hybridparse.corpus_io import (
     FeatureNotationError,
     TreebankFormatError,
@@ -16,7 +16,7 @@ from hybridparse.corpus_io import (
     read_feature_notation,
     read_treebank,
 )
-from hybridparse.engine import parse_integrated, parse_multi_step
+from hybridparse.engine import _greedy_parse, parse_integrated, parse_multi_step
 from hybridparse.graph import (
     ELLIPTICAL_FORM,
     EmptyCategory,
@@ -29,6 +29,7 @@ from hybridparse.learning import FeatureSetSpec, Model, _partition_key, extract_
 from hybridparse.oracle import oracle_next, oracle_sequence, step_budget
 from hybridparse.synth import generate
 from hybridparse.transitions import (
+    PURE_KINDS,
     AddPhrase,
     InsertEmpty,
     InsertPronoun,
@@ -41,6 +42,7 @@ from hybridparse.transitions import (
     legal,
     step,
     successor,
+    working,
 )
 from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 
@@ -64,8 +66,12 @@ SETTINGS = settings(max_examples=20, deadline=None)
 def test_removing_an_inserted_terminal_restores_the_graph(graphs, ec):
     for graph in graphs:
         for at in range(len(graph) + 1):
-            grown = graph.edited(TerminalEdit(len(graph), inserted=[(at, ec)]))
-            assert grown.edited(TerminalEdit(len(grown), deleted={at})) == graph
+            config = working(graph)
+            config.edit(TerminalEdit(len(graph), inserted=[(at, ec)]))
+            assert_working_state_equals_a_rebuild(config)
+            config.edit(TerminalEdit(len(graph) + 1, deleted={at}))
+            assert_working_state_equals_a_rebuild(config)
+            assert config.graph == graph
 
 
 @SETTINGS
@@ -148,11 +154,16 @@ def segment_sequences(draw):
 def test_both_pipelines_are_total(model, pure_model, sentence):
     """Any segment sequence parses to a valid graph within the step budget;
     the multi-step pipeline hands its conversion whatever labels the model
-    predicts, expandable or not."""
+    predicts, expandable or not, and its configuration, which converts in
+    place to what a copy of its graph converts to."""
     for parse, parser_model in ((parse_integrated, model), (parse_multi_step, pure_model)):
         graph, report = parse(parser_model, sentence)
         assert graph.validate() == []
         assert report.predictive_steps <= step_budget(len(sentence))
+    config, _ = _greedy_parse(pure_model, sentence, DEFAULT_TAGS, PURE_KINDS)
+    copied = from_pure_dependency(config.graph)
+    assert from_pure_dependency(config) == copied
+    assert_working_state_equals_a_rebuild(config)
 
 
 def assert_same_as_rebuilt(graph):
@@ -161,7 +172,7 @@ def assert_same_as_rebuilt(graph):
     rebuilt = HybridGraph(graph.terminals, graph.phrases, graph.edges)
     for ref in list(range(len(graph))) + sorted(graph.phrases):
         assert graph.subgraph_span(ref) == rebuilt.subgraph_span(ref)
-        assert graph.yield_of(ref) == rebuilt.yield_of(ref)
+        assert graph.yield_masks()[ref] == rebuilt.yield_masks()[ref]
         assert graph.head_of(ref) == rebuilt.head_of(ref)
         assert graph.dependent_edges(ref) == rebuilt.dependent_edges(ref)
 
@@ -242,7 +253,7 @@ def test_parse_steps_do_not_rebuild_the_graph(model, monkeypatch):
         build(self)
 
     monkeypatch.setattr(HybridGraph, "__post_init__", counted_build)
-    for name in ("yield_masks", "subgraph_span", "yield_of", "dependent_edges", "head_of"):
+    for name in ("yield_masks", "subgraph_span", "dependent_edges", "head_of"):
         monkeypatch.setattr(HybridGraph, name, lambda *args, name=name: counts.update([name]))
     graph, report = parse_integrated(model, sentence.segments)
     insertions = sum(isinstance(t, (InsertEmpty, InsertPronoun)) for t in report.trace)
