@@ -306,11 +306,32 @@ def from_pure_dependency(pure, tags: TagSet = DEFAULT_TAGS) -> tuple:
     ``HybridGraph`` or a working graph handed over to be edited in place.
 
     Returns (hybrid, report); reconstruction errors are recorded per edge
-    with the enriched label kept verbatim.
+    with the enriched label kept verbatim. An edge with an endpoint that is
+    no terminal is such an error: no stage renumbers or expands it, and it
+    comes back as it went in.
     """
     if pure.phrases:
         raise GraphError("input already contains phrase nodes")
-    return _convert(pure, FROM_PURE_STAGES, tags)
+    config = pure if isinstance(pure, Configuration) else working(pure)
+    n = len(config.terminals)
+    dangling = sorted(
+        (e for edges in config.heads.values() for e in edges if _unknown_endpoint(e, n) is not None),
+        key=_edge_str,
+    )
+    config.remove_edges(dangling)
+    _, report = _convert(config, FROM_PURE_STAGES, tags)
+    for edge in dangling:
+        report.reconstruction_errors.append((_edge_str(edge), f"unknown node {_unknown_endpoint(edge, n)!r}"))
+        config.add_edge(edge)
+    return config.graph, report
+
+
+def _unknown_endpoint(edge: Edge, n: int):
+    """The first endpoint of ``edge`` that is none of ``n`` terminals, or None."""
+    for ref in (edge.dependent, edge.head):
+        if not (isinstance(ref, int) and 0 <= ref < n):
+            return ref
+    return None
 
 
 def lossless_pure_graphs(graphs, tags: TagSet = DEFAULT_TAGS) -> list:

@@ -31,9 +31,14 @@ configuration as that int and builds no string or set on the way:
 - The configuration's ``static_cache`` keeps each terminal's tuple for the
   walk, exact because terminals are frozen values. It belongs to one memo
   level of one vocabulary (``static_owner``); another one empties it first.
-- The dynamic predicates and ``graph:edge`` read the working graph's edge
-  lists by dependent and by head, and ``isroot`` its yield masks
-  (``mask_span``). A predicate without a bit is not computed.
+- The dynamic predicates read the working graph's edge lists by dependent
+  and by head, and its yield masks, inline: ``graph:edge`` looks for an
+  edge either way between a pair's nodes in their lists by dependent, and
+  ``isroot`` holds for a headless node whose mask is one run, the test of
+  ``mask_span`` written as ``not (m + (m & -m)) & m``. A predicate without
+  a bit is not computed.
+- A fixed vocabulary also splits its positions into ``blocks``, one run per
+  name prefix, for the scorer's id memos (see ``learning``).
 
 ``extract_features`` is the same description as a frozenset of strings: the
 decode of ``featurize`` over a fresh growing vocabulary. Neither training
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
-from .graph import EmptyCategory, Phrase, mask_span
+from .graph import EmptyCategory, Phrase
 from .transitions import Configuration
 from .vocab import COPULA_GROUP
 
@@ -105,6 +110,23 @@ def positions(bits: int) -> List[int]:
     return out
 
 
+def prefix_blocks(names: List[str]) -> tuple:
+    """The masks of the maximal runs of consecutive positions whose names
+    share the part before the first ":" (``graph``, ``q1``, ``s1``, ...),
+    in position order. Sorted names give one run per prefix."""
+    blocks = []
+    start, prefix = 0, None
+    for p, name in enumerate(names):
+        head = name.partition(":")[0]
+        if head != prefix:
+            if p:
+                blocks.append((1 << p) - (1 << start))
+            start, prefix = p, head
+    if names:
+        blocks.append((1 << len(names)) - (1 << start))
+    return tuple(blocks)
+
+
 class Vocabulary:
     """Predicate <-> bit position, and the per-slot bit tables of
     ``featurize``. ``names`` lists the predicates by position."""
@@ -132,6 +154,9 @@ class Vocabulary:
         # Per feature set level, (pos, features, lemma) -> static bits per
         # slot position (static_bits).
         self.static: tuple = tuple({} for _ in FEATURE_SETS)
+        # The masks of the runs of positions that share a name prefix, or
+        # None when the vocabulary grows.
+        self.blocks = None if grow else prefix_blocks(self.names)
 
     def bit(self, name: str) -> int:
         """The predicate's bit: 0 when a fixed vocabulary does not know it."""
@@ -241,26 +266,29 @@ def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabular
                         f"{SLOTS[k]}:deprel({edge.relation})"
                     )
                 bits |= bit
-        # A node with no mask yields its own extent, which is one run.
-        if isroot[k] and ref not in heads and (ref not in masks or mask_span(masks[ref]) is not None):
-            bits |= isroot[k]
+        # A node with no mask yields its own extent, which is one run. A
+        # nonzero mask is one run exactly when adding its lowest bit carries
+        # past all of it (mask_span).
+        if isroot[k] and ref not in heads:
+            m = masks.get(ref)
+            if m is None or not (m + (m & -m)) & m:
+                bits |= isroot[k]
+    # An edge joins the pair's nodes in either direction; heads lists the
+    # edges by dependent.
     for a, b, bit in vocabulary.edges:
         ra, rb = refs[a], refs[b]
-        if ra is not None and rb is not None and _linked(heads, ra, rb):
-            bits |= bit
+        if ra is None or rb is None:
+            continue
+        for edge in heads.get(ra, ()):
+            if edge.head == rb:
+                bits |= bit
+                break
+        else:
+            for edge in heads.get(rb, ()):
+                if edge.head == ra:
+                    bits |= bit
+                    break
     return bits
-
-
-def _linked(heads: dict, a, b) -> bool:
-    """Whether an edge joins ``a`` and ``b``, in either direction, given the
-    edges by dependent."""
-    for edge in heads.get(a, ()):
-        if edge.head == b:
-            return True
-    for edge in heads.get(b, ()):
-        if edge.head == a:
-            return True
-    return False
 
 
 def extract_features(config: Configuration, spec: FeatureSetSpec) -> frozenset:

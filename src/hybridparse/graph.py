@@ -31,9 +31,10 @@ one-terminal edits, so one edit equals its terminals edited one at a time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .vocab import DEFAULT_TAGS, TagSet, parse_label
 
@@ -87,10 +88,10 @@ class MorphSegment:
 
     def __post_init__(self):
         feats = self.features
-        if isinstance(feats, Mapping):
-            feats = tuple(sorted(feats.items()))
-        else:
-            feats = tuple(sorted(feats))
+        # Most features come as tuples; the Mapping check is the slower one.
+        if not isinstance(feats, tuple) and isinstance(feats, Mapping):
+            feats = feats.items()
+        feats = tuple(sorted(feats))
         if len(dict(feats)) < len(feats):
             key = next(a for (a, _), (b, _) in zip(feats, feats[1:]) if a == b)
             raise ValueError(f"repeated feature key {key!r}")

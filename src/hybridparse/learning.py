@@ -43,27 +43,38 @@ order, as its ``vocabulary``: bit p of a key is ``vocabulary.names[p]``. It
 binds each classifier to it, and the classifier keeps ``known``, the int of
 its bits, and its ids and pair table by bit position.
 
-A score reads a key: the bits of a set's known predicates. It takes the ids
-of the key's bits in ascending order, then, for each bit with a pair row in
-ascending order, the row's hits among the key's s2 bits in ascending order.
-The vocabulary is numbered in sorted predicate order, so ascending bits are
-the sorted predicates and this is the expanded order of ``_conjoined``
-without its strings. A transition's weights are added one at a time in that
-order. Float addition is not associative, so the order fixes the result;
-``sum()`` is never used, as its float rounding differs between Python
-versions.
+A score reads a key: the bits of a set's known predicates. Its ids are
+those of the key's bits with an id in ascending order, then, for each bit
+with a pair row in ascending order, the row's hits among the key's s2 bits
+in ascending order. The vocabulary is numbered in sorted predicate order,
+so ascending bits are the sorted predicates and this is the expanded order
+of ``_conjoined`` without its strings. A transition's weights are added one
+at a time in that order. Float addition is not associative, so the order
+fixes the result; ``sum()`` is never used, as its float rounding differs
+between Python versions.
+
+Keys seldom repeat, but their parts do, so a score memoizes its id list by
+part. The vocabulary's ``blocks`` are the runs of positions that share a
+name prefix (``graph:``, ``q1:``, ``s1:``, ...), in position order. Per
+block that holds a bit with an id, the classifier maps the key's part in
+the block to the ids of its bits; and it maps the key's bits with a pair
+row and its s2 bits, as one int, to their pair ids. The block tuples in block order, then
+the pair tuple, are the id list above in its order, so the sums are the
+same to the bit.
 
 Parsing ranks each distinct key once per classifier. ``predict`` featurizes
 over the model's vocabulary, where a predicate no classifier knows gets no
 bit, and keys ``rankings`` by ``bits & clf.known``, which maps a key to the
 labels as transitions, best first. This is exact: a score reads only the
 known predicates, so two sets with one key give the same ids in the same
-order and bit-identical sums. ``predict`` scores the key itself on a miss,
-skips the kinds ``allowed_kinds`` excludes after the ranking, so that one
-memo serves both pipelines, and returns the first legal transition.
-``fit`` and ``load`` unbind a classifier, binding clears its memo, and
-``predict`` binds the model again when a classifier is not bound to its
-vocabulary. The memo otherwise grows by one entry per distinct key.
+order and bit-identical sums. A classifier that knows no predicate keys
+every configuration as 0 and is not featurized for. ``predict`` scores the
+key itself on a miss, skips the kinds ``allowed_kinds`` excludes after the
+ranking, so that one memo serves both pipelines, and returns the first
+legal transition. ``fit`` and ``load`` unbind a classifier, binding empties
+its ranking and id memos, and ``predict`` binds the model again when a
+classifier is not bound to its vocabulary. A ranking-memo miss otherwise
+adds one ranking and at most one entry to each id memo.
 """
 
 from __future__ import annotations
@@ -297,51 +308,62 @@ class AveragedPerceptron:
 
     def _unbind(self) -> None:
         self.vocabulary: Optional[Vocabulary] = None
-        self.known = self.s2_bits = 0
+        self.known = self.s1_bits = self.s2_bits = 0
         # Per bit position: its id, and its pair row (s2 position -> id), or None.
         self.plain: List[Optional[int]] = []
         self.pair_rows: List[Optional[Dict[int, int]]] = []
         # The ranking memo: key -> labels as transitions, best first (predict).
         self.rankings: Dict[int, Tuple[Transition, ...]] = {}
+        # The id memos of score: per vocabulary block with an id, (the block's
+        # bits with an id, block part of a key -> its ids); and the pair part
+        # of a key -> its pair ids.
+        self.blocks: List[Tuple[int, Dict[int, Tuple[int, ...]]]] = []
+        self.pair_ids: Dict[int, Tuple[int, ...]] = {}
 
     def bind(self, vocabulary: Vocabulary) -> None:
         """Key scores by the bits of ``vocabulary``, a fixed vocabulary in
         sorted predicate order that holds every predicate this classifier
-        knows, and empty the ranking memo."""
+        knows, and empty the ranking and id memos."""
         ids = vocabulary.ids
         plain: list = [None] * len(ids)
         pair_rows: list = [None] * len(ids)
-        known = s2 = 0
+        weighted = s1 = s2 = 0
         for f, i in self.index.items():
             p = ids[f]
             plain[p] = i
-            known |= 1 << p
+            weighted |= 1 << p
         for a, hits in self.pairs.items():
             p = ids[a]
-            known |= 1 << p
+            s1 |= 1 << p
             row = pair_rows[p] = {}
             for b, i in hits.items():
                 q = ids[b]
                 row[q] = i
                 s2 |= 1 << q
         self.plain, self.pair_rows = plain, pair_rows
-        self.known, self.s2_bits = known | s2, s2
+        self.known = weighted | s1 | s2
+        self.s1_bits, self.s2_bits = s1, s2
         self.vocabulary = vocabulary
         self.rankings = {}
+        self.blocks = [(mask & weighted, {}) for mask in vocabulary.blocks if mask & weighted]
+        self.pair_ids = {}
 
     def score(self, key: int) -> Dict[str, float]:
         """Per-label weight sums over the expanded features of a key, the
         bits of known predicates over the bound vocabulary, each added one
         at a time in expanded feature order (see ``_conjoined``)."""
-        bits = positions(key)
-        ids = [i for i in map(self.plain.__getitem__, bits) if i is not None]
-        s2 = positions(key & self.s2_bits)
-        for row in map(self.pair_rows.__getitem__, bits):
-            if row is not None:
-                for q in s2:
-                    i = row.get(q)
-                    if i is not None:
-                        ids.append(i)
+        ids: tuple = ()
+        for mask, memo in self.blocks:
+            part = key & mask
+            got = memo.get(part)
+            if got is None:
+                got = memo[part] = tuple(map(self.plain.__getitem__, positions(part)))
+            ids += got
+        part = key & (self.s1_bits | self.s2_bits)
+        got = self.pair_ids.get(part)
+        if got is None:
+            got = self.pair_ids[part] = self._pair_ids(part)
+        ids += got
         scores = {}
         for label, row in zip(self.labels, self.rows):
             total = 0.0
@@ -349,6 +371,18 @@ class AveragedPerceptron:
                 total += row[i]
             scores[label] = total
         return scores
+
+    def _pair_ids(self, part: int) -> Tuple[int, ...]:
+        """The ids of the conjunctions a key's s1 and s2 bits make, by s1
+        then s2 position."""
+        s2 = positions(part & self.s2_bits)
+        out = []
+        for row in map(self.pair_rows.__getitem__, positions(part & self.s1_bits)):
+            for q in s2:
+                i = row.get(q)
+                if i is not None:
+                    out.append(i)
+        return tuple(out)
 
     def weights_by_label(self) -> Dict[str, Dict[str, float]]:
         """The weights label-major (label -> feature -> weight), as stored."""
@@ -600,7 +634,8 @@ def predict(
     if clf is not None:
         if clf.vocabulary is not model.vocabulary:
             model.bind()
-        key = featurize(config, model.feature_set, model.vocabulary) & clf.known
+        # A classifier that knows no predicate reads no bit of a key.
+        key = clf.known and featurize(config, model.feature_set, model.vocabulary) & clf.known
         ranking = clf.rankings.get(key)
         if ranking is None:
             # (-score, label): labels are unique, so ties go to the smaller label.

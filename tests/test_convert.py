@@ -145,6 +145,23 @@ def test_failed_expansion_keeps_its_label_verbatim():
     assert report.reconstruction_errors == [("7 -+obj-> 1", "unknown node 7")]
 
 
+@pytest.mark.parametrize("relation", ["obj", "+obj", "link|N|circ"])
+def test_an_edge_to_an_unknown_node_is_an_error_kept_verbatim(relation):
+    """A dangling edge, flagged or not, is recorded with the node it lacks
+    and comes back as it went in; no stage renumbers or expands it, also
+    when a bridge inserts a terminal before both of its endpoints."""
+    terms = [seg(1), seg(2), seg(3), seg(4)]
+    pure = graph_from(terms, edges=[(2, 7, relation)])
+    restored, report = from_pure_dependency(pure)
+    assert restored == pure
+    assert report.reconstruction_errors == [(f"2 -{relation}-> 7", "unknown node 7")]
+    bridged = graph_from(terms, edges=[(0, 1, "link|N|circ"), (2, 7, relation)])
+    restored, report = from_pure_dependency(bridged)
+    assert len(restored.terminals) == 5
+    assert Edge(2, 7, relation) in restored.edges
+    assert report.reconstruction_errors == [(f"2 -{relation}-> 7", "unknown node 7")]
+
+
 def test_from_pure_identity_without_enrichment():
     pure = graph_from([seg(1, "DEM"), seg(2)], edges=[(1, 0, "pred")])
     restored, report = from_pure_dependency(pure)

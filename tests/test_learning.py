@@ -28,7 +28,7 @@ from hybridparse import features, learning, transitions
 from hybridparse.convert import lossless_pure_graphs
 from hybridparse.engine import parse_integrated, parse_multi_step
 from hybridparse.features import FEATURE_SETS, Vocabulary, _static_predicates
-from hybridparse.graph import EmptyCategory, HybridGraph, Phrase
+from hybridparse.graph import EmptyCategory, HybridGraph, Phrase, mask_span
 from hybridparse.learning import (
     EDGE_PAIRS,
     SLOTS,
@@ -1141,3 +1141,77 @@ def test_fit_sums_again_only_the_rows_an_update_changed(monkeypatch):
     model = train(generate(13, 40, PROFILE).graphs, FeatureSetSpec("lemma"))
     assert max(model.counts["epochs_per_partition"].values()) > 2
     assert sums["rows"] <= 23_976
+
+
+@pytest.mark.parametrize("case", ["hybrid-lemma", "pure-morph6"])
+def test_a_parse_featurizes_only_for_classifiers_that_read_a_bit(monkeypatch, case):
+    """A classifier that knows no predicate, like those of the empty stack,
+    CONJ and RSLT here, keys every configuration as 0, so predict does not
+    featurize for it."""
+    model = _fresh(_pinned_model(case))
+    parse = parse_multi_step if case == "pure-morph6" else parse_integrated
+    sentence = concatenate(generate(3, 30, PROFILE).graphs)
+    featurized = record_calls(monkeypatch, learning, "featurize")
+    _, report = parse(model, sentence.segments)
+    config, reads = initial(sentence.segments), Counter()
+    for t in report.trace[: report.predictive_steps]:
+        clf = model.classifiers.get(learning._partition_key(config))
+        if clf is not None:
+            reads[bool(clf.known)] += 1
+        config = successor(config, t)
+    assert reads[False] > 0
+    assert len(featurized) == reads[True]
+
+
+def test_the_id_memos_hold_at_most_one_entry_per_ranking_and_bind_empties_them():
+    """A ranking-memo miss adds at most one entry to each block memo and to
+    the pair memo, and misses share entries."""
+    model = _fresh(_pinned_model("hybrid-lemma"))
+    parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
+    for clf in model.classifiers.values():
+        memos = [memo for _, memo in clf.blocks] + [clf.pair_ids]
+        assert all(len(memo) <= len(clf.rankings) for memo in memos)
+    n = model.classifiers["N"]
+    assert len(n.rankings) > 100 and min(len(memo) for _, memo in n.blocks) < len(n.rankings) / 2
+    model.bind()
+    for clf in model.classifiers.values():
+        assert not clf.rankings and not clf.pair_ids
+        assert not any(memo for _, memo in clf.blocks)
+
+
+def test_block_masks_are_built_once_per_vocabulary(monkeypatch):
+    """The model's vocabulary splits its positions into one run per name
+    prefix, once; binding and scoring only read the masks. Each classifier's
+    blocks cover exactly its bits with an id, in position order."""
+    text = _pinned_model("hybrid-lemma").serialize()
+    built = record_calls(monkeypatch, features, "prefix_blocks")
+    model = Model.deserialize(text)
+    parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
+    assert len(built) == 1
+    names = model.vocabulary.names
+    prefixes = [names[p].partition(":")[0] for p in range(len(names))]
+    blocks = model.vocabulary.blocks
+    assert len(blocks) == len(set(prefixes)) > 1
+    assert sum(blocks) == (1 << len(names)) - 1
+    for mask in blocks:
+        assert len({prefixes[p] for p in features.positions(mask)}) == 1
+        assert mask_span(mask) is not None
+    for clf in model.classifiers.values():
+        masks = [mask for mask, _ in clf.blocks]
+        weighted = [p for p, i in enumerate(clf.plain) if i is not None]
+        assert [p for mask in masks for p in features.positions(mask)] == weighted
+    model.bind()
+    assert len(built) == 2
+
+
+_RUNS = st.builds(lambda start, length: ((1 << length) - 1) << start, st.integers(0, 300), st.integers(1, 300))
+
+
+@given(st.one_of(_RUNS, st.integers(1, (1 << 600) - 1)))
+def test_the_inline_root_test_is_mask_span(mask):
+    """featurize sets s1:isroot on a headless node exactly when its yield
+    mask is one run."""
+    vocabulary = Vocabulary(["s1:isroot"])
+    config = apply(initial([seg(1), seg(2)]), Shift())
+    config.masks[0] = mask
+    assert featurize(config, FeatureSetSpec("pos"), vocabulary) == (mask_span(mask) is not None)
