@@ -137,12 +137,17 @@ def _edge_str(edge: Edge) -> str:
 TO_PURE_STAGES = (_drop_subject_pronouns, _fold_phrases, _collapse_chains)
 
 
-def _convert(graph, stages, tags: TagSet) -> tuple:
-    """Run ``stages`` on ``graph``, a handed-over working graph or a copy."""
-    config = graph if isinstance(graph, Configuration) else working(graph)
+def _convert(config: Configuration, stages, tags: TagSet, kept=()) -> tuple:
+    """Run ``stages`` on ``config``, then add the edges ``kept``, which no
+    stage sees, renumbered by the ``TerminalEdit`` each restoration stage
+    that inserts terminals returns."""
     report = ConversionReport()
     for stage in stages:
-        stage(config, report, tags)
+        edit = stage(config, report, tags)
+        if edit is not None:
+            kept = [Edge(edit.move(e.dependent), edit.move(e.head), e.relation) for e in kept]
+    for edge in kept:
+        config.add_edge(edge)
     return config.graph, report
 
 
@@ -156,7 +161,7 @@ def to_pure_dependency(hybrid: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> tupl
     violations = hybrid.validate(tags)
     if violations:
         raise GraphError(f"invalid input graph: {violations[0]}")
-    return _convert(hybrid, TO_PURE_STAGES, tags)
+    return _convert(working(hybrid), TO_PURE_STAGES, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,9 @@ def _enriched(config: Configuration, tags: TagSet, wanted: Callable[[EnrichedLab
             yield edge, parsed
 
 
-def expand_bridges(config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS) -> None:
+def expand_bridges(
+    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS
+) -> TerminalEdit:
     """First restoration stage: bridge labels become an empty category and
     two edges. The restored node is inserted directly before its dependent,
     after any restored there for a bridge that comes earlier by dependent
@@ -224,6 +231,7 @@ def expand_bridges(config: Configuration, report: ConversionReport, tags: TagSet
         rel1, _, rel2 = parsed.bridge
         config.add_edge(Edge(edit.move(edge.dependent), at, rel1))
         config.add_edge(Edge(at, edit.move(edge.head), rel2))
+    return edit
 
 
 def _phrase_over(config: Configuration, starts: dict, root) -> Phrase:
@@ -273,7 +281,7 @@ def expand_phrases(config: Configuration, report: ConversionReport, tags: TagSet
 
 def reinsert_dropped_pronouns(
     config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS
-) -> None:
+) -> TerminalEdit:
     """Give every plain verb without a subject a dropped-pronoun subject,
     directly after the verb.
 
@@ -294,6 +302,7 @@ def reinsert_dropped_pronouns(
     config.edit(edit)
     for v, at in zip(verbs, edit.landed):
         config.add_edge(Edge(at, edit.move(v), "subj"))
+    return edit
 
 
 # Pronouns are restored before phrases are expanded, so that a
@@ -307,8 +316,10 @@ def from_pure_dependency(pure, tags: TagSet = DEFAULT_TAGS) -> tuple:
 
     Returns (hybrid, report); reconstruction errors are recorded per edge
     with the enriched label kept verbatim. An edge with an endpoint that is
-    no terminal is such an error: no stage renumbers or expands it, and it
-    comes back as it went in.
+    no terminal is such an error, recorded in the input numbering: no stage
+    expands it, and it comes back with its label, its endpoints moved as the
+    inserted terminals move the others, so an index past the last terminal
+    stays past it.
     """
     if pure.phrases:
         raise GraphError("input already contains phrase nodes")
@@ -319,11 +330,10 @@ def from_pure_dependency(pure, tags: TagSet = DEFAULT_TAGS) -> tuple:
         key=_edge_str,
     )
     config.remove_edges(dangling)
-    _, report = _convert(config, FROM_PURE_STAGES, tags)
+    hybrid, report = _convert(config, FROM_PURE_STAGES, tags, dangling)
     for edge in dangling:
         report.reconstruction_errors.append((_edge_str(edge), f"unknown node {_unknown_endpoint(edge, n)!r}"))
-        config.add_edge(edge)
-    return config.graph, report
+    return hybrid, report
 
 
 def _unknown_endpoint(edge: Edge, n: int):

@@ -50,7 +50,7 @@ def _greedy_parse(
     budget = step_budget(len(sentence))
     report = ParseReport()
     while not config.is_terminal_state() and len(report.trace) < budget:
-        t = predict(model, config, tags, allowed_kinds, report)
+        t = predict(model, config, allowed_kinds, report)
         step(config, t, tags)
         report.trace.append(t)
     report.predictive_steps = len(report.trace)

@@ -617,7 +617,6 @@ def _corpus_fingerprint(blocks: List[str]) -> str:
 def predict(
     model: Model,
     config: Configuration,
-    tags: TagSet = DEFAULT_TAGS,
     allowed_kinds: Optional[tuple] = None,
     report=None,
 ) -> Transition:
@@ -647,7 +646,7 @@ def predict(
         for t in ranking:
             if allowed_kinds and not isinstance(t, allowed_kinds):
                 continue
-            if legal(config, t, tags):
+            if legal(config, t):
                 if passed and report is not None:
                     report.fallback_ranks[passed + 1] += 1
                 return t

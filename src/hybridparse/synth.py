@@ -4,9 +4,9 @@ Graphs are assembled from a small set of clause templates whose gold
 structure is a function of observable segment features, so classifiers
 can learn the grammar. The feature-to-structure mapping:
 
-* a nominative noun left of a plain verb is its subject (subj); under a
-  copular verb (SP group) it is subjx;
-* an accusative noun right of a plain verb is its object (obj); under a
+* a nominative noun right after a plain verb is its subject (subj); under
+  a copular verb (SP group) it is subjx;
+* an accusative noun after the subject is its object (obj); under a
   copular verb it is predx; a following accusative adjective modifies it;
 * a genitive noun attaches to the preceding preposition (gen); the
   preposition (or its phrase) attaches to the clause verb or to a
@@ -20,7 +20,8 @@ can learn the grammar. The feature-to-structure mapping:
   disconnected, with conjoined clauses linked head-to-head (conj).
 
 Profiles toggle phrase nodes, elliptical nodes, disconnected particles
-and (at a fixed rate) non-projective crossing edges.
+and (at a fixed rate) non-projective crossing edges. Every head comes before
+its dependents, so no oracle sequence of a synthetic graph takes a LeftArc.
 """
 
 from __future__ import annotations

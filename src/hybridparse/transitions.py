@@ -309,7 +309,7 @@ def _is_segment(config: Configuration, ref: NodeRef) -> bool:
     return isinstance(ref, int) and isinstance(config.terminals[ref], MorphSegment)
 
 
-def legal(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> bool:
+def legal(config: Configuration, t: Transition) -> bool:
     pushed = config.pushed
     if isinstance(t, Shift):
         return config.front < len(config.terminals)
@@ -351,7 +351,7 @@ def legal(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> 
 
 def apply(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> Configuration:
     """Apply a legal transition, returning the successor configuration."""
-    if not legal(config, t, tags):
+    if not legal(config, t):
         raise IllegalTransition(f"{t} is not legal here")
     return successor(config, t, tags)
 

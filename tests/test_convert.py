@@ -148,8 +148,10 @@ def test_failed_expansion_keeps_its_label_verbatim():
 @pytest.mark.parametrize("relation", ["obj", "+obj", "link|N|circ"])
 def test_an_edge_to_an_unknown_node_is_an_error_kept_verbatim(relation):
     """A dangling edge, flagged or not, is recorded with the node it lacks
-    and comes back as it went in; no stage renumbers or expands it, also
-    when a bridge inserts a terminal before both of its endpoints."""
+    in the input numbering and comes back with its label; no stage expands
+    it. A bridge that inserts a terminal before both of its endpoints moves
+    both, so the known one stays on its terminal and the unknown one past
+    the last."""
     terms = [seg(1), seg(2), seg(3), seg(4)]
     pure = graph_from(terms, edges=[(2, 7, relation)])
     restored, report = from_pure_dependency(pure)
@@ -158,8 +160,24 @@ def test_an_edge_to_an_unknown_node_is_an_error_kept_verbatim(relation):
     bridged = graph_from(terms, edges=[(0, 1, "link|N|circ"), (2, 7, relation)])
     restored, report = from_pure_dependency(bridged)
     assert len(restored.terminals) == 5
-    assert Edge(2, 7, relation) in restored.edges
+    assert Edge(3, 8, relation) in restored.edges
     assert report.reconstruction_errors == [(f"2 -{relation}-> 7", "unknown node 7")]
+
+
+def test_a_dangling_edge_does_not_land_between_real_terminals():
+    """Two bridges insert a terminal before the known endpoint of a dangling
+    edge; kept unmoved, its other endpoint would name the old terminal 3 and
+    the output would validate."""
+    terms = [seg(1), seg(2), seg(3), seg(4)]
+    pure = graph_from(
+        terms, edges=[(0, 1, "link|N|circ"), (2, 3, "link|N|circ"), (2, 5, "obj")]
+    )
+    restored, report = from_pure_dependency(pure)
+    assert len(restored.terminals) == 6
+    assert restored.terminals[4] == terms[2]
+    assert Edge(4, 7, "obj") in restored.edges
+    assert restored.validate() != []
+    assert report.reconstruction_errors == [("2 -obj-> 5", "unknown node 5")]
 
 
 def test_from_pure_identity_without_enrichment():

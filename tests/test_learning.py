@@ -696,7 +696,7 @@ def test_memorization_single_graph(english_tags):
     gold = load_graph("english/fig_9_2.conllx", english_tags)
     model = train([gold], FeatureSetSpec("pos"), seed=0, tags=english_tags)
     config = initial(gold.segments)
-    assert predict(model, config, english_tags) == Shift()
+    assert predict(model, config) == Shift()
     parsed, report = parse_integrated(model, gold.segments, english_tags)
     assert parsed == gold
 
@@ -772,7 +772,7 @@ def test_budget_exhaustion_drains_to_a_valid_graph():
 # bits of the predicates it knows, and filters by kind afterwards.
 
 
-def _reference_predict(model, config, tags=DEFAULT_TAGS, allowed_kinds=None):
+def _reference_predict(model, config, allowed_kinds=None):
     """predict with no memo: score, sort by (-score, label), filter, then
     the first legal transition or the forced one."""
     clf = model.classifiers.get(learning._partition_key(config))
@@ -785,7 +785,7 @@ def _reference_predict(model, config, tags=DEFAULT_TAGS, allowed_kinds=None):
                 continue
             candidates.append((-score, label, t))
     for _, _, t in sorted(candidates):
-        if transitions.legal(config, t, tags):
+        if transitions.legal(config, t):
             return t
     return transitions.forced(config)
 
@@ -810,8 +810,8 @@ def test_predict_matches_the_reference(graphs):
             config = initial(graph.segments)
             for t in parse(_pinned_model(case), graph.segments)[1].trace:
                 for kinds in (transitions.PURE_KINDS, None):
-                    expected = _reference_predict(model, config, DEFAULT_TAGS, kinds)
-                    assert predict(model, config, DEFAULT_TAGS, kinds) == expected
+                    expected = _reference_predict(model, config, kinds)
+                    assert predict(model, config, kinds) == expected
                 config = successor(config, t)
 
 
@@ -998,7 +998,7 @@ def test_bits_keys_and_predictions_match_the_string_references(graphs):
                         assert _hex(got) == _hex(_reference_score(clf, feats))
                     for kinds in (transitions.PURE_KINDS, None):
                         expected = _string_keyed_predict(model, config, memo, kinds)
-                        assert predict(model, config, DEFAULT_TAGS, kinds) == expected
+                        assert predict(model, config, kinds) == expected
                     config = successor(config, t)
 
 

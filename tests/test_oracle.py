@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridparse import (
     HybridGraph,
@@ -17,15 +19,14 @@ from hybridparse import (
     oracle_next,
     oracle_sequence,
 )
-from hybridparse.graph import EmptyCategory
+from hybridparse.graph import Edge, EmptyCategory, GraphError
 from hybridparse.metrics import elas
-from hybridparse.oracle import _GoldIndex, _OracleState, step_budget
+from hybridparse.oracle import _alignment, _GoldIndex, _OracleState, step_budget
 from hybridparse.synth import is_nonprojective
 from hybridparse.transitions import AddPhrase, InsertEmpty, RightArc, step
-from hybridparse.vocab import DEFAULT_TAGS
 from hybridparse import generate, Profile
 
-from conftest import concatenate, load_graph, load_transitions
+from conftest import concatenate, corpora, load_graph, load_transitions
 
 
 def seg(i, pos="N", **feats):
@@ -56,7 +57,7 @@ def test_oracle_next_after_four_shifts(english_tags):
     config = initial(gold.segments)
     for _ in range(4):
         config = apply(config, Shift(), english_tags)
-    assert oracle_next(config, gold, english_tags) == LeftArc("det")
+    assert oracle_next(config, gold) == LeftArc("det")
 
 
 def test_oracle_next_builds_pending_nested_phrase():
@@ -200,33 +201,138 @@ def test_phrase_without_a_unique_root_is_unreachable():
     assert outcome.sequence == [Shift(), Reduce(1), Shift(), Reduce(1)]
 
 
-def _state_fields(state) -> tuple:
-    return (
-        list(state.working_to_gold),
-        set(state.built_edges),
-        set(state.built_phrases),
-        set(state.built_anchors),
-    )
-
-
 def test_an_insertion_aligns_in_place_and_never_precedes_an_empty_category():
-    """A state that follows the walk's insertion, arc and phrase equals one
-    built from scratch. An insertion after a node that an empty category
-    already follows would realign that one: the oracle never makes it, and
-    the state refuses to follow it."""
+    """The alignment a state keeps across the walk's insertion, arc and
+    phrase equals one computed from scratch. An insertion after a node that
+    an empty category already follows would realign that one: the oracle
+    never makes it, and the state refuses to follow it."""
     a, b = seg(1, "V"), seg(2)
     gold = HybridGraph((a, EmptyCategory("N", "*"), EmptyCategory("N", "*"), b))
     index = _GoldIndex(gold)
     config = initial([a, b])
-    state = _OracleState(index, config, DEFAULT_TAGS)
+    state = _OracleState(index, config)
     sequence = [Shift(), InsertEmpty("N"), RightArc("obj"), AddPhrase("NP"), Reduce(1), Reduce(1)]
     for t in sequence:
         assert legal(config, t)
         step(config, t)
-        state.advance(t)
-    fresh = _OracleState(index, config, DEFAULT_TAGS)
-    assert _state_fields(state) == _state_fields(fresh)
-    assert _state_fields(state) == ([0, 1, 3], {(1, 0, "obj")}, {Phrase(1, 1, "NP")}, {1})
+        state.follow()
+    assert state.working_to_gold == _alignment(config.terminals, index.segment_indices)
+    assert state.working_to_gold == [0, 1, 3]
     step(config, InsertEmpty("N"))
     with pytest.raises(AssertionError):
-        state.advance(InsertEmpty("N"))
+        state.follow()
+
+
+def reversed_terminals(graph: HybridGraph) -> HybridGraph:
+    """The graph of a sentence read backwards; for graphs without phrases."""
+    last = len(graph) - 1
+    edges = frozenset(Edge(last - e.dependent, last - e.head, e.relation) for e in graph.edges)
+    return HybridGraph(tuple(reversed(graph.terminals)), frozenset(), edges)
+
+
+class _Reference:
+    """The questions the oracle state answers, answered from sets built anew
+    from the gold graph and the configuration's graph, in gold terms."""
+
+    def __init__(self, gold: HybridGraph, roots: dict, config):
+        graph = config.graph
+        segments = [i for i, t in enumerate(gold.terminals) if isinstance(t, MorphSegment)]
+        align = _alignment(graph.terminals, segments)
+
+        def to_gold(ref):
+            if isinstance(ref, Phrase):
+                return Phrase(align[ref.start], align[ref.end], ref.tag)
+            return align[ref]
+
+        self.gold, self.roots, self.to_gold = gold, roots, to_gold
+        self.edges = {(to_gold(e.dependent), to_gold(e.head), e.relation) for e in graph.edges}
+        self.phrases = {to_gold(p) for p in graph.phrases}
+        self.anchors = {
+            to_gold(i) for i, t in enumerate(graph.terminals) if isinstance(t, EmptyCategory)
+        }
+
+    def built(self, edge) -> bool:
+        return (edge.dependent, edge.head, edge.relation) in self.edges
+
+    def missing_ec_after(self, ref):
+        if not isinstance(ref, int):
+            return None
+        after, gold_terminals = self.to_gold(ref) + 1, self.gold.terminals
+        expected = after < len(gold_terminals) and isinstance(gold_terminals[after], EmptyCategory)
+        return after if expected and after not in self.anchors else None
+
+    def finished(self, ref) -> bool:
+        node = self.to_gold(ref)
+        return (
+            all(self.built(e) for e in self.gold.edges if node in (e.dependent, e.head))
+            and self.missing_ec_after(ref) is None
+            and all(p in self.phrases for p, root in self.roots.items() if root == node)
+        )
+
+    def top_saturated(self, ref, excluding) -> bool:
+        node = self.to_gold(ref)
+        return all(
+            self.built(e) for e in self.gold.edges
+            if e.head == node and e != excluding and not isinstance(e.dependent, Phrase)
+        )
+
+
+NO_EDGE = Edge(-2, -1, "none")
+
+
+def checked_walk(gold: HybridGraph) -> Counter:
+    """Walk the oracle on ``gold``, checking at every configuration the kept
+    state of s1-s3 against ``_Reference``; the kinds of transition taken."""
+    roots = {}
+    for phrase in gold.phrases:
+        try:
+            roots[phrase] = gold.subgraph_root(phrase)
+        except GraphError:
+            pass
+    index = _GoldIndex(gold)
+    config = initial(gold.segments)
+    state = _OracleState(index, config)
+    taken: Counter = Counter()
+    for _ in range(step_budget(len(gold.segments))):
+        if config.is_terminal_state():
+            break
+        assert state.working_to_gold == _alignment(config.terminals, index.segment_indices)
+        reference = _Reference(gold, roots, config)
+        for ref in config.pushed[-3:]:
+            assert state.finished(ref) == reference.finished(ref)
+            assert state.missing_ec_after(ref) == reference.missing_ec_after(ref)
+            node = reference.to_gold(ref)
+            unbuilt = [e for e in gold.edges if node in (e.dependent, e.head) and not reference.built(e)]
+            for excluding in [NO_EDGE, *unbuilt]:
+                assert state.top_saturated(ref, excluding) == reference.top_saturated(ref, excluding)
+        t = state.next_transition()
+        step(config, t)
+        state.follow()
+        taken[type(t)] += 1
+    return taken
+
+
+reversed_corpora = st.builds(
+    lambda seed, profile: [reversed_terminals(g) for g in generate(seed, 4, profile).graphs],
+    st.integers(0, 10_000),
+    st.sampled_from(["pure", "+disconnected"]),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(corpora, reversed_corpora))
+def test_the_oracle_state_agrees_with_a_set_based_reference(graphs):
+    """What the state reads from the configuration (finished, saturated,
+    missing empty category) equals its definition over the built edges,
+    phrases and anchors mapped to gold, on synthetic sentences, their
+    concatenation, and sentences read backwards, whose head-final edges
+    the oracle builds with LeftArc."""
+    for graph in graphs + [concatenate(graphs)]:
+        checked_walk(graph)
+
+
+def test_only_reversed_sentences_take_left_arcs():
+    graphs = generate(3, 100, "+disconnected").graphs
+    assert checked_walk(concatenate(graphs))[LeftArc] == 0
+    backwards = concatenate([reversed_terminals(g) for g in graphs])
+    assert checked_walk(backwards)[LeftArc] > 0
