@@ -8,19 +8,29 @@ bridges, then dropped-pronoun reinsertion, then phrase expansions.
 
 Each direction runs its stages (``TO_PURE_STAGES``, ``FROM_PURE_STAGES``)
 on one working graph, edited in place, and builds its ``HybridGraph`` once.
-A phrase is folded or expanded by looking only within its span. Each stage
-that deletes or inserts terminals makes one ascending scan and one
-``TerminalEdit``. That equals editing one terminal at a time because no
-edit makes another candidate eligible: a dropped pronoun has no
-dependents, a chain's endpoints are not empty categories, restored bridge
-edges are not bridges, and a reinserted subject concerns only its verb.
-How one drop can keep a later pronoun is noted at ``_drop_subject_pronouns``.
+A phrase is folded or expanded by looking only within its span.
+
+A stage that deletes or inserts terminals finds them all first and applies
+them as one ``TerminalEdit``; a stage that finds none makes no edit. That
+equals editing one terminal at a time because no edit makes another
+candidate eligible: a dropped pronoun has no dependents, a chain's endpoints
+are not empty categories, restored bridge edges are not bridges, and a
+reinserted subject concerns only its verb. How one drop can keep a later
+pronoun is noted at ``_drop_subject_pronouns``.
+
+Restoration scans the edges once (``EnrichedEdges``). The scan parses each
+distinct enriched label once (``vocab.read_label``) and plain ones not at
+all, and lists the bridges and the flagged edges in the order the stages
+take them. A stage that inserts terminals renumbers that list instead of
+scanning again. A dependent-only expansion (``+r``) onto a new phrase
+leaves every yield as it was, so its edge moves onto the phrase
+(``Configuration.replace_edge``) and no mask is recomputed. Any other
+expansion takes its edge out and puts the expanded one back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .graph import (
     Edge,
@@ -32,13 +42,14 @@ from .graph import (
     Phrase,
     TerminalEdit,
     empty_category,
+    mask_span,
     nodes_within,
     phrases_by,
     ref_key,
     subgraph_root,
 )
 from .transitions import Configuration, working
-from .vocab import DEFAULT_TAGS, EnrichedLabel, TagSet, parse_label
+from .vocab import DEFAULT_TAGS, TagSet, read_label
 
 
 @dataclass
@@ -76,7 +87,8 @@ def _drop_subject_pronouns(config: Configuration, report: ConversionReport, tags
             and not any(dropped.issuperset(range(p.start, i)) for p in ends.get(i, ()))
         ):
             dropped.add(i)
-    config.edit(TerminalEdit(len(terminals), deleted=dropped))
+    if dropped:
+        config.edit(TerminalEdit(len(terminals), deleted=dropped))
     report.dropped_pronouns = len(dropped)
 
 
@@ -117,11 +129,12 @@ def _collapse_chains(config: Configuration, report: ConversionReport, tags: TagS
         if not any(isinstance(terminals[r], EmptyCategory) for r in (a.dependent, b.head)):
             collapsed.add(i)
             bridged.append((a.dependent, b.head, f"{a.relation}|{term.pos}|{b.relation}"))
-    # Deleting the empty categories drops both edges of every chain.
-    edit = TerminalEdit(len(terminals), deleted=collapsed)
-    config.edit(edit)
-    for a, b, label in bridged:
-        config.add_edge(Edge(edit.move(a), edit.move(b), label))
+    if collapsed:
+        # Deleting the empty categories drops both edges of every chain.
+        edit = TerminalEdit(len(terminals), deleted=collapsed)
+        config.edit(edit)
+        for a, b, label in bridged:
+            config.add_edge(Edge(edit.move(a), edit.move(b), label))
     report.converted_empty_categories += len(collapsed)
     for i, term in enumerate(terminals):
         if isinstance(term, EmptyCategory):
@@ -137,20 +150,6 @@ def _edge_str(edge: Edge) -> str:
 TO_PURE_STAGES = (_drop_subject_pronouns, _fold_phrases, _collapse_chains)
 
 
-def _convert(config: Configuration, stages, tags: TagSet, kept=()) -> tuple:
-    """Run ``stages`` on ``config``, then add the edges ``kept``, which no
-    stage sees, renumbered by the ``TerminalEdit`` each restoration stage
-    that inserts terminals returns."""
-    report = ConversionReport()
-    for stage in stages:
-        edit = stage(config, report, tags)
-        if edit is not None:
-            kept = [Edge(edit.move(e.dependent), edit.move(e.head), e.relation) for e in kept]
-    for edge in kept:
-        config.add_edge(edge)
-    return config.graph, report
-
-
 def to_pure_dependency(hybrid: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> tuple:
     """Convert a hybrid graph to pure dependency with enriched labels.
 
@@ -161,12 +160,22 @@ def to_pure_dependency(hybrid: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> tupl
     violations = hybrid.validate(tags)
     if violations:
         raise GraphError(f"invalid input graph: {violations[0]}")
-    return _convert(working(hybrid), TO_PURE_STAGES, tags)
+    config, report = working(hybrid), ConversionReport()
+    for stage in TO_PURE_STAGES:
+        stage(config, report, tags)
+    return config.graph, report
 
 
 # ---------------------------------------------------------------------------
 # Inverse direction
 # ---------------------------------------------------------------------------
+
+def _has_subject(config: Configuration, node) -> bool:
+    for edge in config.deps.get(node, ()):
+        if edge.relation in ("subj", "subjx"):
+            return True
+    return False
+
 
 def _phrase_tag_for(config: Configuration, starts: dict, root, span) -> str:
     """Phrase tags are reassigned from the subgraph: PP when the root is a
@@ -177,7 +186,7 @@ def _phrase_tag_for(config: Configuration, starts: dict, root, span) -> str:
     root_pos = root.tag if isinstance(root, Phrase) else config.terminals[root].pos
     if root_pos == "P":
         return "PP"
-    if root_pos == "V" and any(e.relation in ("subj", "subjx") for e in config.deps.get(root, ())):
+    if root_pos == "V" and _has_subject(config, root):
         return "VS"
     start, end = span
     for node in nodes_within(starts, start, end):
@@ -193,31 +202,79 @@ def _phrase_tag_for(config: Configuration, starts: dict, root, span) -> str:
     return "S"
 
 
-def _enriched(config: Configuration, tags: TagSet, wanted: Callable[[EnrichedLabel], bool]):
-    """(edge, parsed label) of each edge, by dependent then relation, whose
-    enriched label is ``wanted``."""
-    edges = [e for listed in config.heads.values() for e in listed]
-    for edge in sorted(edges, key=lambda e: (ref_key(e.dependent), e.relation)):
-        try:
-            parsed = parse_label(edge.relation, tags)
-        except ValueError:
-            continue
-        if parsed and wanted(parsed):
-            yield edge, parsed
+def _order(item) -> tuple:
+    edge = item[0]
+    return (ref_key(edge.dependent), edge.relation, ref_key(edge.head))
+
+
+class EnrichedEdges:
+    """What one scan of a working graph's edges finds for restoration: the
+    bridges and the edges with expansion flags, each with its parsed label
+    (``vocab.read_label``) and in the order the stages take them, by
+    dependent, then relation, then head; an edge whose label does not parse
+    is neither. Asked for the ``n`` terminals, the scan also takes out of
+    the graph each edge with an endpoint that is none of them
+    (``dangling``), which no stage sees. A stage that inserts terminals
+    renumbers what it has not yet consumed (``move``)."""
+
+    __slots__ = ("bridges", "expansions", "dangling")
+
+    def __init__(self, config: Configuration, tags: TagSet, n=None):
+        relations, terminals = tags.relations, None if n is None else range(n)
+        self.bridges, self.expansions, self.dangling = bridges, expansions, dangling = [], [], []
+        for dependent, listed in config.heads.items():
+            for edge in listed:
+                if terminals is not None and (dependent not in terminals or edge.head not in terminals):
+                    dangling.append(edge)
+                elif edge.relation not in relations:
+                    parsed, error = read_label(edge.relation, tags)
+                    if error is None:
+                        (bridges if parsed.bridge else expansions).append((edge, parsed))
+        if len(bridges) > 1:
+            bridges.sort(key=_order)
+        if len(expansions) > 1:
+            expansions.sort(key=_order)
+        if dangling:
+            dangling.sort(key=_edge_str)
+            config.remove_edges(dangling)
+
+    def move(self, edit: TerminalEdit) -> None:
+        """Renumber the flagged and the dangling edges by ``edit``; neither
+        kind is in an inserting stage's way, so the order holds."""
+        self.expansions = [(_moved(edge, edit), parsed) for edge, parsed in self.expansions]
+        self.dangling = [_moved(edge, edit) for edge in self.dangling]
+
+    def add_expansion(self, edge: Edge, tags: TagSet) -> None:
+        """Take on ``edge``, restored by a stage with a component of a bridge
+        label, if that component carries an expansion flag."""
+        if edge.relation not in tags.relations:
+            self.expansions.append((edge, read_label(edge.relation, tags)[0]))
+
+
+def _moved(edge: Edge, edit: TerminalEdit) -> Edge:
+    dependent, head = edit.move(edge.dependent), edit.move(edge.head)
+    if dependent == edge.dependent and head == edge.head:
+        return edge
+    return Edge(dependent, head, edge.relation)
 
 
 def expand_bridges(
-    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS
-) -> TerminalEdit:
+    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
+) -> None:
     """First restoration stage: bridge labels become an empty category and
     two edges. The restored node is inserted directly before its dependent,
-    after any restored there for a bridge that comes earlier by dependent
-    then relation.
+    after any restored there for a bridge that comes earlier by dependent,
+    relation and head.
+
+    ``found`` is the ``EnrichedEdges`` of the graph, scanned here if not
+    given; a flagged component of a restored edge joins its expansions.
     """
-    bridges = sorted(
-        _enriched(config, tags, lambda parsed: parsed.bridge),
-        key=lambda bridge: HybridGraph.extent(bridge[0].dependent)[0],
-    )
+    if found is None:
+        found = EnrichedEdges(config, tags)
+    if not found.bridges:
+        return
+    bridges = sorted(found.bridges, key=lambda bridge: HybridGraph.extent(bridge[0].dependent)[0])
+    found.bridges = []
     terminals = config.terminals
     inserted = []
     for edge, parsed in bridges:
@@ -227,11 +284,13 @@ def expand_bridges(
     edit = TerminalEdit(len(terminals), inserted=inserted)
     config.remove_edges([edge for edge, _ in bridges])
     config.edit(edit)
+    found.move(edit)
     for at, (edge, parsed) in zip(edit.landed, bridges):
         rel1, _, rel2 = parsed.bridge
-        config.add_edge(Edge(edit.move(edge.dependent), at, rel1))
-        config.add_edge(Edge(at, edit.move(edge.head), rel2))
-    return edit
+        for restored in (Edge(edit.move(edge.dependent), at, rel1), Edge(at, edit.move(edge.head), rel2)):
+            config.add_edge(restored)
+            found.add_expansion(restored, tags)
+    found.expansions.sort(key=_order)
 
 
 def _phrase_over(config: Configuration, starts: dict, root) -> Phrase:
@@ -245,17 +304,48 @@ def _phrase_over(config: Configuration, starts: dict, root) -> Phrase:
     return Phrase(span[0], span[1], _phrase_tag_for(config, starts, root, span))
 
 
-def expand_phrases(config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS) -> None:
+def _new_dependent_phrase(config: Configuration, starts: dict, edge: Edge):
+    """The phrase that a dependent-only expansion of ``edge`` re-anchors it
+    on, where that changes no yield mask: the phrase is new, so it yields
+    just its span, which is the dependent's yield, and the head is not
+    below the dependent, so that yield does not hold up through ``edge``.
+    Otherwise None, for the general path to decide."""
+    dep, head = edge.dependent, edge.head
+    if not (isinstance(dep, int) and 0 <= dep < len(config.terminals) and isinstance(head, int)):
+        return None
+    mask = config.yield_mask(dep)
+    span = mask_span(mask)
+    if span is None or mask >> head & 1:
+        return None
+    # Only the dependent's own subgraph, which ``edge`` is not part of, and
+    # plain labels decide the tag, so the edge may stay while it is read.
+    phrase = Phrase(span[0], span[1], _phrase_tag_for(config, starts, dep, span))
+    return None if phrase in config.phrases else phrase
+
+
+def expand_phrases(
+    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
+) -> None:
     """Last restoration stage: expansion flags materialize phrase nodes
     over the flagged endpoint's subgraph span.
 
-    Edges are expanded in one pass, by dependent then relation. An expansion
+    Edges are expanded in one pass, in the order of ``found`` (the
+    ``EnrichedEdges`` of the graph, scanned here if not given). An expansion
     only replaces its own edge with a plain-labelled one, so the order of
     the remaining flagged edges holds. An edge that cannot be expanded is
     recorded in ``report`` and put back with its label verbatim.
     """
+    if found is None:
+        found = EnrichedEdges(config, tags)
     starts = phrases_by(config.phrases)
-    for edge, parsed in list(_enriched(config, tags, lambda p: p.dependent_expansion or p.head_expansion)):
+    for edge, parsed in found.expansions:
+        if not parsed.head_expansion:
+            phrase = _new_dependent_phrase(config, starts, edge)
+            if phrase is not None:
+                config.replace_edge(edge, Edge(phrase, edge.head, parsed.base))
+                config.phrases.add(phrase)
+                starts.setdefault(phrase.start, []).append(phrase)
+                continue
         # Spans are measured without the edge being expanded, so the
         # re-anchored endpoint's subtree does not leak into the other side.
         config.remove_edges([edge])
@@ -277,13 +367,15 @@ def expand_phrases(config: Configuration, report: ConversionReport, tags: TagSet
                 config.phrases.add(ref)
                 starts.setdefault(ref.start, []).append(ref)
         config.add_edge(Edge(dep, head, parsed.base))
+    found.expansions = []
 
 
 def reinsert_dropped_pronouns(
-    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS
-) -> TerminalEdit:
+    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
+) -> None:
     """Give every plain verb without a subject a dropped-pronoun subject,
-    directly after the verb.
+    directly after the verb, and renumber ``found`` (``EnrichedEdges``), if
+    given.
 
     Verbs carrying a special-group (SP) feature are skipped: the copula
     group takes subjx/predx instead of a subject.
@@ -291,18 +383,21 @@ def reinsert_dropped_pronouns(
     terminals = config.terminals
     verbs = [
         i for i, term in enumerate(terminals)
-        if isinstance(term, MorphSegment)
-        and term.pos == "V"
+        if term.pos == "V"
+        and isinstance(term, MorphSegment)
         and not term.feature("SP")
-        and not any(e.relation in ("subj", "subjx") for e in config.deps.get(i, ()))
+        and not _has_subject(config, i)
     ]
+    if not verbs:
+        return
     edit = TerminalEdit(
         len(terminals), inserted=[(v + 1, empty_category("PRON", terminals[v], tags)) for v in verbs]
     )
     config.edit(edit)
+    if found is not None:
+        found.move(edit)
     for v, at in zip(verbs, edit.landed):
         config.add_edge(Edge(at, edit.move(v), "subj"))
-    return edit
 
 
 # Pronouns are restored before phrases are expanded, so that a
@@ -325,21 +420,22 @@ def from_pure_dependency(pure, tags: TagSet = DEFAULT_TAGS) -> tuple:
         raise GraphError("input already contains phrase nodes")
     config = pure if isinstance(pure, Configuration) else working(pure)
     n = len(config.terminals)
-    dangling = sorted(
-        (e for edges in config.heads.values() for e in edges if _unknown_endpoint(e, n) is not None),
-        key=_edge_str,
-    )
-    config.remove_edges(dangling)
-    hybrid, report = _convert(config, FROM_PURE_STAGES, tags, dangling)
+    found = EnrichedEdges(config, tags, n)
+    dangling = found.dangling  # ``move`` renumbers a copy; errors keep these
+    report = ConversionReport()
+    for stage in FROM_PURE_STAGES:
+        stage(config, report, tags, found)
+    for edge in found.dangling:
+        config.add_edge(edge)
     for edge in dangling:
         report.reconstruction_errors.append((_edge_str(edge), f"unknown node {_unknown_endpoint(edge, n)!r}"))
-    return hybrid, report
+    return config.graph, report
 
 
 def _unknown_endpoint(edge: Edge, n: int):
     """The first endpoint of ``edge`` that is none of ``n`` terminals, or None."""
     for ref in (edge.dependent, edge.head):
-        if not (isinstance(ref, int) and 0 <= ref < n):
+        if ref not in range(n):
             return ref
     return None
 

@@ -8,8 +8,9 @@ heads. Node identity is structural: a terminal is addressed by its
 
 A graph keeps derived state beside its value:
 
-- Edge indices by dependent and by head, which the constructor builds with
-  one pass over the edges.
+- Edge indices by dependent and by head, built with one pass over the
+  edges on first use, since most graphs are only compared, scored or
+  written.
 - Yield masks: each node's yield as an int bitmask over terminal indices,
   so a terminal covered twice (a phrase and its root) counts once. They are
   computed on first use (``yield_masks``), each edge added by ``spread``:
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
-from .vocab import DEFAULT_TAGS, TagSet, parse_label
+from .vocab import DEFAULT_TAGS, TagSet, read_label
 
 # Surface form of a reconstructed word other than a dropped pronoun.
 ELLIPTICAL_FORM = "*"
@@ -231,13 +232,18 @@ class HybridGraph:
         object.__setattr__(self, "terminals", tuple(self.terminals))
         object.__setattr__(self, "phrases", frozenset(self.phrases))
         object.__setattr__(self, "edges", frozenset(self.edges))
-        heads: dict = {}
-        deps: dict = {}
-        for edge in self.edges:
-            heads.setdefault(edge.dependent, []).append(edge)
-            deps.setdefault(edge.head, []).append(edge)
-        object.__setattr__(self, "_head_index", heads)
-        object.__setattr__(self, "_dep_index", deps)
+
+    def _indices(self) -> tuple:
+        """(edges by dependent, edges by head), built on first use."""
+        if self._head_index is None:
+            heads: dict = {}
+            deps: dict = {}
+            for edge in self.edges:
+                heads.setdefault(edge.dependent, []).append(edge)
+                deps.setdefault(edge.head, []).append(edge)
+            object.__setattr__(self, "_head_index", heads)
+            object.__setattr__(self, "_dep_index", deps)
+        return self._head_index, self._dep_index
 
     # -- node access ----------------------------------------------------
 
@@ -269,17 +275,17 @@ class HybridGraph:
     def head_of(self, ref: NodeRef) -> Optional[NodeRef]:
         """Head of ``ref`` if it is a dependent in some edge, else None."""
         self._check_node(ref)
-        edges = self._head_index.get(ref, ())
+        edges = self._indices()[0].get(ref, ())
         return edges[0].head if edges else None
 
     def head_edges(self, ref: NodeRef) -> tuple:
-        return tuple(self._head_index.get(ref, ()))
+        return tuple(self._indices()[0].get(ref, ()))
 
     def dependent_edges(self, ref: NodeRef) -> tuple:
         """Edges in which ``ref`` is the head, sorted for determinism."""
         return tuple(
             sorted(
-                self._dep_index.get(ref, ()),
+                self._indices()[1].get(ref, ()),
                 key=lambda e: (ref_key(e.dependent), e.relation),
             )
         )
@@ -292,10 +298,11 @@ class HybridGraph:
             masks = {i: 1 << i for i in range(len(self.terminals))}
             for phrase in self.phrases:
                 masks[phrase] = own_mask(phrase)
+            heads = self._indices()[0]
             for edge in self.edges:
                 dependent = edge.dependent
                 bits = masks.get(dependent) or own_mask(dependent)
-                spread(masks, self._head_index, edge.head, bits)
+                spread(masks, heads, edge.head, bits)
             object.__setattr__(self, "_masks", masks)
         return masks
 
@@ -311,7 +318,7 @@ class HybridGraph:
         self._check_node(phrase.end)  # a phrase past the last terminal has no root
         if self._starts is None:
             object.__setattr__(self, "_starts", phrases_by(self.phrases))
-        return subgraph_root(phrase, self._starts, self._head_index, self.yield_masks().__getitem__)
+        return subgraph_root(phrase, self._starts, self._indices()[0], self.yield_masks().__getitem__)
 
     # -- validation --------------------------------------------------------
 
@@ -340,8 +347,7 @@ class HybridGraph:
             for ref in (edge.dependent, edge.head):
                 if not self.has_node(ref):
                     out.append(Violation("dangling-edge", f"{edge} references {ref!r}"))
-            base = edge.relation
-            if not tags.is_relation(base) and not _is_enriched(base, tags):
+            if read_label(edge.relation, tags)[1] is not None:
                 out.append(Violation("unknown-relation", edge.relation))
             if edge.dependent in seen_dependents:
                 out.append(
@@ -353,7 +359,8 @@ class HybridGraph:
 
     def _cycle_violations(self) -> list:
         out = []
-        for start in list(self._head_index):
+        heads = self._indices()[0]
+        for start in list(heads):
             node = start
             trail = set()
             while node is not None:
@@ -361,7 +368,7 @@ class HybridGraph:
                     out.append(Violation("acyclicity", f"cycle through {start!r}"))
                     break
                 trail.add(node)
-                edges = self._head_index.get(node, ())
+                edges = heads.get(node, ())
                 node = edges[0].head if edges else None
         return out
 
@@ -439,14 +446,6 @@ def subgraph_root(phrase: Phrase, starts: dict, heads: dict, mask_of) -> NodeRef
     if len(roots) != 1:
         raise IllFormedPhraseError(f"phrase {phrase} covers {len(roots)} headless root(s)")
     return roots[0]
-
-
-def _is_enriched(label: str, tags: TagSet) -> bool:
-    try:
-        parsed = parse_label(label, tags)
-    except ValueError:
-        return False
-    return parsed is not None
 
 
 def graph_from(

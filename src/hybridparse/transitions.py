@@ -12,11 +12,11 @@ only the walk that made the configuration calls it: the parser
 (``engine``) and the oracle (``oracle_sequence``), each on the one
 configuration of its walk. Conversion (``convert``) edits one working graph
 per conversion, a ``working`` copy or the configuration the multi-step
-parser hands over, through ``add_edge``, ``remove_edges``, ``remove_phrase``
-and ``edit``. Everything else reads. ``successor`` and ``apply`` are pure:
-they step a copy and leave their argument as it was, so a caller may branch
-from one configuration. ``config.graph`` is a ``HybridGraph`` value that
-later changes do not change.
+parser hands over, through ``add_edge``, ``remove_edges``, ``replace_edge``,
+``remove_phrase`` and ``edit``. Everything else reads. ``successor`` and
+``apply`` are pure: they step a copy and leave their argument as it was, so
+a caller may branch from one configuration. ``config.graph`` is a
+``HybridGraph`` value that later changes do not change.
 
 ``legal`` decides whether a transition may be taken. ``step`` and
 ``successor`` take it without that check, for callers that have already
@@ -35,6 +35,7 @@ subgraph rooted at s1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .graph import (
@@ -191,7 +192,7 @@ class Configuration:
     @property
     def graph(self) -> HybridGraph:
         if self._graph is None:
-            edges = frozenset(e for edges in self.heads.values() for e in edges)
+            edges = frozenset(chain.from_iterable(self.heads.values()))
             self._graph = HybridGraph(tuple(self.terminals), frozenset(self.phrases), edges)
         return self._graph
 
@@ -253,6 +254,20 @@ class Configuration:
         for node in above:
             for edge in deps.get(node, ()):
                 spread(masks, heads, node, self.yield_mask(edge.dependent))
+
+    def replace_edge(self, old: Edge, new: Edge) -> None:
+        """Put ``new`` in the place of ``old``. The caller vouches that the
+        two have one head and that ``new``'s dependent, which has no head
+        edge yet, yields what ``old``'s does without ``old``, so no mask
+        changes and none is spread."""
+        self._graph = None
+        heads, dependent = self.heads, old.dependent
+        heads[dependent].remove(old)
+        if not heads[dependent]:
+            del heads[dependent]
+        heads[new.dependent] = [new]
+        listed = self.deps[old.head]
+        listed[listed.index(old)] = new
 
     def remove_phrase(self, phrase: Phrase) -> None:
         """Take out ``phrase`` with its edges."""

@@ -135,25 +135,57 @@ class EnrichedLabel:
 
 def parse_label(label: str, tags: TagSet = DEFAULT_TAGS) -> Optional[EnrichedLabel]:
     """Parse an enriched label; None for a plain relation; ValueError if bad."""
+    parsed, error = read_label(label, tags)
+    if error is not None:
+        raise ValueError(error)
+    return parsed
+
+
+# (label, relations, POS tags) -> (parsed label or None, error message or
+# None). Labels come from a small closed set, so the memo is cleared only
+# should a stream of distinct malformed labels ever fill it.
+_LABELS: dict = {}
+_LABELS_MAX = 4096
+
+
+def read_label(label: str, tags: TagSet = DEFAULT_TAGS) -> tuple:
+    """``(parse_label(label, tags), None)``, or ``(None, message)`` where it
+    raises; never raises itself. Each distinct label is parsed once per
+    relation and POS inventory, which are all that parsing reads, compared
+    by value."""
+    key = (label, tags.relations, tags.pos_tags)
+    out = _LABELS.get(key)
+    if out is None:
+        if len(_LABELS) >= _LABELS_MAX:
+            _LABELS.clear()
+        out = _LABELS[key] = _parse(label, tags)
+    return out
+
+
+def _parse(label: str, tags: TagSet) -> tuple:
     if tags.is_relation(label):
-        return None
+        return None, None
     if "|" in label:
         parts = label.split("|")
         if len(parts) != 3:
-            raise ValueError(f"malformed bridge label {label!r}")
+            return None, f"malformed bridge label {label!r}"
         rel1, pos, rel2 = parts
-        inner = parse_label(rel1, tags)
+        inner, error = read_label(rel1, tags)
         if inner is not None and (inner.head_expansion or inner.bridge):
-            raise ValueError(f"unsupported bridge component {rel1!r} in {label!r}")
-        outer = parse_label(rel2, tags)
+            error = f"unsupported bridge component {rel1!r} in {label!r}"
+        if error is not None:
+            return None, error
+        outer, error = read_label(rel2, tags)
         if outer is not None and (outer.dependent_expansion or outer.bridge):
-            raise ValueError(f"unsupported bridge component {rel2!r} in {label!r}")
+            error = f"unsupported bridge component {rel2!r} in {label!r}"
+        if error is not None:
+            return None, error
         if not tags.is_pos(pos):
-            raise ValueError(f"unknown POS {pos!r} in bridge label {label!r}")
-        return EnrichedLabel(rel1, bridge=(rel1, pos, rel2))
+            return None, f"unknown POS {pos!r} in bridge label {label!r}"
+        return EnrichedLabel(rel1, bridge=(rel1, pos, rel2)), None
     dep_flag = label.startswith("+")
     head_flag = label.endswith("+")
     base = label.strip("+")
     if (dep_flag or head_flag) and tags.is_relation(base):
-        return EnrichedLabel(base, dep_flag, head_flag)
-    raise ValueError(f"unknown relation label {label!r}")
+        return EnrichedLabel(base, dep_flag, head_flag), None
+    return None, f"unknown relation label {label!r}"

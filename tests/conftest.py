@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from hybridparse.convert import lossless_pure_graphs
 from hybridparse.corpus_io import read_treebank
 from hybridparse.graph import Edge, HybridGraph, Phrase, own_mask, ref_key
+from hybridparse.learning import FeatureSetSpec, train
 from hybridparse.synth import generate
 from hybridparse.transitions import apply, initial, parse_transition
 from hybridparse.vocab import DEFAULT_TAGS
@@ -47,6 +50,17 @@ def load_graph(name: str, tags=DEFAULT_TAGS):
     text = (FIXTURES / name).read_text("utf-8")
     doc = read_treebank(text, tags)
     return doc.graphs[0]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_model(case: str):
+    """The model ``test_learning.MODEL_SHA256`` pins for ``case``, trained
+    once and shared by the tests: "pure-morph6" for the multi-step
+    pipeline, "hybrid-<feature set>" for the integrated one."""
+    graphs = generate(11, 100, "+phrases,+ellipsis,+disconnected").graphs
+    if case == "pure-morph6":
+        return train(lossless_pure_graphs(graphs), FeatureSetSpec("morph6"))
+    return train(graphs, FeatureSetSpec(case.split("-")[1]))
 
 
 def concatenate(graphs) -> HybridGraph:

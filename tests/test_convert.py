@@ -23,19 +23,25 @@ from hybridparse.convert import (
     FROM_PURE_STAGES,
     TO_PURE_STAGES,
     ConversionReport,
-    EnrichedLabel,
     expand_bridges,
     expand_phrases,
-    parse_label,
     reinsert_dropped_pronouns,
 )
+from hybridparse import engine, vocab
 from hybridparse.corpus_io import TreebankDocument, dumps_treebank
+from hybridparse.engine import parse_multi_step
 from hybridparse.graph import GraphError, ref_key
 from hybridparse.metrics import elas
-from hybridparse.transitions import working
-from hybridparse.vocab import DEFAULT_TAGS
+from hybridparse.transitions import Configuration, working
+from hybridparse.vocab import DEFAULT_TAGS, EnrichedLabel, parse_label
 
-from conftest import assert_working_state_equals_a_rebuild, concatenate, corpora, load_graph
+from conftest import (
+    assert_working_state_equals_a_rebuild,
+    concatenate,
+    corpora,
+    load_graph,
+    pinned_model,
+)
 
 
 def seg(i, pos="N", **feats):
@@ -320,14 +326,14 @@ RELABELS = (
 )
 
 
-def _relabeled(graph: HybridGraph, rng: random.Random) -> HybridGraph:
-    """``graph`` with about half of its edges given a random enriched
-    label. Edges are visited sorted, so the draw does not depend on the
+def _relabeled(graph: HybridGraph, rng: random.Random, labels=RELABELS) -> HybridGraph:
+    """``graph`` with about half of its edges given a random label of
+    ``labels``. Edges are visited sorted, so the draw does not depend on the
     iteration order of a frozenset."""
     edges = []
     for edge in sorted(graph.edges, key=lambda e: (ref_key(e.dependent), ref_key(e.head), e.relation)):
         if rng.random() < 0.5:
-            edge = Edge(edge.dependent, edge.head, rng.choice(RELABELS))
+            edge = Edge(edge.dependent, edge.head, rng.choice(labels))
         edges.append(edge)
     return HybridGraph(graph.terminals, graph.phrases, frozenset(edges))
 
@@ -415,3 +421,120 @@ def test_every_conversion_stage_keeps_the_working_state_exact(graphs, seed):
         except (GraphError, ValueError):
             continue
         converted_stage_by_stage(relabeled, FROM_PURE_STAGES, converted)
+
+
+VERB = dict(Person="3", Gender="M", Number="S")
+
+
+@pytest.mark.parametrize(
+    "terminals, edges, restored, restored_edges",
+    [
+        # A bridge's second relation can be the subject of a plain verb:
+        # bridges are restored first, so the verb has its subject and no
+        # pronoun is reinserted.
+        (
+            [seg(1), seg(2, "V", **VERB)],
+            [(0, 1, "adj|N|subj")],
+            [EmptyCategory("N", "*"), seg(1), seg(2, "V", **VERB)],
+            [(1, 0, "adj"), (0, 2, "subj")],
+        ),
+        # The pronoun goes directly after its verb, so it lands before the
+        # empty category that a bridge restored before the next terminal.
+        (
+            [seg(1, "V", **VERB), seg(2)],
+            [(1, 0, "obj|N|obj")],
+            [seg(1, "V", **VERB), EmptyCategory("PRON", "huwa"), EmptyCategory("N", "*"), seg(2)],
+            [(3, 2, "obj"), (2, 0, "obj"), (1, 0, "subj")],
+        ),
+    ],
+    ids=["bridge-gives-the-subject", "pronoun-before-bridged-category"],
+)
+def test_bridges_are_restored_before_pronouns(terminals, edges, restored, restored_edges):
+    hybrid, report = from_pure_dependency(graph_from(terminals, edges))
+    assert hybrid == graph_from(restored, restored_edges)
+    assert not report.reconstruction_errors
+
+
+def _subjectless_verbs(graph: HybridGraph) -> list:
+    """The plain verbs that no edge labelled subj or subjx points to."""
+    subjects = {e.head for e in graph.edges if e.relation in ("subj", "subjx")}
+    return [
+        i for i, term in enumerate(graph.terminals)
+        if isinstance(term, MorphSegment) and term.pos == "V"
+        and not term.feature("SP") and i not in subjects
+    ]
+
+
+def test_reconstruction_parses_each_label_once_and_edits_only_to_insert(monkeypatch):
+    """Over a multi-step parse pass with the pinned model, each distinct
+    label is parsed at most once, and reconstructing a sentence with no
+    bridge label and no subject-less plain verb edits no terminals."""
+    parsed: Counter = Counter()
+    parse = vocab._parse
+
+    def counted_parse(label, tags):
+        parsed[label] += 1
+        return parse(label, tags)
+
+    monkeypatch.setattr(vocab, "_LABELS", {})
+    monkeypatch.setattr(vocab, "_parse", counted_parse)
+    edits: list = []
+    edit = Configuration.edit
+
+    def counted_edit(config, terminal_edit):
+        edits.append(terminal_edit)
+        edit(config, terminal_edit)
+
+    monkeypatch.setattr(Configuration, "edit", counted_edit)
+    reconstruct = engine.from_pure_dependency
+    sentences = Counter()
+
+    def checked_reconstruction(config, tags):
+        pure = config.graph
+        quiet = not any("|" in e.relation for e in pure.edges) and not _subjectless_verbs(pure)
+        before = len(edits)
+        out = reconstruct(config, tags)
+        if quiet:
+            assert len(edits) == before, pure
+        sentences["quiet" if quiet else "editing"] += 1
+        return out
+
+    monkeypatch.setattr(engine, "from_pure_dependency", checked_reconstruction)
+    model = pinned_model("pure-morph6")
+    held_out = generate(12, 40, "+phrases,+ellipsis,+disconnected").graphs
+    for gold in held_out + [concatenate(held_out[:20])]:
+        parse_multi_step(model, gold.segments)
+    assert sentences["quiet"] > 5 and sentences["editing"] > 5 and edits
+    assert len(parsed) > 3 and max(parsed.values()) == 1
+
+
+# Labels that do not parse: a bridge of two parts, an unknown POS, an
+# unsupported bridge component and an unknown relation.
+MALFORMED = ("a|b", "link|NOPE|circ", "obj+|N|circ", "frobnicate")
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpora, st.integers(0, 10_000))
+def test_a_handed_over_configuration_converts_as_its_graph_does(graphs, seed):
+    """``from_pure_dependency`` on a working configuration, built edge by
+    edge in a random order as a parse builds it, gives the graph and the
+    report it gives on that configuration's graph: on pure forms, with
+    edges relabelled as bridges, with expansion flags and with malformed
+    labels, and with edges to nodes that do not exist."""
+    rng = random.Random(seed)
+    for graph in graphs + [concatenate(graphs)]:
+        pure, _ = to_pure_dependency(graph)
+        n = len(pure)
+        relabeled = _relabeled(pure, rng, RELABELS + MALFORMED)
+        dangling = [
+            Edge(rng.randrange(n), n + rng.randrange(3), rng.choice(RELABELS + ("obj",))),
+            Edge(n + 1, rng.randrange(n), rng.choice(RELABELS)),
+            Edge(Phrase(0, 0, "S"), rng.randrange(n), "+obj"),
+        ]
+        noisy = HybridGraph(pure.terminals, frozenset(), relabeled.edges | set(dangling))
+        for candidate in (pure, relabeled, noisy):
+            edges = sorted(candidate.edges, key=lambda e: (ref_key(e.dependent), ref_key(e.head), e.relation))
+            rng.shuffle(edges)
+            config = Configuration(candidate.terminals, edges=edges, front=n)
+            expected = from_pure_dependency(config.graph)
+            assert from_pure_dependency(config) == expected

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import random
@@ -25,7 +24,6 @@ from hybridparse import (
     train,
 )
 from hybridparse import features, learning, transitions
-from hybridparse.convert import lossless_pure_graphs
 from hybridparse.engine import parse_integrated, parse_multi_step
 from hybridparse.features import FEATURE_SETS, Vocabulary, _static_predicates
 from hybridparse.graph import EmptyCategory, HybridGraph, Phrase, mask_span
@@ -42,7 +40,7 @@ from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 from hybridparse.metrics import elas
 from hybridparse.transitions import LeftArc, RightArc, successor
 
-from conftest import concatenate, corpora, load_graph, record_calls
+from conftest import concatenate, corpora, load_graph, pinned_model, record_calls
 
 
 def seg(i, pos="N", **feats):
@@ -368,18 +366,9 @@ MODEL_SHA256 = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _pinned_model(case: str) -> Model:
-    """The model MODEL_SHA256 pins, trained once and shared by the tests."""
-    graphs = generate(11, 100, PROFILE).graphs
-    if case == "pure-morph6":
-        return train(lossless_pure_graphs(graphs), FeatureSetSpec("morph6"))
-    return train(graphs, FeatureSetSpec(case.split("-")[1]))
-
-
 @pytest.mark.parametrize("case", sorted(MODEL_SHA256))
 def test_model_is_pinned(case):
-    text = _pinned_model(case).serialize()
+    text = pinned_model(case).serialize()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MODEL_SHA256[case]
 
 
@@ -406,9 +395,9 @@ def test_parse_outputs_are_pinned(pipeline):
     held_out = generate(12, 40, PROFILE).graphs
     sentences = held_out + [concatenate(held_out[:20]), concatenate(held_out[20:])]
     if pipeline == "multistep":
-        model, parse = _pinned_model("pure-morph6"), parse_multi_step
+        model, parse = pinned_model("pure-morph6"), parse_multi_step
     else:
-        model, parse = _pinned_model("hybrid-lemma"), parse_integrated
+        model, parse = pinned_model("hybrid-lemma"), parse_integrated
     lines = []
     for gold in sentences:
         lines.extend(_graph_lines(parse(model, gold.segments)[0]))
@@ -512,7 +501,7 @@ def test_features_and_scores_match_the_reference(graphs):
     parse, scored by every classifier of the pinned models."""
     pipelines = (("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step))
     for case, parse in pipelines:
-        model = _pinned_model(case)
+        model = pinned_model(case)
         for graph in graphs + [concatenate(graphs)]:
             parsed = parse(model, graph.segments)[1].trace
             for sequence in (oracle_sequence(graph).sequence, parsed):
@@ -564,7 +553,7 @@ def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
     """Scoring finds conjunctions in the classifier's pair table, and the
     dynamic predicates read the graph's edge lists as they are: a long parse
     builds no conjunction string and has learning sort no dependent edges."""
-    model = _pinned_model("hybrid-lemma")
+    model = pinned_model("hybrid-lemma")
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     counts: Counter = Counter()
     conjoined = learning._conjoined
@@ -592,7 +581,7 @@ def test_featurization_asks_no_checked_span(monkeypatch):
     """isroot reads the working graph's yield masks: featurizing a parse
     makes no ``subgraph_span`` call, from learning or anywhere else, while a
     call on the returned graph is counted."""
-    model = _pinned_model("hybrid-lemma")
+    model = pinned_model("hybrid-lemma")
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     from_learning = Counter()
     subgraph_span = HybridGraph.subgraph_span
@@ -805,10 +794,10 @@ def test_predict_matches_the_reference(graphs):
     would lose the other kinds."""
     pipelines = (("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step))
     for case, parse in pipelines:
-        model = _fresh(_pinned_model(case))
+        model = _fresh(pinned_model(case))
         for graph in graphs + [concatenate(graphs)]:
             config = initial(graph.segments)
-            for t in parse(_pinned_model(case), graph.segments)[1].trace:
+            for t in parse(pinned_model(case), graph.segments)[1].trace:
                 for kinds in (transitions.PURE_KINDS, None):
                     expected = _reference_predict(model, config, kinds)
                     assert predict(model, config, kinds) == expected
@@ -826,7 +815,7 @@ def test_a_second_parse_scores_nothing(monkeypatch, case):
     """The first parse calls no extract_features, and each classifier scores
     once per key it adds to its ranking memo, so at most once per distinct
     set of known predicates; the same parse again scores nothing."""
-    model = _fresh(_pinned_model(case))
+    model = _fresh(pinned_model(case))
     parse = parse_multi_step if case == "pure-morph6" else parse_integrated
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     described = record_calls(monkeypatch, learning, "extract_features")
@@ -981,12 +970,12 @@ def test_bits_keys_and_predictions_match_the_string_references(graphs):
     for both kind filters."""
     pipelines = (("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step))
     for case, parse in pipelines:
-        model = _fresh(_pinned_model(case))
+        model = _fresh(pinned_model(case))
         vocabulary = model.vocabulary
         names = set(vocabulary.names)
         memo = {}
         for graph in graphs + [concatenate(graphs)]:
-            parsed = parse(_pinned_model(case), graph.segments)[1].trace
+            parsed = parse(pinned_model(case), graph.segments)[1].trace
             for sequence in (oracle_sequence(graph).sequence, parsed):
                 config = initial(graph.segments)
                 for t in sequence:
@@ -1003,7 +992,7 @@ def test_bits_keys_and_predictions_match_the_string_references(graphs):
 
 
 def test_the_vocabulary_is_every_known_predicate_in_sorted_order():
-    model = _pinned_model("hybrid-lemma")
+    model = pinned_model("hybrid-lemma")
     known = set().union(*(_known(clf) for clf in model.classifiers.values()))
     assert model.vocabulary.names == sorted(known)
     for clf in model.classifiers.values():
@@ -1058,7 +1047,7 @@ def test_memoized_static_bits_match_their_predicates(graphs):
     terminals = list(sentence.terminals) + _HAND_TERMINALS
     levels = range(len(FEATURE_SETS))
     for names, grow in (
-        (_pinned_model("hybrid-lemma").vocabulary.names, False),
+        (pinned_model("hybrid-lemma").vocabulary.names, False),
         (_ONE_SLOT_LEMMA, False),
         ((), True),
     ):
@@ -1081,7 +1070,7 @@ def test_a_parse_builds_static_strings_once_per_memo_key(monkeypatch):
     """A terminal's static predicate strings are built once per slot and
     distinct (level, pos, features, known lemma or None), not once per
     terminal of each walk."""
-    model = _fresh(_pinned_model("hybrid-lemma"))
+    model = _fresh(pinned_model("hybrid-lemma"))
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     names = set(model.vocabulary.names)
     built = record_calls(monkeypatch, features, "_static_predicates")
@@ -1103,7 +1092,7 @@ def test_the_static_memo_does_not_grow_with_word_types():
     adds at most one memo entry per (pos, features) tag, keyed without a
     lemma, and the memo keeps at most the tags times (the known lemmas + 1)
     entries."""
-    model = _fresh(_pinned_model("hybrid-lemma"))
+    model = _fresh(pinned_model("hybrid-lemma"))
     vocabulary = model.vocabulary
     segments = concatenate(generate(3, 30, PROFILE).graphs).segments
     memo = vocabulary.static[model.feature_set.level]
@@ -1148,7 +1137,7 @@ def test_a_parse_featurizes_only_for_classifiers_that_read_a_bit(monkeypatch, ca
     """A classifier that knows no predicate, like those of the empty stack,
     CONJ and RSLT here, keys every configuration as 0, so predict does not
     featurize for it."""
-    model = _fresh(_pinned_model(case))
+    model = _fresh(pinned_model(case))
     parse = parse_multi_step if case == "pure-morph6" else parse_integrated
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     featurized = record_calls(monkeypatch, learning, "featurize")
@@ -1166,7 +1155,7 @@ def test_a_parse_featurizes_only_for_classifiers_that_read_a_bit(monkeypatch, ca
 def test_the_id_memos_hold_at_most_one_entry_per_ranking_and_bind_empties_them():
     """A ranking-memo miss adds at most one entry to each block memo and to
     the pair memo, and misses share entries."""
-    model = _fresh(_pinned_model("hybrid-lemma"))
+    model = _fresh(pinned_model("hybrid-lemma"))
     parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
     for clf in model.classifiers.values():
         memos = [memo for _, memo in clf.blocks] + [clf.pair_ids]
@@ -1183,7 +1172,7 @@ def test_block_masks_are_built_once_per_vocabulary(monkeypatch):
     """The model's vocabulary splits its positions into one run per name
     prefix, once; binding and scoring only read the masks. Each classifier's
     blocks cover exactly its bits with an id, in position order."""
-    text = _pinned_model("hybrid-lemma").serialize()
+    text = pinned_model("hybrid-lemma").serialize()
     built = record_calls(monkeypatch, features, "prefix_blocks")
     model = Model.deserialize(text)
     parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
