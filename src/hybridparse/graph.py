@@ -6,6 +6,21 @@ inclusive spans over terminal indices. Edges point from dependents to
 heads. Node identity is structural: a terminal is addressed by its
 0-based index, a phrase by its (start, end, tag) triple.
 
+The values a corpus holds by the thousand (``Location``, ``MorphSegment``,
+``EmptyCategory``, ``Phrase`` and ``Edge``) are frozen dataclasses with
+slots, so they carry no per-instance ``__dict__``. Equal feature sets
+share one validated, sorted tuple (``shared_features``): a process-wide
+memo maps the given tuple, and the sorted one, to it. Feature keys and
+values must therefore be hashable; a segment with an unhashable one raises
+``TypeError`` when it is built. Only sets of string keys and values are
+shared. Two such tuples that compare equal hold the same characters in
+the same order, so a shared tuple has the sort, the ``repr``, the hash
+and the written form of the one the segment would have built: the sharing
+is exact. Values of other types may compare equal and still differ
+(``1``, ``1.0``, ``True``), so their sets are sorted per segment. Feature
+sets come from a small closed inventory, so the memo is bounded and
+cleared like ``vocab.read_label``'s, at ``vocab.MEMO_MAX`` entries.
+
 A graph keeps derived state beside its value:
 
 - Edge indices by dependent and by head, built with one pass over the
@@ -37,7 +52,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
-from .vocab import DEFAULT_TAGS, TagSet, read_label
+from .vocab import DEFAULT_TAGS, MEMO_MAX, TagSet, read_label
 
 # Surface form of a reconstructed word other than a dropped pronoun.
 ELLIPTICAL_FORM = "*"
@@ -55,7 +70,7 @@ class NonProjectiveError(GraphError):
     """Subgraph yield is not a contiguous interval."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Location:
     """Chapter:verse:token[:segment] reference. All components >= 1."""
 
@@ -75,7 +90,33 @@ class Location:
         return f"({self.chapter}:{self.verse}:{self.token})"
 
 
-@dataclass(frozen=True)
+# Feature set as given, and sorted -> its validated, sorted tuple; only
+# sets of strings that passed the repeated-key check are stored.
+_FEATURES: dict = {}
+
+
+def shared_features(given) -> tuple:
+    """The sorted tuple of the feature set ``given``, (key, value) pairs as a
+    tuple, a Mapping or another iterable, shared among equal sets of strings
+    (see the module docstring). ValueError on a repeated key."""
+    # Most features come as tuples; the Mapping check is the slower one.
+    if not isinstance(given, tuple):
+        given = tuple(given.items() if isinstance(given, Mapping) else given)
+    feats = _FEATURES.get(given)
+    if feats is not None:
+        return feats
+    feats = tuple(sorted(given))
+    if len(dict(feats)) < len(feats):
+        key = next(a for (a, _), (b, _) in zip(feats, feats[1:]) if a == b)
+        raise ValueError(f"repeated feature key {key!r}")
+    if all(type(key) is str and type(value) is str for key, value in feats):
+        if len(_FEATURES) > MEMO_MAX - 2:
+            _FEATURES.clear()
+        feats = _FEATURES[given] = _FEATURES.setdefault(feats, feats)
+    return feats
+
+
+@dataclass(frozen=True, slots=True)
 class MorphSegment:
     """One syntactic unit: a prefix, stem or suffix of a word-form."""
 
@@ -88,15 +129,7 @@ class MorphSegment:
     is_reference: bool = False
 
     def __post_init__(self):
-        feats = self.features
-        # Most features come as tuples; the Mapping check is the slower one.
-        if not isinstance(feats, tuple) and isinstance(feats, Mapping):
-            feats = feats.items()
-        feats = tuple(sorted(feats))
-        if len(dict(feats)) < len(feats):
-            key = next(a for (a, _), (b, _) in zip(feats, feats[1:]) if a == b)
-            raise ValueError(f"repeated feature key {key!r}")
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "features", shared_features(self.features))
 
     def feature(self, name: str, default: str = "") -> str:
         for key, value in self.features:
@@ -109,7 +142,7 @@ class MorphSegment:
         return dict(self.features)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmptyCategory:
     """Terminal node for a reconstructed word. Position in the terminal
     sequence carries its anchoring; the form is the reconstructed surface.
@@ -126,7 +159,7 @@ class EmptyCategory:
 Terminal = Union[MorphSegment, EmptyCategory]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Phrase:
     """Phrase node: inclusive (start, end) span over terminal indices."""
 
@@ -144,7 +177,7 @@ class Phrase:
 NodeRef = Union[int, Phrase]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     dependent: NodeRef
     head: NodeRef

@@ -46,6 +46,12 @@ class EvalReport:
             return Fraction(0)
         return 2 * p * r / (p + r)
 
+    @property
+    def perfect(self) -> bool:
+        """``f1 == 1``, read from the counts: every gold and every predicted
+        item matched, which holds with no items too."""
+        return self.true_positives == self.gold_count == self.predicted_count
+
     def key_values(self) -> str:
         return (
             f"precision={float(self.precision):.6f}\n"

@@ -141,11 +141,14 @@ def parse_label(label: str, tags: TagSet = DEFAULT_TAGS) -> Optional[EnrichedLab
     return parsed
 
 
+# Entries at which a process-wide memo of values from a small closed set is
+# cleared: the label memo here and the feature-set memo of ``graph``.
+MEMO_MAX = 4096
+
 # (label, relations, POS tags) -> (parsed label or None, error message or
 # None). Labels come from a small closed set, so the memo is cleared only
 # should a stream of distinct malformed labels ever fill it.
 _LABELS: dict = {}
-_LABELS_MAX = 4096
 
 
 def read_label(label: str, tags: TagSet = DEFAULT_TAGS) -> tuple:
@@ -156,7 +159,7 @@ def read_label(label: str, tags: TagSet = DEFAULT_TAGS) -> tuple:
     key = (label, tags.relations, tags.pos_tags)
     out = _LABELS.get(key)
     if out is None:
-        if len(_LABELS) >= _LABELS_MAX:
+        if len(_LABELS) >= MEMO_MAX:
             _LABELS.clear()
         out = _LABELS[key] = _parse(label, tags)
     return out

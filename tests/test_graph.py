@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -13,9 +15,11 @@ from hybridparse import (
     Phrase,
     graph_from,
 )
+from hybridparse import graph as graph_module
 from hybridparse.graph import GraphError, IllFormedPhraseError, TerminalEdit, Violation
+from hybridparse.synth import generate
 from hybridparse.transitions import Configuration, InsertEmpty, Reduce, step, successor, working
-from hybridparse.vocab import DEFAULT_TAGS
+from hybridparse.vocab import DEFAULT_TAGS, MEMO_MAX
 
 from conftest import (
     assert_working_state_equals_a_rebuild,
@@ -445,3 +449,92 @@ def test_phrase_violations_match_an_all_pairs_check(n, spans):
     graph = HybridGraph(tuple(seg(i) for i in range(1, n + 1)), frozenset(spans))
     got = [v for v in graph.validate() if v.rule in PHRASE_RULES]
     assert got == _all_pairs_phrase_violations(graph)
+
+
+# -- compact values ----------------------------------------------------------
+
+
+def test_graph_values_carry_no_instance_dict():
+    location = Location(1, 1)
+    values = (
+        location,
+        MorphSegment(location, "w", "N", {"SegType": "stem"}),
+        EmptyCategory("PRON", "huwa"),
+        Phrase(0, 1, "S"),
+        Edge(0, 1, "subj"),
+    )
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_equal_feature_sets_share_one_tuple():
+    given = (("SegType", "stem"), ("Case", "NOM"), ("Number", "S"))
+    segments = [
+        MorphSegment(Location(1, 1), "w", "N", features)
+        for order in permutations(given)
+        for features in (order, dict(order), list(order))
+    ]
+    expected = tuple(sorted(given))
+    shared = segments[0].features
+    assert shared == expected
+    for segment in segments:
+        assert segment.features is shared
+        assert segment == segments[0]
+        # A frozen dataclass hashes the tuple of its fields.
+        assert hash(segment) == hash((Location(1, 1), "w", "N", expected, None, None, False))
+        assert segment.feature_map == dict(given)
+    assert repr(segments[0]) == (
+        "MorphSegment(location=Location(chapter=1, verse=1, token=1, segment=1), "
+        "form='w', pos='N', features=(('Case', 'NOM'), ('Number', 'S'), "
+        "('SegType', 'stem')), lemma=None, root=None, is_reference=False)"
+    )
+
+
+def test_feature_sets_of_other_types_keep_their_own_values():
+    # 1, 1.0 and True compare equal; each segment keeps the value it was given.
+    for value in (1, 1.0, True):
+        (pair,) = MorphSegment(Location(1, 1), "w", "N", {"n": value}).features
+        assert type(pair[1]) is type(value)
+    with pytest.raises(TypeError):
+        MorphSegment(Location(1, 1), "w", "N", {"Case": ["NOM"]})
+
+
+def test_a_repeated_feature_key_raises_on_every_construction(monkeypatch):
+    monkeypatch.setattr(graph_module, "_FEATURES", {})
+    valid = (("Case", "NOM"), ("SegType", "stem"))
+    repeated = valid + (("Case", "ACC"),)
+    for _ in range(2):
+        MorphSegment(Location(1, 1), "w", "N", valid)
+        for features in (repeated, list(repeated), repeated[::-1]):
+            with pytest.raises(ValueError, match=r"^repeated feature key 'Case'$"):
+                MorphSegment(Location(1, 1), "w", "N", features)
+    memo = graph_module._FEATURES
+    assert memo and all(len(dict(key)) == len(key) for key in memo)
+
+
+def test_the_feature_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(graph_module, "_FEATURES", {})
+    memo = graph_module._FEATURES
+    for i in range(MEMO_MAX + 100):
+        # Unsorted as given, so each new set adds two keys.
+        MorphSegment(Location(1, 1), "w", "N", {"SegType": "stem", "Id": str(i)})
+        assert len(memo) <= MEMO_MAX
+    a = MorphSegment(Location(1, 1), "w", "N", {"SegType": "stem", "Id": "x"})
+    b = MorphSegment(Location(1, 1), "w", "N", (("Id", "x"), ("SegType", "stem")))
+    assert a.features is b.features
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_and_deepcopy_round_trip_a_synth_graph(protocol):
+    graphs = generate(5, 20, "+phrases,+ellipsis").graphs
+    graph = next(
+        g for g in graphs
+        if g.phrases and any(isinstance(t, EmptyCategory) for t in g.terminals)
+    )
+    graph.yield_masks()  # derived state travels with the value
+    for copied in (pickle.loads(pickle.dumps(graph, protocol)), copy.deepcopy(graph)):
+        assert copied == graph and hash(copied.edges) == hash(graph.edges)
+        assert repr(copied) == repr(graph)
+        assert [type(t) for t in copied.terminals] == [type(t) for t in graph.terminals]
+        assert copied.yield_masks() == graph.yield_masks()
+        assert copied.validate() == graph.validate() == []

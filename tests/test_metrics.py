@@ -154,6 +154,14 @@ def test_f1_bounds():
     )
 
 
+def test_perfect_is_f1_one_from_the_counts():
+    for gold in range(6):
+        for pred in range(6):
+            for tp in range(min(gold, pred) + 1):
+                report = EvalReport(tp, gold, pred)
+                assert report.perfect == (report.f1 == 1), (tp, gold, pred)
+
+
 def test_zero_denominator_conventions():
     empty = EvalReport(0, 0, 0)
     assert empty.precision == 1 and empty.recall == 1
