@@ -534,7 +534,7 @@ def test_pickle_and_deepcopy_round_trip_a_synth_graph(protocol):
     graph.yield_masks()  # derived state travels with the value
     for copied in (pickle.loads(pickle.dumps(graph, protocol)), copy.deepcopy(graph)):
         assert copied == graph and hash(copied.edges) == hash(graph.edges)
-        assert repr(copied) == repr(graph)
+        assert repr(copied.terminals) == repr(graph.terminals)
         assert [type(t) for t in copied.terminals] == [type(t) for t in graph.terminals]
         assert copied.yield_masks() == graph.yield_masks()
         assert copied.validate() == graph.validate() == []
