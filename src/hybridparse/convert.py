@@ -374,18 +374,23 @@ def reinsert_dropped_pronouns(
     config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
 ) -> None:
     """Give every plain verb without a subject a dropped-pronoun subject,
-    directly after the verb, and renumber ``found`` (``EnrichedEdges``), if
-    given.
+    directly after the verb, and renumber ``found`` (``EnrichedEdges``, of
+    the graph, scanned here if not given).
 
     Verbs carrying a special-group (SP) feature are skipped: the copula
-    group takes subjx/predx instead of a subject.
+    group takes subjx/predx instead of a subject. A subject that is still
+    flagged for expansion (``+subj``, before ``expand_phrases``) counts.
     """
+    if found is None:
+        found = EnrichedEdges(config, tags)
+    flagged = {edge.head for edge, parsed in found.expansions if parsed.base in ("subj", "subjx")}
     terminals = config.terminals
     verbs = [
         i for i, term in enumerate(terminals)
         if term.pos == "V"
         and isinstance(term, MorphSegment)
         and not term.feature("SP")
+        and i not in flagged
         and not _has_subject(config, i)
     ]
     if not verbs:
@@ -394,8 +399,7 @@ def reinsert_dropped_pronouns(
         len(terminals), inserted=[(v + 1, empty_category("PRON", terminals[v], tags)) for v in verbs]
     )
     config.edit(edit)
-    if found is not None:
-        found.move(edit)
+    found.move(edit)
     for v, at in zip(verbs, edit.landed):
         config.add_edge(Edge(at, edit.move(v), "subj"))
 

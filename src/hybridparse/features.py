@@ -48,7 +48,7 @@ nor parsing calls it; the tests compare the bits against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 from .graph import EmptyCategory, Phrase
 from .transitions import Configuration
@@ -110,20 +110,19 @@ def positions(bits: int) -> List[int]:
     return out
 
 
-def prefix_blocks(names: List[str]) -> tuple:
-    """The masks of the maximal runs of consecutive positions whose names
-    share the part before the first ":" (``graph``, ``q1``, ``s1``, ...),
-    in position order. Sorted names give one run per prefix."""
-    blocks = []
-    start, prefix = 0, None
-    for p, name in enumerate(names):
-        head = name.partition(":")[0]
+def prefix_blocks(names: List[str], order: Optional[List[int]] = None) -> tuple:
+    """The masks of the maximal runs of consecutive positions, taken in
+    ``order`` (ascending by default), whose names share the part before the
+    first ":" (``graph``, ``q1``, ``s1``, ...), in that order. Positions in
+    sorted name order give one run per prefix."""
+    blocks: list = []
+    prefix = None
+    for p in range(len(names)) if order is None else order:
+        head = names[p].partition(":")[0]
         if head != prefix:
-            if p:
-                blocks.append((1 << p) - (1 << start))
-            start, prefix = p, head
-    if names:
-        blocks.append((1 << len(names)) - (1 << start))
+            blocks.append(0)
+            prefix = head
+        blocks[-1] |= 1 << p
     return tuple(blocks)
 
 

@@ -17,21 +17,26 @@ strictly above every other, so a tie is a mistake. Each partition trains
 until its averaged weights fit every pair whose feature set is not also
 labelled with another transition, or until the epoch cap.
 
-Each classifier interns its expanded feature strings to integer ids, once
-per distinct feature set of its training pairs (``fit`` numbers the
-distinct ints and decodes each one once), and holds one row of weights per
-transition, indexed by id. A
-feature set expands to its sorted predicates followed by each s1 x s2
-conjunction ``f"{a}&{b}"`` (``_conjoined``). Training keeps the raw weights
-and, per weight, the sum of each update times the step it was made at, all
-as Python ints. After ``step`` steps the averaged weight is
-(step * raw - sum) / step: the averaging is exact, the check that the
-averaged weights fit is made on the integer numerators, and each stored
-weight is one quotient rounded once. Pairs that share a feature set share
-its raw scores, and a reuse sums again only the rows updated since, which
-the integer weights make exact (see ``AveragedPerceptron.fit``). Model
-files list the weights label-major (transition -> feature -> weight), as
-strings.
+Each classifier holds one row of weights per transition, indexed by the
+integer ids of its expanded features. A feature set expands to its sorted
+predicates followed by each s1 x s2 conjunction ``f"{a}&{b}"``. ``fit``
+numbers the distinct feature sets of its pairs and expands each one once by
+bit position, over the vocabulary's ``names`` (``_expanded``): positions
+are ordered by name, and ids are memoized per run of positions that share
+a name prefix and per (s1, s2) position pair, so each string is built once
+per fit and interned in the order a pass over the expanded strings would
+intern it. Training keeps the raw weights and, per weight, the sum of each
+update times the step it was made at, all as Python ints. After ``step``
+steps the averaged weight is (step * raw - sum) / step: the averaging is
+exact, the check that the averaged weights fit is made on the integer
+numerators, and each stored weight is one quotient rounded once. Every
+update adds to the gold row what it takes from the rival row, so each
+column of the raw weights, and of the numerators, sums to zero. Pairs that
+share a feature set share its raw scores; a reuse sums again only the rows
+updated since, and of those all but one, which is minus the sum of the
+others. The integer weights make both exact (see
+``AveragedPerceptron.fit``). Model files list the weights label-major
+(transition -> feature -> weight), as strings.
 
 A classifier knows each indexed string, conjunctions included, since a
 lemma predicate may spell one, and each s1 and s2 predicate of its pair
@@ -48,7 +53,7 @@ those of the key's bits with an id in ascending order, then, for each bit
 with a pair row in ascending order, the row's hits among the key's s2 bits
 in ascending order. The vocabulary is numbered in sorted predicate order,
 so ascending bits are the sorted predicates and this is the expanded order
-of ``_conjoined`` without its strings. A transition's weights are added one
+without its strings. A transition's weights are added one
 at a time in that order. Float addition is not associative, so the order
 fixes the result; ``sum()`` is never used, as its float rounding differs
 between Python versions.
@@ -84,7 +89,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus_io import TreebankDocument, dumps_treebank
 # extract_features, SLOTS and EDGE_PAIRS are re-exported: the benchmark's
@@ -97,6 +102,7 @@ from .features import (
     extract_features,
     featurize,
     positions,
+    prefix_blocks,
 )
 from .graph import HybridGraph, Phrase
 from .oracle import oracle_sequence
@@ -129,16 +135,64 @@ class TrainingError(Exception):
     pass
 
 
-def _conjoined(features: frozenset) -> List[str]:
-    """Feature vector expanded with s1 x s2 predicate conjunctions."""
-    items = sorted(features)
-    s1 = [f for f in items if f.startswith("s1:")]
-    s2 = [f for f in items if f.startswith("s2:")]
-    out = list(items)
-    for a in s1:
-        for b in s2:
-            out.append(f"{a}&{b}")
-    return out
+def _expanded(keys: List[int], names: Sequence[str]) -> Tuple[Dict[str, int], List[tuple]]:
+    """The index of expanded features, and per key the ids of its expanded
+    features: its predicates (bit p is ``names[p]``) in sorted order, then
+    each s1 x s2 conjunction ``f"{a}&{b}"``, both in sorted order.
+
+    Sorted by name, the used positions split into runs that share the part
+    of the name before the first ":", so the sorted predicates are each
+    run's part of the key in run order. Ids are memoized per run part, per
+    s1 and s2 part and per (s1, s2) position pair, so each string is built
+    once. A string is interned when first met, as a pass over the expanded
+    strings would intern it, and two expansions that spell one string (a
+    lemma predicate that spells a conjunction) share its id."""
+    index: Dict[str, int] = {}
+    union = 0
+    for key in keys:
+        union |= key
+    used = positions(union)
+    used.sort(key=names.__getitem__)
+    rank = dict(zip(used, range(len(used))))
+    # Per run, (its mask, its part of a key -> ids); and the s1 and s2 bits.
+    runs = [(mask, {}) for mask in prefix_blocks(names, used)]
+    s1 = s2 = 0
+    for p in used:
+        if names[p].startswith("s1:"):
+            s1 |= 1 << p
+        elif names[p].startswith("s2:"):
+            s2 |= 1 << p
+    # The s1 and s2 part of a key -> its conjunction ids, and per s1
+    # position, s2 position -> the id of their conjunction.
+    pair_ids: Dict[int, tuple] = {}
+    conjoined: Dict[int, Dict[int, int]] = {}
+    ids_of = []
+    for key in keys:
+        ids: tuple = ()
+        for mask, memo in runs:
+            part = key & mask
+            got = memo.get(part)
+            if got is None:
+                got = memo[part] = tuple(
+                    index.setdefault(names[p], len(index))
+                    for p in sorted(positions(part), key=rank.__getitem__)
+                )
+            ids += got
+        part = key & (s1 | s2)
+        got = pair_ids.get(part)
+        if got is None:
+            seconds = sorted(positions(part & s2), key=rank.__getitem__)
+            out = []
+            for a in sorted(positions(part & s1), key=rank.__getitem__):
+                row = conjoined.setdefault(a, {})
+                for b in seconds:
+                    i = row.get(b)
+                    if i is None:
+                        i = row[b] = index.setdefault(f"{names[a]}&{names[b]}", len(index))
+                    out.append(i)
+            got = pair_ids[part] = tuple(out)
+        ids_of.append(ids + got)
+    return index, ids_of
 
 
 def _pair_table(index: Dict[str, int]) -> Dict[str, Dict[str, int]]:
@@ -178,9 +232,9 @@ class AveragedPerceptron:
         self.predicates: frozenset = frozenset()
         self._unbind()
 
-    def fit(self, pairs: Sequence[Tuple[int, str]], decode: Callable[[int], frozenset]) -> int:
+    def fit(self, pairs: Sequence[Tuple[int, str]], names: Sequence[str]) -> int:
         """Train on (features, label) pairs and return the epochs run. The
-        features are an int that ``decode`` maps to a set of predicates.
+        features are an int whose bit p is the predicate ``names[p]``.
 
         A pair is a mistake, and updates the weights, unless its gold label
         scores strictly above the best wrong label, so a tie is a mistake.
@@ -191,24 +245,24 @@ class AveragedPerceptron:
         checks.
 
         Each distinct feature set is numbered in order of first appearance
-        and decoded, expanded, interned and given its getter once, so the
-        index is the one a pass pair by pair would build. Pairs that share a set share its
-        raw scores: they are kept with the number of updates made when they
-        were last brought up to date. An update changes two rows, the gold
-        label's and the rival's, and each label keeps the number of updates
-        made by its row's last change, so a reuse sums again only the rows
-        changed since. The raw weights are ints, so a reused sum is the sum
-        recomputed. The
-        averaged-weights check scores each fittable set once, since all the
-        pairs of such a set carry its one label.
+        and its expanded ids are found once (``_expanded``), so the index is
+        the one a pass pair by pair would build. Pairs that share a set
+        share its raw scores: they are kept with the number of updates made
+        when they were last brought up to date. An update changes two rows,
+        the gold label's and the rival's, and each label keeps the number of
+        updates made by its row's last change, so a reuse sums again only
+        the rows changed since. An update adds 1 to the gold row and takes 1
+        from the rival row at the same ids, and the update sums follow the
+        same rule, so in every column the raw rows, and the averaged
+        numerators, sum to zero: of the rows to sum, the last is minus the
+        sum of all the others and is not summed. The raw weights are ints,
+        so a reused or derived sum is the sum recomputed. The averaged-weights
+        check scores each fittable set once, since all the pairs of such a
+        set carry its one label, and derives its last row the same way.
         """
         number: dict = {}
         set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
-        index: Dict[str, int] = {}
-        ids_of = [
-            [index.setdefault(f, len(index)) for f in _conjoined(decode(key))]
-            for key in number
-        ]
+        index, ids_of = _expanded(list(number), names)
         getters = [_getter(ids) for ids in ids_of]
         position = {label: j for j, label in enumerate(self.labels)}
         golds = [position[label] for _, label in pairs]
@@ -226,7 +280,8 @@ class AveragedPerceptron:
         sums = [[0] * len(index) for _ in self.labels]
         # Per set, [updates made when its raw scores were last brought up to
         # date, scores], and per label the updates made by its row's last
-        # change. A set starts at -1, so its first use sums every row.
+        # change. A set starts at -1, so its first use brings every row up
+        # to date.
         memo = [[-1, [0] * len(self.labels)] for _ in number]
         changed = [0] * len(self.labels)
         updates = 0
@@ -248,9 +303,15 @@ class AveragedPerceptron:
                 at, scores = entry
                 if at != updates:
                     get = getters[k]
+                    # The last stale row is minus the sum of all the others.
+                    last = -1
                     for j, when in enumerate(changed):
                         if when > at:
-                            scores[j] = sum(get(raw[j]))
+                            if last >= 0:
+                                scores[last] = sum(get(raw[last]))
+                            last = j
+                    scores[last] = 0
+                    scores[last] = -sum(scores)
                     entry[0] = updates
                 top = scores[gold]
                 # The memo keeps the scores: the gold one is masked in a copy.
@@ -271,7 +332,7 @@ class AveragedPerceptron:
                         down_sums[i] -= step
             if not mistakes:
                 averaged = numerators()
-                if all(_fits([sum(get(row)) for row in averaged], gold) for get, gold in checked):
+                if all(_fits(_row_sums(get, averaged), gold) for get, gold in checked):
                     break
         else:
             averaged = numerators()
@@ -351,7 +412,7 @@ class AveragedPerceptron:
     def score(self, key: int) -> Dict[str, float]:
         """Per-label weight sums over the expanded features of a key, the
         bits of known predicates over the bound vocabulary, each added one
-        at a time in expanded feature order (see ``_conjoined``)."""
+        at a time in expanded feature order (see ``_expanded``)."""
         ids: tuple = ()
         for mask, memo in self.blocks:
             part = key & mask
@@ -398,6 +459,14 @@ def _getter(ids: List[int]):
         only = ids[0]
         return lambda row: (row[only],)
     return itemgetter(*ids) if ids else lambda row: ()
+
+
+def _row_sums(get, rows: List[List[int]]) -> List[int]:
+    """Per row, the sum of its values that ``get`` reads, for rows whose
+    columns sum to zero: the last is minus the sum of the others."""
+    out = [sum(get(row)) for row in rows[:-1]]
+    out.append(-sum(out))
+    return out
 
 
 def _fits(scores: List, gold: int) -> bool:
@@ -580,7 +649,7 @@ def train_from_pairs(
         partition_pairs = by_partition[partition]
         labels = sorted({label for _, label in partition_pairs})
         clf = AveragedPerceptron(labels, epochs=epochs, seed=seed)
-        epochs_run[partition] = clf.fit(partition_pairs, vocabulary.decode)
+        epochs_run[partition] = clf.fit(partition_pairs, vocabulary.names)
         classifiers[partition] = clf
     fingerprint = _corpus_fingerprint(blocks)
     counts = {

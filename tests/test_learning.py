@@ -133,11 +133,20 @@ def test_feature_vectors_nest_by_spec():
             config = apply(config, t)
 
 
+def _conjoined(features) -> list:
+    """A predicate set expanded as the learner expands it: its predicates
+    in sorted order, then each s1 x s2 conjunction string."""
+    items = sorted(features)
+    s1 = [f for f in items if f.startswith("s1:")]
+    s2 = [f for f in items if f.startswith("s2:")]
+    return items + [f"{a}&{b}" for a in s1 for b in s2]
+
+
 def _fit(clf, pairs) -> int:
     """Fit a classifier to (predicate set, label) pairs, each set given as
     the bits of a growing vocabulary."""
     vocabulary = Vocabulary(grow=True)
-    return clf.fit([(vocabulary.encode(feats), label) for feats, label in pairs], vocabulary.decode)
+    return clf.fit([(vocabulary.encode(feats), label) for feats, label in pairs], vocabulary.names)
 
 
 def _score(clf, feats) -> dict:
@@ -257,11 +266,7 @@ def _reference_fit(labels, epochs, seed, pairs) -> tuple:
     index = {}
     ids_of = []
     for feats, _ in pairs:
-        items = sorted(feats)
-        expanded = items + [
-            f"{a}&{b}" for a in items if a.startswith("s1:") for b in items if b.startswith("s2:")
-        ]
-        ids_of.append([index.setdefault(f, len(index)) for f in expanded])
+        ids_of.append([index.setdefault(f, len(index)) for f in _conjoined(feats)])
     raw = {label: Counter() for label in labels}
     sums = {label: Counter() for label in labels}
     fittable = _fittable(pairs)
@@ -315,17 +320,30 @@ def _hex_weights(weights: dict) -> dict:
     return {label: {f: w.hex() for f, w in row.items()} for label, row in weights.items()}
 
 
+# Lemma predicates that spell a conjunction of the pool: a set holding one
+# of them and a set holding "s1:lemma=x" and "s2:pos=N" intern one string.
+spelling_sets = st.frozensets(
+    st.one_of(
+        predicates,
+        st.sampled_from(["s1:lemma=x", "s1:lemma=x&s2:pos=N", "s1:lemma=x&s2:absent"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    labelled_pairs,
+    st.lists(st.tuples(spelling_sets, st.sampled_from("abc")), min_size=1, max_size=12),
     st.integers(1, 4),
-    st.lists(feature_sets, max_size=3),
+    st.lists(spelling_sets, max_size=3),
     st.integers(0, 3),
     st.randoms(use_true_random=False),
 )
 def test_fit_matches_the_per_pair_reference(pairs, times, conflicting, seed, shuffler):
     """Repeated feature sets, mixed with sets labelled two ways, give the
-    epochs, index and weights of a fit that treats every pair on its own."""
+    epochs, index and weights of a fit that treats every pair on its own,
+    also when a lemma predicate and a conjunction intern one string."""
     pairs = pairs * times + [(feats, label) for feats in conflicting for label in "ab"]
     shuffler.shuffle(pairs)
     labels = sorted({label for _, label in pairs})
@@ -336,21 +354,20 @@ def test_fit_matches_the_per_pair_reference(pairs, times, conflicting, seed, shu
     assert _hex_weights(clf.weights_by_label()) == _hex_weights(weights)
 
 
-def test_fit_expands_each_feature_set_once(monkeypatch):
-    calls = []
+def test_fit_decodes_no_feature_set(monkeypatch):
+    """fit reads a set's predicates by bit position from the vocabulary's
+    names: training a model decodes no feature set."""
+    def decode(self, bits):
+        raise AssertionError("fit decoded a feature set")
 
-    def counted(features):
-        calls.append(features)
-        return conjoined(features)
-
-    conjoined = learning._conjoined
-    monkeypatch.setattr(learning, "_conjoined", counted)
+    monkeypatch.setattr(Vocabulary, "decode", decode)
     pairs = [
-        (frozenset({"s1:pos=N", "q1:pos=V", "s3:absent"}), "SHIFT"),
-        (frozenset({"s1:pos=N", "q1:pos=V", "s3:pos=P"}), "REDUCE(1)"),
-    ] * 3 + [(frozenset({"s1:pos=N", "q1:pos=V", "s3:absent"}), "REDUCE(1)")]
+        (frozenset({"s1:pos=N", "s2:pos=V", "q1:pos=V", "s3:absent"}), "SHIFT"),
+        (frozenset({"s1:pos=N", "s2:pos=N", "q1:pos=V", "s3:pos=P"}), "REDUCE(1)"),
+    ] * 3
     assert _fit(AveragedPerceptron(["REDUCE(1)", "SHIFT"], epochs=50, seed=0), pairs) > 1
-    assert len(calls) == 2 and set(calls) == {feats for feats, _ in pairs}
+    model = train(generate(5, 20, PROFILE).graphs, FeatureSetSpec("lemma"))
+    assert sum(model.counts["pairs_per_partition"].values()) > 100
 
 
 PROFILE = "+phrases,+ellipsis,+disconnected"
@@ -469,11 +486,7 @@ def _reference_features(config, spec) -> frozenset:
 def _reference_score(clf, features) -> dict:
     """Per label, the weights of the sorted features and then of each s1 x s2
     conjunction string, added one at a time."""
-    items = sorted(features)
-    expanded = items + [
-        f"{a}&{b}" for a in items if a.startswith("s1:") for b in items if b.startswith("s2:")
-    ]
-    ids = [clf.index[f] for f in expanded if f in clf.index]
+    ids = [clf.index[f] for f in _conjoined(features) if f in clf.index]
     scores = {}
     for label, row in zip(clf.labels, clf.rows):
         total = 0.0
@@ -550,18 +563,13 @@ def test_a_repeated_feature_key_is_rejected():
 
 
 def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
-    """Scoring finds conjunctions in the classifier's pair table, and the
-    dynamic predicates read the graph's edge lists as they are: a long parse
-    builds no conjunction string and has learning sort no dependent edges."""
+    """Scoring finds conjunctions in the classifier's pair table by bit
+    position, and the dynamic predicates read the graph's edge lists as they
+    are: a long parse has learning sort no dependent edges."""
     model = pinned_model("hybrid-lemma")
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     counts: Counter = Counter()
-    conjoined = learning._conjoined
     dependent_edges = HybridGraph.dependent_edges
-
-    def counted_conjoined(features):
-        counts["_conjoined"] += 1
-        return conjoined(features)
 
     def counted_dependent_edges(self, ref):
         counts["dependent_edges from learning"] += (
@@ -569,11 +577,9 @@ def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
         )
         return dependent_edges(self, ref)
 
-    monkeypatch.setattr(learning, "_conjoined", counted_conjoined)
     monkeypatch.setattr(HybridGraph, "dependent_edges", counted_dependent_edges)
     graph, report = parse_integrated(model, sentence.segments)
     assert len(report.trace) > 500 and len(graph.edges) > 100
-    assert counts["_conjoined"] == 0
     assert counts["dependent_edges from learning"] == 0
 
 
@@ -918,7 +924,7 @@ def test_a_reloaded_classifier_predicts_as_a_fresh_one():
                 configs.append(config)
             config = successor(config, t)
     trained = AveragedPerceptron(labels, epochs=5)
-    trained.fit(pairs, vocabulary.decode)
+    trained.fit(pairs, vocabulary.names)
     weights = trained.weights_by_label()
     negated = {label: {f: -w for f, w in row.items()} for label, row in weights.items()}
     fresh = AveragedPerceptron(labels)
