@@ -23,10 +23,11 @@ from .corpus_io import (
     read_treebank,
     sentences_from_notation,
 )
-from .crossval import cross_validate
+from .crossval import PIPELINES, cross_validate
 from .engine import parse_integrated, parse_multi_step
+from .features import FEATURE_SETS, FeatureSetSpec
 from .graph import GraphError
-from .learning import DEFAULT_EPOCHS, FeatureSetSpec, Model, TrainingError, train
+from .learning import DEFAULT_EPOCHS, Model, TrainingError, train
 from .metrics import EvalReport, MetricError, elas, las, phrase_matches
 from .oracle import oracle_sequence
 from .render import emit_dot, svg
@@ -323,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit and serialize a model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--features", default="lemma",
-                   choices=["pos", "morph6", "morph9", "lemma", "phi"])
-    p.add_argument("--pipeline", default="integrated", choices=["integrated", "multistep"])
+    p.add_argument("--features", default="lemma", choices=FEATURE_SETS)
+    p.add_argument("--pipeline", default="integrated", choices=PIPELINES)
     p.add_argument("--seed", type=int, default=0)
     epochs_option(p)
     p.add_argument("--out", required=True)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse sentences with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--pipeline", default="integrated", choices=["integrated", "multistep"])
+    p.add_argument("--pipeline", default="integrated", choices=PIPELINES)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_parse)
@@ -348,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="k-fold cross-validation report")
     p.add_argument("--corpus", required=True)
     p.add_argument("--folds", type=_int_from(2), default=10)
-    p.add_argument("--features", default="lemma",
-                   choices=["pos", "morph6", "morph9", "lemma", "phi"])
-    p.add_argument("--pipeline", default="integrated", choices=["integrated", "multistep"])
+    p.add_argument("--features", default="lemma", choices=FEATURE_SETS)
+    p.add_argument("--pipeline", default="integrated", choices=PIPELINES)
     p.add_argument("--seed", type=int, default=0)
     epochs_option(p)
     p.add_argument("--min-f1", type=float, default=None, dest="min_f1")

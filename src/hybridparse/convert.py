@@ -170,23 +170,35 @@ def to_pure_dependency(hybrid: HybridGraph, tags: TagSet = DEFAULT_TAGS) -> tupl
 # Inverse direction
 # ---------------------------------------------------------------------------
 
-def _has_subject(config: Configuration, node) -> bool:
+_SUBJECTS = ("subj", "subjx")
+
+
+def _flagged_subjects(found: EnrichedEdges) -> set:
+    """The heads of the edges ``found`` flags for expansion whose base
+    relation is a subject: until ``expand_phrases`` restores such an edge,
+    it counts as its head's subject."""
+    return {edge.head for edge, parsed in found.expansions if parsed.base in _SUBJECTS}
+
+
+def _has_subject(config: Configuration, node, flagged: set) -> bool:
+    if node in flagged:
+        return True
     for edge in config.deps.get(node, ()):
-        if edge.relation in ("subj", "subjx"):
+        if edge.relation in _SUBJECTS:
             return True
     return False
 
 
-def _phrase_tag_for(config: Configuration, starts: dict, root, span) -> str:
+def _phrase_tag_for(config: Configuration, starts: dict, root, span, flagged: set) -> str:
     """Phrase tags are reassigned from the subgraph: PP when the root is a
-    preposition; VS when the root is a verb with a subject dependent; NS
-    when the span contains a pred or predx edge; CS when the root is a
-    conditional particle or time adverb; SC when the root is a
-    subordinating conjunction; otherwise S."""
+    preposition; VS when the root is a verb with a subject dependent, one
+    still ``flagged`` for expansion included; NS when the span contains a
+    pred or predx edge; CS when the root is a conditional particle or time
+    adverb; SC when the root is a subordinating conjunction; otherwise S."""
     root_pos = root.tag if isinstance(root, Phrase) else config.terminals[root].pos
     if root_pos == "P":
         return "PP"
-    if root_pos == "V" and _has_subject(config, root):
+    if root_pos == "V" and _has_subject(config, root, flagged):
         return "VS"
     start, end = span
     for node in nodes_within(starts, start, end):
@@ -259,18 +271,16 @@ def _moved(edge: Edge, edit: TerminalEdit) -> Edge:
 
 
 def expand_bridges(
-    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
+    config: Configuration, report: ConversionReport, tags: TagSet, found: EnrichedEdges
 ) -> None:
     """First restoration stage: bridge labels become an empty category and
     two edges. The restored node is inserted directly before its dependent,
     after any restored there for a bridge that comes earlier by dependent,
     relation and head.
 
-    ``found`` is the ``EnrichedEdges`` of the graph, scanned here if not
-    given; a flagged component of a restored edge joins its expansions.
+    ``found`` is the ``EnrichedEdges`` of the graph; a flagged component of
+    a restored edge joins its expansions.
     """
-    if found is None:
-        found = EnrichedEdges(config, tags)
     if not found.bridges:
         return
     bridges = sorted(found.bridges, key=lambda bridge: HybridGraph.extent(bridge[0].dependent)[0])
@@ -293,7 +303,7 @@ def expand_bridges(
     found.expansions.sort(key=_order)
 
 
-def _phrase_over(config: Configuration, starts: dict, root) -> Phrase:
+def _phrase_over(config: Configuration, starts: dict, root, flagged: set) -> Phrase:
     if isinstance(root, int) and not 0 <= root < len(config.terminals):
         raise GraphError(f"unknown node {root!r}")  # from_pure_dependency does not validate
     span = config.span(root)
@@ -301,10 +311,10 @@ def _phrase_over(config: Configuration, starts: dict, root) -> Phrase:
         mask = config.yield_mask(root)
         covered = [i for i in range(mask.bit_length()) if mask >> i & 1]
         raise NonProjectiveError(f"subgraph of {root!r} yields a non-contiguous set {covered}")
-    return Phrase(span[0], span[1], _phrase_tag_for(config, starts, root, span))
+    return Phrase(span[0], span[1], _phrase_tag_for(config, starts, root, span, flagged))
 
 
-def _new_dependent_phrase(config: Configuration, starts: dict, edge: Edge):
+def _new_dependent_phrase(config: Configuration, starts: dict, edge: Edge, flagged: set):
     """The phrase that a dependent-only expansion of ``edge`` re-anchors it
     on, where that changes no yield mask: the phrase is new, so it yields
     just its span, which is the dependent's yield, and the head is not
@@ -317,30 +327,29 @@ def _new_dependent_phrase(config: Configuration, starts: dict, edge: Edge):
     span = mask_span(mask)
     if span is None or mask >> head & 1:
         return None
-    # Only the dependent's own subgraph, which ``edge`` is not part of, and
-    # plain labels decide the tag, so the edge may stay while it is read.
-    phrase = Phrase(span[0], span[1], _phrase_tag_for(config, starts, dep, span))
+    # Only the dependent's own subgraph, which ``edge`` is not part of,
+    # decides the tag, so the edge may stay while it is read.
+    phrase = Phrase(span[0], span[1], _phrase_tag_for(config, starts, dep, span, flagged))
     return None if phrase in config.phrases else phrase
 
 
 def expand_phrases(
-    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
+    config: Configuration, report: ConversionReport, tags: TagSet, found: EnrichedEdges
 ) -> None:
     """Last restoration stage: expansion flags materialize phrase nodes
     over the flagged endpoint's subgraph span.
 
     Edges are expanded in one pass, in the order of ``found`` (the
-    ``EnrichedEdges`` of the graph, scanned here if not given). An expansion
-    only replaces its own edge with a plain-labelled one, so the order of
-    the remaining flagged edges holds. An edge that cannot be expanded is
-    recorded in ``report`` and put back with its label verbatim.
+    ``EnrichedEdges`` of the graph). An expansion only replaces its own edge
+    with a plain-labelled one, so the order of the remaining flagged edges
+    holds. An edge that cannot be expanded is recorded in ``report`` and put
+    back with its label verbatim.
     """
-    if found is None:
-        found = EnrichedEdges(config, tags)
     starts = phrases_by(config.phrases)
+    flagged = _flagged_subjects(found)
     for edge, parsed in found.expansions:
         if not parsed.head_expansion:
-            phrase = _new_dependent_phrase(config, starts, edge)
+            phrase = _new_dependent_phrase(config, starts, edge, flagged)
             if phrase is not None:
                 config.replace_edge(edge, Edge(phrase, edge.head, parsed.base))
                 config.phrases.add(phrase)
@@ -352,9 +361,9 @@ def expand_phrases(
         dep, head = edge.dependent, edge.head
         try:
             if parsed.dependent_expansion:
-                dep = _phrase_over(config, starts, dep)
+                dep = _phrase_over(config, starts, dep, flagged)
             if parsed.head_expansion:
-                head = _phrase_over(config, starts, head)
+                head = _phrase_over(config, starts, head, flagged)
             if dep == head:
                 # Both endpoints expanded onto one identical span.
                 raise GraphError("expansion collapses endpoints")
@@ -371,27 +380,24 @@ def expand_phrases(
 
 
 def reinsert_dropped_pronouns(
-    config: Configuration, report: ConversionReport, tags: TagSet = DEFAULT_TAGS, found=None
+    config: Configuration, report: ConversionReport, tags: TagSet, found: EnrichedEdges
 ) -> None:
     """Give every plain verb without a subject a dropped-pronoun subject,
-    directly after the verb, and renumber ``found`` (``EnrichedEdges``, of
-    the graph, scanned here if not given).
+    directly after the verb, and renumber ``found`` (the ``EnrichedEdges``
+    of the graph).
 
     Verbs carrying a special-group (SP) feature are skipped: the copula
     group takes subjx/predx instead of a subject. A subject that is still
     flagged for expansion (``+subj``, before ``expand_phrases``) counts.
     """
-    if found is None:
-        found = EnrichedEdges(config, tags)
-    flagged = {edge.head for edge, parsed in found.expansions if parsed.base in ("subj", "subjx")}
+    flagged = _flagged_subjects(found)
     terminals = config.terminals
     verbs = [
         i for i, term in enumerate(terminals)
         if term.pos == "V"
         and isinstance(term, MorphSegment)
         and not term.feature("SP")
-        and i not in flagged
-        and not _has_subject(config, i)
+        and not _has_subject(config, i, flagged)
     ]
     if not verbs:
         return

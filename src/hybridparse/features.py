@@ -37,8 +37,6 @@ configuration as that int and builds no string or set on the way:
   ``isroot`` holds for a headless node whose mask is one run, the test of
   ``mask_span`` written as ``not (m + (m & -m)) & m``. A predicate without
   a bit is not computed.
-- A fixed vocabulary also splits its positions into ``blocks``, one run per
-  name prefix, for the scorer's id memos (see ``learning``).
 
 ``extract_features`` is the same description as a frozenset of strings: the
 decode of ``featurize`` over a fresh growing vocabulary. Neither training
@@ -48,7 +46,7 @@ nor parsing calls it; the tests compare the bits against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from .graph import EmptyCategory, Phrase
 from .transitions import Configuration
@@ -110,22 +108,6 @@ def positions(bits: int) -> List[int]:
     return out
 
 
-def prefix_blocks(names: List[str], order: Optional[List[int]] = None) -> tuple:
-    """The masks of the maximal runs of consecutive positions, taken in
-    ``order`` (ascending by default), whose names share the part before the
-    first ":" (``graph``, ``q1``, ``s1``, ...), in that order. Positions in
-    sorted name order give one run per prefix."""
-    blocks: list = []
-    prefix = None
-    for p in range(len(names)) if order is None else order:
-        head = names[p].partition(":")[0]
-        if head != prefix:
-            blocks.append(0)
-            prefix = head
-        blocks[-1] |= 1 << p
-    return tuple(blocks)
-
-
 class Vocabulary:
     """Predicate <-> bit position, and the per-slot bit tables of
     ``featurize``. ``names`` lists the predicates by position."""
@@ -153,9 +135,6 @@ class Vocabulary:
         # Per feature set level, (pos, features, lemma) -> static bits per
         # slot position (static_bits).
         self.static: tuple = tuple({} for _ in FEATURE_SETS)
-        # The masks of the runs of positions that share a name prefix, or
-        # None when the vocabulary grows.
-        self.blocks = None if grow else prefix_blocks(self.names)
 
     def bit(self, name: str) -> int:
         """The predicate's bit: 0 when a fixed vocabulary does not know it."""

@@ -19,53 +19,44 @@ labelled with another transition, or until the epoch cap.
 
 Each classifier holds one row of weights per transition, indexed by the
 integer ids of its expanded features. A feature set expands to its sorted
-predicates followed by each s1 x s2 conjunction ``f"{a}&{b}"``. ``fit``
-numbers the distinct feature sets of its pairs and expands each one once by
-bit position, over the vocabulary's ``names`` (``_expanded``): positions
-are ordered by name, and ids are memoized per run of positions that share
-a name prefix and per (s1, s2) position pair, so each string is built once
-per fit and interned in the order a pass over the expanded strings would
-intern it. Training keeps the raw weights and, per weight, the sum of each
-update times the step it was made at, all as Python ints. After ``step``
-steps the averaged weight is (step * raw - sum) / step: the averaging is
-exact, the check that the averaged weights fit is made on the integer
-numerators, and each stored weight is one quotient rounded once. Every
-update adds to the gold row what it takes from the rival row, so each
-column of the raw weights, and of the numerators, sums to zero. Pairs that
-share a feature set share its raw scores; a reuse sums again only the rows
-updated since, and of those all but one, which is minus the sum of the
-others. The integer weights make both exact (see
-``AveragedPerceptron.fit``). Model files list the weights label-major
-(transition -> feature -> weight), as strings.
+predicates followed by each s1 x s2 conjunction ``f"{a}&{b}"``, by s1 then
+s2 predicate. One ``_Expansion`` gives a key's ids in that order, by bit
+position over the vocabulary's ``names``, for ``fit`` and ``score`` alike:
+the positions with an id, ordered by name, split into runs that share a
+name prefix (``graph:``, ``q1:``, ``s1:``, ...), and ids are memoized per
+run part, per s1 and s2 part and per (s1, s2) position pair, so each
+string is built and looked up once. ``fit`` expands each distinct feature
+set of its pairs once, over the positions its sets use, ranked by name,
+and interns each string when first met (``index.setdefault``), as a pass
+over the expanded strings would. A bound classifier expands over the
+model's vocabulary, whose positions ascend in name order, and looks ids up
+(``index.get``); its runs cover the bits with an id, and its s1 and s2
+masks the sides of its indexed conjunctions: each indexed string that
+starts with "s1:" split at every "&s2:" in it, since a lemma may hold
+"&s2:" too (``_sides``). A lemma predicate that spells a conjunction shares
+the conjunction's id both ways.
 
-A classifier knows each indexed string, conjunctions included, since a
-lemma predicate may spell one, and each s1 and s2 predicate of its pair
-table (``_pair_table``). The table registers each indexed string that
-starts with "s1:" at every "&s2:" in it, since a lemma may hold "&s2:" as
-well; so (a, b) is in the table exactly when ``f"{a}&{b}"`` is indexed. The
+Training keeps the raw weights and, per weight, the sum of each update
+times the step it was made at, all as Python ints. After ``step`` steps the
+averaged weight is (step * raw - sum) / step: the averaging is exact, the
+check that the averaged weights fit is made on the integer numerators, and
+each stored weight is one quotient rounded once. Every update adds to the
+gold row what it takes from the rival row, so each column of the raw
+weights, and of the numerators, sums to zero. Pairs that share a feature
+set share its raw scores; a reuse sums again only the rows updated since,
+and of those all but one, which is minus the sum of the others. The integer
+weights make both exact (see ``AveragedPerceptron.fit``). Model files list
+the weights label-major (transition -> feature -> weight), as strings.
+
+A classifier knows each indexed string and each conjunction side. The
 ``Model`` numbers every predicate any of its classifiers knows, in sorted
-order, as its ``vocabulary``: bit p of a key is ``vocabulary.names[p]``. It
-binds each classifier to it, and the classifier keeps ``known``, the int of
-its bits, and its ids and pair table by bit position.
-
-A score reads a key: the bits of a set's known predicates. Its ids are
-those of the key's bits with an id in ascending order, then, for each bit
-with a pair row in ascending order, the row's hits among the key's s2 bits
-in ascending order. The vocabulary is numbered in sorted predicate order,
-so ascending bits are the sorted predicates and this is the expanded order
-without its strings. A transition's weights are added one
-at a time in that order. Float addition is not associative, so the order
-fixes the result; ``sum()`` is never used, as its float rounding differs
-between Python versions.
-
-Keys seldom repeat, but their parts do, so a score memoizes its id list by
-part. The vocabulary's ``blocks`` are the runs of positions that share a
-name prefix (``graph:``, ``q1:``, ``s1:``, ...), in position order. Per
-block that holds a bit with an id, the classifier maps the key's part in
-the block to the ids of its bits; and it maps the key's bits with a pair
-row and its s2 bits, as one int, to their pair ids. The block tuples in block order, then
-the pair tuple, are the id list above in its order, so the sums are the
-same to the bit.
+order, as its ``vocabulary``: bit p of a key is ``vocabulary.names[p]``, so
+ascending bits are sorted predicates. It binds each classifier to it, and
+the classifier keeps ``known``, the int of its bits. A score reads a key,
+the bits of a set's known predicates, and adds a transition's weights one
+at a time in expanded order. Float addition is not associative, so the
+order fixes the result; ``sum()`` is never used, as its float rounding
+differs between Python versions.
 
 Parsing ranks each distinct key once per classifier. ``predict`` featurizes
 over the model's vocabulary, where a predicate no classifier knows gets no
@@ -76,10 +67,11 @@ order and bit-identical sums. A classifier that knows no predicate keys
 every configuration as 0 and is not featurized for. ``predict`` scores the
 key itself on a miss, skips the kinds ``allowed_kinds`` excludes after the
 ranking, so that one memo serves both pipelines, and returns the first
-legal transition. ``fit`` and ``load`` unbind a classifier, binding empties
-its ranking and id memos, and ``predict`` binds the model again when a
-classifier is not bound to its vocabulary. A ranking-memo miss otherwise
-adds one ranking and at most one entry to each id memo.
+legal transition. ``fit`` and ``load`` unbind a classifier, binding gives
+it a new expansion and an empty ranking memo, and ``predict`` binds the
+model again when a classifier is not bound to its vocabulary. A
+ranking-memo miss otherwise adds one ranking and at most one entry to each
+id memo.
 """
 
 from __future__ import annotations
@@ -88,21 +80,19 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus_io import TreebankDocument, dumps_treebank
-# extract_features, SLOTS and EDGE_PAIRS are re-exported: the benchmark's
-# tracer rebinds ``learning.extract_features`` by name.
+# extract_features is re-exported: the benchmark's tracer rebinds
+# ``learning.extract_features`` by name.
 from .features import (
-    EDGE_PAIRS,
-    SLOTS,
     FeatureSetSpec,
     Vocabulary,
     extract_features,
     featurize,
     positions,
-    prefix_blocks,
 )
 from .graph import HybridGraph, Phrase
 from .oracle import oracle_sequence
@@ -135,81 +125,72 @@ class TrainingError(Exception):
     pass
 
 
-def _expanded(keys: List[int], names: Sequence[str]) -> Tuple[Dict[str, int], List[tuple]]:
-    """The index of expanded features, and per key the ids of its expanded
-    features: its predicates (bit p is ``names[p]``) in sorted order, then
-    each s1 x s2 conjunction ``f"{a}&{b}"``, both in sorted order.
+class _Expansion:
+    """The ids of a key's expanded features, by bit position over ``names``
+    (see the module docstring). ``order`` lists the positions with an id by
+    name, ``s1`` and ``s2`` are the masks of the conjunction sides, and
+    ``lookup`` gives a feature string's id, or None. ``rank``, a sort key,
+    orders positions by name; it is None where ascending positions are in
+    name order already, as over a sorted vocabulary."""
 
-    Sorted by name, the used positions split into runs that share the part
-    of the name before the first ":", so the sorted predicates are each
-    run's part of the key in run order. Ids are memoized per run part, per
-    s1 and s2 part and per (s1, s2) position pair, so each string is built
-    once. A string is interned when first met, as a pass over the expanded
-    strings would intern it, and two expansions that spell one string (a
-    lemma predicate that spells a conjunction) share its id."""
-    index: Dict[str, int] = {}
-    union = 0
-    for key in keys:
-        union |= key
-    used = positions(union)
-    used.sort(key=names.__getitem__)
-    rank = dict(zip(used, range(len(used))))
-    # Per run, (its mask, its part of a key -> ids); and the s1 and s2 bits.
-    runs = [(mask, {}) for mask in prefix_blocks(names, used)]
-    s1 = s2 = 0
-    for p in used:
-        if names[p].startswith("s1:"):
-            s1 |= 1 << p
-        elif names[p].startswith("s2:"):
-            s2 |= 1 << p
-    # The s1 and s2 part of a key -> its conjunction ids, and per s1
-    # position, s2 position -> the id of their conjunction.
-    pair_ids: Dict[int, tuple] = {}
-    conjoined: Dict[int, Dict[int, int]] = {}
-    ids_of = []
-    for key in keys:
+    def __init__(self, names: Sequence[str], order: List[int], s1: int, s2: int, lookup, rank):
+        self.names, self.s1, self.s2, self.lookup, self.rank = names, s1, s2, lookup, rank
+        # Per run, (its mask, its part of a key -> ids).
+        runs = groupby(order, key=lambda p: names[p].partition(":")[0])
+        self.runs = [(sum(1 << p for p in run), {}) for _, run in runs]
+        # The s1 and s2 part of a key -> its conjunction ids.
+        self.conjunctions: Dict[int, Tuple[int, ...]] = {}
+        # Per s1 position, s2 position -> the id of their conjunction, or None.
+        self.by_pair: Dict[int, Dict[int, Optional[int]]] = {}
+
+    def ids(self, key: int) -> Tuple[int, ...]:
         ids: tuple = ()
-        for mask, memo in runs:
+        for mask, memo in self.runs:
             part = key & mask
             got = memo.get(part)
             if got is None:
-                got = memo[part] = tuple(
-                    index.setdefault(names[p], len(index))
-                    for p in sorted(positions(part), key=rank.__getitem__)
-                )
+                ranked = sorted(positions(part), key=self.rank)
+                got = memo[part] = tuple(map(self.lookup, map(self.names.__getitem__, ranked)))
             ids += got
-        part = key & (s1 | s2)
-        got = pair_ids.get(part)
+        part = key & (self.s1 | self.s2)
+        got = self.conjunctions.get(part)
         if got is None:
-            seconds = sorted(positions(part & s2), key=rank.__getitem__)
-            out = []
-            for a in sorted(positions(part & s1), key=rank.__getitem__):
-                row = conjoined.setdefault(a, {})
-                for b in seconds:
-                    i = row.get(b)
-                    if i is None:
-                        i = row[b] = index.setdefault(f"{names[a]}&{names[b]}", len(index))
+            got = self.conjunctions[part] = self._conjoin(part)
+        return ids + got
+
+    def _conjoin(self, part: int) -> Tuple[int, ...]:
+        names = self.names
+        seconds = sorted(positions(part & self.s2), key=self.rank)
+        out = []
+        for a in sorted(positions(part & self.s1), key=self.rank):
+            row = self.by_pair.get(a)
+            if row is None:
+                row = self.by_pair[a] = {}
+            for b in seconds:
+                i = row.get(b)
+                if i is None and b not in row:
+                    i = row[b] = self.lookup(f"{names[a]}&{names[b]}")
+                if i is not None:
                     out.append(i)
-            got = pair_ids[part] = tuple(out)
-        ids_of.append(ids + got)
-    return index, ids_of
+        return tuple(out)
 
 
-def _pair_table(index: Dict[str, int]) -> Dict[str, Dict[str, int]]:
-    """s1 predicate -> s2 predicate -> id of the indexed ``f"{a}&{b}"``.
+def _sides(index: Dict[str, int]) -> Tuple[frozenset, frozenset]:
+    """The s1 and s2 predicates whose conjunction ``f"{a}&{b}"`` is indexed.
 
-    An indexed string is registered at every "&s2:" it holds, because a
-    lemma may contain "&s2:" too: (a, b) is registered for a string exactly
-    when the string is a + "&" + b."""
-    pairs: Dict[str, Dict[str, int]] = {}
-    for feat, i in index.items():
+    An indexed string that starts with "s1:" is split at every "&s2:" it
+    holds, because a lemma may contain "&s2:" too: (a, b) is a split of a
+    string exactly when the string is a + "&" + b."""
+    firsts, seconds = set(), set()
+    for feat in index:
         if not feat.startswith("s1:"):
             continue
         at = feat.find("&s2:")
         while at >= 0:
-            pairs.setdefault(feat[:at], {})[feat[at + 1 :]] = i
+            firsts.add(feat[:at])
+            seconds.add(feat[at + 1 :])
             at = feat.find("&s2:", at + 1)
-    return pairs
+    return frozenset(firsts), frozenset(seconds)
 
 
 class AveragedPerceptron:
@@ -226,9 +207,9 @@ class AveragedPerceptron:
         # Expanded feature -> id, and per label its weights by id.
         self.index: Dict[str, int] = {}
         self.rows: List[List[float]] = [[] for _ in self.labels]
-        # s1 predicate -> s2 predicate -> id of their conjunction, and every
-        # predicate a score reads.
-        self.pairs: Dict[str, Dict[str, int]] = {}
+        # The s1 and s2 sides of the indexed conjunctions (``_sides``), and
+        # every predicate a score reads.
+        self.sides: Tuple[frozenset, frozenset] = (frozenset(), frozenset())
         self.predicates: frozenset = frozenset()
         self._unbind()
 
@@ -245,7 +226,7 @@ class AveragedPerceptron:
         checks.
 
         Each distinct feature set is numbered in order of first appearance
-        and its expanded ids are found once (``_expanded``), so the index is
+        and its expanded ids are found once (``_Expansion``), so the index is
         the one a pass pair by pair would build. Pairs that share a set
         share its raw scores: they are kept with the number of updates made
         when they were last brought up to date. An update changes two rows,
@@ -262,7 +243,18 @@ class AveragedPerceptron:
         """
         number: dict = {}
         set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
-        index, ids_of = _expanded(list(number), names)
+        union = 0
+        for feats in number:
+            union |= feats
+        used = sorted(positions(union), key=names.__getitem__)
+        s1 = sum(1 << p for p in used if names[p].startswith("s1:"))
+        s2 = sum(1 << p for p in used if names[p].startswith("s2:"))
+        rank = dict(zip(used, range(len(used))))
+        index: Dict[str, int] = {}
+        expansion = _Expansion(
+            names, used, s1, s2, lambda feat: index.setdefault(feat, len(index)), rank.__getitem__
+        )
+        ids_of = list(map(expansion.ids, number))
         getters = [_getter(ids) for ids in ids_of]
         position = {label: j for j, label in enumerate(self.labels)}
         golds = [position[label] for _, label in pairs]
@@ -361,70 +353,41 @@ class AveragedPerceptron:
         self._derive_tables()
 
     def _derive_tables(self) -> None:
-        """The pair table and the predicates of the current index, unbound."""
-        self.pairs = _pair_table(self.index)
-        inner = {b for hits in self.pairs.values() for b in hits}
-        self.predicates = frozenset(self.index).union(self.pairs, inner)
+        """The conjunction sides and the predicates of the current index,
+        unbound."""
+        self.sides = _sides(self.index)
+        self.predicates = frozenset(self.index).union(*self.sides)
         self._unbind()
 
     def _unbind(self) -> None:
         self.vocabulary: Optional[Vocabulary] = None
-        self.known = self.s1_bits = self.s2_bits = 0
-        # Per bit position: its id, and its pair row (s2 position -> id), or None.
-        self.plain: List[Optional[int]] = []
-        self.pair_rows: List[Optional[Dict[int, int]]] = []
+        self.known = 0
+        self.expansion: Optional[_Expansion] = None
         # The ranking memo: key -> labels as transitions, best first (predict).
         self.rankings: Dict[int, Tuple[Transition, ...]] = {}
-        # The id memos of score: per vocabulary block with an id, (the block's
-        # bits with an id, block part of a key -> its ids); and the pair part
-        # of a key -> its pair ids.
-        self.blocks: List[Tuple[int, Dict[int, Tuple[int, ...]]]] = []
-        self.pair_ids: Dict[int, Tuple[int, ...]] = {}
 
     def bind(self, vocabulary: Vocabulary) -> None:
         """Key scores by the bits of ``vocabulary``, a fixed vocabulary in
         sorted predicate order that holds every predicate this classifier
-        knows, and empty the ranking and id memos."""
-        ids = vocabulary.ids
-        plain: list = [None] * len(ids)
-        pair_rows: list = [None] * len(ids)
-        weighted = s1 = s2 = 0
-        for f, i in self.index.items():
-            p = ids[f]
-            plain[p] = i
-            weighted |= 1 << p
-        for a, hits in self.pairs.items():
-            p = ids[a]
-            s1 |= 1 << p
-            row = pair_rows[p] = {}
-            for b, i in hits.items():
-                q = ids[b]
-                row[q] = i
-                s2 |= 1 << q
-        self.plain, self.pair_rows = plain, pair_rows
-        self.known = weighted | s1 | s2
-        self.s1_bits, self.s2_bits = s1, s2
+        knows, with a new expansion and an empty ranking memo."""
+        firsts, seconds = self.sides
+        self.expansion = _Expansion(
+            vocabulary.names,
+            sorted(map(vocabulary.ids.__getitem__, self.index)),
+            vocabulary.encode(firsts),
+            vocabulary.encode(seconds),
+            self.index.get,
+            None,
+        )
+        self.known = vocabulary.encode(self.predicates)
         self.vocabulary = vocabulary
         self.rankings = {}
-        self.blocks = [(mask & weighted, {}) for mask in vocabulary.blocks if mask & weighted]
-        self.pair_ids = {}
 
     def score(self, key: int) -> Dict[str, float]:
         """Per-label weight sums over the expanded features of a key, the
         bits of known predicates over the bound vocabulary, each added one
-        at a time in expanded feature order (see ``_expanded``)."""
-        ids: tuple = ()
-        for mask, memo in self.blocks:
-            part = key & mask
-            got = memo.get(part)
-            if got is None:
-                got = memo[part] = tuple(map(self.plain.__getitem__, positions(part)))
-            ids += got
-        part = key & (self.s1_bits | self.s2_bits)
-        got = self.pair_ids.get(part)
-        if got is None:
-            got = self.pair_ids[part] = self._pair_ids(part)
-        ids += got
+        at a time in expanded feature order."""
+        ids = self.expansion.ids(key)
         scores = {}
         for label, row in zip(self.labels, self.rows):
             total = 0.0
@@ -432,18 +395,6 @@ class AveragedPerceptron:
                 total += row[i]
             scores[label] = total
         return scores
-
-    def _pair_ids(self, part: int) -> Tuple[int, ...]:
-        """The ids of the conjunctions a key's s1 and s2 bits make, by s1
-        then s2 position."""
-        s2 = positions(part & self.s2_bits)
-        out = []
-        for row in map(self.pair_rows.__getitem__, positions(part & self.s1_bits)):
-            for q in s2:
-                i = row.get(q)
-                if i is not None:
-                    out.append(i)
-        return tuple(out)
 
     def weights_by_label(self) -> Dict[str, Dict[str, float]]:
         """The weights label-major (label -> feature -> weight), as stored."""

@@ -13,9 +13,10 @@ from hybridparse import (
     MorphSegment,
     Phrase,
 )
-from hybridparse.convert import ConversionReport, expand_bridges, to_pure_dependency
+from hybridparse.convert import ConversionReport, EnrichedEdges, expand_bridges, to_pure_dependency
 from hybridparse.corpus_io import GraphMetadata, TreebankDocument, dumps_treebank
 from hybridparse.transitions import working
+from hybridparse.vocab import DEFAULT_TAGS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -249,7 +250,7 @@ def verse_4_141():
     pure, _ = to_pure_dependency(graph)
     save("fig_9_7_pure.conllx", pure, "(4:141)")
     stage1 = working(pure)
-    expand_bridges(stage1, ConversionReport())
+    expand_bridges(stage1, ConversionReport(), DEFAULT_TAGS, EnrichedEdges(stage1, DEFAULT_TAGS))
     save("fig_9_9_stage1.conllx", stage1.graph, "(4:141)")
 
 

@@ -23,6 +23,7 @@ from hybridparse.convert import (
     FROM_PURE_STAGES,
     TO_PURE_STAGES,
     ConversionReport,
+    EnrichedEdges,
     expand_bridges,
     expand_phrases,
     reinsert_dropped_pronouns,
@@ -118,10 +119,11 @@ def test_fig_9_9_two_stage_restoration():
     stage1_expected = load_graph("fig_9_9_stage1.conllx")
     hybrid_expected = load_graph("fig_6_22_hybrid.conllx")
     config, report = working(pure), ConversionReport()
-    expand_bridges(config, report)
+    found = EnrichedEdges(config, DEFAULT_TAGS)
+    expand_bridges(config, report, DEFAULT_TAGS, found)
     assert config.graph == stage1_expected
-    expand_phrases(config, report)
-    reinsert_dropped_pronouns(config, report)
+    expand_phrases(config, report, DEFAULT_TAGS, found)
+    reinsert_dropped_pronouns(config, report, DEFAULT_TAGS, found)
     assert config.graph == hybrid_expected
     # and the public entry point gives the same result
     full, report = from_pure_dependency(pure)
@@ -136,7 +138,7 @@ def test_failed_expansion_keeps_its_label_verbatim():
         edges=[(0, 2, "+obj"), (3, 0, "adj"), (1, 2, "subj")],
     )
     config, report = working(pure), ConversionReport()
-    expand_phrases(config, report)
+    expand_phrases(config, report, DEFAULT_TAGS, EnrichedEdges(config, DEFAULT_TAGS))
     assert config.graph == pure
     assert report.reconstruction_errors == [
         ("0 -+obj-> 2", "subgraph of 0 yields a non-contiguous set [0, 3]")
@@ -146,7 +148,7 @@ def test_failed_expansion_keeps_its_label_verbatim():
     # An endpoint past the last terminal has no span to expand onto.
     dangling = graph_from([seg(1), seg(2, "V")], edges=[(7, 1, "+obj")])
     config, report = working(dangling), ConversionReport()
-    expand_phrases(config, report)
+    expand_phrases(config, report, DEFAULT_TAGS, EnrichedEdges(config, DEFAULT_TAGS))
     assert config.graph == dangling
     assert report.reconstruction_errors == [("7 -+obj-> 1", "unknown node 7")]
 
@@ -194,7 +196,7 @@ def test_from_pure_identity_without_enrichment():
 
 def reinserted(graph: HybridGraph) -> HybridGraph:
     config = working(graph)
-    reinsert_dropped_pronouns(config, ConversionReport())
+    reinsert_dropped_pronouns(config, ConversionReport(), DEFAULT_TAGS, EnrichedEdges(config, DEFAULT_TAGS))
     return config.graph
 
 
@@ -224,6 +226,24 @@ def test_a_verb_whose_subject_is_a_phrase_gets_no_pronoun():
     pure, report = to_pure_dependency(graph)
     assert not report.lossy
     assert {e.relation for e in pure.edges} == {"+subj", "adj"}
+    assert from_pure_dependency(pure)[0] == graph
+    assert is_convertible(graph)
+
+
+def test_a_verb_whose_subject_is_a_phrase_heads_a_vs_phrase():
+    """The verb's phrase is expanded while its subject edge still reads
+    "+subj", which counts as the verb's subject, so the phrase is tagged VS
+    again."""
+    clause = Phrase(1, 3, "VS")
+    subject = Phrase(2, 3, "S")
+    graph = HybridGraph(
+        (seg(1, "SUB"), seg(2, "V"), seg(3), seg(4, "ADJ")),
+        frozenset({clause, subject}),
+        frozenset({Edge(clause, 0, "link"), Edge(subject, 1, "subj"), Edge(3, 2, "adj")}),
+    )
+    pure, report = to_pure_dependency(graph)
+    assert not report.lossy
+    assert {e.relation for e in pure.edges} == {"+link", "+subj", "adj"}
     assert from_pure_dependency(pure)[0] == graph
     assert is_convertible(graph)
 
@@ -330,8 +350,8 @@ def test_relabeling_deterministic():
 # random. A change to the order in which a stage finds or renumbers its
 # terminals that moves one index moves these hashes.
 CONVERSION_SHA256 = {
-    "+phrases,+ellipsis": "5a74012cff956db8b945d0a45955ec66fe82e9025e5ec91a9a51ed2d2b088c7d",
-    "+phrases,+ellipsis,+disconnected": "b978df34d91828235b277880f51374517b29564dff28d2cd8748c9332be0147a",
+    "+phrases,+ellipsis": "dd460429f716477f0c9031dbcc0d7146aa3b18eb9249d1dfa71c8b04bddf830b",
+    "+phrases,+ellipsis,+disconnected": "f42371c5974fa6ed19b67182ef9a47efc7508789f6ec340ee202b89b48a739ae",
     "+phrases,+ellipsis,+non-projective": "1e7586f1706af31419b89d9972b8b4157ac1dc161ca0eea7499b1fa14a1257ec",
 }
 
@@ -409,10 +429,12 @@ def test_conversion_builds_do_not_grow_with_terminal_edits(monkeypatch):
 def converted_stage_by_stage(graph: HybridGraph, stages, converted: tuple) -> HybridGraph:
     """Run ``stages`` on a working copy of ``graph``, checking the working
     state against a rebuild after each; the result and the report are
-    ``converted``, what the public entry point gave."""
+    ``converted``, what the public entry point gave. The restoring stages
+    share one scan of the graph, as they do there."""
     config, report = working(graph), ConversionReport()
+    found = (EnrichedEdges(config, DEFAULT_TAGS),) if stages is FROM_PURE_STAGES else ()
     for stage in stages:
-        stage(config, report, DEFAULT_TAGS)
+        stage(config, report, DEFAULT_TAGS, *found)
         assert_working_state_equals_a_rebuild(config)
     assert (config.graph, report) == converted
     return config.graph

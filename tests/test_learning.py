@@ -25,11 +25,9 @@ from hybridparse import (
 )
 from hybridparse import features, learning, transitions
 from hybridparse.engine import parse_integrated, parse_multi_step
-from hybridparse.features import FEATURE_SETS, Vocabulary, _static_predicates
+from hybridparse.features import EDGE_PAIRS, FEATURE_SETS, SLOTS, Vocabulary, _static_predicates
 from hybridparse.graph import EmptyCategory, HybridGraph, Phrase, mask_span
 from hybridparse.learning import (
-    EDGE_PAIRS,
-    SLOTS,
     AveragedPerceptron,
     TrainingError,
     featurize,
@@ -343,7 +341,9 @@ spelling_sets = st.frozensets(
 def test_fit_matches_the_per_pair_reference(pairs, times, conflicting, seed, shuffler):
     """Repeated feature sets, mixed with sets labelled two ways, give the
     epochs, index and weights of a fit that treats every pair on its own,
-    also when a lemma predicate and a conjunction intern one string."""
+    also when a lemma predicate and a conjunction intern one string; and the
+    fitted classifier scores every set as the reference scorer does, so fit
+    and score expand both spellings alike."""
     pairs = pairs * times + [(feats, label) for feats in conflicting for label in "ab"]
     shuffler.shuffle(pairs)
     labels = sorted({label for _, label in pairs})
@@ -352,6 +352,8 @@ def test_fit_matches_the_per_pair_reference(pairs, times, conflicting, seed, shu
     assert _fit(clf, pairs) == epoch
     assert list(clf.index.items()) == list(index.items())
     assert _hex_weights(clf.weights_by_label()) == _hex_weights(weights)
+    for feats, _ in pairs:
+        assert _hex(_score(clf, feats)) == _hex(_reference_score(clf, feats))
 
 
 def test_fit_decodes_no_feature_set(monkeypatch):
@@ -563,9 +565,8 @@ def test_a_repeated_feature_key_is_rejected():
 
 
 def test_parsing_expands_no_feature_set_and_sorts_no_edges(monkeypatch):
-    """Scoring finds conjunctions in the classifier's pair table by bit
-    position, and the dynamic predicates read the graph's edge lists as they
-    are: a long parse has learning sort no dependent edges."""
+    """The dynamic predicates read the graph's edge lists as they are: a
+    long parse has learning sort no dependent edges."""
     model = pinned_model("hybrid-lemma")
     sentence = concatenate(generate(3, 30, PROFILE).graphs)
     counts: Counter = Counter()
@@ -811,9 +812,15 @@ def test_predict_matches_the_reference(graphs):
 
 
 def _known(clf) -> set:
-    """The predicates a classifier's scores can read."""
-    inner = {b for hits in clf.pairs.values() for b in hits}
-    return set(clf.index) | set(clf.pairs) | inner
+    """The predicates a classifier's scores can read: each indexed string,
+    and the two sides of an indexed s1 string split at any "&s2:" in it."""
+    out = set(clf.index)
+    for feat in clf.index:
+        if feat.startswith("s1:"):
+            parts = feat.split("&s2:")
+            for k in range(1, len(parts)):
+                out.update(("&s2:".join(parts[:k]), "s2:" + "&s2:".join(parts[k:])))
+    return out
 
 
 @pytest.mark.parametrize("case", ["hybrid-lemma", "pure-morph6"])
@@ -853,7 +860,7 @@ def test_a_second_parse_scores_nothing(monkeypatch, case):
 
 
 def test_the_memo_tells_apart_sets_that_differ_in_a_conjunction_only():
-    """No predicate below is weighted alone, so only the pair table tells
+    """No predicate below is weighted alone, so only the conjunctions tell
     the sets apart: by the s1 lemma, then by the s2 part of speech. The lemma
     z is unknown: its labels tie, and the smaller one ranks first."""
     weights = {
@@ -1159,44 +1166,38 @@ def test_a_parse_featurizes_only_for_classifiers_that_read_a_bit(monkeypatch, ca
 
 
 def test_the_id_memos_hold_at_most_one_entry_per_ranking_and_bind_empties_them():
-    """A ranking-memo miss adds at most one entry to each block memo and to
-    the pair memo, and misses share entries."""
+    """A ranking-memo miss adds at most one entry to each run memo and to
+    the conjunction memo, and misses share entries."""
     model = _fresh(pinned_model("hybrid-lemma"))
     parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
     for clf in model.classifiers.values():
-        memos = [memo for _, memo in clf.blocks] + [clf.pair_ids]
+        memos = [memo for _, memo in clf.expansion.runs] + [clf.expansion.conjunctions]
         assert all(len(memo) <= len(clf.rankings) for memo in memos)
     n = model.classifiers["N"]
-    assert len(n.rankings) > 100 and min(len(memo) for _, memo in n.blocks) < len(n.rankings) / 2
+    runs = n.expansion.runs
+    assert len(n.rankings) > 100 and min(len(memo) for _, memo in runs) < len(n.rankings) / 2
     model.bind()
     for clf in model.classifiers.values():
-        assert not clf.rankings and not clf.pair_ids
-        assert not any(memo for _, memo in clf.blocks)
+        assert not clf.rankings and not clf.expansion.conjunctions
+        assert not any(memo for _, memo in clf.expansion.runs)
 
 
-def test_block_masks_are_built_once_per_vocabulary(monkeypatch):
-    """The model's vocabulary splits its positions into one run per name
-    prefix, once; binding and scoring only read the masks. Each classifier's
-    blocks cover exactly its bits with an id, in position order."""
-    text = pinned_model("hybrid-lemma").serialize()
-    built = record_calls(monkeypatch, features, "prefix_blocks")
-    model = Model.deserialize(text)
-    parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
-    assert len(built) == 1
+def test_the_runs_cover_the_bits_with_an_id_one_per_prefix():
+    """Each bound classifier's runs cover exactly its bits that have an id,
+    one run per name prefix, in position order."""
+    model = _fresh(pinned_model("hybrid-lemma"))
     names = model.vocabulary.names
-    prefixes = [names[p].partition(":")[0] for p in range(len(names))]
-    blocks = model.vocabulary.blocks
-    assert len(blocks) == len(set(prefixes)) > 1
-    assert sum(blocks) == (1 << len(names)) - 1
-    for mask in blocks:
-        assert len({prefixes[p] for p in features.positions(mask)}) == 1
-        assert mask_span(mask) is not None
+    prefixes = set()
     for clf in model.classifiers.values():
-        masks = [mask for mask, _ in clf.blocks]
-        weighted = [p for p, i in enumerate(clf.plain) if i is not None]
-        assert [p for mask in masks for p in features.positions(mask)] == weighted
-    model.bind()
-    assert len(built) == 2
+        masks = [mask for mask, _ in clf.expansion.runs]
+        covered = [p for mask in masks for p in features.positions(mask)]
+        assert covered == sorted(model.vocabulary.ids[f] for f in clf.index)
+        heads = [names[features.positions(mask)[0]].partition(":")[0] for mask in masks]
+        assert len(set(heads)) == len(heads)
+        for mask, head in zip(masks, heads):
+            assert {names[p].partition(":")[0] for p in features.positions(mask)} == {head}
+        prefixes.update(heads)
+    assert len(prefixes) > 1
 
 
 _RUNS = st.builds(lambda start, length: ((1 << length) - 1) << start, st.integers(0, 300), st.integers(1, 300))
