@@ -7,8 +7,15 @@ heads. Node identity is structural: a terminal is addressed by its
 0-based index, a phrase by its (start, end, tag) triple.
 
 The values a corpus holds by the thousand (``Location``, ``MorphSegment``,
-``EmptyCategory``, ``Phrase`` and ``Edge``) are frozen dataclasses with
-slots, so they carry no per-instance ``__dict__``. Equal feature sets
+``EmptyCategory``, ``Phrase`` and ``Edge``) are named tuples whose
+``__new__`` checks the fields; ``_make``, ``_replace``, copying and
+unpickling go through it too. They carry no per-instance ``__dict__``, and
+building one is a single tuple build, while hashing, equality and field
+reads run in C. Their hash, ``repr`` and the ordering of locations and of
+phrases are those of the field tuple, as the frozen dataclasses they
+replace had. They compare as tuples, so a phrase equals the 3-tuple of its
+fields, and an edge would equal a phrase only if its relation were spelled
+as a phrase tag, which no default relation is. Equal feature sets
 share one validated, sorted tuple (``shared_features``): a process-wide
 memo maps the given tuple, and the sorted one, to it. Feature keys and
 values must therefore be hashable; a segment with an unhashable one raises
@@ -47,6 +54,7 @@ one-terminal edits, so one edit equals its terminals edited one at a time.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -70,19 +78,32 @@ class NonProjectiveError(GraphError):
     """Subgraph yield is not a contiguous interval."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Location:
+class _Value:
+    """Routes ``_make``, and with it ``_replace``, and copying and unpickling
+    under every pickle protocol through ``__new__``, so a value built from
+    fields is checked, and its features shared, as by its constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class Location(_Value, namedtuple("Location", "chapter verse token segment")):
     """Chapter:verse:token[:segment] reference. All components >= 1."""
 
-    chapter: int
-    verse: int
-    token: int = 1
-    segment: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("chapter", "verse", "token", "segment"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"location {name} must be >= 1")
+    def __new__(cls, chapter: int, verse: int, token: int = 1, segment: int = 1):
+        fields = (chapter, verse, token, segment)
+        if chapter < 1 or verse < 1 or token < 1 or segment < 1:
+            name = next(n for n, v in zip(cls._fields, fields) if v < 1)
+            raise ValueError(f"location {name} must be >= 1")
+        return tuple.__new__(cls, fields)
 
     def __str__(self) -> str:
         if self.segment != 1:
@@ -116,20 +137,27 @@ def shared_features(given) -> tuple:
     return feats
 
 
-@dataclass(frozen=True, slots=True)
-class MorphSegment:
+class MorphSegment(
+    _Value,
+    namedtuple("MorphSegment", "location form pos features lemma root is_reference"),
+):
     """One syntactic unit: a prefix, stem or suffix of a word-form."""
 
-    location: Location
-    form: str
-    pos: str
-    features: tuple = ()
-    lemma: Optional[str] = None
-    root: Optional[str] = None
-    is_reference: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", shared_features(self.features))
+    def __new__(
+        cls,
+        location: Location,
+        form: str,
+        pos: str,
+        features=(),
+        lemma: Optional[str] = None,
+        root: Optional[str] = None,
+        is_reference: bool = False,
+    ):
+        return tuple.__new__(
+            cls, (location, form, pos, shared_features(features), lemma, root, is_reference)
+        )
 
     def feature(self, name: str, default: str = "") -> str:
         for key, value in self.features:
@@ -142,50 +170,47 @@ class MorphSegment:
         return dict(self.features)
 
 
-@dataclass(frozen=True, slots=True)
-class EmptyCategory:
+class EmptyCategory(_Value, namedtuple("EmptyCategory", "pos form")):
     """Terminal node for a reconstructed word. Position in the terminal
     sequence carries its anchoring; the form is the reconstructed surface.
     """
 
-    pos: str
-    form: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.form:
+    def __new__(cls, pos: str, form: str):
+        if not form:
             raise ValueError("empty category needs a non-empty form")
+        return tuple.__new__(cls, (pos, form))
 
 
 Terminal = Union[MorphSegment, EmptyCategory]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Phrase:
+class Phrase(_Value, namedtuple("Phrase", "start end tag")):
     """Phrase node: inclusive (start, end) span over terminal indices."""
 
-    start: int
-    end: int
-    tag: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start > self.end:
+    def __new__(cls, start: int, end: int, tag: str):
+        if start > end:
             raise ValueError("phrase span start must be <= end")
-        if self.start < 0:
+        if start < 0:
             raise ValueError("phrase span start must be >= 0")
+        return tuple.__new__(cls, (start, end, tag))
 
 
 NodeRef = Union[int, Phrase]
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    dependent: NodeRef
-    head: NodeRef
-    relation: str
+class Edge(_Value, namedtuple("Edge", "dependent head relation")):
+    """A dependent -> head edge; either end is a terminal index or a phrase."""
 
-    def __post_init__(self):
-        if self.dependent == self.head:
+    __slots__ = ()
+
+    def __new__(cls, dependent: NodeRef, head: NodeRef, relation: str):
+        if dependent == head:
             raise ValueError("edge endpoints must differ")
+        return tuple.__new__(cls, (dependent, head, relation))
 
 
 @dataclass(frozen=True)

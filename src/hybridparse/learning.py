@@ -286,7 +286,7 @@ class AveragedPerceptron:
 
         epoch = 0
         for epoch in range(1, self.epochs + 1):
-            rng.shuffle(order)
+            _shuffle(order, rng)
             mistakes = 0
             for idx in order:
                 step += 1
@@ -402,6 +402,23 @@ class AveragedPerceptron:
             label: {feat: row[i] for feat, i in self.index.items() if row[i]}
             for label, row in zip(self.labels, self.rows)
         }
+
+
+def _shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place by Fisher-Yates from the end, drawing each
+    index below ``n = i + 1`` as ``n.bit_length()`` bits of
+    ``rng.getrandbits`` until a draw is below ``n``. This is
+    ``random.Random.shuffle``'s permutation, and leaves the generator in the
+    same state, on Python 3.10 to 3.13; training depends only on the
+    generator's bits, not on a stdlib algorithm that may change."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def _getter(ids: List[int]):

@@ -73,11 +73,12 @@ class _Builder:
         self.phrase_nodes = []
 
     # Indices below are positions in the terminal sequence. A segment is
-    # held as a (form, pos, features, lemma, root) tuple until ``build``
-    # gives it a location; an empty category is held as itself.
+    # held as a (form, pos, feature items, lemma, root) tuple until ``build``
+    # gives it a location; an empty category is held as itself. The items
+    # are kept as a tuple, the form ``shared_features`` looks up directly.
 
     def add_segment(self, form, pos, features, lemma=None, root=None) -> int:
-        self.terminals.append((form, pos, dict(features), lemma, root))
+        self.terminals.append((form, pos, tuple(features.items()), lemma, root))
         return len(self.terminals) - 1
 
     def add_empty(self, pos, form) -> int:
@@ -297,7 +298,7 @@ class _Builder:
                 terminals.append(term)
                 continue
             form, pos, feats, lemma, root = term
-            if feats.get("SegType") == "suffix" and token:
+            if ("SegType", "suffix") in feats and token:
                 loc = Location(chapter, verse, token, 2)
             else:
                 token += 1

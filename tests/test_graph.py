@@ -1,5 +1,6 @@
 import copy
 import pickle
+from dataclasses import dataclass
 from itertools import permutations
 
 import pytest
@@ -480,7 +481,7 @@ def test_equal_feature_sets_share_one_tuple():
     for segment in segments:
         assert segment.features is shared
         assert segment == segments[0]
-        # A frozen dataclass hashes the tuple of its fields.
+        # A value hashes as the tuple of its fields.
         assert hash(segment) == hash((Location(1, 1), "w", "N", expected, None, None, False))
         assert segment.feature_map == dict(given)
     assert repr(segments[0]) == (
@@ -538,3 +539,232 @@ def test_pickle_and_deepcopy_round_trip_a_synth_graph(protocol):
         assert [type(t) for t in copied.terminals] == [type(t) for t in graph.terminals]
         assert copied.yield_masks() == graph.yield_masks()
         assert copied.validate() == graph.validate() == []
+
+
+# -- the values against the frozen dataclasses they were -----------------------
+
+
+def _reference(order=False):
+    """A frozen, slotted dataclass as the graph values were before they
+    became tuples; its repr names the value it stands for (``RefPhrase``
+    prints as ``Phrase``)."""
+
+    def wrap(cls):
+        cls.__qualname__ = cls.__name__.removeprefix("Ref")
+        return dataclass(frozen=True, order=order, slots=True)(cls)
+
+    return wrap
+
+
+@_reference(order=True)
+class RefLocation:
+    chapter: int
+    verse: int
+    token: int = 1
+    segment: int = 1
+
+    def __post_init__(self):
+        for name in ("chapter", "verse", "token", "segment"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"location {name} must be >= 1")
+
+
+@_reference()
+class RefMorphSegment:
+    location: RefLocation
+    form: str
+    pos: str
+    features: tuple = ()
+    lemma: str | None = None
+    root: str | None = None
+    is_reference: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", graph_module.shared_features(self.features))
+
+
+@_reference()
+class RefEmptyCategory:
+    pos: str
+    form: str
+
+    def __post_init__(self):
+        if not self.form:
+            raise ValueError("empty category needs a non-empty form")
+
+
+@_reference(order=True)
+class RefPhrase:
+    start: int
+    end: int
+    tag: str
+
+    def __post_init__(self):
+        if self.start > self.end:
+            raise ValueError("phrase span start must be <= end")
+        if self.start < 0:
+            raise ValueError("phrase span start must be >= 0")
+
+
+@_reference()
+class RefEdge:
+    dependent: object
+    head: object
+    relation: str
+
+    def __post_init__(self):
+        if self.dependent == self.head:
+            raise ValueError("edge endpoints must differ")
+
+
+VALUES = {
+    cls.__name__: cls for cls in (Location, MorphSegment, EmptyCategory, Phrase, Edge)
+}
+REFERENCES = {
+    cls.__qualname__: cls
+    for cls in (RefLocation, RefMorphSegment, RefEmptyCategory, RefPhrase, RefEdge)
+}
+
+# Fields as plain data; a segment's location and a phrase endpoint are field
+# tuples, built as values of the family under test. Locations and spans reach
+# below their bounds, edges join equal endpoints, forms are empty, and
+# feature sets repeat a key or hold an unhashable one.
+_small = st.integers(-1, 3)
+_tags = st.sampled_from(["S", "NP", "VS"])
+_node = st.one_of(
+    st.integers(0, 2),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), _tags).filter(lambda f: f[0] <= f[1]),
+)
+_feature = st.tuples(
+    st.one_of(st.sampled_from(["Case", "Number", "SegType"]), st.builds(list, st.just("Case"))),
+    st.sampled_from(["NOM", "S", "stem"]),
+)
+FIELDS = {
+    "Location": st.tuples(_small, _small, _small, _small),
+    "MorphSegment": st.tuples(
+        st.tuples(*[st.integers(1, 2)] * 4),
+        st.sampled_from(["w", "ka"]),
+        st.sampled_from(["N", "V"]),
+        st.lists(_feature, max_size=3) | st.lists(_feature, max_size=3).map(tuple),
+        st.sampled_from([None, "kataba"]),
+        st.sampled_from([None, "ktb"]),
+        st.booleans(),
+    ),
+    "EmptyCategory": st.tuples(st.sampled_from(["PRON", "V"]), st.sampled_from(["", "*", "huwa"])),
+    "Phrase": st.tuples(_small, _small, _tags),
+    "Edge": st.tuples(_node, _node, st.sampled_from(["subj", "obj"])),
+}
+kinds_and_fields = st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), FIELDS[kind])
+)
+
+
+def _fields(family: dict, kind: str, fields: tuple) -> tuple:
+    """The fields with nested locations and phrases built in ``family``."""
+    if kind == "MorphSegment":
+        return (family["Location"](*fields[0]),) + fields[1:]
+    if kind == "Edge":
+        ends = (family["Phrase"](*f) if isinstance(f, tuple) else f for f in fields[:2])
+        return (*ends, fields[2])
+    return fields
+
+
+def _outcome(build) -> tuple:
+    """("built", repr, hash) of the value ``build()`` returns, or ("raised",
+    type, message) of what it raises."""
+    try:
+        value = build()
+    except (TypeError, ValueError) as error:
+        return "raised", type(error), str(error)
+    return "built", repr(value), hash(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinds_and_fields)
+def test_values_build_and_fail_as_the_dataclasses_did(drawn):
+    """Each value has its dataclass's repr and hash, or raises the same
+    exception type with the same message, and a segment shares its feature
+    tuple with the dataclass's."""
+    kind, fields = drawn
+    value, reference = VALUES[kind], REFERENCES[kind]
+    got = _outcome(lambda: value(*_fields(VALUES, kind, fields)))
+    assert got == _outcome(lambda: reference(*_fields(REFERENCES, kind, fields)))
+    if kind == "MorphSegment" and got[0] == "built":
+        built = value(*_fields(VALUES, kind, fields))
+        assert built.features is reference(*_fields(REFERENCES, kind, fields)).features
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.lists(FIELDS[kind], min_size=2, max_size=6))
+))
+def test_values_compare_as_the_dataclasses_did(drawn):
+    """Equality among the values of one kind, and for locations and phrases
+    the ordering, are the dataclasses'."""
+    kind, many = drawn
+    values, references = [], []
+    for fields in many:
+        try:
+            references.append(REFERENCES[kind](*_fields(REFERENCES, kind, fields)))
+        except (TypeError, ValueError):
+            continue
+        values.append(VALUES[kind](*_fields(VALUES, kind, fields)))
+    for a, ra in zip(values, references):
+        for b, rb in zip(values, references):
+            assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+            if kind in ("Location", "Phrase"):
+                assert (a < b, a <= b, a > b, a >= b) == (ra < rb, ra <= rb, ra > rb, ra >= rb)
+
+
+def _rebuilds(value) -> list:
+    """The ways to build a value from another's fields besides the constructor."""
+    return [
+        lambda: type(value)._make(value),
+        lambda: value._replace(),
+        lambda: copy.copy(value),
+        lambda: copy.deepcopy(value),
+    ] + [
+        lambda protocol=protocol: pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinds_and_fields)
+def test_make_replace_copy_and_pickle_check_as_the_constructor(drawn):
+    """A tuple of any fields, built without the checks, comes back from
+    ``_make``, ``_replace``, a copy or a pickle round trip checked and with
+    its features shared as the constructor gives them, or raises as the
+    constructor does."""
+    kind, fields = drawn
+    cls = VALUES[kind]
+    given_fields = _fields(VALUES, kind, fields)
+    unchecked = tuple.__new__(cls, given_fields)
+    expected = _outcome(lambda: cls(*given_fields))
+    for rebuild in _rebuilds(unchecked):
+        assert _outcome(rebuild) == expected
+        if kind == "MorphSegment" and expected[0] == "built":
+            assert rebuild().features is cls(*given_fields).features
+
+
+def test_replace_checks_the_new_fields():
+    phrase = Phrase(1, 2, "S")
+    assert phrase._replace(tag="NP") == Phrase(1, 2, "NP")
+    with pytest.raises(ValueError, match=r"^phrase span start must be <= end$"):
+        phrase._replace(start=3)
+    with pytest.raises(ValueError, match=r"^location token must be >= 1$"):
+        Location(1, 1)._replace(token=0)
+    with pytest.raises(ValueError, match=r"^edge endpoints must differ$"):
+        Edge(0, 1, "subj")._replace(head=0)
+    segment = MorphSegment(Location(1, 1), "w", "N", {"SegType": "stem", "Case": "NOM"})
+    again = segment._replace(features=[("Case", "NOM"), ("SegType", "stem")])
+    assert again.features is segment.features
+
+
+def test_values_compare_as_tuples():
+    """The values are tuples: a phrase equals the tuple of its fields, and an
+    edge equals a phrase only when its relation is spelled as a phrase tag,
+    which no default relation is."""
+    assert Phrase(0, 1, "S") == (0, 1, "S")
+    assert Edge(0, 1, "S") == Phrase(0, 1, "S")
+    assert not DEFAULT_TAGS.relations & DEFAULT_TAGS.phrase_tags
