@@ -13,6 +13,13 @@ Feature-notation input is one bracketed tag line per token, preceded by
 the token's location:
 
     (4:68:1) [w:CONJ+ l:EMPH+ POS:V PERF LEM:hadaY ROOT:hdy 1P PRON:3MP]
+
+A segment starts at an ``X+`` prefix, ``POS:``, ``PRON:`` or a suffix tag
+(``+VOC``, ``+n:EMPH``); every other tag adds to the segment before it. The
+values are those of ``vocab.FEATURE_VALUES``: a bare tag, or two as in ``ACT
+PCPL``, is a value of Derivation, Voice, Aspect, Mood, State or Case, and
+person, gender and number run together in one tag (``1P``). ``MOOD:x`` sets
+Aspect when x is an Aspect value, else Mood. The writer uses the same tables.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .graph import (
     MorphSegment,
     Phrase,
 )
-from .vocab import DEFAULT_TAGS, FEATURE_ORDER, TagSet
+from .vocab import DEFAULT_TAGS, FEATURE_ORDER, FEATURE_VALUES, TagSet
 
 
 class TreebankFormatError(Exception):
@@ -256,9 +263,7 @@ def write_treebank(doc: TreebankDocument, stream: TextIO) -> None:
             stream.write(f"# location = {meta.location}\n")
         for comment in meta.comments:
             stream.write(f"# {comment}\n")
-        node_ids: dict = {}
-        for i in range(len(graph.terminals)):
-            node_ids[i] = i + 1
+        node_ids: dict = {i: i + 1 for i in range(len(graph.terminals))}
         for k, phrase in enumerate(sorted(graph.phrases)):
             node_ids[phrase] = len(graph.terminals) + 1 + k
         head_rel: dict = {}
@@ -296,66 +301,93 @@ def dumps_treebank(doc: TreebankDocument) -> str:
 
 # Prefixes that belong to a single part-of-speech, keyed by their X+ tag.
 SINGLE_POS_PREFIXES = {
-    "Al": "DET",
-    "bi": "P",
-    "ka": "P",
-    "ta": "P",
-    "sa": "FUT",
-    "ya": "VOC",
-    "ha": "VOC",
+    "Al": "DET", "bi": "P", "ka": "P", "ta": "P", "sa": "FUT", "ya": "VOC", "ha": "VOC",
 }
 
-PHI_RE = re.compile(r"^([123])?([MF])?([SDP])?$")
+# Suffixes written as one fixed tag: POS -> (tag, form).
+_SUFFIXES = {"VOC": ("+VOC", "m~a"), "EMPH": ("+n:EMPH", "n")}
+
+# Person, gender and number, written together in one tag ("3MP").
+PHI_KEYS = ("Person", "Gender", "Number")
+PHI_RE = re.compile("^" + "".join(f"([{''.join(FEATURE_VALUES[k])}])?" for k in PHI_KEYS) + "$")
 FORM_RE = re.compile(r"^\((I|II|III|IV|V|VI|VII|VIII|IX|X|XI|XII)\)$")
 
-_PLAIN_VALUE_FEATURES = {
-    "NOM": ("Case", "NOM"),
-    "ACC": ("Case", "ACC"),
-    "GEN": ("Case", "GEN"),
-    "IND": ("Mood", "IND"),
-    "SUBJ": ("Mood", "SUBJ"),
-    "JUS": ("Mood", "JUS"),
-    "PERF": ("Aspect", "PERF"),
-    "IMPF": ("Aspect", "IMPF"),
-    "IMPV": ("Aspect", "IMPV"),
-    "DEF": ("State", "DEF"),
-    "INDEF": ("State", "INDEF"),
-    "VN": ("Derivation", "VN"),
+# A bare value (one tag, or two as in "ACT PCPL") -> its key.
+_BARE_VALUES = {
+    value: key
+    for key in ("Derivation", "Voice", "Aspect", "Mood", "State", "Case")
+    for value in FEATURE_VALUES[key]
 }
 
+# KEY of a "KEY:value" tag -> the feature it sets. The lemma and the root
+# go under their FEATS column names until the segment is built.
+_KEYED = {"LEM": "Lemma", "ROOT": "Root", "SP": "SP"}
+
+# Surface forms of the pronoun suffixes, by their PRON: tag's phi features.
 _PRONOUN_SUFFIX_FORMS = {
-    ("1", "", "S"): "Y",
-    ("1", "", "P"): "naA",
-    ("2", "M", "S"): "ka",
-    ("2", "F", "S"): "ki",
-    ("2", "M", "D"): "kumaA",
-    ("2", "F", "D"): "kumaA",
-    ("2", "M", "P"): "kumo",
-    ("2", "F", "P"): "kun~a",
-    ("3", "M", "S"): "hu",
-    ("3", "F", "S"): "haA",
-    ("3", "M", "D"): "humaA",
-    ("3", "F", "D"): "humaA",
-    ("3", "M", "P"): "humo",
-    ("3", "F", "P"): "hun~a",
+    "1S": "Y", "1P": "naA", "2MS": "ka", "2FS": "ki", "2MD": "kumaA", "2FD": "kumaA",
+    "2MP": "kumo", "2FP": "kun~a", "3MS": "hu", "3FS": "haA", "3MD": "humaA",
+    "3FD": "humaA", "3MP": "humo", "3FP": "hun~a",
 }
 
 
-class _SegmentBuilder:
-    def __init__(self, seg_type: str, pos: str, form: str = ""):
-        self.seg_type = seg_type
-        self.pos = pos
-        self.form = form
-        self.features: dict = {"SegType": seg_type}
-        self.lemma: Optional[str] = None
-        self.root: Optional[str] = None
+def _phi(tag: str) -> Optional[dict]:
+    """Person, gender and number of a non-empty phi tag ("3MP"), or None."""
+    match = PHI_RE.match(tag)
+    if not (match and tag):
+        return None
+    return {key: value for key, value in zip(PHI_KEYS, match.groups()) if value}
 
-    def build(self, location: Location, ordinal: int) -> MorphSegment:
-        loc = Location(location.chapter, location.verse, location.token, ordinal)
-        form = self.form or self.lemma or "_"
-        return MorphSegment(
-            loc, form, self.pos, tuple(sorted(self.features.items())), self.lemma, self.root
-        )
+
+def _segment(tag: str, tags: TagSet) -> Optional[tuple]:
+    """The (POS, form, features) of the segment that ``tag`` starts: an
+    ``X+`` prefix, ``POS:``, a pronoun ``PRON:``/``+PRON:`` or a suffix of
+    ``_SUFFIXES``. None for any other tag; ValueError for a bad one."""
+    if tag.endswith("+") and not tag.startswith("+"):
+        form, colon, pos = tag[:-1].partition(":")
+        if not colon:
+            pos = SINGLE_POS_PREFIXES.get(form)
+            if pos is None:
+                raise ValueError("unknown prefix tag")
+        if not tags.is_pos(pos):
+            raise ValueError("unknown prefix POS")
+        return pos, form, {"SegType": "prefix"}
+    if tag.startswith("POS:"):
+        if not tags.is_pos(tag[4:]):
+            raise ValueError("unknown POS tag")
+        return tag[4:], "", {"SegType": "stem"}
+    if tag.startswith(("PRON:", "+PRON:")):
+        phi = tag.split(":", 1)[1]
+        features = _phi(phi)
+        if features is None:
+            raise ValueError("bad pronoun phi features")
+        form = _PRONOUN_SUFFIX_FORMS.get(phi, phi.lower())
+        return "PRON", form, {"SegType": "suffix", "PronType": "object", **features}
+    for pos, (suffix, form) in _SUFFIXES.items():
+        if tag == suffix:
+            return pos, form, {"SegType": "suffix"}
+    return None
+
+
+def _features(tag: str) -> dict:
+    """The features that a tag other than a segment's first sets: a
+    ``KEY:value`` tag, ``MOOD:x`` (Aspect when x is an Aspect value, else
+    Mood), a one-tag bare value, a verb form "(IV)" or phi features.
+    ValueError for any other tag."""
+    key, colon, value = tag.partition(":")
+    if colon and key in _KEYED:
+        return {_KEYED[key]: value}
+    if colon and key == "MOOD":
+        return {"Aspect" if value in FEATURE_VALUES["Aspect"] else "Mood": value}
+    if tag in _BARE_VALUES:
+        return {_BARE_VALUES[tag]: tag}
+    if FORM_RE.match(tag):
+        return {"Form": tag[1:-1]}
+    phi = _phi(tag)
+    if phi is None:
+        firsts = [pair.split()[0] for pair in _BARE_VALUES if pair.endswith(" " + tag)]
+        raise ValueError(f"{tag} must follow {' or '.join(firsts)}" if firsts else "unknown tag")
+    return phi
 
 
 def parse_feature_line(text: str, location: Location, tags: TagSet = DEFAULT_TAGS) -> list:
@@ -363,161 +395,69 @@ def parse_feature_line(text: str, location: Location, tags: TagSet = DEFAULT_TAG
     stripped = text.strip()
     if not (stripped.startswith("[") and stripped.endswith("]")):
         raise FeatureNotationError("annotation must be bracket-delimited")
-    body = stripped[1:-1].strip()
-    if not body:
+    tokens = stripped[1:-1].split()
+    if not tokens:
         raise FeatureNotationError("empty annotation")
-    tokens = body.split()
-    segments: list = []
-    current: Optional[_SegmentBuilder] = None
-    offset = 0
-    index = 0
+    segments: list = []  # (POS, form, features) per segment
+    offset = index = 0
     while index < len(tokens):
         tag = tokens[index]
         offset = stripped.index(tag, offset)
-        nxt = tokens[index + 1] if index + 1 < len(tokens) else None
-
-        def need_segment():
-            if current is None:
-                raise FeatureNotationError(
-                    "feature tag before any segment", tag, offset
-                )
-            return current
-
-        if tag.endswith("+") and not tag.startswith("+"):
-            base = tag[:-1]
-            if ":" in base:
-                form, pos = base.split(":", 1)
-            elif base in SINGLE_POS_PREFIXES:
-                form, pos = base, SINGLE_POS_PREFIXES[base]
+        pair = " ".join(tokens[index : index + 2])
+        try:
+            segment = _segment(tag, tags)
+            if segment is not None:
+                segments.append(segment)
             else:
-                raise FeatureNotationError("unknown prefix tag", tag, offset)
-            if not tags.is_pos(pos):
-                raise FeatureNotationError("unknown prefix POS", tag, offset)
-            current = _SegmentBuilder("prefix", pos, form)
-            segments.append(current)
-        elif tag.startswith("POS:"):
-            pos = tag[4:]
-            if not tags.is_pos(pos):
-                raise FeatureNotationError("unknown POS tag", tag, offset)
-            current = _SegmentBuilder("stem", pos)
-            segments.append(current)
-        elif tag.startswith("PRON:") or tag.startswith("+PRON:"):
-            phi = tag.split(":", 1)[1]
-            match = PHI_RE.match(phi)
-            if not match or not phi:
-                raise FeatureNotationError("bad pronoun phi features", tag, offset)
-            person, gender, number = match.groups()
-            builder = _SegmentBuilder("suffix", "PRON")
-            if person:
-                builder.features["Person"] = person
-            if gender:
-                builder.features["Gender"] = gender
-            if number:
-                builder.features["Number"] = number
-            builder.features["PronType"] = "object"
-            builder.form = _PRONOUN_SUFFIX_FORMS.get(
-                (person or "", gender or "", number or ""), phi.lower() or "hu"
-            )
-            current = builder
-            segments.append(current)
-        elif tag == "+VOC":
-            current = _SegmentBuilder("suffix", "VOC", "m~a")
-            segments.append(current)
-        elif tag == "+n:EMPH":
-            current = _SegmentBuilder("suffix", "EMPH", "n")
-            segments.append(current)
-        elif tag.startswith("LEM:"):
-            need_segment().lemma = tag[4:]
-        elif tag.startswith("ROOT:"):
-            need_segment().root = tag[5:]
-        elif tag.startswith("SP:"):
-            need_segment().features["SP"] = tag[3:]
-        elif tag.startswith("MOOD:"):
-            value = tag[5:]
-            key = "Aspect" if value in ("PERF", "IMPF", "IMPV") else "Mood"
-            need_segment().features[key] = value
-        elif tag in ("ACT", "PASS"):
-            if nxt == "PCPL":
-                need_segment().features["Derivation"] = f"{tag} PCPL"
-                index += 1
-            else:
-                need_segment().features["Voice"] = tag
-        elif tag == "PCPL":
-            raise FeatureNotationError("PCPL must follow ACT or PASS", tag, offset)
-        elif FORM_RE.match(tag):
-            need_segment().features["Form"] = tag[1:-1]
-        elif tag in _PLAIN_VALUE_FEATURES:
-            key, value = _PLAIN_VALUE_FEATURES[tag]
-            need_segment().features[key] = value
-        elif PHI_RE.match(tag) and tag:
-            person, gender, number = PHI_RE.match(tag).groups()
-            builder = need_segment()
-            if person:
-                builder.features["Person"] = person
-            if gender:
-                builder.features["Gender"] = gender
-            if number:
-                builder.features["Number"] = number
-        else:
-            raise FeatureNotationError("unknown tag", tag, offset)
+                if pair in _BARE_VALUES:  # a value of two tags
+                    features, index = {_BARE_VALUES[pair]: pair}, index + 1
+                else:
+                    features = _features(tag)
+                if not segments:
+                    raise ValueError("feature tag before any segment")
+                segments[-1][2].update(features)
+        except ValueError as exc:
+            raise FeatureNotationError(str(exc), tag, offset) from None
         offset += len(tag)
         index += 1
-    if not segments:
-        raise FeatureNotationError("no segments found")
     built = []
-    for ordinal, builder in enumerate(segments, start=1):
-        built.append(builder.build(location, ordinal))
-    # A pronoun directly suffixed to a verb stem is an object clitic; the
-    # subject reading must be annotated explicitly.
+    for ordinal, (pos, form, features) in enumerate(segments, start=1):
+        lemma, root = features.pop("Lemma", None), features.pop("Root", None)
+        loc = location._replace(segment=ordinal)
+        built.append(MorphSegment(loc, form or lemma or "_", pos, features, lemma, root))
     return built
 
 
 def format_feature_line(segments: Iterable[MorphSegment]) -> str:
     """Serialize segments back to the bracketed notation (lossy inverse of
-    surface forms, lossless for tags)."""
+    surface forms, lossless for tags). An empty bare value is not written."""
     parts: list = []
     for seg in segments:
         feats = seg.feature_map
         seg_type = feats.get("SegType", "stem")
+        phi = "".join(feats.get(key, "") for key in PHI_KEYS)
+        lexical = [seg.lemma and f"LEM:{seg.lemma}", seg.root and f"ROOT:{seg.root}"]
         if seg_type == "prefix":
-            if seg.form in SINGLE_POS_PREFIXES and SINGLE_POS_PREFIXES[seg.form] == seg.pos:
-                parts.append(f"{seg.form}+")
-            else:
-                parts.append(f"{seg.form}:{seg.pos}+")
-            continue
-        if seg_type == "suffix" and seg.pos == "PRON":
-            phi = feats.get("Person", "") + feats.get("Gender", "") + feats.get("Number", "")
-            parts.append(f"PRON:{phi}")
-            continue
-        if seg_type == "suffix" and seg.pos == "VOC":
-            parts.append("+VOC")
-            continue
-        if seg_type == "suffix" and seg.pos == "EMPH":
-            parts.append("+n:EMPH")
-            continue
-        parts.append(f"POS:{seg.pos}")
-        if "Derivation" in feats:
-            parts.append(feats["Derivation"])
-        elif "Voice" in feats:
-            parts.append(feats["Voice"])
-        if "Form" in feats:
-            parts.append(f"({feats['Form']})")
-        if "Aspect" in feats:
-            parts.append(feats["Aspect"])
-        if "Mood" in feats:
-            parts.append(feats["Mood"])
-        if seg.lemma:
-            parts.append(f"LEM:{seg.lemma}")
-        if seg.root:
-            parts.append(f"ROOT:{seg.root}")
-        if "SP" in feats:
-            parts.append(f"SP:{feats['SP']}")
-        phi = feats.get("Person", "") + feats.get("Gender", "") + feats.get("Number", "")
-        if phi:
-            parts.append(phi)
-        for key in ("State", "Case"):
-            if key in feats:
-                parts.append(feats[key])
+            single = SINGLE_POS_PREFIXES.get(seg.form) == seg.pos
+            tags = [f"{seg.form}+" if single else f"{seg.form}:{seg.pos}+", *lexical]
+        elif seg_type == "suffix" and seg.pos == "PRON":
+            tags = [f"PRON:{phi}"]
+        elif seg_type == "suffix" and seg.pos in _SUFFIXES:
+            tags = [_SUFFIXES[seg.pos][0]]
+        else:
+            tags = [
+                f"POS:{seg.pos}",
+                feats.get("Derivation") or feats.get("Voice"),
+                feats.get("Form") and f"({feats['Form']})",
+                feats.get("Aspect"),
+                feats.get("Mood"),
+                *lexical,
+                "SP" in feats and f"SP:{feats['SP']}",
+                phi,
+                feats.get("State"),
+                feats.get("Case"),
+            ]
+        parts.extend(tag for tag in tags if tag)
     return "[" + " ".join(parts) + "]"
 
 

@@ -1,10 +1,11 @@
 """K-fold cross-validation with aggregate-then-score reporting.
 
-The corpus is shuffled once with a seeded generator, sliced into
-contiguous folds, and each fold is scored by a model trained on its
-complement. True-positive, gold and predicted edge counts are summed
-across folds before computing precision/recall/F1; this differs from
-averaging per-fold F1 scores and is the only aggregation offered.
+The corpus is shuffled once with a seeded generator, by the Fisher-Yates
+draw that training uses (``learning._shuffle``), sliced into contiguous
+folds, and each fold is scored by a model trained on its complement.
+True-positive, gold and predicted edge counts are summed across folds
+before computing precision/recall/F1; this differs from averaging per-fold
+F1 scores and is the only aggregation offered.
 
 Once per call, each graph is put in the pipeline's training form (the
 multi-step pipeline converts it to pure dependency, dropping it when that is
@@ -25,6 +26,7 @@ from .learning import (
     DEFAULT_EPOCHS,
     FeatureSetSpec,
     Vocabulary,
+    _shuffle,
     train_from_pairs,
     training_pairs,
     treebank_blocks,
@@ -52,7 +54,7 @@ def cross_validate(
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     shuffled = list(graphs)
-    random.Random(seed).shuffle(shuffled)
+    _shuffle(shuffled, random.Random(seed))
     base, extra = divmod(len(shuffled), folds)
     cuts = [k * base + min(k, extra) for k in range(folds + 1)]
     slices = [shuffled[a:b] for a, b in zip(cuts, cuts[1:])]

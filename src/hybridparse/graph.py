@@ -400,34 +400,26 @@ class HybridGraph:
                     break
                 if other.end > phrase.end and other.start > phrase.start:
                     out.append(Violation("phrase-overlap", f"{phrase} crosses {other}"))
-        seen_dependents = set()
+        first_head: dict = {}  # dependent -> its head in the sorted edges
         for edge in sorted(self.edges, key=lambda e: (ref_key(e.dependent), ref_key(e.head))):
             for ref in (edge.dependent, edge.head):
                 if not self.has_node(ref):
                     out.append(Violation("dangling-edge", f"{edge} references {ref!r}"))
             if read_label(edge.relation, tags)[1] is not None:
                 out.append(Violation("unknown-relation", edge.relation))
-            if edge.dependent in seen_dependents:
+            if edge.dependent in first_head:
                 out.append(
                     Violation("single-governor", f"{edge.dependent!r} has two heads")
                 )
-            seen_dependents.add(edge.dependent)
-        out.extend(self._cycle_violations())
-        return out
-
-    def _cycle_violations(self) -> list:
-        out = []
-        heads = self._indices()[0]
-        for start in list(heads):
-            node = start
-            trail = set()
-            while node is not None:
-                if node in trail:
-                    out.append(Violation("acyclicity", f"cycle through {start!r}"))
-                    break
+            else:
+                first_head[edge.dependent] = edge.head
+        for start in first_head:
+            node, trail = start, set()
+            while node in first_head and node not in trail:
                 trail.add(node)
-                edges = heads.get(node, ())
-                node = edges[0].head if edges else None
+                node = first_head[node]
+            if node in trail:
+                out.append(Violation("acyclicity", f"cycle through {start!r}"))
         return out
 
 

@@ -157,14 +157,14 @@ class Configuration:
       cache when another owner comes, so it serves one walk's vocabulary
       and level.
 
-    ``queue`` and ``stack`` (top first) are tuples, and ``graph`` is a
-    ``HybridGraph`` built on first use after a change. The constructor takes
+    ``queue`` and ``stack`` (top first) are tuples, and ``graph`` builds a
+    ``HybridGraph`` of the configuration on each read. The constructor takes
     the terminals and, for a partial graph, adds the edges as arcs do.
     """
 
     __slots__ = (
         "terminals", "front", "pushed", "heads", "deps", "phrases", "masks",
-        "static_cache", "static_owner", "_graph",
+        "static_cache", "static_owner",
     )
 
     def __init__(self, terminals, phrases=(), edges=(), front: int = 0, stack=()):
@@ -177,7 +177,6 @@ class Configuration:
         self.masks: dict = {}
         self.static_cache: list = [None] * len(self.terminals)
         self.static_owner = None
-        self._graph: Optional[HybridGraph] = None
         for edge in edges:
             self.add_edge(edge)
 
@@ -191,10 +190,8 @@ class Configuration:
 
     @property
     def graph(self) -> HybridGraph:
-        if self._graph is None:
-            edges = frozenset(chain.from_iterable(self.heads.values()))
-            self._graph = HybridGraph(tuple(self.terminals), frozenset(self.phrases), edges)
-        return self._graph
+        edges = frozenset(chain.from_iterable(self.heads.values()))
+        return HybridGraph(tuple(self.terminals), frozenset(self.phrases), edges)
 
     def is_terminal_state(self) -> bool:
         return self.front == len(self.terminals) and not self.pushed
@@ -217,14 +214,12 @@ class Configuration:
         other.masks = dict(self.masks)
         other.static_cache = list(self.static_cache)
         other.static_owner = self.static_owner
-        other._graph = self._graph
         return other
 
     # -- mutation, by ``step`` and by conversion ------------------------------
 
     def add_edge(self, edge: Edge) -> None:
         """Two list entries and one spread mask."""
-        self._graph = None
         heads, masks, dependent = self.heads, self.masks, edge.dependent
         heads.setdefault(dependent, []).append(edge)
         self.deps.setdefault(edge.head, []).append(edge)
@@ -235,7 +230,6 @@ class Configuration:
         cycle a dependent's mask holds the removed bits too, so the masks of
         the heads and of every node above them are reset, and then their
         dependents' masks are spread into them again."""
-        self._graph = None
         heads, deps, masks = self.heads, self.deps, self.masks
         for edge in edges:
             for index, ref in ((heads, edge.dependent), (deps, edge.head)):
@@ -260,7 +254,6 @@ class Configuration:
         two have one head and that ``new``'s dependent, which has no head
         edge yet, yields what ``old``'s does without ``old``, so no mask
         changes and none is spread."""
-        self._graph = None
         heads, dependent = self.heads, old.dependent
         heads[dependent].remove(old)
         if not heads[dependent]:
@@ -284,7 +277,6 @@ class Configuration:
         so a phrase spanning an insertion point spreads the new bit. In a
         parse no stack item moves: the ends of their extents never decrease
         toward the top, so none ends after s1, and insertions go after s1."""
-        self._graph = None
         for i in reversed(edit.gone):
             del self.terminals[i], self.static_cache[i]
         for at, (_, terminal) in zip(edit.landed, edit.inserted):
@@ -386,7 +378,6 @@ def successor(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS)
 
 def step(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> None:
     """Take ``t``, which the caller knows to be legal, in place."""
-    config._graph = None
     pushed = config.pushed
     if isinstance(t, Shift):
         pushed.append(config.front)

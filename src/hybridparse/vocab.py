@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Optional
 
+# Each feature key's closed values. The bracketed notation (``corpus_io``)
+# reads and writes its bare tags, and person, gender and number, from these.
 FEATURE_VALUES = {
     "SegType": ("prefix", "stem", "suffix"),
     "Person": ("1", "2", "3"),

@@ -1,6 +1,10 @@
+import hashlib
 import io
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridparse import EmptyCategory, Location, Phrase, generate
 from hybridparse.corpus_io import (
@@ -84,6 +88,27 @@ def test_feature_line_roundtrip():
     assert format_feature_line(segs) == line
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(("pure", "+phrases,+ellipsis,+disconnected", "+nonprojective")),
+)
+@example(3, "+phrases,+ellipsis,+disconnected")
+def test_feature_line_roundtrip_keeps_every_tag(seed, profile):
+    """Reading back what the writer wrote gives each segment of a token its
+    POS, features, lemma and root, a prefix's included."""
+    def tags(segments):
+        return [(s.pos, s.features, s.lemma, s.root) for s in segments]
+
+    for graph in generate(seed, 6, profile).graphs:
+        tokens: dict = {}
+        for segment in graph.segments:
+            tokens.setdefault(segment.location[:3], []).append(segment)
+        for segments in tokens.values():
+            line = format_feature_line(segments)
+            assert tags(parse_feature_line(line, segments[0].location)) == tags(segments), line
+
+
 def test_read_table_8_2_rows():
     graph = read_treebank((FIXTURES / "table_8_2.conllx").read_text("utf-8")).graphs[0]
     assert len(graph.terminals) == 5
@@ -135,6 +160,17 @@ def test_unknown_relation_rejected():
     )
     with pytest.raises(TreebankFormatError):
         read_treebank(text)
+
+
+def test_cyclic_treebank_reports_the_first_sorted_cycle():
+    text = (
+        "1\tT\t_\ta\tN\t_\t2\tsubj\n"
+        "2\tT\t_\tb\tN\t_\t1\tobj\n"
+        "3\tT\t_\tc\tN\t_\t2\tadj\n\n"
+    )
+    with pytest.raises(TreebankFormatError) as exc:
+        read_treebank(text)
+    assert str(exc.value) == "line 4: invalid graph: acyclicity: cycle through 0"
 
 
 def test_roundtrip_byte_identity_on_synth():
@@ -193,3 +229,47 @@ def test_feature_notation_error_line():
     with pytest.raises(TreebankFormatError) as exc:
         read_feature_notation("(1:1:1) [POS:N]\nbroken line\n")
     assert exc.value.line == 2
+
+
+# Tags the notation reader accepts, and tags it must reject, drawn at random
+# into lines of zero to seven tags by ``_notation_lines``.
+NOTATION_TAGS = (
+    "w:CONJ+", "f:REM+", "l:EMPH+", "Al+", "bi+", "ka+", "sa+", "ya+", "ha+", ":N+",
+    "qq+", "x:ZZ+", "+", "POS:N", "POS:V", "POS:PN", "POS:ZZ", "PRON:3MP", "PRON:1S",
+    "+PRON:2FS", "PRON:D", "PRON:", "PRON:4Q", "+VOC", "+n:EMPH", "LEM:hadaY", "LEM:",
+    "ROOT:hdy", "SP:kaAn", "MOOD:SUBJ", "MOOD:PERF", "MOOD:", "ACT", "PASS", "PCPL",
+    "VN", "(IV)", "(XIII)", "NOM", "GEN", "JUS", "IND", "IMPF", "IMPV", "INDEF",
+    "1P", "3MS", "F", "D", "WIBBLE", "MS3",
+)
+
+# sha256 of ``_notation_outcomes`` over 20,000 lines of seed 26.
+NOTATION_SHA256 = "f53d3d939d3a915a3140b9f06b50e1dd0cb76c8e76b1bd3aa8c66327d731c01f"
+
+
+def _notation_lines(seed: int, count: int) -> list:
+    """Random bracketed lines of tags from ``NOTATION_TAGS``; one in fifty
+    lacks a bracket."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        line = "[" + " ".join(rng.choice(NOTATION_TAGS) for _ in range(rng.randint(0, 7))) + "]"
+        if rng.random() < 0.02:
+            line = line[1:] if rng.random() < 0.5 else line[:-1]
+        lines.append(line)
+    return lines
+
+
+def _notation_outcomes(lines) -> str:
+    """One line per input: the segments read, or the error's type and message."""
+    out = []
+    for line in lines:
+        try:
+            out.append(repr(parse_feature_line(line, Location(1, 2, 3))))
+        except FeatureNotationError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(out)
+
+
+def test_notation_reader_is_pinned():
+    text = _notation_outcomes(_notation_lines(26, 20_000))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NOTATION_SHA256

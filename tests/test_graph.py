@@ -144,6 +144,21 @@ def test_validate_cycle():
     assert "acyclicity" in rules
 
 
+def test_validate_walks_head_chains_in_sorted_order():
+    """Each dependent's chain is walked from its place in the sorted edges,
+    so the violations and their order do not depend on the hash seed."""
+    graph = HybridGraph(
+        (seg(1), seg(2), seg(3)),
+        frozenset(),
+        frozenset({Edge(0, 1, "subj"), Edge(1, 0, "obj"), Edge(2, 1, "adj")}),
+    )
+    assert graph.validate() == [
+        Violation("acyclicity", "cycle through 0"),
+        Violation("acyclicity", "cycle through 1"),
+        Violation("acyclicity", "cycle through 2"),
+    ]
+
+
 def test_validate_reports_not_raises():
     graph = HybridGraph(
         (seg(1),),
