@@ -242,7 +242,8 @@ NOTATION_TAGS = (
     "1P", "3MS", "F", "D", "WIBBLE", "MS3",
 )
 
-# sha256 of ``_notation_outcomes`` over 20,000 lines of seed 26.
+# sha256 of ``_notation_outcomes`` over 20,000 lines of seed 26, computed
+# before the reader took its values from ``vocab.FEATURE_VALUES``.
 NOTATION_SHA256 = "f53d3d939d3a915a3140b9f06b50e1dd0cb76c8e76b1bd3aa8c66327d731c01f"
 
 
