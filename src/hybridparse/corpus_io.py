@@ -404,13 +404,14 @@ def parse_feature_line(text: str, location: Location, tags: TagSet = DEFAULT_TAG
         tag = tokens[index]
         offset = stripped.index(tag, offset)
         pair = " ".join(tokens[index : index + 2])
+        width = 1  # the tags read
         try:
             segment = _segment(tag, tags)
             if segment is not None:
                 segments.append(segment)
             else:
                 if pair in _BARE_VALUES:  # a value of two tags
-                    features, index = {_BARE_VALUES[pair]: pair}, index + 1
+                    features, width = {_BARE_VALUES[pair]: pair}, 2
                 else:
                     features = _features(tag)
                 if not segments:
@@ -418,8 +419,9 @@ def parse_feature_line(text: str, location: Location, tags: TagSet = DEFAULT_TAG
                 segments[-1][2].update(features)
         except ValueError as exc:
             raise FeatureNotationError(str(exc), tag, offset) from None
-        offset += len(tag)
-        index += 1
+        for read in tokens[index : index + width]:
+            offset = stripped.index(read, offset) + len(read)
+        index += width
     built = []
     for ordinal, (pos, form, features) in enumerate(segments, start=1):
         lemma, root = features.pop("Lemma", None), features.pop("Root", None)
@@ -428,9 +430,17 @@ def parse_feature_line(text: str, location: Location, tags: TagSet = DEFAULT_TAG
     return built
 
 
+def _mood_tag(mood: Optional[str]) -> Optional[str]:
+    """A Mood's tag: bare when ``FEATURE_VALUES`` lists it, else ``MOOD:x``."""
+    if mood is None or mood in FEATURE_VALUES["Mood"]:
+        return mood
+    return f"MOOD:{mood}"
+
+
 def format_feature_line(segments: Iterable[MorphSegment]) -> str:
     """Serialize segments back to the bracketed notation (lossy inverse of
-    surface forms, lossless for tags). An empty bare value is not written."""
+    surface forms, lossless for tags). A Mood outside ``FEATURE_VALUES``,
+    the empty one included, is written ``MOOD:x``."""
     parts: list = []
     for seg in segments:
         feats = seg.feature_map
@@ -447,10 +457,11 @@ def format_feature_line(segments: Iterable[MorphSegment]) -> str:
         else:
             tags = [
                 f"POS:{seg.pos}",
-                feats.get("Derivation") or feats.get("Voice"),
+                feats.get("Derivation"),
+                feats.get("Voice"),
                 feats.get("Form") and f"({feats['Form']})",
                 feats.get("Aspect"),
-                feats.get("Mood"),
+                _mood_tag(feats.get("Mood")),
                 *lexical,
                 "SP" in feats and f"SP:{feats['SP']}",
                 phi,

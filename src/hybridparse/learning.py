@@ -18,23 +18,26 @@ until its averaged weights fit every pair whose feature set is not also
 labelled with another transition, or until the epoch cap.
 
 Each classifier holds one row of weights per transition, indexed by the
-integer ids of its expanded features. A feature set expands to its sorted
-predicates followed by each s1 x s2 conjunction ``f"{a}&{b}"``, by s1 then
-s2 predicate. One ``_Expansion`` gives a key's ids in that order, by bit
-position over the vocabulary's ``names``, for ``fit`` and ``score`` alike:
-the positions with an id, ordered by name, split into runs that share a
-name prefix (``graph:``, ``q1:``, ``s1:``, ...), and ids are memoized per
-run part, per s1 and s2 part and per (s1, s2) position pair, so each
-string is built and looked up once. ``fit`` expands each distinct feature
-set of its pairs once, over the positions its sets use, ranked by name,
-and interns each string when first met (``index.setdefault``), as a pass
-over the expanded strings would. A bound classifier expands over the
-model's vocabulary, whose positions ascend in name order, and looks ids up
-(``index.get``); its runs cover the bits with an id, and its s1 and s2
-masks the sides of its indexed conjunctions: each indexed string that
-starts with "s1:" split at every "&s2:" in it, since a lemma may hold
-"&s2:" too (``_sides``). A lemma predicate that spells a conjunction shares
-the conjunction's id both ways.
+integer ids of its expanded features. A feature set expands, in one
+canonical order, to each s1 x s2 conjunction ``f"{a}&{b}"``, by s1 then s2
+predicate, then its s1 predicates, its s2 predicates, and its other
+predicates (``graph:``, ``q1:``, ``s3:``), each in name order. One
+``_Expansion`` gives a key's ids in that order, by bit position over the
+vocabulary's ``names``, for ``fit`` and ``score`` alike: the positions with
+an id, ordered by name, split into runs that share a name prefix. The
+conjunctions and the s1 and s2 runs make up the block, whose ids read only
+the bits of the block mask: the s1 and s2 runs and the conjunction sides.
+Ids are memoized per run part, per s1 and s2 part and per (s1, s2) position
+pair, so each string is built and looked up once. ``fit`` expands each
+distinct feature set of its pairs once, over the positions its sets use,
+ranked by name, and interns each string when first met
+(``index.setdefault``), as a pass over the expanded strings would. A bound
+classifier expands over the model's vocabulary, whose positions ascend in
+name order, and looks ids up (``index.get``); its runs cover the bits with
+an id, and its s1 and s2 masks the sides of its indexed conjunctions: each
+indexed string that starts with "s1:" split at every "&s2:" in it, since a
+lemma may hold "&s2:" too (``_sides``). A lemma predicate that spells a
+conjunction shares the conjunction's id both ways.
 
 Training keeps the raw weights and, per weight, the sum of each update
 times the step it was made at, all as Python ints. After ``step`` steps the
@@ -54,9 +57,14 @@ order, as its ``vocabulary``: bit p of a key is ``vocabulary.names[p]``, so
 ascending bits are sorted predicates. It binds each classifier to it, and
 the classifier keeps ``known``, the int of its bits. A score reads a key,
 the bits of a set's known predicates, and adds a transition's weights one
-at a time in expanded order. Float addition is not associative, so the
+at a time in the canonical order. Float addition is not associative, so the
 order fixes the result; ``sum()`` is never used, as its float rounding
-differs between Python versions.
+differs between Python versions. The block's ids come first, so a label's
+sum over them, its partial, is a prefix of every score of a key with that
+block part: the block memo (``partials``) keeps each label's partial, added
+from 0.0 once per block part, and a score adds the rest's weights to it.
+The result is the sequential sum in canonical order whichever key filled
+the memo.
 
 Parsing ranks each distinct key once per classifier. ``predict`` featurizes
 over the model's vocabulary, where a predicate no classifier knows gets no
@@ -68,10 +76,10 @@ every configuration as 0 and is not featurized for. ``predict`` scores the
 key itself on a miss, skips the kinds ``allowed_kinds`` excludes after the
 ranking, so that one memo serves both pipelines, and returns the first
 legal transition. ``fit`` and ``load`` unbind a classifier, binding gives
-it a new expansion and an empty ranking memo, and ``predict`` binds the
-model again when a classifier is not bound to its vocabulary. A
+it a new expansion and empty ranking and block memos, and ``predict`` binds
+the model again when a classifier is not bound to its vocabulary. A
 ranking-memo miss otherwise adds one ranking and at most one entry to each
-id memo.
+id memo and to the block memo.
 """
 
 from __future__ import annotations
@@ -126,37 +134,58 @@ class TrainingError(Exception):
 
 
 class _Expansion:
-    """The ids of a key's expanded features, by bit position over ``names``
-    (see the module docstring). ``order`` lists the positions with an id by
-    name, ``s1`` and ``s2`` are the masks of the conjunction sides, and
-    ``lookup`` gives a feature string's id, or None. ``rank``, a sort key,
-    orders positions by name; it is None where ascending positions are in
-    name order already, as over a sorted vocabulary."""
+    """The ids of a key's expanded features, by bit position over ``names``,
+    in the canonical order (see the module docstring): the block's ids,
+    which read only the bits of ``block``, then the other runs' ids.
+    ``order`` lists the positions with an id by name, ``s1`` and ``s2`` are
+    the masks of the conjunction sides, and ``lookup`` gives a feature
+    string's id, or None. ``rank``, a sort key, orders positions by name; it
+    is None where ascending positions are in name order already, as over a
+    sorted vocabulary."""
 
     def __init__(self, names: Sequence[str], order: List[int], s1: int, s2: int, lookup, rank):
         self.names, self.s1, self.s2, self.lookup, self.rank = names, s1, s2, lookup, rank
-        # Per run, (its mask, its part of a key -> ids).
-        runs = groupby(order, key=lambda p: names[p].partition(":")[0])
-        self.runs = [(sum(1 << p for p in run), {}) for _, run in runs]
+        # Per run, (its mask, its part of a key -> ids), in name order; the
+        # s1 and s2 runs are the block's, the others (graph:, q1:, s3:) the
+        # rest's.
+        self.runs: List[Tuple[int, dict]] = []
+        self.block_runs: List[Tuple[int, dict]] = []
+        self.rest_runs: List[Tuple[int, dict]] = []
+        for head, run in groupby(order, key=lambda p: names[p].partition(":")[0]):
+            self.runs.append((sum(1 << p for p in run), {}))
+            (self.block_runs if head in ("s1", "s2") else self.rest_runs).append(self.runs[-1])
+        self.block = s1 | s2 | sum(mask for mask, _ in self.block_runs)
         # The s1 and s2 part of a key -> its conjunction ids.
         self.conjunctions: Dict[int, Tuple[int, ...]] = {}
         # Per s1 position, s2 position -> the id of their conjunction, or None.
         self.by_pair: Dict[int, Dict[int, Optional[int]]] = {}
 
     def ids(self, key: int) -> Tuple[int, ...]:
+        return self.block_ids(key & self.block) + self.rest_ids(key)
+
+    def block_ids(self, part: int) -> Tuple[int, ...]:
+        """The conjunction ids, then the s1 and s2 runs' ids, of the block
+        part of a key."""
+        sides = part & (self.s1 | self.s2)
+        got = self.conjunctions.get(sides)
+        if got is None:
+            got = self.conjunctions[sides] = self._conjoin(sides)
+        return got + self._run_ids(self.block_runs, part)
+
+    def rest_ids(self, key: int) -> Tuple[int, ...]:
+        """The ids of the runs outside the block, in name order."""
+        return self._run_ids(self.rest_runs, key)
+
+    def _run_ids(self, runs: List[Tuple[int, dict]], key: int) -> Tuple[int, ...]:
         ids: tuple = ()
-        for mask, memo in self.runs:
+        for mask, memo in runs:
             part = key & mask
             got = memo.get(part)
             if got is None:
                 ranked = sorted(positions(part), key=self.rank)
                 got = memo[part] = tuple(map(self.lookup, map(self.names.__getitem__, ranked)))
             ids += got
-        part = key & (self.s1 | self.s2)
-        got = self.conjunctions.get(part)
-        if got is None:
-            got = self.conjunctions[part] = self._conjoin(part)
-        return ids + got
+        return ids
 
     def _conjoin(self, part: int) -> Tuple[int, ...]:
         names = self.names
@@ -365,11 +394,14 @@ class AveragedPerceptron:
         self.expansion: Optional[_Expansion] = None
         # The ranking memo: key -> labels as transitions, best first (predict).
         self.rankings: Dict[int, Tuple[Transition, ...]] = {}
+        # The block memo: the block part of a key -> per label, the sum of
+        # its weights at the block's ids (score).
+        self.partials: Dict[int, List[float]] = {}
 
     def bind(self, vocabulary: Vocabulary) -> None:
         """Key scores by the bits of ``vocabulary``, a fixed vocabulary in
         sorted predicate order that holds every predicate this classifier
-        knows, with a new expansion and an empty ranking memo."""
+        knows, with a new expansion and empty ranking and block memos."""
         firsts, seconds = self.sides
         self.expansion = _Expansion(
             vocabulary.names,
@@ -382,15 +414,28 @@ class AveragedPerceptron:
         self.known = vocabulary.encode(self.predicates)
         self.vocabulary = vocabulary
         self.rankings = {}
+        self.partials = {}
 
     def score(self, key: int) -> Dict[str, float]:
         """Per-label weight sums over the expanded features of a key, the
         bits of known predicates over the bound vocabulary, each added one
-        at a time in expanded feature order."""
-        ids = self.expansion.ids(key)
+        at a time in expanded feature order. The block's ids come first in
+        that order, so each label starts from its block partial, summed from
+        0.0 once per block part (``partials``), and adds the rest's weights."""
+        expansion = self.expansion
+        part = key & expansion.block
+        partials = self.partials.get(part)
+        if partials is None:
+            ids = expansion.block_ids(part)
+            partials = self.partials[part] = []
+            for row in self.rows:
+                total = 0.0
+                for i in ids:
+                    total += row[i]
+                partials.append(total)
+        ids = expansion.rest_ids(key)
         scores = {}
-        for label, row in zip(self.labels, self.rows):
-            total = 0.0
+        for label, row, total in zip(self.labels, self.rows, partials):
             for i in ids:
                 total += row[i]
             scores[label] = total

@@ -82,6 +82,14 @@ def test_parse_feature_line_errors():
         parse_feature_line("no brackets", Location(1, 1, 1))
 
 
+def test_an_error_after_a_two_tag_value_reports_its_own_offset():
+    """The offset of a tag is searched past both tags of the value before
+    it, so a repeated second tag is not found inside that value."""
+    with pytest.raises(FeatureNotationError) as exc:
+        parse_feature_line("[POS:N ACT PCPL PCPL]", Location(1, 1, 1))
+    assert str(exc.value) == "PCPL must follow ACT or PASS (tag 'PCPL' at offset 16)"
+
+
 def test_feature_line_roundtrip():
     line = "[bi+ POS:N ACT PCPL (IV) LEM:muSorix ROOT:Srx M GEN PRON:2MP]"
     segs = parse_feature_line(line, Location(70, 8, 3))
@@ -90,23 +98,36 @@ def test_feature_line_roundtrip():
 
 @settings(max_examples=20, deadline=None)
 @given(
-    st.integers(0, 10_000),
-    st.sampled_from(("pure", "+phrases,+ellipsis,+disconnected", "+nonprojective")),
+    st.tuples(
+        st.integers(0, 10_000),
+        st.sampled_from(("pure", "+phrases,+ellipsis,+disconnected", "+nonprojective")),
+    )
 )
-@example(3, "+phrases,+ellipsis,+disconnected")
-def test_feature_line_roundtrip_keeps_every_tag(seed, profile):
+@example((3, "+phrases,+ellipsis,+disconnected"))
+@example("[POS:V MOOD:X]")
+@example("[POS:V MOOD:]")
+@example("[POS:N ACT PCPL PASS]")
+def test_feature_line_roundtrip_keeps_every_tag(source):
     """Reading back what the writer wrote gives each segment of a token its
-    POS, features, lemma and root, a prefix's included."""
+    POS, features, lemma and root, a prefix's included. The tokens are
+    those of a generated corpus, given as (seed, profile), or the one token
+    of a given line."""
     def tags(segments):
         return [(s.pos, s.features, s.lemma, s.root) for s in segments]
 
-    for graph in generate(seed, 6, profile).graphs:
-        tokens: dict = {}
-        for segment in graph.segments:
-            tokens.setdefault(segment.location[:3], []).append(segment)
-        for segments in tokens.values():
-            line = format_feature_line(segments)
-            assert tags(parse_feature_line(line, segments[0].location)) == tags(segments), line
+    if isinstance(source, str):
+        token_lists = [parse_feature_line(source, Location(1, 1, 1))]
+    else:
+        seed, profile = source
+        token_lists = []
+        for graph in generate(seed, 6, profile).graphs:
+            tokens: dict = {}
+            for segment in graph.segments:
+                tokens.setdefault(segment.location[:3], []).append(segment)
+            token_lists.extend(tokens.values())
+    for segments in token_lists:
+        line = format_feature_line(segments)
+        assert tags(parse_feature_line(line, segments[0].location)) == tags(segments), line
 
 
 def test_read_table_8_2_rows():

@@ -131,12 +131,14 @@ def test_feature_vectors_nest_by_spec():
 
 
 def _conjoined(features) -> list:
-    """A predicate set expanded as the learner expands it: its predicates
-    in sorted order, then each s1 x s2 conjunction string."""
+    """A predicate set expanded as the learner expands it: each s1 x s2
+    conjunction string, then its s1 predicates, its s2 predicates and its
+    other predicates, each in sorted order."""
     items = sorted(features)
     s1 = [f for f in items if f.startswith("s1:")]
     s2 = [f for f in items if f.startswith("s2:")]
-    return items + [f"{a}&{b}" for a in s1 for b in s2]
+    rest = [f for f in items if not f.startswith(("s1:", "s2:"))]
+    return [f"{a}&{b}" for a in s1 for b in s2] + s1 + s2 + rest
 
 
 def _fit(clf, pairs) -> int:
@@ -1179,20 +1181,65 @@ def test_a_parse_featurizes_only_for_classifiers_that_read_a_bit(monkeypatch, ca
 
 
 def test_the_id_memos_hold_at_most_one_entry_per_ranking_and_bind_empties_them():
-    """A ranking-memo miss adds at most one entry to each run memo and to
-    the conjunction memo, and misses share entries."""
+    """A ranking-memo miss adds at most one entry to each run memo, to the
+    conjunction memo and to the block memo, and misses share entries."""
     model = _fresh(pinned_model("hybrid-lemma"))
     parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
     for clf in model.classifiers.values():
-        memos = [memo for _, memo in clf.expansion.runs] + [clf.expansion.conjunctions]
+        memos = [memo for _, memo in clf.expansion.runs]
+        memos += [clf.expansion.conjunctions, clf.partials]
         assert all(len(memo) <= len(clf.rankings) for memo in memos)
     n = model.classifiers["N"]
     runs = n.expansion.runs
     assert len(n.rankings) > 100 and min(len(memo) for _, memo in runs) < len(n.rankings) / 2
+    assert len(n.partials) < len(n.rankings)
     model.bind()
     for clf in model.classifiers.values():
-        assert not clf.rankings and not clf.expansion.conjunctions
+        assert not clf.rankings and not clf.expansion.conjunctions and not clf.partials
         assert not any(memo for _, memo in clf.expansion.runs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(corpora, st.randoms(use_true_random=False))
+def test_block_partials_leave_every_score_as_the_reference(graphs, rng):
+    """The feature sets a parse scores, scored in shuffled order from a
+    cold block memo, again from the warm one, after a load and after a fit,
+    give the string reference's scores to the last bit: a score starts from
+    its block partial, whichever key filled it. Load and fit empty the
+    memo; the load negates the weights and the refit drops half the pairs,
+    so a partial kept from before would give other scores."""
+    model = _fresh(pinned_model("hybrid-lemma"))
+    scored: dict = {}
+    pairs = []
+    for graph in graphs + [concatenate(graphs)]:
+        config = initial(graph.segments)
+        for t in parse_integrated(model, graph.segments)[1].trace:
+            feats = extract_features(config, model.feature_set)
+            scored.setdefault(learning._partition_key(config), []).append(feats)
+            pairs.append((feats, str(t)))
+            config = successor(config, t)
+
+    def assert_scores_match(clf, sets):
+        sets = list(sets)
+        rng.shuffle(sets)
+        for feats in sets:
+            assert _hex(_score(clf, feats)) == _hex(_reference_score(clf, feats))
+
+    model = _fresh(model)
+    for partition, clf in model.classifiers.items():
+        sets = scored.get(partition, [])
+        for _ in ("cold", "warm"):
+            assert_scores_match(clf, sets)
+        weights = clf.weights_by_label()
+        clf.load({label: {f: -w for f, w in row.items()} for label, row in weights.items()})
+        assert not clf.partials
+        assert_scores_match(clf, sets)
+    every_set = [feats for sets in scored.values() for feats in sets]
+    clf = AveragedPerceptron(sorted({label for _, label in pairs}), epochs=3, seed=1)
+    for kept in (pairs, pairs[::2]):
+        _fit(clf, kept)
+        assert not clf.partials
+        assert_scores_match(clf, every_set)
 
 
 def test_the_runs_cover_the_bits_with_an_id_one_per_prefix():
