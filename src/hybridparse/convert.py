@@ -30,7 +30,7 @@ expansion takes its edge out and puts the expanded one back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from .graph import (
     Edge,
@@ -47,18 +47,31 @@ from .graph import (
     phrases_by,
     ref_key,
     subgraph_root,
+    _Record,
 )
 from .transitions import Configuration, working
 from .vocab import DEFAULT_TAGS, TagSet, read_label
 
 
-@dataclass
-class ConversionReport:
-    converted_phrases: int = 0
-    converted_empty_categories: int = 0
-    dropped_pronouns: int = 0
-    loss_details: list = field(default_factory=list)
-    reconstruction_errors: list = field(default_factory=list)
+class ConversionReport(_Record):
+    _fields = (
+        "converted_phrases", "converted_empty_categories", "dropped_pronouns",
+        "loss_details", "reconstruction_errors",
+    )
+
+    def __init__(
+        self,
+        converted_phrases: int = 0,
+        converted_empty_categories: int = 0,
+        dropped_pronouns: int = 0,
+        loss_details: Optional[list] = None,
+        reconstruction_errors: Optional[list] = None,
+    ):
+        self.converted_phrases = converted_phrases
+        self.converted_empty_categories = converted_empty_categories
+        self.dropped_pronouns = dropped_pronouns
+        self.loss_details = [] if loss_details is None else loss_details
+        self.reconstruction_errors = [] if reconstruction_errors is None else reconstruction_errors
 
     @property
     def lossy(self) -> bool:

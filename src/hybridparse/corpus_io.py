@@ -19,14 +19,15 @@ A segment starts at an ``X+`` prefix, ``POS:``, ``PRON:`` or a suffix tag
 values are those of ``vocab.FEATURE_VALUES``: a bare tag, or two as in ``ACT
 PCPL``, is a value of Derivation, Voice, Aspect, Mood, State or Case, and
 person, gender and number run together in one tag (``1P``). ``MOOD:x`` sets
-Aspect when x is an Aspect value, else Mood. The writer uses the same tables.
+Aspect when x is an Aspect value, else Mood. The writer uses the same tables,
+and raises ``FeatureNotationError`` for a feature, lemma or root that its
+tags would drop or that would read back as something else.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, TextIO, Union
 
 from .graph import (
@@ -36,6 +37,7 @@ from .graph import (
     Location,
     MorphSegment,
     Phrase,
+    _Record,
 )
 from .vocab import DEFAULT_TAGS, FEATURE_ORDER, FEATURE_VALUES, TagSet
 
@@ -69,16 +71,24 @@ def parse_location(text: str) -> Location:
     )
 
 
-@dataclass
-class GraphMetadata:
-    location: str = ""
-    comments: list = field(default_factory=list)
+class GraphMetadata(_Record):
+    _fields = ("location", "comments")
+
+    def __init__(self, location: str = "", comments: Optional[list] = None):
+        self.location = location
+        self.comments = [] if comments is None else comments
 
 
-@dataclass
-class TreebankDocument:
-    graphs: List[HybridGraph] = field(default_factory=list)
-    metadata: List[GraphMetadata] = field(default_factory=list)
+class TreebankDocument(_Record):
+    _fields = ("graphs", "metadata")
+
+    def __init__(
+        self,
+        graphs: Optional[List[HybridGraph]] = None,
+        metadata: Optional[List[GraphMetadata]] = None,
+    ):
+        self.graphs = [] if graphs is None else graphs
+        self.metadata = [] if metadata is None else metadata
 
     def __len__(self):
         return len(self.graphs)
@@ -437,10 +447,57 @@ def _mood_tag(mood: Optional[str]) -> Optional[str]:
     return f"MOOD:{mood}"
 
 
+# The keys a stem's tags carry besides SegType, and those of them written as
+# a bare value, which the reader maps back to its key by the value alone.
+_STEM_KEYS = (
+    "Derivation", "Voice", "Form", "Aspect", "Mood", "SP", "Person", "Gender", "Number",
+    "State", "Case",
+)
+_BARE_KEYS = ("Derivation", "Voice", "Aspect", "State", "Case", *PHI_KEYS)
+_TOKEN = re.compile(r"\S*")
+
+
+def _reads_back(key: str, value) -> bool:
+    """Whether the tag a stem or pronoun writes for the feature reads back
+    as it: a bare value or phi letter from ``FEATURE_VALUES``, a verb form
+    that ``FORM_RE`` reads, or a ``KEY:value`` tag of one token, where
+    ``MOOD:x`` of an Aspect value reads back as Aspect."""
+    if type(value) is not str:
+        return False
+    if key in _BARE_KEYS:
+        return value in FEATURE_VALUES[key]
+    if key == "Form":
+        return FORM_RE.match(f"({value})") is not None
+    if key == "Mood" and value in FEATURE_VALUES["Aspect"]:
+        return False
+    return _TOKEN.fullmatch(value) is not None
+
+
+def _check_lossless(seg: MorphSegment, fixed: dict, carried: tuple, lexical: bool) -> None:
+    """Raise FeatureNotationError naming the first feature, lemma or root of
+    ``seg`` that its tags would drop or read back as something else. The
+    tags give the ``fixed`` features their values and carry the keys of
+    ``carried``, and, when ``lexical``, a lemma and a root of one token."""
+    for key, value in seg.features:
+        if key in fixed:
+            kept = value == fixed[key]
+        else:
+            kept = key in carried and _reads_back(key, value)
+        if not kept:
+            raise FeatureNotationError(f"cannot write {key}={value!r} losslessly")
+    for key, value in (("Lemma", seg.lemma), ("Root", seg.root)):
+        if value is not None and not (
+            lexical and type(value) is str and value and _TOKEN.fullmatch(value)
+        ):
+            raise FeatureNotationError(f"cannot write {key}={value!r} losslessly")
+
+
 def format_feature_line(segments: Iterable[MorphSegment]) -> str:
     """Serialize segments back to the bracketed notation (lossy inverse of
     surface forms, lossless for tags). A Mood outside ``FEATURE_VALUES``,
-    the empty one included, is written ``MOOD:x``."""
+    the empty one included, is written ``MOOD:x``. A feature, lemma or root
+    that would be dropped or read back as something else raises
+    FeatureNotationError."""
     parts: list = []
     for seg in segments:
         feats = seg.feature_map
@@ -450,10 +507,17 @@ def format_feature_line(segments: Iterable[MorphSegment]) -> str:
         if seg_type == "prefix":
             single = SINGLE_POS_PREFIXES.get(seg.form) == seg.pos
             tags = [f"{seg.form}+" if single else f"{seg.form}:{seg.pos}+", *lexical]
+            _check_lossless(seg, {"SegType": "prefix"}, (), True)
         elif seg_type == "suffix" and seg.pos == "PRON":
+            if not phi:
+                raise FeatureNotationError(
+                    "cannot write a pronoun suffix without Person, Gender or Number"
+                )
             tags = [f"PRON:{phi}"]
+            _check_lossless(seg, {"SegType": "suffix", "PronType": "object"}, PHI_KEYS, False)
         elif seg_type == "suffix" and seg.pos in _SUFFIXES:
             tags = [_SUFFIXES[seg.pos][0]]
+            _check_lossless(seg, {"SegType": "suffix"}, (), False)
         else:
             tags = [
                 f"POS:{seg.pos}",
@@ -468,6 +532,7 @@ def format_feature_line(segments: Iterable[MorphSegment]) -> str:
                 feats.get("State"),
                 feats.get("Case"),
             ]
+            _check_lossless(seg, {"SegType": "stem"}, _STEM_KEYS, True)
         parts.extend(tag for tag in tags if tag)
     return "[" + " ".join(parts) + "]"
 

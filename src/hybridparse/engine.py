@@ -11,30 +11,43 @@ and takes its graph once, at the end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .convert import from_pure_dependency
-from .graph import MorphSegment
+from .graph import MorphSegment, _Record
 from .learning import Model, predict
 from .oracle import step_budget
 from .transitions import Configuration, PURE_KINDS, Transition, forced, initial, step
 from .vocab import DEFAULT_TAGS, TagSet
 
 
-@dataclass
-class ParseReport:
-    trace: List[Transition] = field(default_factory=list)
-    budget_exhausted: bool = False
-    predictive_steps: int = 0
-    # Predictive steps whose best-ranked allowed transition was illegal; of
-    # those, rank among the allowed transitions (the best is 1) of the one
-    # taken -> steps, and those that fell back to ``forced`` (see
-    # ``learning.predict``). Nothing serializes these counts.
-    illegal_top_steps: int = 0
-    fallback_ranks: Counter = field(default_factory=Counter)
-    forced_steps: int = 0
-    reconstruction_errors: list = field(default_factory=list)
+class ParseReport(_Record):
+    _fields = (
+        "trace", "budget_exhausted", "predictive_steps", "illegal_top_steps",
+        "fallback_ranks", "forced_steps", "reconstruction_errors",
+    )
+
+    def __init__(
+        self,
+        trace: Optional[List[Transition]] = None,
+        budget_exhausted: bool = False,
+        predictive_steps: int = 0,
+        illegal_top_steps: int = 0,
+        fallback_ranks: Optional[Counter] = None,
+        forced_steps: int = 0,
+        reconstruction_errors: Optional[list] = None,
+    ):
+        self.trace = [] if trace is None else trace
+        self.budget_exhausted = budget_exhausted
+        self.predictive_steps = predictive_steps
+        # Predictive steps whose best-ranked allowed transition was illegal;
+        # of those, rank among the allowed transitions (the best is 1) of the
+        # one taken -> steps, and those that fell back to ``forced`` (see
+        # ``learning.predict``). Nothing serializes these counts.
+        self.illegal_top_steps = illegal_top_steps
+        self.fallback_ranks = Counter() if fallback_ranks is None else fallback_ranks
+        self.forced_steps = forced_steps
+        self.reconstruction_errors = [] if reconstruction_errors is None else reconstruction_errors
 
     def trace_text(self) -> str:
         return "\n".join(str(t) for t in self.trace)

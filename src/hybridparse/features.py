@@ -45,10 +45,10 @@ nor parsing calls it; the tests compare the bits against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterable, List
 
-from .graph import EmptyCategory, Phrase
+from .graph import EmptyCategory, Phrase, _Value
 from .transitions import Configuration
 from .vocab import COPULA_GROUP
 
@@ -64,13 +64,13 @@ SLOTS = ("s1", "s2", "s3", "q1")
 EDGE_PAIRS = (("s1", "s2"), ("s1", "q1"), ("s2", "s3"))
 
 
-@dataclass(frozen=True)
-class FeatureSetSpec:
-    name: str
+class FeatureSetSpec(_Value, namedtuple("FeatureSetSpec", "name")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in FEATURE_SETS:
-            raise ValueError(f"unknown feature set {self.name!r}")
+    def __new__(cls, name: str):
+        if name not in FEATURE_SETS:
+            raise ValueError(f"unknown feature set {name!r}")
+        return tuple.__new__(cls, (name,))
 
     @property
     def level(self) -> int:

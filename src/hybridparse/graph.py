@@ -8,14 +8,18 @@ heads. Node identity is structural: a terminal is addressed by its
 
 The values a corpus holds by the thousand (``Location``, ``MorphSegment``,
 ``EmptyCategory``, ``Phrase`` and ``Edge``) are named tuples whose
-``__new__`` checks the fields; ``_make``, ``_replace``, copying and
-unpickling go through it too. They carry no per-instance ``__dict__``, and
-building one is a single tuple build, while hashing, equality and field
+``__new__`` checks the fields (``_Value``); ``_make``, ``_replace``, copying
+and unpickling go through it too. They carry no per-instance ``__dict__``,
+and building one is a single tuple build, while hashing, equality and field
 reads run in C. Their hash, ``repr`` and the ordering of locations and of
 phrases are those of the field tuple, as the frozen dataclasses they
 replace had. They compare as tuples, so a phrase equals the 3-tuple of its
 fields, and an edge would equal a phrase only if its relation were spelled
-as a phrase tag, which no default relation is. Equal feature sets
+as a phrase tag, which no default relation is. A ``Violation`` is a named
+tuple too. ``HybridGraph`` is a slotted class whose equality, hash and
+``repr`` are those of its three fields, and mutable records elsewhere are
+plain classes that take a dataclass's ``==`` and ``repr`` from
+``_Record``; none of them loads ``dataclasses`` on import. Equal feature sets
 share one validated, sorted tuple (``shared_features``): a process-wide
 memo maps the given tuple, and the sorted one, to it. Feature keys and
 values must therefore be hashable; a segment with an unhashable one raises
@@ -56,7 +60,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -91,6 +94,26 @@ class _Value:
 
     def __reduce__(self):
         return type(self), tuple(self)
+
+
+class _Record:
+    """A mutable record with a dataclass's ``==`` and ``repr`` over the
+    attributes ``_fields`` names, in ``__init__``'s order; unhashable, as a
+    dataclass with ``==`` is."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Location(_Value, namedtuple("Location", "chapter verse token segment")):
@@ -213,10 +236,8 @@ class Edge(_Value, namedtuple("Edge", "dependent head relation")):
         return tuple.__new__(cls, (dependent, head, relation))
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    subject: str
+class Violation(namedtuple("Violation", "rule subject")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.subject}"
@@ -274,22 +295,52 @@ def ref_key(ref: NodeRef) -> tuple:
     return (0, ref, 0, "")
 
 
-@dataclass(frozen=True)
 class HybridGraph:
-    """Immutable hybrid graph value. Equality is structural."""
+    """Immutable hybrid graph value. Equality, the hash and the ``repr`` are
+    those of the three fields; the lazy indices and masks are left out."""
 
-    terminals: tuple = ()
-    phrases: frozenset = frozenset()
-    edges: frozenset = frozenset()
-    _head_index: dict = field(init=False, compare=False, repr=False, default=None)
-    _dep_index: dict = field(init=False, compare=False, repr=False, default=None)
-    _masks: dict = field(init=False, compare=False, repr=False, default=None)
-    _starts: dict = field(init=False, compare=False, repr=False, default=None)
+    __slots__ = ("terminals", "phrases", "edges", "_head_index", "_dep_index", "_masks", "_starts")
+
+    def __init__(self, terminals=(), phrases=frozenset(), edges=frozenset()):
+        init = object.__setattr__
+        init(self, "terminals", terminals)
+        init(self, "phrases", phrases)
+        init(self, "edges", edges)
+        init(self, "_head_index", None)
+        init(self, "_dep_index", None)
+        init(self, "_masks", None)
+        init(self, "_starts", None)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", tuple(self.terminals))
         object.__setattr__(self, "phrases", frozenset(self.phrases))
         object.__setattr__(self, "edges", frozenset(self.edges))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terminals, self.phrases, self.edges) == (
+                other.terminals, other.phrases, other.edges
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terminals, self.phrases, self.edges))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(terminals={self.terminals!r}, "
+            f"phrases={self.phrases!r}, edges={self.edges!r})"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.terminals, self.phrases, self.edges)
 
     def _indices(self) -> tuple:
         """(edges by dependent, edges by head), built on first use."""

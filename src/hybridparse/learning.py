@@ -84,10 +84,8 @@ id memo and to the block memo.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -102,7 +100,7 @@ from .features import (
     featurize,
     positions,
 )
-from .graph import HybridGraph, Phrase
+from .graph import HybridGraph, Phrase, _Record
 from .oracle import oracle_sequence
 from .transitions import (
     Configuration,
@@ -489,21 +487,34 @@ def _fits(scores: List, gold: int) -> bool:
     return max(scores) < top
 
 
-@dataclass
-class Model:
-    feature_set: FeatureSetSpec
-    transition_vocabulary: List[str]
-    classifiers: Dict[str, AveragedPerceptron]
-    hyperparameters: dict = field(default_factory=lambda: dict(HYPERPARAMETERS))
-    relation_vocab: List[str] = field(default_factory=list)
-    corpus_fingerprint: str = ""
-    counts: dict = field(default_factory=dict)
-    # Each classifier label parsed once, for predict.
-    parsed_labels: Dict[str, Transition] = field(init=False, repr=False, compare=False)
-    # Every predicate a classifier knows, in sorted order (see bind).
-    vocabulary: Vocabulary = field(init=False, repr=False, compare=False)
+class Model(_Record):
+    """A trained model. ``==`` and the ``repr`` leave out what ``bind``
+    derives: ``parsed_labels``, each classifier label parsed once for
+    predict, and ``vocabulary``, every predicate a classifier knows, in
+    sorted order."""
 
-    def __post_init__(self):
+    _fields = (
+        "feature_set", "transition_vocabulary", "classifiers", "hyperparameters",
+        "relation_vocab", "corpus_fingerprint", "counts",
+    )
+
+    def __init__(
+        self,
+        feature_set: FeatureSetSpec,
+        transition_vocabulary: List[str],
+        classifiers: Dict[str, AveragedPerceptron],
+        hyperparameters: Optional[dict] = None,
+        relation_vocab: Optional[List[str]] = None,
+        corpus_fingerprint: str = "",
+        counts: Optional[dict] = None,
+    ):
+        self.feature_set = feature_set
+        self.transition_vocabulary = transition_vocabulary
+        self.classifiers = classifiers
+        self.hyperparameters = dict(HYPERPARAMETERS) if hyperparameters is None else hyperparameters
+        self.relation_vocab = [] if relation_vocab is None else relation_vocab
+        self.corpus_fingerprint = corpus_fingerprint
+        self.counts = {} if counts is None else counts
         self.bind()
 
     def bind(self) -> None:
@@ -689,7 +700,10 @@ def treebank_blocks(graphs) -> List[str]:
 
 
 def _corpus_fingerprint(blocks: List[str]) -> str:
-    """The sha256 of the treebank document the blocks make up."""
+    """The sha256 of the treebank document the blocks make up. ``hashlib``
+    is imported here, so importing the package does not load it."""
+    import hashlib
+
     digest = hashlib.sha256()
     for block in blocks:
         digest.update(block.encode("utf-8"))

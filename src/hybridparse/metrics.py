@@ -9,41 +9,48 @@ is the smaller of the gold and predicted counts.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from collections import Counter, namedtuple
+from typing import TYPE_CHECKING, Iterable
 
 from .graph import EmptyCategory, HybridGraph, MorphSegment, Phrase
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class MetricError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    true_positives: int
-    gold_count: int
-    predicted_count: int
+def _ratio(part: int, whole: int) -> Fraction:
+    """part / whole, exact; 1 when both are 0, and 0 for a part of no whole.
+    ``fractions`` is imported here, so importing the package does not load
+    it."""
+    from fractions import Fraction
+
+    if whole == 0:
+        return Fraction(1 if part == 0 else 0)
+    return Fraction(part, whole)
+
+
+class EvalReport(namedtuple("EvalReport", "true_positives gold_count predicted_count")):
+    """Match counts, and the exact ratios built from them."""
+
+    __slots__ = ()
 
     @property
     def precision(self) -> Fraction:
-        if self.predicted_count == 0:
-            return Fraction(1) if self.true_positives == 0 else Fraction(0)
-        return Fraction(self.true_positives, self.predicted_count)
+        return _ratio(self.true_positives, self.predicted_count)
 
     @property
     def recall(self) -> Fraction:
-        if self.gold_count == 0:
-            return Fraction(1) if self.true_positives == 0 else Fraction(0)
-        return Fraction(self.true_positives, self.gold_count)
+        return _ratio(self.true_positives, self.gold_count)
 
     @property
     def f1(self) -> Fraction:
         p, r = self.precision, self.recall
         if p + r == 0:
-            return Fraction(0)
+            return p  # == 0
         return 2 * p * r / (p + r)
 
     @property

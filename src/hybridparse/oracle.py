@@ -51,10 +51,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from .graph import EmptyCategory, GraphError, HybridGraph, MorphSegment, NodeRef, Phrase
+from .graph import EmptyCategory, GraphError, HybridGraph, MorphSegment, NodeRef, Phrase, _Record
 from .metrics import edge_signatures, elas
 from .transitions import (
     AddPhrase,
@@ -78,12 +77,20 @@ def step_budget(n_segments: int) -> int:
     return 8 * n_segments + 16
 
 
-@dataclass
-class OracleOutcome:
-    sequence: List[Transition]
-    reachable: bool
-    uncovered_edges: frozenset = frozenset()
-    graph: Optional[HybridGraph] = None
+class OracleOutcome(_Record):
+    _fields = ("sequence", "reachable", "uncovered_edges", "graph")
+
+    def __init__(
+        self,
+        sequence: List[Transition],
+        reachable: bool,
+        uncovered_edges: frozenset = frozenset(),
+        graph: Optional[HybridGraph] = None,
+    ):
+        self.sequence = sequence
+        self.reachable = reachable
+        self.uncovered_edges = uncovered_edges
+        self.graph = graph
 
 
 class _GoldIndex:

@@ -27,7 +27,7 @@ its dependents, so no oracle sequence of a synthetic graph takes a LeftArc.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import List
 
 from .corpus_io import GraphMetadata, TreebankDocument
@@ -57,20 +57,15 @@ DEMONSTRATIVES = ["*a`lika", "ha`*aA"]
 NONPROJECTIVE_RATE = 0.1
 
 
-@dataclass
 class _Builder:
-    rng: random.Random
-    phrases_on: bool
-    ellipsis_on: bool
-    tags: TagSet
-    terminals: List = None
-    edges: List = None
-    phrase_nodes: List = None
-
-    def __post_init__(self):
-        self.terminals = []
-        self.edges = []
-        self.phrase_nodes = []
+    def __init__(self, rng: random.Random, phrases_on: bool, ellipsis_on: bool, tags: TagSet):
+        self.rng = rng
+        self.phrases_on = phrases_on
+        self.ellipsis_on = ellipsis_on
+        self.tags = tags
+        self.terminals: List = []
+        self.edges: List = []
+        self.phrase_nodes: List = []
 
     # Indices below are positions in the terminal sequence. A segment is
     # held as a (form, pos, feature items, lemma, root) tuple until ``build``
@@ -311,12 +306,12 @@ class _Builder:
         )
 
 
-@dataclass(frozen=True)
-class Profile:
-    phrases: bool = False
-    ellipsis: bool = False
-    nonprojective: bool = False
-    disconnected: bool = False
+class Profile(
+    namedtuple(
+        "Profile", "phrases ellipsis nonprojective disconnected", defaults=(False,) * 4
+    )
+):
+    __slots__ = ()
 
     @staticmethod
     def parse(text: str) -> "Profile":

@@ -29,12 +29,17 @@ configuration.
 Transitions: shift, reduce(n) for n in {1, 2}, a left edge (head on top),
 a right edge (head below top), empty-category insertion after s1, the
 combined dropped-pronoun operation, and phrase construction over the
-subgraph rooted at s1.
+subgraph rooted at s1. Each is a named tuple of its argument, if any. A
+transition equals only one of its own kind (``Shift()`` is not
+``InsertPronoun()``, nor ``LeftArc(r)`` ``RightArc(r)``) and no plain tuple,
+and every transition is true. The hash and the ``repr`` are the frozen
+dataclasses' they replace. Like any tuple they are iterable and orderable;
+no code here sorts or unpacks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from typing import Optional, Sequence, Union
 
@@ -57,57 +62,77 @@ class IllegalTransition(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Shift:
+class _Kind:
+    """A transition equals only a transition of its own kind: as tuples,
+    ``Shift()`` would equal ``InsertPronoun()``, and ``LeftArc(r)`` would
+    equal ``RightArc(r)`` and ``InsertEmpty(r)``. The hash is the field
+    tuple's, and every transition is true, as the dataclasses were."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return type(other) is type(self) and tuple.__eq__(self, other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        if isinstance(other, tuple):
+            return type(other) is not type(self) or tuple.__ne__(self, other)
+        return NotImplemented
+
+    def __bool__(self):
+        return True
+
+
+class Shift(_Kind, namedtuple("Shift", "")):
+    __slots__ = ()
+
     def __str__(self):
         return "SHIFT"
 
 
-@dataclass(frozen=True)
-class Reduce:
-    n: int
+class Reduce(_Kind, namedtuple("Reduce", "n")):
+    __slots__ = ()
 
     def __str__(self):
         return f"REDUCE({self.n})"
 
 
-@dataclass(frozen=True)
-class LeftArc:
+class LeftArc(_Kind, namedtuple("LeftArc", "relation")):
     """Head is s1, dependent is s2."""
 
-    relation: str
+    __slots__ = ()
 
     def __str__(self):
         return f"LEFT({self.relation})"
 
 
-@dataclass(frozen=True)
-class RightArc:
+class RightArc(_Kind, namedtuple("RightArc", "relation")):
     """Head is s2, dependent is s1."""
 
-    relation: str
+    __slots__ = ()
 
     def __str__(self):
         return f"RIGHT({self.relation})"
 
 
-@dataclass(frozen=True)
-class InsertEmpty:
-    pos: str
+class InsertEmpty(_Kind, namedtuple("InsertEmpty", "pos")):
+    __slots__ = ()
 
     def __str__(self):
         return f"EMPTY({self.pos})"
 
 
-@dataclass(frozen=True)
-class InsertPronoun:
+class InsertPronoun(_Kind, namedtuple("InsertPronoun", "")):
+    __slots__ = ()
+
     def __str__(self):
         return "PRON"
 
 
-@dataclass(frozen=True)
-class AddPhrase:
-    tag: str
+class AddPhrase(_Kind, namedtuple("AddPhrase", "tag")):
+    __slots__ = ()
 
     def __str__(self):
         return f"PHRASE({self.tag})"

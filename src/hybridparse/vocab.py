@@ -9,7 +9,7 @@ folded phrase and ellipsis structure, are parsed here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -52,14 +52,46 @@ def _read_table(name: str) -> list[tuple[str, ...]]:
     return rows
 
 
-@dataclass(frozen=True)
 class TagSet:
-    """One closed vocabulary triple plus the dropped-pronoun form table."""
+    """One closed vocabulary triple plus the dropped-pronoun form table.
+    Immutable; equality and the hash are the triple's, and the ``repr``
+    shows all four fields."""
 
-    pos_tags: frozenset[str]
-    relations: frozenset[str]
-    phrase_tags: frozenset[str]
-    pronoun_forms: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("pos_tags", "relations", "phrase_tags", "pronoun_forms")
+
+    def __init__(self, pos_tags, relations, phrase_tags, pronoun_forms=None):
+        init = object.__setattr__
+        init(self, "pos_tags", pos_tags)
+        init(self, "relations", relations)
+        init(self, "phrase_tags", phrase_tags)
+        init(self, "pronoun_forms", {} if pronoun_forms is None else pronoun_forms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _triple(self) -> tuple:
+        return (self.pos_tags, self.relations, self.phrase_tags)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._triple() == other._triple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._triple())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(pos_tags={self.pos_tags!r}, "
+            f"relations={self.relations!r}, phrase_tags={self.phrase_tags!r}, "
+            f"pronoun_forms={self.pronoun_forms!r})"
+        )
+
+    def __reduce__(self):
+        return type(self), (*self._triple(), self.pronoun_forms)
 
     def is_pos(self, tag: str) -> bool:
         return tag in self.pos_tags
@@ -110,19 +142,22 @@ def _load_default() -> TagSet:
 DEFAULT_TAGS = _load_default()
 
 
-@dataclass(frozen=True)
-class EnrichedLabel:
-    """Parsed form of an enriched dependency label.
+class EnrichedLabel(
+    namedtuple(
+        "EnrichedLabel",
+        "base dependent_expansion head_expansion bridge",
+        defaults=(False, False, None),
+    )
+):
+    """Parsed form of an enriched dependency label; ``bridge`` is None or
+    (relation1, pos, relation2).
 
     Expansion flags and the ellipsis bridge are mutually exclusive; inside
     a bridge, the first component may itself carry a dependent-expansion
     flag (e.g. ``+link|N|circ``).
     """
 
-    base: str
-    dependent_expansion: bool = False
-    head_expansion: bool = False
-    bridge: Optional[tuple] = None  # (relation1, pos, relation2)
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.bridge:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridparse import EmptyCategory, Location, Phrase, generate
+from hybridparse import EmptyCategory, Location, MorphSegment, Phrase, generate
 from hybridparse.corpus_io import (
     FeatureNotationError,
     TreebankFormatError,
@@ -19,6 +19,7 @@ from hybridparse.corpus_io import (
     sentences_from_notation,
     write_treebank,
 )
+from hybridparse.vocab import FEATURE_VALUES
 
 from conftest import FIXTURES
 
@@ -295,3 +296,150 @@ def _notation_outcomes(lines) -> str:
 def test_notation_reader_is_pinned():
     text = _notation_outcomes(_notation_lines(26, 20_000))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NOTATION_SHA256
+
+
+def _segment(pos="N", lemma=None, root=None, **features) -> MorphSegment:
+    features.setdefault("SegType", "stem")
+    return MorphSegment(Location(1, 1, 1), "w", pos, features, lemma, root)
+
+
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        # A bare value outside the inventory reads back as an unknown tag.
+        (_segment(Case="XYZ"), "cannot write Case='XYZ' losslessly"),
+        # MOOD:x of an Aspect value reads back as Aspect.
+        (_segment("V", Mood="PERF"), "cannot write Mood='PERF' losslessly"),
+        # A bare value of another key reads back under that key.
+        (_segment(Case="ACT"), "cannot write Case='ACT' losslessly"),
+        (_segment(Person="4"), "cannot write Person='4' losslessly"),
+        (_segment("V", Form="XIII"), "cannot write Form='XIII' losslessly"),
+        # A tag of two tokens, and features the notation has no tag for.
+        (_segment(SP="kaAn laysa"), "cannot write SP='kaAn laysa' losslessly"),
+        (_segment(Ref="1"), "cannot write Ref='1' losslessly"),
+        (_segment("PRON", PronType="subject"), "cannot write PronType='subject' losslessly"),
+        (_segment(SegType="clitic"), "cannot write SegType='clitic' losslessly"),
+        (_segment(lemma="two words"), "cannot write Lemma='two words' losslessly"),
+        (_segment(root=""), "cannot write Root='' losslessly"),
+        # A prefix carries only its lemma and root, a suffix neither.
+        (_segment("CONJ", SegType="prefix", Case="NOM"), "cannot write Case='NOM' losslessly"),
+        (
+            _segment("PRON", lemma="hu", SegType="suffix", PronType="object", Person="3"),
+            "cannot write Lemma='hu' losslessly",
+        ),
+        (
+            _segment("PRON", SegType="suffix", PronType="object"),
+            "cannot write a pronoun suffix without Person, Gender or Number",
+        ),
+    ],
+)
+def test_the_writer_refuses_a_value_it_cannot_write_back(segment, message):
+    with pytest.raises(FeatureNotationError) as exc:
+        format_feature_line([segment])
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "segments, line",
+    [
+        ([_segment(Case="GEN")], "[POS:N GEN]"),
+        ([_segment("V", Mood="X")], "[POS:V MOOD:X]"),
+        ([_segment("V", Mood="")], "[POS:V MOOD:]"),
+        ([_segment("V", Form="IV", SP="")], "[POS:V (IV) SP:]"),
+        ([_segment("PRON", SegType="suffix", PronType="object", Person="3")], "[PRON:3]"),
+        ([_segment("PRON", SegType="suffix", Number="P")], "[PRON:P]"),
+        ([_segment("CONJ", lemma="wa", SegType="prefix")], "[w:CONJ+ LEM:wa]"),
+    ],
+)
+def test_the_writer_writes_what_reads_back(segments, line):
+    assert format_feature_line(segments) == line
+
+
+def _read(line: str):
+    """The (POS, features) of each segment of ``line``, or the error."""
+    try:
+        return [(s.pos, dict(s.features)) for s in parse_feature_line(line, Location(1, 1, 1))]
+    except FeatureNotationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("first, at", [("ACT", 16), ("PASS", 17)])
+def test_a_two_tag_value_before_each_kind_of_tag(first, at):
+    """A two-tag value followed by a new segment, a phi tag, a case, a
+    second PCPL or an unknown tag; the offset of a rejected tag is past
+    both tags of the value."""
+    value = f"{first} PCPL"
+    noun = {"SegType": "stem", "Derivation": value}
+    pronoun = {
+        "SegType": "suffix", "PronType": "object", "Person": "3", "Gender": "M", "Number": "S",
+    }
+    assert _read(f"[POS:N {value} POS:V]") == [("N", noun), ("V", {"SegType": "stem"})]
+    assert _read(f"[POS:N {value} +PRON:3MS]") == [("N", noun), ("PRON", pronoun)]
+    assert _read(f"[POS:N {value} 3FS]") == [
+        ("N", {**noun, "Person": "3", "Gender": "F", "Number": "S"})
+    ]
+    assert _read(f"[POS:N {value} GEN]") == [("N", {**noun, "Case": "GEN"})]
+    assert _read(f"[POS:N {value} ACT]") == [("N", {**noun, "Voice": "ACT"})]
+    assert _read(f"[POS:N {value} PCPL]") == (
+        f"PCPL must follow ACT or PASS (tag 'PCPL' at offset {at})"
+    )
+    assert _read(f"[POS:N {value} XYZ]") == f"unknown tag (tag 'XYZ' at offset {at})"
+
+
+
+# Each key's values the notation can carry, and others it cannot.
+_WRITABLE = {
+    **{key: values for key, values in FEATURE_VALUES.items() if values},
+    "Form": ("IV", "X"), "SP": ("kaAn", ""), "Mood": ("IND", "X", ""), "Ref": ("1",),
+}
+_UNWRITABLE = ("XYZ", "PERF", "ACT", "GEN", "3", "IV", "a b", "")
+
+
+def _feature(key: str):
+    return st.tuples(
+        st.just(key),
+        st.integers(0, 7).flatmap(
+            lambda r: st.sampled_from(_UNWRITABLE if r == 0 else _WRITABLE[key])
+        ),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda pos, features, lemma, root, form: MorphSegment(
+                Location(1, 1, 1), form, pos, features, lemma, root
+            ),
+            st.sampled_from(["N", "V", "PRON", "CONJ", "P", "VOC", "EMPH"]),
+            st.lists(st.sampled_from(sorted(_WRITABLE)), unique=True, max_size=4).flatmap(
+                lambda keys: st.tuples(*map(_feature, keys))
+            ),
+            st.sampled_from([None, None, "wa", "", "a b"]),
+            st.sampled_from([None, None, "ktb", ""]),
+            st.sampled_from(["w", "bi", "ya"]),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_the_writer_writes_back_every_tag_or_refuses(segments):
+    """Whatever the segments, the line written reads back with each
+    segment's POS, features, lemma and root, or the writer raises
+    FeatureNotationError. The reader gives a stem SegType=stem, and a
+    pronoun suffix PronType=object, when the segment has none."""
+    try:
+        line = format_feature_line(segments)
+    except FeatureNotationError:
+        return
+
+    def written(s):
+        implied = {"SegType": "stem"}
+        if s.feature("SegType") == "suffix" and s.pos == "PRON":
+            implied["PronType"] = "object"
+        return (s.pos, {**implied, **dict(s.features)}, s.lemma, s.root)
+
+    back = parse_feature_line(line, Location(1, 1, 1))
+    assert [(s.pos, dict(s.features), s.lemma, s.root) for s in back] == list(
+        map(written, segments)
+    ), line
