@@ -36,7 +36,9 @@ configuration as that int and builds no string or set on the way:
   edge either way between a pair's nodes in their lists by dependent, and
   ``isroot`` holds for a headless node whose mask is one run, the test of
   ``mask_span`` written as ``not (m + (m & -m)) & m``. A predicate without
-  a bit is not computed.
+  a bit is not computed. The queue front carries no edge (a
+  ``Configuration`` invariant), so q1 takes only its static bits and its
+  ``isroot`` bit, and ``graph:edge(s1,q1)`` is never looked for.
 
 ``extract_features`` is the same description as a frozenset of strings: the
 decode of ``featurize`` over a fresh growing vocabulary. Neither training
@@ -118,11 +120,12 @@ class Vocabulary:
         self.grow = grow
         self.absent = tuple(self.bit(f"{slot}:absent") for slot in SLOTS)
         self.isroot = tuple(self.bit(f"{slot}:isroot") for slot in SLOTS)
-        # The graph:edge bits that exist, each with the positions of its slots.
+        # The graph:edge bits that exist and can hold, each with the
+        # positions of its slots: no edge reaches q1 (featurize).
         self.edges = tuple(
             (SLOTS.index(a), SLOTS.index(b), bit)
             for a, b in EDGE_PAIRS
-            if (bit := self.bit(f"graph:edge({a},{b})"))
+            if (bit := self.bit(f"graph:edge({a},{b})")) and b != "q1"
         )
         # Per slot position, phrase tag or relation -> bit.
         self.phrase: tuple = tuple({} for _ in SLOTS)
@@ -201,24 +204,29 @@ def _static_predicates(term, slot: str, level: int) -> tuple:
 
 def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabulary) -> int:
     """The bits of the predicates describing a configuration under a
-    feature set, over ``vocabulary``."""
+    feature set, over ``vocabulary``.
+
+    Precondition: a queue terminal carries no edge, as in every
+    configuration a walk from ``initial`` reaches (``Configuration``). So q1
+    has no dependents and no head and yields only itself: it takes its
+    static bits and its ``isroot`` bit, and ``graph:edge(s1,q1)`` never
+    holds."""
     pushed, terminals = config.pushed, config.terminals
     depth = len(pushed)
-    refs = (
-        pushed[-1] if depth > 0 else None,
-        pushed[-2] if depth > 1 else None,
-        pushed[-3] if depth > 2 else None,
-        config.front if config.front < len(terminals) else None,
-    )
-    heads, deps, masks = config.heads, config.deps, config.masks
     level = spec.level
     memo = vocabulary.static[level]
     if config.static_owner is not memo:
         config.static_owner = memo
         config.static_cache = [None] * len(terminals)
     cache = config.static_cache
-    isroot = vocabulary.isroot
     bits = 0
+    refs = (
+        pushed[-1] if depth > 0 else None,
+        pushed[-2] if depth > 1 else None,
+        pushed[-3] if depth > 2 else None,
+    )
+    heads, deps, masks = config.heads, config.deps, config.masks
+    isroot = vocabulary.isroot
     for k, ref in enumerate(refs):
         if ref is None:
             bits |= vocabulary.absent[k]
@@ -251,6 +259,14 @@ def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabular
             m = masks.get(ref)
             if m is None or not (m + (m & -m)) & m:
                 bits |= isroot[k]
+    front = config.front
+    if front < len(terminals):
+        static = cache[front]
+        if static is None:
+            static = cache[front] = vocabulary.static_bits(terminals[front], level)
+        bits |= static[3] | isroot[3]
+    else:
+        bits |= vocabulary.absent[3]
     # An edge joins the pair's nodes in either direction; heads lists the
     # edges by dependent.
     for a, b, bit in vocabulary.edges:

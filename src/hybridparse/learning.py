@@ -84,7 +84,6 @@ id memo and to the block memo.
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import groupby
 from operator import itemgetter
@@ -264,9 +263,12 @@ class AveragedPerceptron:
         same rule, so in every column the raw rows, and the averaged
         numerators, sum to zero: of the rows to sum, the last is minus the
         sum of all the others and is not summed. The raw weights are ints,
-        so a reused or derived sum is the sum recomputed. The averaged-weights
-        check scores each fittable set once, since all the pairs of such a
-        set carry its one label, and derives its last row the same way.
+        so a reused or derived sum is the sum recomputed. A visit masks the
+        gold score in the memo's list for the search of the best wrong one
+        and puts it back, so no list is copied; the rival search skips the
+        gold label. The averaged-weights check scores each fittable set
+        once, since all the pairs of such a set carry its one label, and
+        derives its last row the same way.
         """
         number: dict = {}
         set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
@@ -332,15 +334,16 @@ class AveragedPerceptron:
                     scores[last] = 0
                     scores[last] = -sum(scores)
                     entry[0] = updates
+                # The memo keeps the scores: the gold one is masked in place
+                # for the search and put back.
                 top = scores[gold]
-                # The memo keeps the scores: the gold one is masked in a copy.
-                scores = scores.copy()
                 scores[gold] = _BELOW_ALL
                 best = max(scores)
+                scores[gold] = top
                 if best >= top:
                     mistakes += fittable[k]
                     updates += 1
-                    rival = next(j for j in by_rank if scores[j] == best)
+                    rival = next(j for j in by_rank if j != gold and scores[j] == best)
                     changed[gold] = changed[rival] = updates
                     up, up_sums = raw[gold], sums[gold]
                     down, down_sums = raw[rival], sums[rival]
@@ -534,6 +537,10 @@ class Model(_Record):
             clf.bind(self.vocabulary)
 
     def serialize(self) -> str:
+        """The model as JSON text. ``json`` is imported here, so importing
+        the package does not load it."""
+        import json
+
         payload = {
             "format": "hybridparse-model",
             "version": 1,
@@ -558,7 +565,10 @@ class Model(_Record):
     @staticmethod
     def deserialize(text: str, tags: TagSet = DEFAULT_TAGS) -> "Model":
         """The model a ``serialize`` text describes. Any malformed text
-        raises TrainingError."""
+        raises TrainingError. ``json`` is imported here, as in
+        ``serialize``."""
+        import json
+
         try:
             payload = json.loads(text)
             if not isinstance(payload, dict) or payload.get("format") != "hybridparse-model":

@@ -32,13 +32,19 @@ when it has as many working ones, and the gold empty category after a node
 is anchored when an empty category follows it in the configuration.
 
 Cost. What the rules ask of the gold graph is computed once per sentence
-(``_GoldIndex``): the root of each gold phrase, the gold edges by unordered
-endpoint pair, the edge counts, the gold phrases by span, and the ``subj``
-edges. The alignment is the only state ``_OracleState`` keeps across the
-walk of ``oracle_sequence``, which steps one configuration in place
-(``transitions.step``); an insertion aligns the new terminal and leaves
-every other alignment as it is. ``oracle_next`` builds the same index and
-alignment from scratch and runs the same rules.
+(``_GoldIndex``): the root of each gold phrase, the gold edges by endpoint
+(``edge_at[a][b]``, the first gold edge between ``a`` and ``b`` either way,
+so a lookup builds no key), the edge counts, the gold phrases by span, and
+the ``subj`` edges. The alignment is the only state ``_OracleState`` keeps
+across the walk of ``oracle_sequence``, which steps one configuration in
+place (``transitions.step``); an insertion aligns the new terminal and
+leaves every other alignment as it is. A step takes the gold counterparts
+of s1 and s2 once and asks whether s1 is finished at most once.
+``oracle_next`` builds the same index and alignment from scratch and runs
+the same rules. A walk that ends in a terminal configuration whose graph
+equals the gold one is reachable without ELAS scoring: equal graphs score
+perfect ELAS and have as many phrases and terminals. Only a replay that
+differs is scored.
 
 A caller that needs each configuration of the walk (training-pair
 extraction) passes ``oracle_sequence`` a ``visit`` hook rather than replaying
@@ -101,12 +107,15 @@ class _GoldIndex:
         self.segment_indices = [
             i for i, t in enumerate(gold.terminals) if isinstance(t, MorphSegment)
         ]
-        self.edge_by_pair: dict = {}
+        # Node -> node -> the first gold edge between the two, either way.
+        self.edge_at: dict = {}
         self.edge_count: Counter = Counter()
         self.terminal_dependents: Counter = Counter()
         self.subj_pairs: set = set()
         for edge in gold.edges:
-            self.edge_by_pair.setdefault(frozenset((edge.dependent, edge.head)), edge)
+            a, b = edge.dependent, edge.head
+            self.edge_at.setdefault(a, {}).setdefault(b, edge)
+            self.edge_at.setdefault(b, {}).setdefault(a, edge)
             self.edge_count[edge.dependent] += 1
             self.edge_count[edge.head] += 1
             if isinstance(edge.dependent, int):
@@ -183,7 +192,8 @@ class _OracleState:
         return any(e.head == b for e in heads.get(a, ())) or any(e.head == a for e in heads.get(b, ()))
 
     def gold_edge_between(self, a, b):
-        return self.index.edge_by_pair.get(frozenset((a, b)))
+        row = self.index.edge_at.get(a)
+        return row.get(b) if row else None
 
     def gold_phrase_with_span(self, span) -> Optional[Phrase]:
         """An expected phrase over the gold counterpart of the working
@@ -195,22 +205,25 @@ class _OracleState:
                 return phrase
         return None
 
-    def missing_ec_after(self, working_ref) -> Optional[int]:
-        """Gold index of an expected empty category directly after the node."""
+    def missing_ec_after(self, working_ref, gold_ref=None) -> Optional[int]:
+        """Gold index of an expected empty category directly after the node.
+        ``gold_ref``, when given, is the node's gold counterpart."""
         if not isinstance(working_ref, int):
             return None
-        nxt, gold_terminals = self.to_gold(working_ref) + 1, self.gold.terminals
+        if gold_ref is None:
+            gold_ref = self.to_gold(working_ref)
+        nxt, gold_terminals = gold_ref + 1, self.gold.terminals
         if nxt >= len(gold_terminals) or not isinstance(gold_terminals[nxt], EmptyCategory):
             return None
         terminals, after = self.config.terminals, working_ref + 1
         anchored = after < len(terminals) and isinstance(terminals[after], EmptyCategory)
         return None if anchored else nxt
 
-    def roots_missing_phrase(self, working_ref) -> bool:
+    def roots_missing_phrase(self, gold_ref) -> bool:
         """Some gold phrase the node roots is not built over the working
         terminals aligned to its ends (``bisect``: the alignment increases)."""
         mapping = self.working_to_gold
-        for phrase in self.index.phrases_by_root.get(self.to_gold(working_ref), ()):
+        for phrase in self.index.phrases_by_root.get(gold_ref, ()):
             start, end = bisect_left(mapping, phrase.start), bisect_left(mapping, phrase.end)
             if (
                 end == len(mapping) or mapping[start] != phrase.start or mapping[end] != phrase.end
@@ -219,23 +232,26 @@ class _OracleState:
                 return True
         return False
 
-    def finished(self, working_ref) -> bool:
+    def finished(self, working_ref, gold_ref=None) -> bool:
         config = self.config
+        if gold_ref is None:
+            gold_ref = self.to_gold(working_ref)
         built = len(config.heads.get(working_ref, ())) + len(config.deps.get(working_ref, ()))
         return (
-            built == self.index.edge_count[self.to_gold(working_ref)]
-            and self.missing_ec_after(working_ref) is None
-            and not self.roots_missing_phrase(working_ref)
+            built == self.index.edge_count[gold_ref]
+            and self.missing_ec_after(working_ref, gold_ref) is None
+            and not self.roots_missing_phrase(gold_ref)
         )
 
-    def top_saturated(self, working_ref, excluding) -> bool:
+    def top_saturated(self, working_ref, excluding, gold_ref=None) -> bool:
         """All non-phrase dependents of the node are already attached, the
         unbuilt edge ``excluding`` aside.
 
         Phrase dependents arrive only after the phrase itself is built, so
         they do not block an edge at the top of the stack.
         """
-        gold_ref = self.to_gold(working_ref)
+        if gold_ref is None:
+            gold_ref = self.to_gold(working_ref)
         expected = self.index.terminal_dependents[gold_ref]
         if excluding.head == gold_ref and isinstance(excluding.dependent, int):
             expected -= 1
@@ -245,29 +261,39 @@ class _OracleState:
     # -- rule evaluation ---------------------------------------------------
 
     def next_transition(self) -> Transition:
+        """The first rule that applies. The gold counterparts of s1 and s2
+        and the empty category missing after s1 are taken once per step, and
+        ``finished(s1)`` at most once: no rule changes the configuration."""
         config = self.config
         pushed = config.pushed
         depth = len(pushed)
-        s1 = pushed[-1] if depth > 0 else None
-        s2 = pushed[-2] if depth > 1 else None
-        s3 = pushed[-3] if depth > 2 else None
+        s1 = g1 = s2 = g2 = None
+        if depth > 0:
+            s1 = pushed[-1]
+            g1 = self.to_gold(s1)
+            if depth > 1:
+                s2 = pushed[-2]
+                g2 = self.to_gold(s2)
         queued = config.front < len(config.terminals)
+        s1_finished = None
 
         # 1. edge between s1 and s2
         if s2 is not None:
-            gold_edge = self.gold_edge_between(self.to_gold(s1), self.to_gold(s2))
+            gold_edge = self.gold_edge_between(g1, g2)
             if (
                 gold_edge is not None and not self.joined(s1, s2)
-                and self.top_saturated(s1, gold_edge)
+                and self.top_saturated(s1, gold_edge, g1)
             ):
-                arc = LeftArc if gold_edge.dependent == self.to_gold(s2) else RightArc
+                arc = LeftArc if gold_edge.dependent == g2 else RightArc
                 t = arc(gold_edge.relation)
                 if legal(config, t):
                     return t
 
         # 2. reduce the finished item below an unfinished top
-        if s2 is not None and self.finished(s2) and not self.finished(s1):
-            return Reduce(2)
+        if s2 is not None and self.finished(s2, g2):
+            s1_finished = self.finished(s1, g1)
+            if not s1_finished:
+                return Reduce(2)
 
         # 3. top roots a subgraph spanned by an expected phrase
         if isinstance(s1, int) and s1 not in config.heads:
@@ -279,35 +305,37 @@ class _OracleState:
                     if legal(config, t):
                         return t
 
-        # 4. dropped subject pronoun once the queue is exhausted
-        if not queued and isinstance(s1, int):
-            ec_at = self.missing_ec_after(s1)
-            if ec_at is not None:
-                ec = self.gold.terminals[ec_at]
-                if ec.pos == "PRON" and (ec_at, self.to_gold(s1)) in self.index.subj_pairs:
-                    t = InsertPronoun()
-                    if legal(config, t):
-                        return t
+        ec_at = self.missing_ec_after(s1, g1)
 
-        # 5. expected empty category directly after the top item
-        if isinstance(s1, int):
-            ec_at = self.missing_ec_after(s1)
-            if ec_at is not None:
-                t = InsertEmpty(self.gold.terminals[ec_at].pos)
+        # 4. dropped subject pronoun once the queue is exhausted
+        if not queued and ec_at is not None:
+            ec = self.gold.terminals[ec_at]
+            if ec.pos == "PRON" and (ec_at, g1) in self.index.subj_pairs:
+                t = InsertPronoun()
                 if legal(config, t):
                     return t
 
+        # 5. expected empty category directly after the top item
+        if ec_at is not None:
+            t = InsertEmpty(self.gold.terminals[ec_at].pos)
+            if legal(config, t):
+                return t
+
         # 6. pop the finished top
-        if s1 is not None and self.finished(s1):
-            return Reduce(1)
+        if s1 is not None:
+            if s1_finished is None:
+                s1_finished = self.finished(s1, g1)
+            if s1_finished:
+                return Reduce(1)
 
         # 7. shift
         if queued:
             return Shift()
 
         # 8. clear a blocked pair: s1 and s3 form an expected edge
-        if s3 is not None:
-            gold_edge = self.gold_edge_between(self.to_gold(s1), self.to_gold(s3))
+        if depth > 2:
+            s3 = pushed[-3]
+            gold_edge = self.gold_edge_between(g1, self.to_gold(s3))
             if gold_edge is not None and not self.joined(s1, s3):
                 return Reduce(2)
 
@@ -348,13 +376,16 @@ def oracle_sequence(
         state.follow()
         sequence.append(t)
     replayed = config.graph
-    report = elas(gold, replayed)
-    # A perfect report also has as many replayed edges as gold ones.
-    reachable = (
-        config.is_terminal_state()
-        and report.perfect
-        and len(gold.phrases) == len(replayed.phrases)
-        and len(gold.terminals) == len(replayed.terminals)
+    # A replay equal to its gold graph scores perfect ELAS and has as many
+    # phrases and terminals, so only a replay that differs is scored. A
+    # perfect report also has as many replayed edges as gold ones.
+    reachable = config.is_terminal_state() and (
+        replayed == gold
+        or (
+            elas(gold, replayed).perfect
+            and len(gold.phrases) == len(replayed.phrases)
+            and len(gold.terminals) == len(replayed.terminals)
+        )
     )
     uncovered = frozenset() if reachable else _uncovered(gold, replayed)
     return OracleOutcome(sequence, reachable, uncovered, replayed)

@@ -553,11 +553,12 @@ def test_the_synth_builder_keeps_its_fields():
 
 def test_importing_the_package_loads_no_dataclass_machinery():
     """A fresh interpreter, without site hooks, imports the package without
-    ``dataclasses`` (and its ``inspect``), ``hashlib`` or ``fractions``."""
+    ``dataclasses`` (and its ``inspect``), ``hashlib``, ``fractions`` or
+    ``json``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import hybridparse; "
-        "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'fractions') "
+        "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'fractions', 'json') "
         "if m in sys.modules])"
     )
     done = subprocess.run(
