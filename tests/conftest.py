@@ -12,7 +12,18 @@ from hybridparse.corpus_io import read_treebank
 from hybridparse.graph import Edge, HybridGraph, Phrase, own_mask, ref_key
 from hybridparse.learning import FeatureSetSpec, train
 from hybridparse.synth import generate
-from hybridparse.transitions import apply, initial, parse_transition
+from hybridparse.transitions import (
+    AddPhrase,
+    InsertEmpty,
+    InsertPronoun,
+    LeftArc,
+    Reduce,
+    RightArc,
+    Shift,
+    apply,
+    initial,
+    parse_transition,
+)
 from hybridparse.vocab import DEFAULT_TAGS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -30,6 +41,12 @@ corpora = st.builds(
     lambda seed, profile: generate(seed, 4, profile).graphs,
     st.integers(0, 10_000),
     st.sampled_from(PROFILES),
+)
+
+# Every transition kind, for walks that choose among the legal ones at random.
+CANDIDATES = (
+    Shift(), Reduce(1), Reduce(2), LeftArc("subj"), RightArc("obj"),
+    InsertEmpty("N"), InsertPronoun(), AddPhrase("NP"), AddPhrase("VS"),
 )
 
 _acceptance_lines: list = []

@@ -35,9 +35,9 @@ from hybridparse.learning import (
 from hybridparse.oracle import oracle_sequence, step_budget
 from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 from hybridparse.metrics import elas
-from hybridparse.transitions import LeftArc, RightArc, successor
+from hybridparse.transitions import LeftArc, RightArc, legal, successor
 
-from conftest import concatenate, corpora, load_graph, pinned_model, record_calls
+from conftest import CANDIDATES, concatenate, corpora, load_graph, pinned_model, record_calls
 
 
 def seg(i, pos="N", **feats):
@@ -539,6 +539,26 @@ def test_features_and_scores_match_the_reference(graphs):
                 for t in sequence:
                     assert_matches_the_reference(model, config)
                     config = successor(config, t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(corpora, st.integers(0, 2**32 - 1))
+def test_features_match_the_reference_on_random_legal_walks(graphs, seed):
+    """Walks of random legal transitions insert empty categories, build
+    phrases and arcs both ways where neither the oracle nor a parser goes.
+    No queue terminal has an edge, the invariant ``featurize`` reads q1 by,
+    and the features equal the reference under every feature set."""
+    rng = random.Random(seed)
+    sentence = concatenate(graphs).segments
+    specs = [FeatureSetSpec(name) for name in FEATURE_SETS]
+    config = initial(sentence)
+    for _ in range(6 * len(sentence)):
+        assert not any(i in config.heads or i in config.deps for i in config.queue)
+        for spec in specs:
+            assert extract_features(config, spec) == _reference_features(config, spec)
+        if config.is_terminal_state():
+            break
+        config = successor(config, rng.choice([t for t in CANDIDATES if legal(config, t)]))
 
 
 def test_conjunctions_are_found_at_every_split():

@@ -21,7 +21,8 @@ from hybridparse import (
 )
 from hybridparse.graph import Edge, EmptyCategory, GraphError
 from hybridparse.metrics import elas
-from hybridparse.oracle import _alignment, _GoldIndex, _OracleState, step_budget
+from hybridparse import oracle
+from hybridparse.oracle import _alignment, _GoldIndex, _OracleState, _uncovered, step_budget
 from hybridparse.synth import is_nonprojective
 from hybridparse.transitions import AddPhrase, InsertEmpty, RightArc, step
 from hybridparse import generate, Profile
@@ -98,6 +99,53 @@ def test_non_projective_graph_unreachable():
     outcome = oracle_sequence(gold)
     assert not outcome.reachable
     assert outcome.uncovered_edges
+
+
+def _scored_outcome(gold: HybridGraph, sequence) -> tuple:
+    """(reachable, uncovered edges) of a walk by ELAS alone: it ends in a
+    terminal configuration, its replay scores perfect ELAS and has as many
+    phrases and terminals as the gold graph, and otherwise the gold edges
+    no replayed edge covers are left over."""
+    config = initial(gold.segments)
+    for t in sequence:
+        step(config, t)
+    replayed = config.graph
+    reachable = (
+        config.is_terminal_state()
+        and elas(gold, replayed).perfect
+        and len(gold.phrases) == len(replayed.phrases)
+        and len(gold.terminals) == len(replayed.terminals)
+    )
+    return reachable, frozenset() if reachable else _uncovered(gold, replayed)
+
+
+def test_a_reachable_replay_is_not_scored(monkeypatch):
+    """A walk that rebuilds its gold graph is reachable without an ELAS
+    call; any other walk is judged as ELAS judges it, on the crossing edges
+    above and on sentences read backwards, some of which are unreachable."""
+    calls = Counter()
+
+    def counted(gold, predicted):
+        calls["elas"] += 1
+        return elas(gold, predicted)
+
+    monkeypatch.setattr(oracle, "elas", counted)
+    for gold in generate(25, 40, Profile.parse("+phrases,+ellipsis")).graphs:
+        outcome = oracle_sequence(gold)
+        assert outcome.reachable and outcome.graph == gold
+    assert calls["elas"] == 0
+    crossing = graph_from(
+        [seg(1, "V"), seg(2), seg(3), seg(4)],
+        edges=[(2, 0, "obj"), (3, 1, "conj")],
+    )
+    backwards = [reversed_terminals(g) for g in generate(3, 40, "+disconnected").graphs]
+    outcomes = Counter()
+    for gold in [crossing, *backwards]:
+        outcome = oracle_sequence(gold)
+        outcomes[outcome.reachable] += 1
+        assert (outcome.reachable, outcome.uncovered_edges) == _scored_outcome(gold, outcome.sequence)
+    assert outcomes[True] and outcomes[False] > 1
+    assert calls["elas"] == outcomes[False]
 
 
 def test_non_projective_truly_unreachable_by_search():

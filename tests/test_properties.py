@@ -30,13 +30,8 @@ from hybridparse.oracle import oracle_next, oracle_sequence, step_budget
 from hybridparse.synth import generate
 from hybridparse.transitions import (
     PURE_KINDS,
-    AddPhrase,
     InsertEmpty,
     InsertPronoun,
-    LeftArc,
-    Reduce,
-    RightArc,
-    Shift,
     apply,
     initial,
     legal,
@@ -47,6 +42,7 @@ from hybridparse.transitions import (
 from hybridparse.vocab import COPULA_GROUP, DEFAULT_TAGS
 
 from conftest import (
+    CANDIDATES,
     assert_working_state_equals_a_rebuild,
     concatenate,
     corpora,
@@ -206,13 +202,6 @@ def test_carried_graph_state_equals_a_rebuild(model, graphs):
             # The derived state too, where the most has happened since.
             for value, _ in taken[:: max(1, len(taken) // 8)]:
                 assert_same_as_rebuilt(value)
-
-
-# Every transition kind, for walks that choose among the legal ones at random.
-CANDIDATES = (
-    Shift(), Reduce(1), Reduce(2), LeftArc("subj"), RightArc("obj"),
-    InsertEmpty("N"), InsertPronoun(), AddPhrase("NP"), AddPhrase("VS"),
-)
 
 
 @SETTINGS
