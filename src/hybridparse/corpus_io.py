@@ -426,7 +426,11 @@ def parse_feature_line(text: str, location: Location, tags: TagSet = DEFAULT_TAG
                     features = _features(tag)
                 if not segments:
                     raise ValueError("feature tag before any segment")
-                segments[-1][2].update(features)
+                held = segments[-1][2]
+                for key in features:
+                    if key in held:
+                        raise ValueError(f"repeated feature key {key!r}")
+                held.update(features)
         except ValueError as exc:
             raise FeatureNotationError(str(exc), tag, offset) from None
         for read in tokens[index : index + width]:

@@ -8,9 +8,15 @@ subgraphs, and previously parsed edges between slot pairs).
 
 A ``Vocabulary`` gives each predicate it knows one bit, its position, and
 a set of predicates is the int of their bits. A fixed vocabulary knows the
-predicates it was built with and gives any other one no bit; a growing one
-gives a new predicate the next position. ``featurize`` describes a
-configuration as that int and builds no string or set on the way:
+predicates it was built with, in the order given, and gives any other one no
+bit; a growing one gives a new predicate the next position. Positions need
+not ascend in name order: a model's vocabulary numbers the s1 x s2
+conjunction strings after every other predicate (``learning.Model.bind``),
+since a configuration holds one only where a lemma spells it, so the ints
+``featurize`` builds stay about as wide as the plain predicates, and the
+learner ranks positions by name where the order matters. ``featurize``
+describes a configuration as that int and builds no string or set on the
+way:
 
 - ``absent``, ``isroot`` and ``graph:edge`` have one bit per slot or slot
   pair, computed when the vocabulary is made; ``phrase=<tag>`` and

@@ -24,19 +24,22 @@ predicate, then its s1 predicates, its s2 predicates, and its other
 predicates (``graph:``, ``q1:``, ``s3:``), each in name order. One
 ``_Expansion`` gives a key's ids in that order, by bit position over the
 vocabulary's ``names``, for ``fit`` and ``score`` alike: the positions with
-an id, ordered by name, split into runs that share a name prefix. The
+an id, ranked by name, split into runs that share a name prefix, and per s1
+position the mask of the s2 positions it conjoins with (its partners). The
 conjunctions and the s1 and s2 runs make up the block, whose ids read only
 the bits of the block mask: the s1 and s2 runs and the conjunction sides.
 Ids are memoized per run part, per s1 and s2 part and per (s1, s2) position
-pair, so each string is built and looked up once. ``fit`` expands each
-distinct feature set of its pairs once, over the positions its sets use,
-ranked by name, and interns each string when first met
-(``index.setdefault``), as a pass over the expanded strings would. A bound
-classifier expands over the model's vocabulary, whose positions ascend in
-name order, and looks ids up (``index.get``); its runs cover the bits with
-an id, and its s1 and s2 masks the sides of its indexed conjunctions: each
+pair, so each string is built and looked up once; a conjunction-memo miss
+visits, per s1 position of the part, only its partners in the part, both by
+name rank. ``fit`` expands each distinct feature set of its pairs once,
+over the positions its sets use, with every s2 position a partner of every
+s1 position, and interns each string when first met (``index.setdefault``),
+as a pass over the expanded strings would. A bound classifier expands over
+the model's vocabulary, ranks its known positions by name, since the
+vocabulary is not in name order, and looks ids up; its runs cover the bits
+with an id, and its partners are those of its indexed conjunctions: each
 indexed string that starts with "s1:" split at every "&s2:" in it, since a
-lemma may hold "&s2:" too (``_sides``). A lemma predicate that spells a
+lemma may hold "&s2:" too (``_splits``). A lemma predicate that spells a
 conjunction shares the conjunction's id both ways.
 
 Training keeps the raw weights and, per weight, the sum of each update
@@ -52,40 +55,48 @@ weights make both exact (see ``AveragedPerceptron.fit``). Model files list
 the weights label-major (transition -> feature -> weight), as strings.
 
 A classifier knows each indexed string and each conjunction side. The
-``Model`` numbers every predicate any of its classifiers knows, in sorted
-order, as its ``vocabulary``: bit p of a key is ``vocabulary.names[p]``, so
-ascending bits are sorted predicates. It binds each classifier to it, and
-the classifier keeps ``known``, the int of its bits. A score reads a key,
-the bits of a set's known predicates, and adds a transition's weights one
-at a time in the canonical order. Float addition is not associative, so the
-order fixes the result; ``sum()`` is never used, as its float rounding
-differs between Python versions. The block's ids come first, so a label's
-sum over them, its partial, is a prefix of every score of a key with that
-block part: the block memo (``partials``) keeps each label's partial, added
-from 0.0 once per block part, and a score adds the rest's weights to it.
-The result is the sequential sum in canonical order whichever key filled
-the memo.
+``Model`` numbers every predicate any of its classifiers knows as its
+``vocabulary``, bit p of a key being ``vocabulary.names[p]``: first the
+plain predicates, then the strings that can be conjunctions (those that
+start with "s1:" and hold "&s2:"), each group in sorted order.
+``featurize`` sets a conjunction string's bit only where a lemma spells it,
+so a key reaches past the plain predicates only then, and stays a fraction
+of the vocabulary's width, which the conjunction strings dominate. The
+model binds each classifier to the vocabulary, and the classifier keeps
+``known``, the int of its bits. A score reads a key, the bits of a set's
+known predicates, and adds a transition's weights one at a time in the
+canonical order. Float addition is not associative, so the order fixes the
+result; ``sum()`` is never used, as its float rounding differs between
+Python versions. The block's ids come first, so a label's sum over them,
+its partial, is a prefix of every score of a key with that block part: the
+block memo (``partials``) keeps each label's partial, added from 0.0 once
+per block part, and a score adds the rest's weights to it. The result is
+the sequential sum in canonical order whichever key filled the memo.
 
 Parsing ranks each distinct key once per classifier. ``predict`` featurizes
 over the model's vocabulary, where a predicate no classifier knows gets no
 bit, and keys ``rankings`` by ``bits & clf.known``, which maps a key to the
-labels as transitions, best first. This is exact: a score reads only the
-known predicates, so two sets with one key give the same ids in the same
-order and bit-identical sums. A classifier that knows no predicate keys
-every configuration as 0 and is not featurized for. ``predict`` scores the
-key itself on a miss, skips the kinds ``allowed_kinds`` excludes after the
-ranking, so that one memo serves both pipelines, and returns the first
-legal transition. ``fit`` and ``load`` unbind a classifier, binding gives
-it a new expansion and empty ranking and block memos, and ``predict`` binds
-the model again when a classifier is not bound to its vocabulary. A
-ranking-memo miss otherwise adds one ranking and at most one entry to each
-id memo and to the block memo.
+labels as transitions, best first: the labels, pre-sorted once at bind, in
+a stable sort by descending score, so a tie goes to the smaller label. The
+ranking needs unique labels and finite scores, so a model file with a
+repeated label or a non-finite weight does not load. This is exact: a score
+reads only the known predicates, so two sets with one key give the same ids
+in the same order and bit-identical sums. A classifier that knows no
+predicate keys every configuration as 0 and is not featurized for.
+``predict`` scores the key itself on a miss, skips the kinds
+``allowed_kinds`` excludes after the ranking, so that one memo serves both
+pipelines, and returns the first legal transition. ``fit`` and ``load``
+unbind a classifier, binding gives it a new expansion and empty ranking and
+block memos, and ``predict`` binds the model again when a classifier is not
+bound to its vocabulary. A ranking-memo miss otherwise adds one ranking and
+at most one entry to each id memo and to the block memo.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import groupby
+from math import isfinite
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -134,14 +145,20 @@ class _Expansion:
     """The ids of a key's expanded features, by bit position over ``names``,
     in the canonical order (see the module docstring): the block's ids,
     which read only the bits of ``block``, then the other runs' ids.
-    ``order`` lists the positions with an id by name, ``s1`` and ``s2`` are
-    the masks of the conjunction sides, and ``lookup`` gives a feature
-    string's id, or None. ``rank``, a sort key, orders positions by name; it
-    is None where ascending positions are in name order already, as over a
-    sorted vocabulary."""
+    ``order`` lists the positions with an id in name order, and ``rank``, a
+    sort key, orders positions by name. ``partners`` maps each s1 position
+    to the mask of the s2 positions it conjoins with, and ``lookup`` gives a
+    feature string's id."""
 
-    def __init__(self, names: Sequence[str], order: List[int], s1: int, s2: int, lookup, rank):
-        self.names, self.s1, self.s2, self.lookup, self.rank = names, s1, s2, lookup, rank
+    def __init__(
+        self, names: Sequence[str], order: List[int], partners: Dict[int, int], lookup, rank
+    ):
+        self.names, self.partners, self.lookup, self.rank = names, partners, lookup, rank
+        # The masks of the conjunction sides.
+        self.s1 = self.s2 = 0
+        for a, seconds in partners.items():
+            self.s1 |= 1 << a
+            self.s2 |= seconds
         # Per run, (its mask, its part of a key -> ids), in name order; the
         # s1 and s2 runs are the block's, the others (graph:, q1:, s3:) the
         # rest's.
@@ -151,11 +168,11 @@ class _Expansion:
         for head, run in groupby(order, key=lambda p: names[p].partition(":")[0]):
             self.runs.append((sum(1 << p for p in run), {}))
             (self.block_runs if head in ("s1", "s2") else self.rest_runs).append(self.runs[-1])
-        self.block = s1 | s2 | sum(mask for mask, _ in self.block_runs)
+        self.block = self.s1 | self.s2 | sum(mask for mask, _ in self.block_runs)
         # The s1 and s2 part of a key -> its conjunction ids.
         self.conjunctions: Dict[int, Tuple[int, ...]] = {}
-        # Per s1 position, s2 position -> the id of their conjunction, or None.
-        self.by_pair: Dict[int, Dict[int, Optional[int]]] = {}
+        # Per s1 position, s2 position -> the id of their conjunction.
+        self.by_pair: Dict[int, Dict[int, int]] = {}
 
     def ids(self, key: int) -> Tuple[int, ...]:
         return self.block_ids(key & self.block) + self.rest_ids(key)
@@ -185,38 +202,45 @@ class _Expansion:
         return ids
 
     def _conjoin(self, part: int) -> Tuple[int, ...]:
-        names = self.names
-        seconds = sorted(positions(part & self.s2), key=self.rank)
+        """The ids of the conjunctions of a key's s1 and s2 part, by s1 then
+        s2 name: each s1 position visits only its partners in the part. s1
+        positions with the same partners in the part, as all of them in
+        ``fit``, share one ranking of them."""
+        names, rank, partners = self.names, self.rank, self.partners
         out = []
-        for a in sorted(positions(part & self.s1), key=self.rank):
+        ranked: Dict[int, List[int]] = {}
+        for a in sorted(positions(part & self.s1), key=rank):
             row = self.by_pair.get(a)
             if row is None:
                 row = self.by_pair[a] = {}
-            for b in seconds:
+            seconds = part & partners[a]
+            bs = ranked.get(seconds)
+            if bs is None:
+                bs = ranked[seconds] = sorted(positions(seconds), key=rank)
+            for b in bs:
                 i = row.get(b)
-                if i is None and b not in row:
+                if i is None:
                     i = row[b] = self.lookup(f"{names[a]}&{names[b]}")
-                if i is not None:
-                    out.append(i)
+                out.append(i)
         return tuple(out)
 
 
-def _sides(index: Dict[str, int]) -> Tuple[frozenset, frozenset]:
-    """The s1 and s2 predicates whose conjunction ``f"{a}&{b}"`` is indexed.
+def _splits(index: Dict[str, int]) -> Tuple[Tuple[str, str], ...]:
+    """The (s1, s2) predicate pairs whose conjunction ``f"{a}&{b}"`` is
+    indexed.
 
     An indexed string that starts with "s1:" is split at every "&s2:" it
     holds, because a lemma may contain "&s2:" too: (a, b) is a split of a
     string exactly when the string is a + "&" + b."""
-    firsts, seconds = set(), set()
+    out = []
     for feat in index:
         if not feat.startswith("s1:"):
             continue
         at = feat.find("&s2:")
         while at >= 0:
-            firsts.add(feat[:at])
-            seconds.add(feat[at + 1 :])
+            out.append((feat[:at], feat[at + 1 :]))
             at = feat.find("&s2:", at + 1)
-    return frozenset(firsts), frozenset(seconds)
+    return tuple(out)
 
 
 class AveragedPerceptron:
@@ -233,9 +257,9 @@ class AveragedPerceptron:
         # Expanded feature -> id, and per label its weights by id.
         self.index: Dict[str, int] = {}
         self.rows: List[List[float]] = [[] for _ in self.labels]
-        # The s1 and s2 sides of the indexed conjunctions (``_sides``), and
+        # The (s1, s2) splits of the indexed conjunctions (``_splits``), and
         # every predicate a score reads.
-        self.sides: Tuple[frozenset, frozenset] = (frozenset(), frozenset())
+        self.splits: Tuple[Tuple[str, str], ...] = ()
         self.predicates: frozenset = frozenset()
         self._unbind()
 
@@ -276,12 +300,13 @@ class AveragedPerceptron:
         for feats in number:
             union |= feats
         used = sorted(positions(union), key=names.__getitem__)
-        s1 = sum(1 << p for p in used if names[p].startswith("s1:"))
+        # Every pair is interned, so each s1 position conjoins with every s2.
         s2 = sum(1 << p for p in used if names[p].startswith("s2:"))
+        partners = {p: s2 for p in used if names[p].startswith("s1:")}
         rank = dict(zip(used, range(len(used))))
         index: Dict[str, int] = {}
         expansion = _Expansion(
-            names, used, s1, s2, lambda feat: index.setdefault(feat, len(index)), rank.__getitem__
+            names, used, partners, lambda feat: index.setdefault(feat, len(index)), rank.__getitem__
         )
         ids_of = list(map(expansion.ids, number))
         getters = [_getter(ids) for ids in ids_of]
@@ -365,7 +390,8 @@ class AveragedPerceptron:
         return epoch
 
     def load(self, weights: Dict[str, Dict[str, float]]) -> None:
-        """Set the weights from their label-major form, as stored."""
+        """Set the weights from their label-major form, as stored. A weight
+        must be finite, so that every score is a number to rank by."""
         unknown = set(weights) - set(self.labels)
         if unknown:
             raise TrainingError(f"weights for unknown labels {sorted(unknown)}")
@@ -378,15 +404,18 @@ class AveragedPerceptron:
         for label in self.labels:
             row = [0.0] * len(index)
             for feat, w in weights.get(label, {}).items():
-                row[index[feat]] = float(w)
+                w = float(w)
+                if not isfinite(w):
+                    raise TrainingError(f"non-finite weight {w!r} for {label!r} at {feat!r}")
+                row[index[feat]] = w
             self.rows.append(row)
         self._derive_tables()
 
     def _derive_tables(self) -> None:
-        """The conjunction sides and the predicates of the current index,
+        """The conjunction splits and the predicates of the current index,
         unbound."""
-        self.sides = _sides(self.index)
-        self.predicates = frozenset(self.index).union(*self.sides)
+        self.splits = _splits(self.index)
+        self.predicates = frozenset(self.index).union(*self.splits)
         self._unbind()
 
     def _unbind(self) -> None:
@@ -400,19 +429,29 @@ class AveragedPerceptron:
         self.partials: Dict[int, List[float]] = {}
 
     def bind(self, vocabulary: Vocabulary) -> None:
-        """Key scores by the bits of ``vocabulary``, a fixed vocabulary in
-        sorted predicate order that holds every predicate this classifier
-        knows, with a new expansion and empty ranking and block memos."""
-        firsts, seconds = self.sides
-        self.expansion = _Expansion(
-            vocabulary.names,
-            sorted(map(vocabulary.ids.__getitem__, self.index)),
-            vocabulary.encode(firsts),
-            vocabulary.encode(seconds),
-            self.index.get,
-            None,
-        )
+        """Key scores by the bits of ``vocabulary``, a fixed vocabulary that
+        holds every predicate this classifier knows, in any order, with a
+        new expansion and empty ranking and block memos. The expansion
+        ranks the known positions by name, and pairs each s1 side with the
+        s2 sides of its indexed conjunctions. ``by_label`` lists the labels
+        in sorted order, for ``predict``'s ranking."""
+        names, ids = vocabulary.names, vocabulary.ids
         self.known = vocabulary.encode(self.predicates)
+        ranked = sorted(positions(self.known), key=names.__getitem__)
+        rank = dict(zip(ranked, range(len(ranked))))
+        partners: Dict[int, int] = {}
+        for a, b in self.splits:
+            p = ids[a]
+            partners[p] = partners.get(p, 0) | 1 << ids[b]
+        index = self.index
+        self.expansion = _Expansion(
+            names,
+            [p for p in ranked if names[p] in index],
+            partners,
+            index.__getitem__,
+            rank.__getitem__,
+        )
+        self.by_label = sorted(self.labels)
         self.vocabulary = vocabulary
         self.rankings = {}
         self.partials = {}
@@ -522,8 +561,11 @@ class Model(_Record):
 
     def bind(self) -> None:
         """Parse each classifier label, number every predicate any classifier
-        knows, in sorted order, and bind each classifier to that
-        vocabulary."""
+        knows, and bind each classifier to that vocabulary. The strings that
+        can be conjunctions, those that start with "s1:" and hold "&s2:"
+        (``_splits``), come after all the others, each group in sorted
+        order: ``featurize`` sets a conjunction's bit only where a lemma
+        spells it, so the other keys stay narrow."""
         self.parsed_labels = {
             label: parse_transition(label)
             for clf in self.classifiers.values()
@@ -532,7 +574,8 @@ class Model(_Record):
         known: set = set()
         for clf in self.classifiers.values():
             known.update(clf.predicates)
-        self.vocabulary = Vocabulary(sorted(known))
+        tail = {feat for feat in known if feat.startswith("s1:") and "&s2:" in feat}
+        self.vocabulary = Vocabulary(sorted(known - tail) + sorted(tail))
         for clf in self.classifiers.values():
             clf.bind(self.vocabulary)
 
@@ -582,7 +625,10 @@ class Model(_Record):
                         raise TrainingError(f"model relation vocabulary mismatch: {rel!r}")
             classifiers = {}
             for pos, data in payload["classifiers"].items():
-                clf = AveragedPerceptron(data["labels"], data["epochs"], data["seed"])
+                labels = data["labels"]
+                if len(set(labels)) != len(labels):
+                    raise TrainingError(f"repeated label in classifier {pos!r}: {labels}")
+                clf = AveragedPerceptron(labels, data["epochs"], data["seed"])
                 clf.load(data["weights"])
                 classifiers[pos] = clf
             return Model(
@@ -743,10 +789,10 @@ def predict(
         key = clf.known and featurize(config, model.feature_set, model.vocabulary) & clf.known
         ranking = clf.rankings.get(key)
         if ranking is None:
-            # (-score, label): labels are unique, so ties go to the smaller label.
-            ranked = sorted((-score, label) for label, score in clf.score(key).items())
-            parsed = model.parsed_labels
-            ranking = clf.rankings[key] = tuple(parsed[label] for _, label in ranked)
+            # A reverse sort is stable, so tied labels keep their sorted order.
+            totals = clf.score(key)
+            ranked = sorted(clf.by_label, key=totals.__getitem__, reverse=True)
+            ranking = clf.rankings[key] = tuple(map(model.parsed_labels.__getitem__, ranked))
         # Allowed transitions found illegal so far.
         passed = 0
         for t in ranking:

@@ -22,6 +22,9 @@ a caller may branch from one configuration. ``config.graph`` is a
 ``successor`` take it without that check, for callers that have already
 made it (the parser's prediction returns only legal transitions); ``apply``
 is the check followed by ``successor`` and raises ``IllegalTransition``.
+``legal`` and ``step`` dispatch on the transition's class through one table
+each (``_LEGAL``, ``_STEP``), one function per kind, which reads the
+argument by index.
 ``forced`` is the transition taken when nothing else is: reduce(1) on a
 non-empty stack, else shift, and always legal in a non-terminal
 configuration.
@@ -341,44 +344,79 @@ def _is_segment(config: Configuration, ref: NodeRef) -> bool:
     return isinstance(ref, int) and isinstance(config.terminals[ref], MorphSegment)
 
 
-def legal(config: Configuration, t: Transition) -> bool:
+def _shift_legal(config: Configuration, t: Shift) -> bool:
+    return config.front < len(config.terminals)
+
+
+def _reduce_legal(config: Configuration, t: Reduce) -> bool:
+    n = t[0]
+    return n in (1, 2) and len(config.pushed) >= n
+
+
+def _arc_legal(dep: NodeRef, head: NodeRef, heads: dict) -> bool:
+    if dep in heads:
+        return False
+    # The new edge closes a cycle if dep is on head's chain of heads.
+    node = head
+    while node is not None:
+        if node == dep:
+            return False
+        edges = heads.get(node)
+        node = edges[0].head if edges else None
+    return True
+
+
+def _left_legal(config: Configuration, t: LeftArc) -> bool:
     pushed = config.pushed
-    if isinstance(t, Shift):
-        return config.front < len(config.terminals)
-    if isinstance(t, Reduce):
-        return t.n in (1, 2) and len(pushed) >= t.n
-    if isinstance(t, (LeftArc, RightArc)):
-        if len(pushed) < 2:
-            return False
-        s1, s2 = pushed[-1], pushed[-2]
-        dep, head = (s2, s1) if isinstance(t, LeftArc) else (s1, s2)
-        heads = config.heads
-        if dep in heads:
-            return False
-        # The new edge closes a cycle if dep is on head's chain of heads.
-        node = head
-        while node is not None:
-            if node == dep:
-                return False
-            edges = heads.get(node)
-            node = edges[0].head if edges else None
-        return True
-    if isinstance(t, InsertEmpty):
-        # The paper anchors insertions at morphological segments only.
-        return bool(pushed) and _is_segment(config, pushed[-1])
-    if isinstance(t, InsertPronoun):
-        if not pushed or not _is_segment(config, pushed[-1]):
-            return False
-        s1 = pushed[-1]
-        if config.terminals[s1].pos != "V":
-            return False
-        return not any(e.relation in ("subj", "subjx") for e in config.deps.get(s1, ()))
-    if isinstance(t, AddPhrase):
-        if not pushed or not isinstance(pushed[-1], int):
-            return False
-        span = config.span(pushed[-1])
-        return span is not None and Phrase(span[0], span[1], t.tag) not in config.phrases
-    return False
+    return len(pushed) >= 2 and _arc_legal(pushed[-2], pushed[-1], config.heads)
+
+
+def _right_legal(config: Configuration, t: RightArc) -> bool:
+    pushed = config.pushed
+    return len(pushed) >= 2 and _arc_legal(pushed[-1], pushed[-2], config.heads)
+
+
+def _empty_legal(config: Configuration, t: InsertEmpty) -> bool:
+    # The paper anchors insertions at morphological segments only.
+    pushed = config.pushed
+    return bool(pushed) and _is_segment(config, pushed[-1])
+
+
+def _pronoun_legal(config: Configuration, t: InsertPronoun) -> bool:
+    pushed = config.pushed
+    if not pushed or not _is_segment(config, pushed[-1]):
+        return False
+    s1 = pushed[-1]
+    if config.terminals[s1].pos != "V":
+        return False
+    return not any(e.relation in ("subj", "subjx") for e in config.deps.get(s1, ()))
+
+
+def _phrase_legal(config: Configuration, t: AddPhrase) -> bool:
+    pushed = config.pushed
+    if not pushed or not isinstance(pushed[-1], int):
+        return False
+    span = config.span(pushed[-1])
+    return span is not None and Phrase(span[0], span[1], t[0]) not in config.phrases
+
+
+# Transition class -> its legality test.
+_LEGAL = {
+    Shift: _shift_legal,
+    Reduce: _reduce_legal,
+    LeftArc: _left_legal,
+    RightArc: _right_legal,
+    InsertEmpty: _empty_legal,
+    InsertPronoun: _pronoun_legal,
+    AddPhrase: _phrase_legal,
+}
+
+
+def legal(config: Configuration, t: Transition) -> bool:
+    """Whether ``t`` may be taken in ``config``; False for a value that is
+    no transition."""
+    test = _LEGAL.get(type(t))
+    return test is not None and test(config, t)
 
 
 def apply(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> Configuration:
@@ -401,30 +439,60 @@ def successor(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS)
     return out
 
 
+def _shift(config: Configuration, t: Shift, tags: TagSet) -> None:
+    config.pushed.append(config.front)
+    config.front += 1
+
+
+def _reduce(config: Configuration, t: Reduce, tags: TagSet) -> None:
+    del config.pushed[-t[0]]
+
+
+def _left(config: Configuration, t: LeftArc, tags: TagSet) -> None:
+    pushed = config.pushed
+    config.add_edge(Edge(pushed[-2], pushed[-1], t[0]))
+
+
+def _right(config: Configuration, t: RightArc, tags: TagSet) -> None:
+    pushed = config.pushed
+    config.add_edge(Edge(pushed[-1], pushed[-2], t[0]))
+
+
+def _empty(config: Configuration, t: InsertEmpty, tags: TagSet) -> None:
+    _insert_after_top(config, t[0], tags)
+
+
+def _pronoun(config: Configuration, t: InsertPronoun, tags: TagSet) -> None:
+    _insert_after_top(config, "PRON", tags)
+    pushed = config.pushed
+    config.add_edge(Edge(pushed[-1], pushed[-2], "subj"))
+
+
+def _phrase(config: Configuration, t: AddPhrase, tags: TagSet) -> None:
+    start, end = config.span(config.pushed[-1])
+    phrase = Phrase(start, end, t[0])
+    config.phrases.add(phrase)
+    config.pushed.append(phrase)
+
+
+# Transition class -> the function that takes it in place.
+_STEP = {
+    Shift: _shift,
+    Reduce: _reduce,
+    LeftArc: _left,
+    RightArc: _right,
+    InsertEmpty: _empty,
+    InsertPronoun: _pronoun,
+    AddPhrase: _phrase,
+}
+
+
 def step(config: Configuration, t: Transition, tags: TagSet = DEFAULT_TAGS) -> None:
     """Take ``t``, which the caller knows to be legal, in place."""
-    pushed = config.pushed
-    if isinstance(t, Shift):
-        pushed.append(config.front)
-        config.front += 1
-    elif isinstance(t, Reduce):
-        del pushed[-t.n]
-    elif isinstance(t, LeftArc):
-        config.add_edge(Edge(pushed[-2], pushed[-1], t.relation))
-    elif isinstance(t, RightArc):
-        config.add_edge(Edge(pushed[-1], pushed[-2], t.relation))
-    elif isinstance(t, InsertEmpty):
-        _insert_after_top(config, t.pos, tags)
-    elif isinstance(t, InsertPronoun):
-        _insert_after_top(config, "PRON", tags)
-        config.add_edge(Edge(pushed[-1], pushed[-2], "subj"))
-    elif isinstance(t, AddPhrase):
-        start, end = config.span(pushed[-1])
-        phrase = Phrase(start, end, t.tag)
-        config.phrases.add(phrase)
-        pushed.append(phrase)
-    else:
+    take = _STEP.get(type(t))
+    if take is None:
         raise IllegalTransition(f"unhandled transition {t!r}")
+    take(config, t, tags)
 
 
 def _insert_after_top(config: Configuration, pos: str, tags: TagSet) -> None:
