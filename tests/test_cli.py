@@ -199,11 +199,24 @@ def test_parse_of_a_missing_file_exits_one(tmp_path, corpus, missing):
                  "--out", str(tmp_path / "out.conllx")]) == USAGE_ERROR
 
 
+def _model_text(labels: str, weight: str) -> str:
+    """A one-classifier model file with the given labels and SHIFT weight,
+    both as JSON text."""
+    return (
+        '{"format": "hybridparse-model", "feature_set": "pos", "hyperparameters": {}, '
+        '"transitions": ["SHIFT"], "relations": [], "classifiers": {"N": {"labels": '
+        f'{labels}, "epochs": 1, "seed": 0, "weights": {{"SHIFT": {{"q1:absent": {weight}}}}}}}}}}}'
+    )
+
+
 @pytest.mark.parametrize("text", [
     '{"bad": 1}',
     "not json at all",
     '{"format": "hybridparse-model"}',
-], ids=["not-a-model", "not-json", "missing-keys"])
+    # json.loads reads both; a ranking needs unique labels and finite scores.
+    _model_text('["SHIFT", "REDUCE(1)", "SHIFT"]', "1.5"),
+    _model_text('["REDUCE(1)", "SHIFT"]', "NaN"),
+], ids=["not-a-model", "not-json", "missing-keys", "repeated-label", "nan-weight"])
 def test_parse_with_a_malformed_model_exits_two(tmp_path, corpus, capsys, text):
     model = tmp_path / "model.json"
     model.write_text(text, encoding="utf-8")

@@ -685,8 +685,14 @@ def test_minimal_model_loads():
     _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
                                    "weights": {"SHIFT": {"q1:absent": "heavy"}}}}),
     _model_text(feature_set="mega"),
+    _model_text(classifiers={"N": {"labels": ["SHIFT", "REDUCE(1)", "SHIFT"], "epochs": 1,
+                                   "seed": 0, "weights": {"SHIFT": {"q1:absent": 1.0}}}}),
+    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
+                                   "weights": {"SHIFT": {"q1:absent": float("nan")}}}}),
+    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
+                                   "weights": {"SHIFT": {"q1:absent": float("-inf")}}}}),
 ], ids=["not-json", "not-an-object", "missing-keys", "unknown-label", "text-weight",
-        "unknown-feature-set"])
+        "unknown-feature-set", "repeated-label", "nan-weight", "infinite-weight"])
 def test_malformed_model_raises_training_error(text):
     with pytest.raises(TrainingError):
         Model.deserialize(text)
@@ -1039,12 +1045,146 @@ def test_bits_keys_and_predictions_match_the_string_references(graphs):
                     config = successor(config, t)
 
 
+def _conjunction_strings(names) -> set:
+    """The strings that split into an s1 and an s2 predicate at "&s2:"."""
+    return {name for name in names if name.startswith("s1:") and "&s2:" in name}
+
+
 def test_the_vocabulary_is_every_known_predicate_in_sorted_order():
+    """Each known predicate holds one position: the plain names first, in
+    sorted order, then the conjunction strings, in sorted order."""
     model = pinned_model("hybrid-lemma")
     known = set().union(*(_known(clf) for clf in model.classifiers.values()))
-    assert model.vocabulary.names == sorted(known)
+    tail = _conjunction_strings(known)
+    names = model.vocabulary.names
+    assert len(names) == len(set(names)) == len(known)
+    assert names == sorted(known - tail) + sorted(tail)
+    assert tail and known - tail
+    assert all(model.vocabulary.ids[name] == p for p, name in enumerate(names))
     for clf in model.classifiers.values():
         assert model.vocabulary.decode(clf.known) == _known(clf)
+
+
+@pytest.mark.parametrize("case", ["hybrid-lemma", "pure-morph6"])
+def test_keys_stay_below_the_conjunction_strings(case):
+    """Over the parses of the pinned corpus, where no lemma spells a
+    conjunction, no key sets a bit above the plain predicates."""
+    model = _fresh(pinned_model(case))
+    names = model.vocabulary.names
+    n_plain = len(names) - len(_conjunction_strings(names))
+    assert not _conjunction_strings(names[:n_plain])
+    parse = parse_multi_step if case == "pure-morph6" else parse_integrated
+    keys = 0
+    for graph in generate(11, 100, PROFILE).graphs:
+        config = initial(graph.segments)
+        for t in parse(model, graph.segments)[1].trace:
+            clf = model.classifiers.get(learning._partition_key(config))
+            if clf is not None:
+                key = featurize(config, model.feature_set, model.vocabulary) & clf.known
+                assert key < 1 << n_plain
+                keys += bool(key)
+            config = successor(config, t)
+    assert keys > 1000
+
+
+def test_a_lemma_that_spells_a_conjunction_sets_exactly_its_tail_bit():
+    """An s1 lemma "L&s2:P" gives the predicate "s1:lemma=L&s2:P", which is
+    also the conjunction of s1:lemma=L and s2:P: it keeps its own bit, in
+    the tail of the vocabulary, and its id both ways."""
+    model = _fresh(pinned_model("hybrid-lemma"))
+    vocabulary = model.vocabulary
+    names = vocabulary.names
+    n_plain = len(names) - len(_conjunction_strings(names))
+    spelled = sorted(
+        (feat, pos)
+        for pos, clf in model.classifiers.items()
+        for feat in clf.index
+        if feat.startswith("s1:lemma=") and "&s2:" in feat
+    )
+    assert spelled
+    for feat, pos in spelled[:20]:
+        lemma = feat[len("s1:lemma="):]
+        config = initial([seg(1, "N"), seg(2, pos, lemma=lemma), seg(3)])
+        config = apply(apply(config, Shift()), Shift())
+        key = featurize(config, model.feature_set, vocabulary)
+        assert key >> n_plain == 1 << (vocabulary.ids[feat] - n_plain)
+        clf = model.classifiers[pos]
+        assert (key & clf.known) >> n_plain == key >> n_plain
+        assert_matches_the_reference(model, config)
+
+
+# A model whose strings a lemma with "&" can spell. Each label is weighted
+# by some of them, so a missed or doubled id moves the ranking, and the
+# weights are not dyadic, so the summation order shows in the last bit.
+_SPELLED_WEIGHTS = {
+    "SHIFT": {
+        "s1:lemma=x": 0.6,
+        "s1:lemma=x&y": 0.1,
+        "s1:lemma=x&y&s2:pos=N": 0.2,
+        "s1:lemma=x&s2:pos=N": 0.3,
+        "s2:lemma=x&s2:pos=N": 0.7,
+        "s1:pos=V&s2:lemma=x&y": 1.1,
+    },
+    "REDUCE(1)": {
+        "s1:lemma=x&s2:pos=N&s2:pos=V": 1.3,
+        "s1:lemma=x&s2:pos=N": -0.9,
+        "s2:pos=V": 0.35,
+    },
+    "LEFT(subj)": {
+        "s1:lemma=x&s2:pos=N": 0.45,
+        "s2:pos=N&s2:pos=V": 0.25,
+        "s1:lemma=x&y&s2:pos=N": 0.5,
+    },
+}
+# Lemmas that hold "&" or spell one of those strings; the test adds those of
+# the pinned lemma model (_spelling_lemmas).
+_LEMMAS = (
+    "x", "y", "x&y", "x&s2:pos=N", "x&s2:pos=V", "x&s2:pos=N&s2:pos=V", "x&y&s2:pos=N",
+    "&", "&s2:", "&s2:pos=N", "a&s2:lemma=x",
+)
+
+
+def _spelling_lemmas(model) -> list:
+    """Per indexed string "s1:lemma=L&s2:...", the lemma that spells it."""
+    return sorted({
+        feat[len("s1:lemma="):]
+        for clf in model.classifiers.values()
+        for feat in clf.index
+        if feat.startswith("s1:lemma=") and "&s2:" in feat
+    })
+
+
+@settings(max_examples=10, deadline=None)
+@given(corpora, st.integers(0, 2**32 - 1))
+def test_predict_matches_the_string_reference_where_lemmas_spell_conjunctions(graphs, seed):
+    """Walks of random legal transitions, over segments whose lemmas are
+    drawn to hold "&" and "&s2:": on each freshly deserialized model,
+    predict gives the string-keyed predict's transition for both kind
+    filters, also where a lemma predicate sets a bit in the conjunction
+    tail, and the spelled model's scores equal the reference's."""
+    rng = random.Random(seed)
+    spelled = Model.deserialize(_model_text(feature_set="lemma", classifiers={
+        pos: {"labels": sorted(_SPELLED_WEIGHTS), "epochs": 1, "seed": 0,
+              "weights": _SPELLED_WEIGHTS}
+        for pos in ("N", "V", "PRON")
+    }))
+    models = [spelled] + [_fresh(pinned_model(case)) for case in ("hybrid-lemma", "pure-morph6")]
+    pools = (_LEMMAS, _spelling_lemmas(models[1]))
+    segments = [
+        s._replace(lemma=rng.choice(pools[rng.random() < 0.5])) if rng.random() < 0.7 else s
+        for s in concatenate(graphs).segments
+    ]
+    memos = [{} for _ in models]
+    config = initial(segments)
+    for _ in range(6 * len(segments)):
+        assert_matches_the_reference(spelled, config)
+        for model, memo in zip(models, memos):
+            for kinds in (transitions.PURE_KINDS, None):
+                expected = _string_keyed_predict(model, config, memo, kinds)
+                assert predict(model, config, kinds) == expected
+        if config.is_terminal_state():
+            break
+        config = successor(config, rng.choice([t for t in CANDIDATES if legal(config, t)]))
 
 
 @pytest.mark.parametrize("parse", [parse_integrated, parse_multi_step])
@@ -1264,20 +1404,29 @@ def test_block_partials_leave_every_score_as_the_reference(graphs, rng):
 
 def test_the_runs_cover_the_bits_with_an_id_one_per_prefix():
     """Each bound classifier's runs cover exactly its bits that have an id,
-    one run per name prefix, in position order."""
+    one run per name prefix, in name order: the conjunction strings, at the
+    end of the vocabulary, fall into the s1 run."""
     model = _fresh(pinned_model("hybrid-lemma"))
     names = model.vocabulary.names
     prefixes = set()
+    spans_the_tail = False
     for clf in model.classifiers.values():
         masks = [mask for mask, _ in clf.expansion.runs]
-        covered = [p for mask in masks for p in features.positions(mask)]
-        assert covered == sorted(model.vocabulary.ids[f] for f in clf.index)
+        by_name = names.__getitem__
+        covered = [p for mask in masks for p in sorted(features.positions(mask), key=by_name)]
+        assert covered == sorted((model.vocabulary.ids[f] for f in clf.index), key=by_name)
+        assert len(covered) == len(set(covered)) == len(clf.index)
+        spans_the_tail |= any(
+            _conjunction_strings(names[p] for p in features.positions(mask))
+            and not _conjunction_strings([names[features.positions(mask)[0]]])
+            for mask in masks
+        )
         heads = [names[features.positions(mask)[0]].partition(":")[0] for mask in masks]
         assert len(set(heads)) == len(heads)
         for mask, head in zip(masks, heads):
             assert {names[p].partition(":")[0] for p in features.positions(mask)} == {head}
         prefixes.update(heads)
-    assert len(prefixes) > 1
+    assert len(prefixes) > 1 and spans_the_tail
 
 
 _RUNS = st.builds(lambda start, length: ((1 << length) - 1) << start, st.integers(0, 300), st.integers(1, 300))
