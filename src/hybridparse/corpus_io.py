@@ -386,6 +386,9 @@ def _features(tag: str) -> dict:
     ValueError for any other tag."""
     key, colon, value = tag.partition(":")
     if colon and key in _KEYED:
+        if not value and key != "SP":
+            # The writer refuses an empty lemma or root (_check_lossless).
+            raise ValueError(f"empty {_KEYED[key].lower()}")
         return {_KEYED[key]: value}
     if colon and key == "MOOD":
         return {"Aspect" if value in FEATURE_VALUES["Aspect"] else "Mood": value}

@@ -17,7 +17,7 @@ from .convert import from_pure_dependency
 from .graph import MorphSegment, _Record
 from .learning import Model, predict
 from .oracle import step_budget
-from .transitions import Configuration, PURE_KINDS, Transition, forced, initial, step
+from .transitions import _STEP, Configuration, PURE_KINDS, Transition, forced, initial, step
 from .vocab import DEFAULT_TAGS, TagSet
 
 
@@ -59,14 +59,18 @@ def _greedy_parse(
     tags: TagSet,
     allowed_kinds: Optional[tuple],
 ) -> tuple:
+    """Predict and take transitions until the configuration is terminal, as
+    its lists (changed in place) tell, or the budget is spent; then drain.
+    A step goes through ``step``'s class table."""
     config = initial(sentence)
     budget = step_budget(len(sentence))
     report = ParseReport()
-    while not config.is_terminal_state() and len(report.trace) < budget:
+    trace, pushed, terminals = report.trace, config.pushed, config.terminals
+    while (pushed or config.front < len(terminals)) and len(trace) < budget:
         t = predict(model, config, allowed_kinds, report)
-        step(config, t, tags)
-        report.trace.append(t)
-    report.predictive_steps = len(report.trace)
+        _STEP[type(t)](config, t, tags)
+        trace.append(t)
+    report.predictive_steps = len(trace)
     if not config.is_terminal_state():
         report.budget_exhausted = True
         _drain(config, tags, report)

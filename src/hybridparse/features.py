@@ -18,10 +18,10 @@ learner ranks positions by name where the order matters. ``featurize``
 describes a configuration as that int and builds no string or set on the
 way:
 
-- ``absent``, ``isroot`` and ``graph:edge`` have one bit per slot or slot
-  pair, computed when the vocabulary is made; ``phrase=<tag>`` and
-  ``deprel(<rel>)`` have a table per slot, tag or relation -> bit, filled on
-  first use.
+- ``absent`` and ``isroot`` have one bit per slot, and ``graph:edge`` one
+  per pair that can hold an edge (``edge12``, ``edge23``), computed when the
+  vocabulary is made; ``phrase=<tag>`` and ``deprel(<rel>)`` have a table
+  per slot, tag or relation -> bit, filled on first use.
 - A terminal's static predicates (pos, morphology, copula, lemma) read
   only its pos, features and lemma, so the vocabulary memoizes their bits
   per feature set level by those fields (``static_bits``): one miss builds
@@ -37,14 +37,18 @@ way:
 - The configuration's ``static_cache`` keeps each terminal's tuple for the
   walk, exact because terminals are frozen values. It belongs to one memo
   level of one vocabulary (``static_owner``); another one empties it first.
-- The dynamic predicates read the working graph's edge lists by dependent
-  and by head, and its yield masks, inline: ``graph:edge`` looks for an
-  edge either way between a pair's nodes in their lists by dependent, and
-  ``isroot`` holds for a headless node whose mask is one run, the test of
-  ``mask_span`` written as ``not (m + (m & -m)) & m``. A predicate without
-  a bit is not computed. The queue front carries no edge (a
+- ``featurize`` reads q1 first. The queue front carries no edge (a
   ``Configuration`` invariant), so q1 takes only its static bits and its
-  ``isroot`` bit, and ``graph:edge(s1,q1)`` is never looked for.
+  ``isroot`` bit, and ``graph:edge(s1,q1)`` is never looked for. Then it
+  reads s1, s2 and s3 in turn, each through one helper (``_slot_bits``: the
+  static or phrase bit, the deprel bits, the isroot bit), and returns with
+  the ``absent`` bits of the slots left once the stack runs out.
+- The dynamic predicates read the working graph's edge lists by dependent
+  and by head, and its yield masks: ``graph:edge(s1,s2)`` and
+  ``graph:edge(s2,s3)`` look for an edge either way between the pair's
+  nodes in their lists by dependent (``_joined``), and ``isroot`` holds for
+  a headless node whose mask is one run, the test of ``mask_span`` written
+  as ``not (m + (m & -m)) & m``. A predicate without a bit is not computed.
 
 ``extract_features`` is the same description as a frozenset of strings: the
 decode of ``featurize`` over a fresh growing vocabulary. Neither training
@@ -56,8 +60,8 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, Iterable, List
 
-from .graph import EmptyCategory, Phrase, _Value
-from .transitions import Configuration
+from .graph import EmptyCategory, _Value
+from .transitions import Configuration, _Kind
 from .vocab import COPULA_GROUP
 
 FEATURE_SETS = ("pos", "morph6", "morph9", "lemma", "phi")
@@ -69,10 +73,13 @@ _MORPH9 = ("PronType", "SegType")
 _PHI = ("Person", "Gender", "Number")
 
 SLOTS = ("s1", "s2", "s3", "q1")
-EDGE_PAIRS = (("s1", "s2"), ("s1", "q1"), ("s2", "s3"))
 
 
-class FeatureSetSpec(_Value, namedtuple("FeatureSetSpec", "name")):
+class FeatureSetSpec(_Kind, _Value, namedtuple("FeatureSetSpec", "name")):
+    """Equal only to a ``FeatureSetSpec``, as a transition is only to its
+    own kind (``transitions._Kind``): as a tuple, it would equal
+    ``InsertEmpty(name)`` one way and not the other."""
+
     __slots__ = ()
 
     def __new__(cls, name: str):
@@ -126,13 +133,10 @@ class Vocabulary:
         self.grow = grow
         self.absent = tuple(self.bit(f"{slot}:absent") for slot in SLOTS)
         self.isroot = tuple(self.bit(f"{slot}:isroot") for slot in SLOTS)
-        # The graph:edge bits that exist and can hold, each with the
-        # positions of its slots: no edge reaches q1 (featurize).
-        self.edges = tuple(
-            (SLOTS.index(a), SLOTS.index(b), bit)
-            for a, b in EDGE_PAIRS
-            if (bit := self.bit(f"graph:edge({a},{b})")) and b != "q1"
-        )
+        # The graph:edge bits of the pairs that can hold one: no edge
+        # reaches q1 (featurize).
+        self.edge12 = self.bit("graph:edge(s1,s2)")
+        self.edge23 = self.bit("graph:edge(s2,s3)")
         # Per slot position, phrase tag or relation -> bit.
         self.phrase: tuple = tuple({} for _ in SLOTS)
         self.deprel: tuple = tuple({} for _ in SLOTS)
@@ -208,6 +212,50 @@ def _static_predicates(term, slot: str, level: int) -> tuple:
     return tuple(out)
 
 
+def _slot_bits(config: Configuration, vocabulary: Vocabulary, k: int, ref, level: int) -> int:
+    """The bits of stack slot ``k`` holding node ``ref``: its static or
+    phrase bit, its deprel bits and its isroot bit."""
+    if isinstance(ref, int):
+        static = config.static_cache[ref]
+        if static is None:
+            static = config.static_cache[ref] = vocabulary.static_bits(config.terminals[ref], level)
+        bits = static[k]
+    else:
+        tags = vocabulary.phrase[k]
+        bits = tags.get(ref.tag)
+        if bits is None:
+            bits = tags[ref.tag] = vocabulary.bit(f"{SLOTS[k]}:phrase={ref.tag}")
+    edges = config.deps.get(ref)
+    if edges:
+        relations = vocabulary.deprel[k]
+        for edge in edges:
+            bit = relations.get(edge.relation)
+            if bit is None:
+                bit = relations[edge.relation] = vocabulary.bit(f"{SLOTS[k]}:deprel({edge.relation})")
+            bits |= bit
+    # A node with no mask yields its own extent, which is one run. A nonzero
+    # mask is one run exactly when adding its lowest bit carries past all of
+    # it (mask_span).
+    isroot = vocabulary.isroot[k]
+    if isroot and ref not in config.heads:
+        m = config.masks.get(ref)
+        if m is None or not (m + (m & -m)) & m:
+            bits |= isroot
+    return bits
+
+
+def _joined(heads: dict, a, b) -> bool:
+    """Whether an edge joins ``a`` and ``b`` either way; ``heads`` lists the
+    edges by dependent."""
+    for edge in heads.get(a, ()):
+        if edge.head == b:
+            return True
+    for edge in heads.get(b, ()):
+        if edge.head == a:
+            return True
+    return False
+
+
 def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabulary) -> int:
     """The bits of the predicates describing a configuration under a
     feature set, over ``vocabulary``.
@@ -217,77 +265,39 @@ def featurize(config: Configuration, spec: FeatureSetSpec, vocabulary: Vocabular
     has no dependents and no head and yields only itself: it takes its
     static bits and its ``isroot`` bit, and ``graph:edge(s1,q1)`` never
     holds."""
-    pushed, terminals = config.pushed, config.terminals
-    depth = len(pushed)
+    pushed, terminals, cache = config.pushed, config.terminals, config.static_cache
     level = spec.level
     memo = vocabulary.static[level]
     if config.static_owner is not memo:
         config.static_owner = memo
-        config.static_cache = [None] * len(terminals)
-    cache = config.static_cache
-    bits = 0
-    refs = (
-        pushed[-1] if depth > 0 else None,
-        pushed[-2] if depth > 1 else None,
-        pushed[-3] if depth > 2 else None,
-    )
-    heads, deps, masks = config.heads, config.deps, config.masks
-    isroot = vocabulary.isroot
-    for k, ref in enumerate(refs):
-        if ref is None:
-            bits |= vocabulary.absent[k]
-            continue
-        if isinstance(ref, Phrase):
-            tags = vocabulary.phrase[k]
-            bit = tags.get(ref.tag)
-            if bit is None:
-                bit = tags[ref.tag] = vocabulary.bit(f"{SLOTS[k]}:phrase={ref.tag}")
-            bits |= bit
-        else:
-            static = cache[ref]
-            if static is None:
-                static = cache[ref] = vocabulary.static_bits(terminals[ref], level)
-            bits |= static[k]
-        edges = deps.get(ref)
-        if edges:
-            relations = vocabulary.deprel[k]
-            for edge in edges:
-                bit = relations.get(edge.relation)
-                if bit is None:
-                    bit = relations[edge.relation] = vocabulary.bit(
-                        f"{SLOTS[k]}:deprel({edge.relation})"
-                    )
-                bits |= bit
-        # A node with no mask yields its own extent, which is one run. A
-        # nonzero mask is one run exactly when adding its lowest bit carries
-        # past all of it (mask_span).
-        if isroot[k] and ref not in heads:
-            m = masks.get(ref)
-            if m is None or not (m + (m & -m)) & m:
-                bits |= isroot[k]
+        cache = config.static_cache = [None] * len(terminals)
+    absent = vocabulary.absent
     front = config.front
     if front < len(terminals):
         static = cache[front]
         if static is None:
             static = cache[front] = vocabulary.static_bits(terminals[front], level)
-        bits |= static[3] | isroot[3]
+        bits = static[3] | vocabulary.isroot[3]
     else:
-        bits |= vocabulary.absent[3]
-    # An edge joins the pair's nodes in either direction; heads lists the
-    # edges by dependent.
-    for a, b, bit in vocabulary.edges:
-        ra, rb = refs[a], refs[b]
-        if ra is None or rb is None:
-            continue
-        for edge in heads.get(ra, ()):
-            if edge.head == rb:
-                bits |= bit
-                break
-        else:
-            for edge in heads.get(rb, ()):
-                if edge.head == ra:
-                    bits |= bit
-                    break
+        bits = absent[3]
+    depth = len(pushed)
+    if not depth:
+        return bits | absent[0] | absent[1] | absent[2]
+    s1 = pushed[-1]
+    bits |= _slot_bits(config, vocabulary, 0, s1, level)
+    if depth == 1:
+        return bits | absent[1] | absent[2]
+    s2 = pushed[-2]
+    bits |= _slot_bits(config, vocabulary, 1, s2, level)
+    heads = config.heads
+    if vocabulary.edge12 and _joined(heads, s1, s2):
+        bits |= vocabulary.edge12
+    if depth == 2:
+        return bits | absent[2]
+    s3 = pushed[-3]
+    bits |= _slot_bits(config, vocabulary, 2, s3, level)
+    if vocabulary.edge23 and _joined(heads, s2, s3):
+        bits |= vocabulary.edge23
     return bits
 
 

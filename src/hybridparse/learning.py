@@ -774,14 +774,19 @@ def predict(
 ) -> Transition:
     """Highest-scoring legal transition; total via the ``forced`` fallback.
 
-    The classifier's labels are ranked once per key (``rankings``) and the
-    kinds ``allowed_kinds`` excludes are skipped afterwards, which keeps the
-    order, so one ranking serves both pipelines. ``report``, if given, counts
-    a step whose best-ranked allowed transition is illegal in its
+    The partition of s1 is read inline, as ``_partition_key`` gives it. Its
+    classifier's labels are ranked, by one ``score``, once per key
+    (``rankings``); the kinds ``allowed_kinds`` excludes are skipped after,
+    which keeps the order, so one ranking serves both pipelines, and the
+    rest go to ``legal`` in rank order. ``report``, if given, counts a step
+    whose best-ranked allowed transition is illegal in its
     ``illegal_top_steps``, the rank among the allowed transitions (the best
     is 1) of the one taken instead in its ``fallback_ranks``, and a step
     that falls back to ``forced`` in its ``forced_steps``."""
-    clf = model.classifiers.get(_partition_key(config))
+    s1 = config.pushed[-1] if config.pushed else None
+    clf = model.classifiers.get(
+        config.terminals[s1].pos if isinstance(s1, int) else s1.tag if s1 else EMPTY_PARTITION
+    )
     if clf is not None:
         if clf.vocabulary is not model.vocabulary:
             model.bind()

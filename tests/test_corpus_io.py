@@ -284,9 +284,11 @@ NOTATION_TAGS = (
 )
 
 # sha256 of ``_notation_outcomes`` over 20,000 lines of seed 26, computed
-# once the reader rejected a repeated feature key: 374 lines changed outcome,
-# 265 of them read before and 109 failed on a later tag.
-NOTATION_SHA256 = "db2146509c95234e102b570583bc1e7ea0ccf69f3484bfe08411def737822cc3"
+# once the reader rejected an empty lemma or root. Of the outcomes pinned when
+# it rejected a repeated feature key, 575 changed: 153 lines read before, 90
+# failed on a later tag, and 332 failed on the same tag with another message
+# (331 "feature tag before any segment", one a repeated Lemma key).
+NOTATION_SHA256 = "010e97bc8a293d8b571bcf8563a50736b761e9578be709aa4baf49eb3d0064dc"
 
 
 def _notation_lines(seed: int, count: int) -> list:
@@ -404,6 +406,27 @@ def test_a_two_tag_value_before_each_kind_of_tag(first, at):
         f"PCPL must follow ACT or PASS (tag 'PCPL' at offset {at})"
     )
     assert _read(f"[POS:N {value} XYZ]") == f"unknown tag (tag 'XYZ' at offset {at})"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[POS:N LEM:]", "empty lemma (tag 'LEM:' at offset 7)"),
+        ("[POS:N ROOT:]", "empty root (tag 'ROOT:' at offset 7)"),
+        ("[POS:N LEM:kitaAb ROOT:]", "empty root (tag 'ROOT:' at offset 18)"),
+        ("[w:CONJ+ LEM: POS:V]", "empty lemma (tag 'LEM:' at offset 9)"),
+        # The value is checked before the tag's place in the line.
+        ("[ROOT:]", "empty root (tag 'ROOT:' at offset 1)"),
+    ],
+)
+def test_the_reader_rejects_an_empty_lemma_or_root(line, message):
+    """The writer refuses an empty lemma or root, so the reader does too."""
+    assert _read(line) == message
+
+
+@pytest.mark.parametrize("line", ["[POS:V MOOD:]", "[POS:V (IV) SP:]"])
+def test_an_empty_mood_or_sp_value_round_trips(line):
+    assert format_feature_line(parse_feature_line(line, Location(1, 1, 1))) == line
 
 
 

@@ -22,9 +22,9 @@ from hybridparse import (
     predict,
     train,
 )
-from hybridparse import features, learning, transitions
+from hybridparse import engine, features, learning, transitions
 from hybridparse.engine import parse_integrated, parse_multi_step
-from hybridparse.features import EDGE_PAIRS, FEATURE_SETS, SLOTS, Vocabulary, _static_predicates
+from hybridparse.features import FEATURE_SETS, SLOTS, Vocabulary, _static_predicates
 from hybridparse.graph import EmptyCategory, HybridGraph, Phrase, mask_span
 from hybridparse.learning import (
     AveragedPerceptron,
@@ -76,6 +76,11 @@ def test_extract_features_edge_predicate():
     config = apply(config, LeftArc("subj"))
     feats = extract_features(config, FeatureSetSpec("pos"))
     assert "graph:edge(s1,s2)" in feats
+
+
+# The slot pairs a graph:edge predicate names; no edge reaches q1, so the
+# (s1, q1) predicate never holds.
+EDGE_PAIRS = (("s1", "s2"), ("s1", "q1"), ("s2", "s3"))
 
 
 def _slot_ref(config, slot: str):
@@ -637,6 +642,44 @@ def test_featurization_asks_no_checked_span(monkeypatch):
     assert not from_learning
     graph.subgraph_span(0)
     assert from_learning == {False: 1}
+
+
+@pytest.mark.parametrize(
+    "case, parse", [("hybrid-lemma", parse_integrated), ("pure-morph6", parse_multi_step)]
+)
+def test_parsing_keeps_its_work_on_the_traced_names(monkeypatch, case, parse):
+    """The benchmark's tracer counts parse work by the names it rebinds. On a
+    freshly loaded model, a long parse calls ``engine.predict`` once per
+    predictive step, ``legal`` at least once in each step that reads a
+    ranking and never in one that does not, and
+    ``AveragedPerceptron.score`` once per ranking-memo miss."""
+    model = Model.deserialize(pinned_model(case).serialize())
+    sentence = concatenate(generate(3, 30, PROFILE).graphs).segments
+    tested = record_calls(monkeypatch, learning, "legal")
+    scored = []
+    score = AveragedPerceptron.score
+
+    def counted_score(self, key):
+        scored.append(key)
+        return score(self, key)
+
+    monkeypatch.setattr(AveragedPerceptron, "score", counted_score)
+    steps = []  # per predict call: (it reads a ranking, its legal calls)
+
+    def counted_predict(model, config, *rest):
+        reads = learning._partition_key(config) in model.classifiers
+        before = len(tested)
+        t = predict(model, config, *rest)
+        steps.append((reads, len(tested) - before))
+        return t
+
+    monkeypatch.setattr(engine, "predict", counted_predict)
+    _, report = parse(model, sentence)
+    assert len(steps) == report.predictive_steps == len(report.trace) > 400
+    assert sum(reads for reads, _ in steps) > 400
+    assert all(calls >= 1 if reads else calls == 0 for reads, calls in steps)
+    misses = sum(len(clf.rankings) for clf in model.classifiers.values())
+    assert len(scored) == misses > 0
 
 
 def test_training_walks_each_graph_once(monkeypatch):

@@ -13,6 +13,7 @@ from hybridparse import (
     RightArc,
     Shift,
     apply,
+    generate,
     initial,
     legal,
 )
@@ -211,3 +212,25 @@ def test_progress_always_possible():
         config = apply(config, t)
         steps += 1
     assert steps == 4
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_no_legal_walk_ends_in_an_invalid_graph():
+    """Every step of this walk over the first 3-segment synth sentence
+    (V N N) passes ``apply`` today, and the walk ends in a graph that
+    ``validate()`` rejects (``phrase-overlap``). A sound transition system
+    rejects a step on the way or builds a valid graph."""
+    gold = next(g for g in generate(5, 200, "+phrases,+ellipsis").graphs if len(g.segments) == 3)
+    assert [s.pos for s in gold.segments] == ["V", "N", "N"]
+    walk = (
+        "SHIFT SHIFT SHIFT LEFT(subj) PHRASE(S) REDUCE(1) REDUCE(1) "
+        "LEFT(subj) REDUCE(2) PHRASE(S) REDUCE(1) REDUCE(1)"
+    )
+    config = initial(gold.segments)
+    try:
+        for text in walk.split():
+            config = apply(config, parse_transition(text))
+    except IllegalTransition:
+        return
+    assert config.is_terminal_state()
+    assert config.graph.validate() == []

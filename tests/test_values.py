@@ -325,6 +325,14 @@ def test_transitions_of_one_field_differ_by_kind():
     assert len({Shift(), InsertPronoun(), Shift()}) == 2
 
 
+def test_a_feature_set_spec_equals_only_a_feature_set_spec():
+    spec, insert = FeatureSetSpec("pos"), InsertEmpty("pos")
+    assert spec != insert and insert != spec
+    assert not spec == insert and not insert == spec
+    assert len({spec, insert}) == len({insert, spec}) == 2
+    assert spec != ("pos",) and ("pos",) != spec and spec == FeatureSetSpec("pos")
+
+
 @settings(max_examples=200, deadline=None)
 @given(kinds_and_fields)
 def test_values_cannot_be_assigned(drawn):
