@@ -134,6 +134,16 @@ def _parse_feats(text: str, line_no: int) -> tuple:
     return tuple(features), lemma, root, location, is_reference
 
 
+def _writable(name: str, value: str, item: bool = False) -> str:
+    """``value``, if ``read_treebank`` reads it back as written: with no tab
+    or line break (a file read with universal newlines ends a line at a
+    carriage return) and, as a FEATS item's value (``item``), not empty,
+    which reads back as absent, and with no "|"."""
+    if "\t" in value or "\n" in value or "\r" in value or item and (not value or "|" in value):
+        raise TreebankFormatError(f"cannot write {name}={value!r} losslessly")
+    return value
+
+
 def _feats_column(segment: MorphSegment) -> str:
     loc = segment.location
     items = [f"loc={loc.chapter}:{loc.verse}:{loc.token}:{loc.segment}"]
@@ -144,10 +154,10 @@ def _feats_column(segment: MorphSegment) -> str:
     for key in sorted(feat_map):
         if key not in FEATURE_ORDER:
             items.append(f"{key}={feat_map[key]}")
-    if segment.lemma:
-        items.append(f"Lemma={segment.lemma}")
-    if segment.root:
-        items.append(f"Root={segment.root}")
+    if segment.lemma is not None:
+        items.append(f"Lemma={_writable('Lemma', segment.lemma, True)}")
+    if segment.root is not None:
+        items.append(f"Root={_writable('Root', segment.root, True)}")
     if segment.is_reference:
         items.append("Ref=yes")
     return "|".join(items)
@@ -266,7 +276,9 @@ def _rows_to_graph(rows: list, tags: TagSet, end_line: int) -> HybridGraph:
 
 
 def write_treebank(doc: TreebankDocument, stream: TextIO) -> None:
-    """Canonical serialization: stable row order, "_" for absent values."""
+    """Canonical serialization: stable row order, "_" for absent values. A
+    form, lemma or root that would not read back as written raises
+    TreebankFormatError."""
     metadata = list(doc.metadata) + [GraphMetadata()] * (len(doc.graphs) - len(doc.metadata))
     for graph, meta in zip(doc.graphs, metadata):
         if meta.location:
@@ -283,12 +295,12 @@ def write_treebank(doc: TreebankDocument, stream: TextIO) -> None:
             head, rel = head_rel.get(i, ("_", "_"))
             if isinstance(term, MorphSegment):
                 stream.write(
-                    f"{node_ids[i]}\tT\t_\t{term.form or '_'}\t{term.pos}\t"
+                    f"{node_ids[i]}\tT\t_\t{_writable('form', term.form or '_')}\t{term.pos}\t"
                     f"{_feats_column(term)}\t{head}\t{rel}\n"
                 )
             else:
                 stream.write(
-                    f"{node_ids[i]}\tE\t_\t{term.form}\t{term.pos}\t_\t{head}\t{rel}\n"
+                    f"{node_ids[i]}\tE\t_\t{_writable('form', term.form)}\t{term.pos}\t_\t{head}\t{rel}\n"
                 )
         for phrase in sorted(graph.phrases):
             head, rel = head_rel.get(phrase, ("_", "_"))

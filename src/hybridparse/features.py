@@ -13,10 +13,9 @@ bit; a growing one gives a new predicate the next position. Positions need
 not ascend in name order: a model's vocabulary numbers the s1 x s2
 conjunction strings after every other predicate (``learning.Model.bind``),
 since a configuration holds one only where a lemma spells it, so the ints
-``featurize`` builds stay about as wide as the plain predicates, and the
-learner ranks positions by name where the order matters. ``featurize``
-describes a configuration as that int and builds no string or set on the
-way:
+``featurize`` builds stay about as wide as the plain predicates.
+``featurize`` describes a configuration as that int and builds no string or
+set on the way:
 
 - ``absent`` and ``isroot`` have one bit per slot, and ``graph:edge`` one
   per pair that can hold an edge (``edge12``, ``edge23``), computed when the

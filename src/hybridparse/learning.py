@@ -18,41 +18,32 @@ until its averaged weights fit every pair whose feature set is not also
 labelled with another transition, or until the epoch cap.
 
 Each classifier holds one row of weights per transition, indexed by the
-integer ids of its expanded features. A feature set expands, in one
-canonical order, to each s1 x s2 conjunction ``f"{a}&{b}"``, by s1 then s2
-predicate, then its s1 predicates, its s2 predicates, and its other
-predicates (``graph:``, ``q1:``, ``s3:``), each in name order. One
-``_Expansion`` gives a key's ids in that order, by bit position over the
-vocabulary's ``names``, for ``fit`` and ``score`` alike: the positions with
-an id, ranked by name, split into runs that share a name prefix, and per s1
-position the mask of the s2 positions it conjoins with (its partners). The
-conjunctions and the s1 and s2 runs make up the block, whose ids read only
-the bits of the block mask: the s1 and s2 runs and the conjunction sides.
-Ids are memoized per run part, per s1 and s2 part and per (s1, s2) position
-pair, so each string is built and looked up once; a conjunction-memo miss
-visits, per s1 position of the part, only its partners in the part, both by
-name rank. ``fit`` expands each distinct feature set of its pairs once,
-over the positions its sets use, with every s2 position a partner of every
-s1 position, and interns each string when first met (``index.setdefault``),
-as a pass over the expanded strings would. A bound classifier expands over
-the model's vocabulary, ranks its known positions by name, since the
-vocabulary is not in name order, and looks ids up; its runs cover the bits
-with an id, and its partners are those of its indexed conjunctions: each
-indexed string that starts with "s1:" split at every "&s2:" in it, since a
-lemma may hold "&s2:" too (``_splits``). A lemma predicate that spells a
+integer ids of its expanded features: a feature set's predicates and each
+s1 x s2 conjunction ``f"{a}&{b}"``. One ``_Expansion`` gives a key's ids by
+bit position over the vocabulary's ``names``, for ``fit`` and ``score``
+alike: the block's (the conjunctions and the s1 and s2 predicates), which
+read only the bits of the block mask, then the rest's (``graph:``, ``q1:``,
+``s3:``). Ids are memoized per part of a key and per (s1, s2) position
+pair, so each string is built and looked up once, and a conjunction-memo
+miss visits, per s1 position, only its partners: the s2 positions it
+conjoins with. ``fit`` makes every s2 position a partner of every s1
+position and interns each string when first met. A bound classifier looks
+ids up; its partners are those of its indexed conjunctions, each indexed
+string that starts with "s1:" split at every "&s2:" in it, since a lemma
+may hold "&s2:" too (``_splits``). A lemma predicate that spells a
 conjunction shares the conjunction's id both ways.
 
-Training keeps the raw weights and, per weight, the sum of each update
-times the step it was made at, all as Python ints. After ``step`` steps the
-averaged weight is (step * raw - sum) / step: the averaging is exact, the
-check that the averaged weights fit is made on the integer numerators, and
-each stored weight is one quotient rounded once. Every update adds to the
-gold row what it takes from the rival row, so each column of the raw
-weights, and of the numerators, sums to zero. Pairs that share a feature
-set share its raw scores; a reuse sums again only the rows updated since,
-and of those all but one, which is minus the sum of the others. The integer
-weights make both exact (see ``AveragedPerceptron.fit``). Model files list
-the weights label-major (transition -> feature -> weight), as strings.
+Scores are exact. Training keeps the raw weights and, per weight, the sum
+of each update times the step it was made at, all as Python ints: after
+``step`` steps the averaged weight is (step * raw - sum) / step. A
+classifier keeps these integer numerators over one positive denominator,
+``step``, and ranks by numerator sums, which rank as the averaged weights
+do. Its rows hold the numerators as integral floats. Every weight must be
+an int and each row's sum of |weight| below 2**53 (``_store``, which
+``fit`` and ``load`` share), so any sum of a row's weights is an integer
+that a float holds exactly, in any order or grouping of its additions. A
+model file (version 2) gives each classifier's denominator and its weights
+label-major (transition -> feature -> weight), as ints.
 
 A classifier knows each indexed string and each conjunction side. The
 ``Model`` numbers every predicate any of its classifiers knows as its
@@ -60,43 +51,33 @@ A classifier knows each indexed string and each conjunction side. The
 plain predicates, then the strings that can be conjunctions (those that
 start with "s1:" and hold "&s2:"), each group in sorted order.
 ``featurize`` sets a conjunction string's bit only where a lemma spells it,
-so a key reaches past the plain predicates only then, and stays a fraction
-of the vocabulary's width, which the conjunction strings dominate. The
-model binds each classifier to the vocabulary, and the classifier keeps
-``known``, the int of its bits. A score reads a key, the bits of a set's
-known predicates, and adds a transition's weights one at a time in the
-canonical order. Float addition is not associative, so the order fixes the
-result; ``sum()`` is never used, as its float rounding differs between
-Python versions. The block's ids come first, so a label's sum over them,
-its partial, is a prefix of every score of a key with that block part: the
-block memo (``partials``) keeps each label's partial, added from 0.0 once
-per block part, and a score adds the rest's weights to it. The result is
-the sequential sum in canonical order whichever key filled the memo.
+so a key reaches past the plain predicates only then. Each classifier,
+bound to the vocabulary, keeps ``known``, the int of its bits. A score
+reads a key, the bits of a set's known predicates: each label starts from
+its block partial, memoized per block part (``partials``), and adds the
+rest's weights.
 
 Parsing ranks each distinct key once per classifier. ``predict`` featurizes
 over the model's vocabulary, where a predicate no classifier knows gets no
 bit, and keys ``rankings`` by ``bits & clf.known``, which maps a key to the
 labels as transitions, best first: the labels, pre-sorted once at bind, in
 a stable sort by descending score, so a tie goes to the smaller label. The
-ranking needs unique labels and finite scores, so a model file with a
-repeated label or a non-finite weight does not load. This is exact: a score
-reads only the known predicates, so two sets with one key give the same ids
-in the same order and bit-identical sums. A classifier that knows no
-predicate keys every configuration as 0 and is not featurized for.
-``predict`` scores the key itself on a miss, skips the kinds
-``allowed_kinds`` excludes after the ranking, so that one memo serves both
-pipelines, and returns the first legal transition. ``fit`` and ``load``
-unbind a classifier, binding gives it a new expansion and empty ranking and
-block memos, and ``predict`` binds the model again when a classifier is not
-bound to its vocabulary. A ranking-memo miss otherwise adds one ranking and
-at most one entry to each id memo and to the block memo.
+ranking needs unique labels, so a model file with a repeated label does not
+load. A score reads only the known predicates, so two sets with one key
+have one ranking. A classifier that knows no predicate keys every
+configuration as 0 and is not featurized for. ``predict`` scores the key
+itself on a miss, skips the kinds ``allowed_kinds`` excludes after the
+ranking, so that one memo serves both pipelines, and returns the first
+legal transition. ``fit`` and ``load`` unbind a classifier, binding gives
+it a new expansion and empty ranking and block memos, and ``predict`` binds
+the model again when a classifier is not bound to its vocabulary. A
+ranking-memo miss otherwise adds one ranking and at most one entry to each
+id memo and to the block memo.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import groupby
-from math import isfinite
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -142,35 +123,28 @@ class TrainingError(Exception):
 
 
 class _Expansion:
-    """The ids of a key's expanded features, by bit position over ``names``,
-    in the canonical order (see the module docstring): the block's ids,
-    which read only the bits of ``block``, then the other runs' ids.
-    ``order`` lists the positions with an id in name order, and ``rank``, a
-    sort key, orders positions by name. ``partners`` maps each s1 position
-    to the mask of the s2 positions it conjoins with, and ``lookup`` gives a
-    feature string's id."""
+    """The ids of a key's expanded features, by bit position over ``names``:
+    the block's ids, which read only the bits of ``block``, then the rest's,
+    which read only the bits of ``rest``. ``partners`` maps each s1 position
+    to the mask of the s2 positions it conjoins with, ``plain`` is the mask
+    of the s1 and s2 positions with an id, and ``lookup`` gives a feature
+    string's id."""
 
-    def __init__(
-        self, names: Sequence[str], order: List[int], partners: Dict[int, int], lookup, rank
-    ):
-        self.names, self.partners, self.lookup, self.rank = names, partners, lookup, rank
+    def __init__(self, names: Sequence[str], ided: int, partners: Dict[int, int], lookup):
+        self.names, self.partners, self.lookup = names, partners, lookup
         # The masks of the conjunction sides.
         self.s1 = self.s2 = 0
         for a, seconds in partners.items():
             self.s1 |= 1 << a
             self.s2 |= seconds
-        # Per run, (its mask, its part of a key -> ids), in name order; the
-        # s1 and s2 runs are the block's, the others (graph:, q1:, s3:) the
-        # rest's.
-        self.runs: List[Tuple[int, dict]] = []
-        self.block_runs: List[Tuple[int, dict]] = []
-        self.rest_runs: List[Tuple[int, dict]] = []
-        for head, run in groupby(order, key=lambda p: names[p].partition(":")[0]):
-            self.runs.append((sum(1 << p for p in run), {}))
-            (self.block_runs if head in ("s1", "s2") else self.rest_runs).append(self.runs[-1])
-        self.block = self.s1 | self.s2 | sum(mask for mask, _ in self.block_runs)
-        # The s1 and s2 part of a key -> its conjunction ids.
+        self.plain = sum(1 << p for p in positions(ided) if names[p].startswith(("s1:", "s2:")))
+        self.rest = ided ^ self.plain
+        self.block = self.s1 | self.s2 | self.plain
+        # The conjunction sides of a key -> their ids; the plain and the
+        # rest part of a key -> their ids.
         self.conjunctions: Dict[int, Tuple[int, ...]] = {}
+        self.plain_memo: Dict[int, Tuple[int, ...]] = {}
+        self.rest_memo: Dict[int, Tuple[int, ...]] = {}
         # Per s1 position, s2 position -> the id of their conjunction.
         self.by_pair: Dict[int, Dict[int, int]] = {}
 
@@ -178,46 +152,32 @@ class _Expansion:
         return self.block_ids(key & self.block) + self.rest_ids(key)
 
     def block_ids(self, part: int) -> Tuple[int, ...]:
-        """The conjunction ids, then the s1 and s2 runs' ids, of the block
-        part of a key."""
+        """The conjunction ids, then the s1 and s2 ids, of the block part of
+        a key."""
         sides = part & (self.s1 | self.s2)
         got = self.conjunctions.get(sides)
         if got is None:
             got = self.conjunctions[sides] = self._conjoin(sides)
-        return got + self._run_ids(self.block_runs, part)
+        return got + self._plain(self.plain_memo, part & self.plain)
 
     def rest_ids(self, key: int) -> Tuple[int, ...]:
-        """The ids of the runs outside the block, in name order."""
-        return self._run_ids(self.rest_runs, key)
+        """The ids outside the block."""
+        return self._plain(self.rest_memo, key & self.rest)
 
-    def _run_ids(self, runs: List[Tuple[int, dict]], key: int) -> Tuple[int, ...]:
-        ids: tuple = ()
-        for mask, memo in runs:
-            part = key & mask
-            got = memo.get(part)
-            if got is None:
-                ranked = sorted(positions(part), key=self.rank)
-                got = memo[part] = tuple(map(self.lookup, map(self.names.__getitem__, ranked)))
-            ids += got
-        return ids
+    def _plain(self, memo: Dict[int, Tuple[int, ...]], part: int) -> Tuple[int, ...]:
+        got = memo.get(part)
+        if got is None:
+            got = memo[part] = tuple(map(self.lookup, map(self.names.__getitem__, positions(part))))
+        return got
 
     def _conjoin(self, part: int) -> Tuple[int, ...]:
-        """The ids of the conjunctions of a key's s1 and s2 part, by s1 then
-        s2 name: each s1 position visits only its partners in the part. s1
-        positions with the same partners in the part, as all of them in
-        ``fit``, share one ranking of them."""
-        names, rank, partners = self.names, self.rank, self.partners
+        """The ids of the conjunctions of a key's s1 and s2 part: each s1
+        position visits only its partners in the part."""
+        names, partners = self.names, self.partners
         out = []
-        ranked: Dict[int, List[int]] = {}
-        for a in sorted(positions(part & self.s1), key=rank):
-            row = self.by_pair.get(a)
-            if row is None:
-                row = self.by_pair[a] = {}
-            seconds = part & partners[a]
-            bs = ranked.get(seconds)
-            if bs is None:
-                bs = ranked[seconds] = sorted(positions(seconds), key=rank)
-            for b in bs:
+        for a in positions(part & self.s1):
+            row = self.by_pair.setdefault(a, {})
+            for b in positions(part & partners[a]):
                 i = row.get(b)
                 if i is None:
                     i = row[b] = self.lookup(f"{names[a]}&{names[b]}")
@@ -254,14 +214,7 @@ class AveragedPerceptron:
         self.labels = list(labels)
         self.epochs = epochs
         self.seed = seed
-        # Expanded feature -> id, and per label its weights by id.
-        self.index: Dict[str, int] = {}
-        self.rows: List[List[float]] = [[] for _ in self.labels]
-        # The (s1, s2) splits of the indexed conjunctions (``_splits``), and
-        # every predicate a score reads.
-        self.splits: Tuple[Tuple[str, str], ...] = ()
-        self.predicates: frozenset = frozenset()
-        self._unbind()
+        self._store((), [[] for _ in self.labels], 1)
 
     def fit(self, pairs: Sequence[Tuple[int, str]], names: Sequence[str]) -> int:
         """Train on (features, label) pairs and return the epochs run. The
@@ -275,39 +228,36 @@ class AveragedPerceptron:
         label can never be fitted: they are trained on but left out of both
         checks.
 
-        Each distinct feature set is numbered in order of first appearance
-        and its expanded ids are found once (``_Expansion``), so the index is
-        the one a pass pair by pair would build. Pairs that share a set
-        share its raw scores: they are kept with the number of updates made
-        when they were last brought up to date. An update changes two rows,
-        the gold label's and the rival's, and each label keeps the number of
-        updates made by its row's last change, so a reuse sums again only
-        the rows changed since. An update adds 1 to the gold row and takes 1
-        from the rival row at the same ids, and the update sums follow the
-        same rule, so in every column the raw rows, and the averaged
-        numerators, sum to zero: of the rows to sum, the last is minus the
-        sum of all the others and is not summed. The raw weights are ints,
-        so a reused or derived sum is the sum recomputed. A visit masks the
-        gold score in the memo's list for the search of the best wrong one
-        and puts it back, so no list is copied; the rival search skips the
-        gold label. The averaged-weights check scores each fittable set
-        once, since all the pairs of such a set carry its one label, and
-        derives its last row the same way.
+        Each distinct feature set is numbered in order of first appearance and
+        its expanded ids are found once (``_Expansion``). The weights kept are
+        the averaged numerators over ``step`` (``_store``). Pairs that share a
+        set share its raw scores: they are kept with the number of updates
+        made when they were last brought up to date. An update changes two
+        rows, the gold label's and the rival's, and each label keeps the
+        number of updates made by its row's last change, so a reuse sums again
+        only the rows changed since. An update adds 1 to the gold row and
+        takes 1 from the rival row at the same ids, and the update sums follow
+        the same rule, so in every column the raw rows, and the averaged
+        numerators, sum to zero: of the rows to sum, the last is minus the sum
+        of all the others and is not summed. The raw weights are ints, so a
+        reused or derived sum is the sum recomputed. A visit masks the gold
+        score in the memo's list for the search of the best wrong one and puts
+        it back, so no list is copied; the rival search skips the gold label.
+        The averaged-weights check scores each fittable set once, since all
+        the pairs of such a set carry its one label, and derives its last row
+        the same way.
         """
         number: dict = {}
         set_of = [number.setdefault(feats, len(number)) for feats, _ in pairs]
         union = 0
         for feats in number:
             union |= feats
-        used = sorted(positions(union), key=names.__getitem__)
+        used = positions(union)
         # Every pair is interned, so each s1 position conjoins with every s2.
         s2 = sum(1 << p for p in used if names[p].startswith("s2:"))
         partners = {p: s2 for p in used if names[p].startswith("s1:")}
-        rank = dict(zip(used, range(len(used))))
         index: Dict[str, int] = {}
-        expansion = _Expansion(
-            names, used, partners, lambda feat: index.setdefault(feat, len(index)), rank.__getitem__
-        )
+        expansion = _Expansion(names, union, partners, lambda feat: index.setdefault(feat, len(index)))
         ids_of = list(map(expansion.ids, number))
         getters = [_getter(ids) for ids in ids_of]
         position = {label: j for j, label in enumerate(self.labels)}
@@ -384,14 +334,13 @@ class AveragedPerceptron:
         else:
             averaged = numerators()
         kept = {feat: i for feat, i in index.items() if any(row[i] for row in averaged)}
-        self.index = {feat: k for k, feat in enumerate(kept)}
-        self.rows = [[row[i] / step for i in kept.values()] for row in averaged]
-        self._derive_tables()
+        # No step, as with no pairs, leaves every numerator 0.
+        self._store(kept, [[row[i] for i in kept.values()] for row in averaged], step or 1)
         return epoch
 
-    def load(self, weights: Dict[str, Dict[str, float]]) -> None:
-        """Set the weights from their label-major form, as stored. A weight
-        must be finite, so that every score is a number to rank by."""
+    def load(self, weights: Dict[str, Dict[str, int]], denominator: int) -> None:
+        """Set the weight numerators from their label-major form, as stored,
+        over ``denominator``."""
         unknown = set(weights) - set(self.labels)
         if unknown:
             raise TrainingError(f"weights for unknown labels {sorted(unknown)}")
@@ -399,26 +348,34 @@ class AveragedPerceptron:
         for table in weights.values():
             for feat in table:
                 index.setdefault(feat, len(index))
-        self.index = index
-        self.rows = []
+        rows = []
         for label in self.labels:
-            row = [0.0] * len(index)
+            row = [0] * len(index)
             for feat, w in weights.get(label, {}).items():
-                w = float(w)
-                if not isfinite(w):
-                    raise TrainingError(f"non-finite weight {w!r} for {label!r} at {feat!r}")
                 row[index[feat]] = w
-            self.rows.append(row)
-        self._derive_tables()
+            rows.append(row)
+        self._store(index, rows, denominator)
 
-    def _derive_tables(self) -> None:
-        """The conjunction splits and the predicates of the current index,
-        unbound."""
+    def _store(self, feats, rows: List[List[int]], denominator: int) -> None:
+        """Keep the integer numerators ``rows``, one per label, whose columns
+        follow the order of ``feats``, over one positive int denominator,
+        unbound. Each row's sum of |weight| must be below 2**53, so that any
+        sum of its weights, as integral floats, is exact."""
+        if type(denominator) is not int or denominator < 1:
+            raise TrainingError(f"denominator {denominator!r} is not a positive int")
+        for label, row in zip(self.labels, rows):
+            if not {int}.issuperset(map(type, row)):
+                raise TrainingError(f"a weight for {label!r} is not an int")
+            if sum(map(abs, row)) >= 2**53:
+                raise TrainingError(f"the |weights| for {label!r} sum to 2**53 or more")
+        # Expanded feature -> id, and per label its numerators by id.
+        self.index: Dict[str, int] = {feat: k for k, feat in enumerate(feats)}
+        self.rows: List[List[float]] = [list(map(float, row)) for row in rows]
+        self.denominator = denominator
+        # The (s1, s2) splits of the indexed conjunctions (``_splits``), and
+        # every predicate a score reads.
         self.splits = _splits(self.index)
         self.predicates = frozenset(self.index).union(*self.splits)
-        self._unbind()
-
-    def _unbind(self) -> None:
         self.vocabulary: Optional[Vocabulary] = None
         self.known = 0
         self.expansion: Optional[_Expansion] = None
@@ -432,24 +389,17 @@ class AveragedPerceptron:
         """Key scores by the bits of ``vocabulary``, a fixed vocabulary that
         holds every predicate this classifier knows, in any order, with a
         new expansion and empty ranking and block memos. The expansion
-        ranks the known positions by name, and pairs each s1 side with the
-        s2 sides of its indexed conjunctions. ``by_label`` lists the labels
-        in sorted order, for ``predict``'s ranking."""
-        names, ids = vocabulary.names, vocabulary.ids
+        pairs each s1 side with the s2 sides of its indexed conjunctions.
+        ``by_label`` lists the labels in sorted order, for ``predict``'s
+        ranking."""
+        ids = vocabulary.ids
         self.known = vocabulary.encode(self.predicates)
-        ranked = sorted(positions(self.known), key=names.__getitem__)
-        rank = dict(zip(ranked, range(len(ranked))))
         partners: Dict[int, int] = {}
         for a, b in self.splits:
             p = ids[a]
             partners[p] = partners.get(p, 0) | 1 << ids[b]
-        index = self.index
         self.expansion = _Expansion(
-            names,
-            [p for p in ranked if names[p] in index],
-            partners,
-            index.__getitem__,
-            rank.__getitem__,
+            vocabulary.names, vocabulary.encode(self.index), partners, self.index.__getitem__
         )
         self.by_label = sorted(self.labels)
         self.vocabulary = vocabulary
@@ -457,11 +407,10 @@ class AveragedPerceptron:
         self.partials = {}
 
     def score(self, key: int) -> Dict[str, float]:
-        """Per-label weight sums over the expanded features of a key, the
-        bits of known predicates over the bound vocabulary, each added one
-        at a time in expanded feature order. The block's ids come first in
-        that order, so each label starts from its block partial, summed from
-        0.0 once per block part (``partials``), and adds the rest's weights."""
+        """Per-label sums of the weight numerators over the expanded
+        features of a key, the bits of known predicates over the bound
+        vocabulary: each label starts from its block partial, summed once
+        per block part (``partials``), and adds the rest's weights."""
         expansion = self.expansion
         part = key & expansion.block
         partials = self.partials.get(part)
@@ -481,10 +430,11 @@ class AveragedPerceptron:
             scores[label] = total
         return scores
 
-    def weights_by_label(self) -> Dict[str, Dict[str, float]]:
-        """The weights label-major (label -> feature -> weight), as stored."""
+    def weights_by_label(self) -> Dict[str, Dict[str, int]]:
+        """The weight numerators label-major (label -> feature -> weight), as
+        stored."""
         return {
-            label: {feat: row[i] for feat, i in self.index.items() if row[i]}
+            label: {feat: int(row[i]) for feat, i in self.index.items() if row[i]}
             for label, row in zip(self.labels, self.rows)
         }
 
@@ -586,7 +536,7 @@ class Model(_Record):
 
         payload = {
             "format": "hybridparse-model",
-            "version": 1,
+            "version": 2,
             "feature_set": self.feature_set.name,
             "hyperparameters": self.hyperparameters,
             "transitions": self.transition_vocabulary,
@@ -598,6 +548,7 @@ class Model(_Record):
                     "labels": clf.labels,
                     "epochs": clf.epochs,
                     "seed": clf.seed,
+                    "denominator": clf.denominator,
                     "weights": clf.weights_by_label(),
                 }
                 for pos, clf in sorted(self.classifiers.items())
@@ -616,6 +567,9 @@ class Model(_Record):
             payload = json.loads(text)
             if not isinstance(payload, dict) or payload.get("format") != "hybridparse-model":
                 raise TrainingError("not a model file")
+            version = payload.get("version")
+            if version != 2:
+                raise TrainingError(f"model file version {version!r}; this reader reads 2")
             known = set(tags.relations)
             for rel in payload["relations"]:
                 if rel not in known:
@@ -629,7 +583,7 @@ class Model(_Record):
                 if len(set(labels)) != len(labels):
                     raise TrainingError(f"repeated label in classifier {pos!r}: {labels}")
                 clf = AveragedPerceptron(labels, data["epochs"], data["seed"])
-                clf.load(data["weights"])
+                clf.load(data["weights"], data["denominator"])
                 classifiers[pos] = clf
             return Model(
                 FeatureSetSpec(payload["feature_set"]),

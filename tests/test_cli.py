@@ -199,13 +199,16 @@ def test_parse_of_a_missing_file_exits_one(tmp_path, corpus, missing):
                  "--out", str(tmp_path / "out.conllx")]) == USAGE_ERROR
 
 
-def _model_text(labels: str, weight: str) -> str:
-    """A one-classifier model file with the given labels and SHIFT weight,
-    both as JSON text."""
+def _model_text(labels: str, weight: str, denominator: str = "1", version: str = "2") -> str:
+    """A one-classifier model file with the given labels, SHIFT weight,
+    denominator and version, each as JSON text; "" leaves the denominator
+    out."""
+    denominator = f'"denominator": {denominator}, ' if denominator else ""
     return (
-        '{"format": "hybridparse-model", "feature_set": "pos", "hyperparameters": {}, '
-        '"transitions": ["SHIFT"], "relations": [], "classifiers": {"N": {"labels": '
-        f'{labels}, "epochs": 1, "seed": 0, "weights": {{"SHIFT": {{"q1:absent": {weight}}}}}}}}}}}'
+        f'{{"format": "hybridparse-model", "version": {version}, "feature_set": "pos", '
+        '"hyperparameters": {}, "transitions": ["SHIFT"], "relations": [], "classifiers": '
+        f'{{"N": {{"labels": {labels}, "epochs": 1, "seed": 0, {denominator}'
+        f'"weights": {{"SHIFT": {{"q1:absent": {weight}}}}}}}}}}}'
     )
 
 
@@ -213,16 +216,35 @@ def _model_text(labels: str, weight: str) -> str:
     '{"bad": 1}',
     "not json at all",
     '{"format": "hybridparse-model"}',
-    # json.loads reads both; a ranking needs unique labels and finite scores.
-    _model_text('["SHIFT", "REDUCE(1)", "SHIFT"]', "1.5"),
+    # json.loads reads all of these; a ranking needs unique labels, and an
+    # exact score integer weights over a positive int denominator.
+    _model_text('["SHIFT", "REDUCE(1)", "SHIFT"]', "1"),
     _model_text('["REDUCE(1)", "SHIFT"]', "NaN"),
-], ids=["not-a-model", "not-json", "missing-keys", "repeated-label", "nan-weight"])
+    _model_text('["REDUCE(1)", "SHIFT"]', "Infinity"),
+    _model_text('["REDUCE(1)", "SHIFT"]', "1.5"),
+    _model_text('["REDUCE(1)", "SHIFT"]', "true"),
+    _model_text('["REDUCE(1)", "SHIFT"]', "1", denominator=""),
+    _model_text('["REDUCE(1)", "SHIFT"]', "1", denominator="0"),
+    _model_text('["REDUCE(1)", "SHIFT"]', "1", denominator="-1"),
+    _model_text('["REDUCE(1)", "SHIFT"]', "1", version="1"),
+    _model_text('["REDUCE(1)", "SHIFT"]', str(2**53)),
+], ids=["not-a-model", "not-json", "missing-keys", "repeated-label", "nan-weight",
+        "infinite-weight", "fractional-weight", "true-weight", "missing-denominator",
+        "zero-denominator", "negative-denominator", "version-1", "row-sum-2**53"])
 def test_parse_with_a_malformed_model_exits_two(tmp_path, corpus, capsys, text):
     model = tmp_path / "model.json"
     model.write_text(text, encoding="utf-8")
     assert main(["parse", "--model", str(model), "--input", str(corpus),
                  "--out", str(tmp_path / "out.conllx")]) == DATA_ERROR
     assert f"{model}:" in capsys.readouterr().err
+
+
+def test_parse_with_the_hand_written_model_exits_zero(tmp_path, corpus):
+    """The file the malformed cases alter parses."""
+    model = tmp_path / "model.json"
+    model.write_text(_model_text('["REDUCE(1)", "SHIFT"]', "1"), encoding="utf-8")
+    assert main(["parse", "--model", str(model), "--input", str(corpus),
+                 "--out", str(tmp_path / "out.conllx")]) == 0
 
 
 @pytest.mark.parametrize("command, into_directory", [

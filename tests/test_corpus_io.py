@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hybridparse import EmptyCategory, Location, MorphSegment, Phrase, generate
 from hybridparse.corpus_io import (
     FeatureNotationError,
+    TreebankDocument,
     TreebankFormatError,
     dumps_treebank,
     format_feature_line,
@@ -19,6 +20,7 @@ from hybridparse.corpus_io import (
     sentences_from_notation,
     write_treebank,
 )
+from hybridparse.graph import HybridGraph
 from hybridparse.vocab import FEATURE_VALUES
 
 from conftest import FIXTURES
@@ -250,6 +252,42 @@ def test_write_to_stream():
     buf = io.StringIO()
     write_treebank(doc, buf)
     assert buf.getvalue().endswith("\n\n")
+
+
+def _segment(form="kitAb", lemma="kitAb", root="ktb") -> MorphSegment:
+    return MorphSegment(Location(1, 1, 1), form, "N", (("SegType", "stem"),), lemma, root)
+
+
+def _document(terminal) -> TreebankDocument:
+    return TreebankDocument([HybridGraph((terminal,), frozenset(), frozenset())])
+
+
+@pytest.mark.parametrize("terminal, message", [
+    (_segment(lemma=""), "cannot write Lemma='' losslessly"),
+    (_segment(root=""), "cannot write Root='' losslessly"),
+    (_segment(lemma="a|b"), "cannot write Lemma='a|b' losslessly"),
+    (_segment(root="k|t=b"), "cannot write Root='k|t=b' losslessly"),
+    (_segment(form="a\tb"), "cannot write form='a\\tb' losslessly"),
+    (_segment(form="a\nb"), "cannot write form='a\\nb' losslessly"),
+    (_segment(form="a\rb"), "cannot write form='a\\rb' losslessly"),
+    (_segment(lemma="a\tb"), "cannot write Lemma='a\\tb' losslessly"),
+    (_segment(lemma="a\nb"), "cannot write Lemma='a\\nb' losslessly"),
+    (_segment(root="a\tb"), "cannot write Root='a\\tb' losslessly"),
+    (_segment(root="a\nb"), "cannot write Root='a\\nb' losslessly"),
+    (EmptyCategory("PRON", "hu\twa"), "cannot write form='hu\\twa' losslessly"),
+], ids=["empty-lemma", "empty-root", "lemma-bar", "root-bar", "form-tab", "form-newline",
+        "form-return", "lemma-tab", "lemma-newline", "root-tab", "root-newline",
+        "empty-category-tab"])
+def test_the_writer_refuses_a_segment_it_cannot_read_back(terminal, message):
+    """Written as text, each of these terminals would read back changed (an
+    empty lemma or root as None; "k|t=b" as the root "k" and a feature t)
+    or not at all (a "|" without "=", a tab or a line break in a row). The
+    unaltered segment reads back equal."""
+    with pytest.raises(TreebankFormatError) as exc:
+        dumps_treebank(_document(terminal))
+    assert str(exc.value) == message
+    doc = _document(_segment())
+    assert read_treebank(dumps_treebank(doc)).graphs == doc.graphs
 
 
 def test_feature_notation_file():

@@ -110,19 +110,19 @@ PINNED_CORPUS = (
 # and the default epoch cap. Computed when each fold trained from scratch.
 FOLD_SHA256 = {
     "integrated": [
-        ("5e8ce74a8d10f82e4a46d10bd81b66dae368ba0b04cc0bfdbf01f24e2d6bc136",
+        ("9b9475fbbf709f81d80c2af6f67aad52031b6463111a8ffc05b299351a678e91",
          "06f9c97ddc78e86a906015c18e3aeebec3930c8b588768eec73fdeb786509e39"),
-        ("4e8d98fafaa9eb5a3a82a22a94a523dc3497b4aab790cc548766c5ab4cbced3f",
+        ("6fe9598ee3b5819e9de353d99b61b0a1e79cef11c28af15384f8d08f8bfa2197",
          "918d6c2e9f4f87c02fe09b33a6e1a905fff5bdd6ae9feef8ce300f1ea8abaab6"),
-        ("c23e69d57a94e0bd4ea15df417f69c083cbe038588f2acc4fff5678e7ddb1779",
+        ("77860b331c2b2e010871af6edf5448cb6dfe94870a8dd50a9971865201ef7f8a",
          "a149060ada26273a65af2ad3a6204a66449da4edeac79a8354d874893d58473b"),
     ],
     "multistep": [
-        ("f352c1f4726fdd630460bf4c9f382f6443b8aaf878dea925b48c178b0d488df4",
+        ("9d1dab02e42f79469c64d9468c0e3dd4058d79bf8661ff27ba5e59979ae0dffa",
          "afb5959ed95df03cc0134c718e0a00ec6b36ea3b8a42aa240b5a366aa7046c3e"),
-        ("05cb0a84aa656da500403792b2bf3c52217d64775fc7774deda67980fbd35bdc",
+        ("b7c5ea0fca1ea9c3e7694dbe64df103c05ece1d49d2a4a268aff5027db789fa7",
          "10e91ad0bac76936eca38d18fa75ce0e49fc42d371839053e2a94fe2fb726a77"),
-        ("7e774a4d4e6e2aa021ea55cce958920c45510e6decd25faf5a2af9d623643708",
+        ("678e465af5ccb08890b84f799e955457b8725c8282c759bf41eee579de5b0cc4",
          "a2b4641ce29b2624ee2a090e4a5e1c015dbea4d07a14a2477119f63c6cb187aa"),
     ],
 }

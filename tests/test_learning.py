@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -136,9 +137,10 @@ def test_feature_vectors_nest_by_spec():
 
 
 def _conjoined(features) -> list:
-    """A predicate set expanded as the learner expands it: each s1 x s2
-    conjunction string, then its s1 predicates, its s2 predicates and its
-    other predicates, each in sorted order."""
+    """A predicate set expanded as the learner expands it, in an order of
+    the reference's own: each s1 x s2 conjunction string, then its s1
+    predicates, its s2 predicates and its other predicates, each in sorted
+    order."""
     items = sorted(features)
     s1 = [f for f in items if f.startswith("s1:")]
     s2 = [f for f in items if f.startswith("s2:")]
@@ -264,9 +266,10 @@ def test_fit_below_the_cap_fits_every_fittable_pair(pairs, seed):
 
 
 def _reference_fit(labels, epochs, seed, pairs) -> tuple:
-    """AveragedPerceptron.fit written plainly, as (epochs run, index,
-    weights by label): every pair expanded, interned and scored on its own
-    at every step, the weights kept per label as dicts of ints."""
+    """AveragedPerceptron.fit written plainly, as (epochs run, indexed
+    strings, weight numerators by label, denominator): every pair expanded,
+    interned and scored on its own at every step, the weights kept per label
+    as dicts of ints."""
     index = {}
     ids_of = []
     for feats, _ in pairs:
@@ -314,14 +317,10 @@ def _reference_fit(labels, epochs, seed, pairs) -> tuple:
     averaged = numerators()
     kept = [f for f, i in index.items() if any(averaged[label][i] for label in labels)]
     weights = {
-        label: {f: averaged[label][index[f]] / step for f in kept if averaged[label][index[f]]}
+        label: {f: averaged[label][index[f]] for f in kept if averaged[label][index[f]]}
         for label in labels
     }
-    return epoch, {f: k for k, f in enumerate(kept)}, weights
-
-
-def _hex_weights(weights: dict) -> dict:
-    return {label: {f: w.hex() for f, w in row.items()} for label, row in weights.items()}
+    return epoch, set(kept), weights, step
 
 
 # Lemma predicates that spell a conjunction of the pool: a set holding one
@@ -346,20 +345,22 @@ spelling_sets = st.frozensets(
 )
 def test_fit_matches_the_per_pair_reference(pairs, times, conflicting, seed, shuffler):
     """Repeated feature sets, mixed with sets labelled two ways, give the
-    epochs, index and weights of a fit that treats every pair on its own,
-    also when a lemma predicate and a conjunction intern one string; and the
-    fitted classifier scores every set as the reference scorer does, so fit
-    and score expand both spellings alike."""
+    epochs, indexed strings, weight numerators and denominator of a fit that
+    treats every pair on its own, also when a lemma predicate and a
+    conjunction intern one string; and the fitted classifier scores every set
+    exactly as the reference scorer does, so fit and score expand both
+    spellings alike. Ids are internal, so the weights are compared by
+    string."""
     pairs = pairs * times + [(feats, label) for feats in conflicting for label in "ab"]
     shuffler.shuffle(pairs)
     labels = sorted({label for _, label in pairs})
     clf = AveragedPerceptron(labels, epochs=15, seed=seed)
-    epoch, index, weights = _reference_fit(labels, 15, seed, pairs)
+    epoch, indexed, weights, step = _reference_fit(labels, 15, seed, pairs)
     assert _fit(clf, pairs) == epoch
-    assert list(clf.index.items()) == list(index.items())
-    assert _hex_weights(clf.weights_by_label()) == _hex_weights(weights)
+    assert set(clf.index) == indexed
+    assert clf.weights_by_label() == weights and clf.denominator == step
     for feats, _ in pairs:
-        assert _hex(_score(clf, feats)) == _hex(_reference_score(clf, feats))
+        assert _score(clf, feats) == _reference_score(clf, feats)
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 64, 1000, 2637])
@@ -397,11 +398,11 @@ PROFILE = "+phrases,+ellipsis,+disconnected"
 # Serialized models on two fixed corpora. A learner change that moves one
 # weight or one partition's epoch count moves these hashes.
 MODEL_SHA256 = {
-    "hybrid-lemma": "7fcb93b7375365d2bf677e8cdc5d32e8ac93ed5a0bf5432e0ab50f4b8446cd23",
+    "hybrid-lemma": "c80849390bc07b35478eef437ef61c3bbe52fd0f3be4f8282d1e80a15219bd51",
     # 84% of its pairs repeat a feature set, and its V partition runs 15
     # epochs: the corpus that reuses shared scores most.
-    "hybrid-pos": "bd94b6f31bcaaf9a421ef5cecff92c5b3d464d7b0d3d7de326380144b637b507",
-    "pure-morph6": "5db8755bb56b8984b53066445206dc0dffe730357bf82747a473f8a60c97c99e",
+    "hybrid-pos": "fe957949704f8d7d277a27c99d7b032b6680a068e5a0052e6290f35dbeb84c0f",
+    "pure-morph6": "3fde14393a6e553acc606009c3785e136d2576e97551db6ae57d3be77584b88b",
 }
 
 
@@ -412,8 +413,8 @@ def test_model_is_pinned(case):
 
 
 # Each pipeline's output graphs for a held-out corpus, parsed with the pinned
-# models. A change to featurization, to a score's float additions or to the
-# parser's tie-breaking that moves one edge moves these hashes.
+# models. A change to featurization, to a score or to the parser's
+# tie-breaking that moves one edge moves these hashes.
 PARSE_SHA256 = {
     "integrated": "ba0bd44c4a434692da6ecf6ed988332b3d52fc589aacbd70496e3b3f1048e3f8",
     "multistep": "a9c29eefcb34e9f6d5bd1383dde0e47c445fe7f5d623894f5b6aacd2d4ab329b",
@@ -443,6 +444,50 @@ def test_parse_outputs_are_pinned(pipeline):
         lines.append("")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == PARSE_SHA256[pipeline]
+
+
+@pytest.mark.parametrize("pipeline", sorted(PARSE_SHA256))
+def test_every_ranking_is_the_exact_averaged_ranking(monkeypatch, pipeline):
+    """On the corpus and models of ``test_parse_outputs_are_pinned``, the
+    ranking that every ``predict`` reads is the ranking of its classifier's
+    labels by the exact averaged scores: sums of ``Fraction(weight,
+    denominator)`` over the expanded strings of the configuration's
+    features, a tie going to the smaller label."""
+    held_out = generate(12, 40, PROFILE).graphs
+    sentences = held_out + [concatenate(held_out[:20]), concatenate(held_out[20:])]
+    if pipeline == "multistep":
+        model, parse = _fresh(pinned_model("pure-morph6")), parse_multi_step
+    else:
+        model, parse = _fresh(pinned_model("hybrid-lemma")), parse_integrated
+    weights = {pos: clf.weights_by_label() for pos, clf in model.classifiers.items()}
+    exact = {}
+
+    def exact_ranking(pos, clf, config) -> tuple:
+        strings = [f for f in _conjoined(extract_features(config, model.feature_set)) if f in clf.index]
+        totals = {
+            label: sum((Fraction(weights[pos][label].get(f, 0), clf.denominator) for f in strings),
+                       Fraction(0))
+            for label in clf.labels
+        }
+        return tuple(model.parsed_labels[label] for label in sorted(clf.labels, key=lambda l: (-totals[l], l)))
+
+    def checked_predict(model, config, *rest):
+        t = predict(model, config, *rest)
+        pos = learning._partition_key(config)
+        clf = model.classifiers.get(pos)
+        if clf is not None:
+            key = featurize(config, model.feature_set, model.vocabulary) & clf.known
+            if (pos, key) not in exact:
+                exact[pos, key] = exact_ranking(pos, clf, config)
+            assert clf.rankings[key] == exact[pos, key]
+            checked.append(pos)
+        return t
+
+    checked = []
+    monkeypatch.setattr(engine, "predict", checked_predict)
+    for gold in sentences:
+        parse(model, gold.segments)
+    assert len(checked) > 1000 and len(set(checked)) > 10 and len(exact) > 500
 
 
 # The featurizer and the scorer written plainly, as references that
@@ -506,27 +551,17 @@ def _reference_features(config, spec) -> frozenset:
 
 
 def _reference_score(clf, features) -> dict:
-    """Per label, the weights of the sorted features and then of each s1 x s2
-    conjunction string, added one at a time."""
+    """Per label, the sum as Python ints of the weight numerators of the
+    features and of each s1 x s2 conjunction string."""
     ids = [clf.index[f] for f in _conjoined(features) if f in clf.index]
-    scores = {}
-    for label, row in zip(clf.labels, clf.rows):
-        total = 0.0
-        for i in ids:
-            total += row[i]
-        scores[label] = total
-    return scores
-
-
-def _hex(scores: dict) -> dict:
-    return {label: value.hex() for label, value in scores.items()}
+    return {label: sum(int(row[i]) for i in ids) for label, row in zip(clf.labels, clf.rows)}
 
 
 def assert_matches_the_reference(model, config):
     feats = extract_features(config, model.feature_set)
     assert feats == _reference_features(config, model.feature_set)
     for clf in model.classifiers.values():
-        assert _hex(_score(clf, feats)) == _hex(_reference_score(clf, feats))
+        assert _score(clf, feats) == _reference_score(clf, feats)
 
 
 @settings(max_examples=20, deadline=None)
@@ -570,16 +605,15 @@ def test_conjunctions_are_found_at_every_split():
     """A lemma may hold "&", even "&s2:", so one stored string can be the
     conjunction of more than one s1 and s2 predicate pair."""
     weights = {
-        "s1:lemma=x&y": 1.0,
-        "s1:lemma=x&y&s2:pos=N": 2.0,
+        "s1:lemma=x&y": 1,
+        "s1:lemma=x&y&s2:pos=N": 2,
         # The lemma "x&s2:pos=N" alone, or the lemma x with s2:pos=N.
-        "s1:lemma=x&s2:pos=N": 4.0,
+        "s1:lemma=x&s2:pos=N": 4,
         # The lemma "x&s2:pos=N" with s2:pos=V: found at the second split.
-        "s1:lemma=x&s2:pos=N&s2:pos=V": 8.0,
-        "s1:lemma=x&s2:pos=N&s2:pos=N": 16.0,
+        "s1:lemma=x&s2:pos=N&s2:pos=V": 8,
+        "s1:lemma=x&s2:pos=N&s2:pos=N": 16,
     }
-    classifier = {"labels": ["REDUCE(1)", "SHIFT"], "epochs": 1, "seed": 0,
-                  "weights": {"SHIFT": weights, "REDUCE(1)": {"s2:pos=V": 0.5}}}
+    classifier = _classifier({"SHIFT": weights, "REDUCE(1)": {"s2:pos=V": 1}})
     model = Model.deserialize(_model_text(feature_set="lemma", classifiers={"N": classifier}))
     got = {}
     for lemma in ("x", "x&y", "x&s2:pos=N"):
@@ -588,10 +622,10 @@ def test_conjunctions_are_found_at_every_split():
             config = apply(apply(config, Shift()), Shift())
             assert_matches_the_reference(model, config)
             got[lemma, pos] = _score(model.classifiers["N"], extract_features(config, model.feature_set))
-    assert got["x", "N"]["SHIFT"] == 4.0
-    assert got["x&y", "N"]["SHIFT"] == 1.0 + 2.0
-    assert got["x&s2:pos=N", "N"]["SHIFT"] == 4.0 + 16.0
-    assert got["x&s2:pos=N", "V"]["SHIFT"] == 4.0 + 8.0
+    assert got["x", "N"]["SHIFT"] == 4
+    assert got["x&y", "N"]["SHIFT"] == 1 + 2
+    assert got["x&s2:pos=N", "N"]["SHIFT"] == 4 + 16
+    assert got["x&s2:pos=N", "V"]["SHIFT"] == 4 + 8
 
 
 def test_a_repeated_feature_key_is_rejected():
@@ -698,14 +732,20 @@ def test_training_walks_each_graph_once(monkeypatch):
     assert len(stepped) == steps and not copies
 
 
+def _classifier(weights, labels=("REDUCE(1)", "SHIFT"), denominator=1) -> dict:
+    """A classifier's entry in a model file."""
+    return {"labels": list(labels), "epochs": 1, "seed": 0, "denominator": denominator,
+            "weights": weights}
+
+
 MINIMAL_MODEL = {
     "format": "hybridparse-model",
+    "version": 2,
     "feature_set": "pos",
     "hyperparameters": {},
     "transitions": ["SHIFT"],
     "relations": [],
-    "classifiers": {"N": {"labels": ["REDUCE(1)", "SHIFT"], "epochs": 1, "seed": 0,
-                          "weights": {"SHIFT": {"q1:absent": 1.5}}}},
+    "classifiers": {"N": _classifier({"SHIFT": {"q1:absent": 3}}, denominator=2)},
 }
 
 
@@ -713,32 +753,59 @@ def _model_text(**changes) -> str:
     return json.dumps({**MINIMAL_MODEL, **changes})
 
 
+def _one_classifier(weights, labels=("SHIFT",), **changes) -> str:
+    """A model file whose one classifier, for N, has these weights."""
+    return _model_text(classifiers={"N": {**_classifier(weights, labels), **changes}})
+
+
+def _without(mapping: dict, key) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
 def test_minimal_model_loads():
     clf = Model.deserialize(_model_text()).classifiers["N"]
-    assert _score(clf, {"q1:absent", "q1:pos=N"}) == {"REDUCE(1)": 0.0, "SHIFT": 1.5}
-    assert clf.weights_by_label() == {"REDUCE(1)": {}, "SHIFT": {"q1:absent": 1.5}}
+    assert _score(clf, {"q1:absent", "q1:pos=N"}) == {"REDUCE(1)": 0, "SHIFT": 3}
+    assert clf.weights_by_label() == {"REDUCE(1)": {}, "SHIFT": {"q1:absent": 3}}
+    assert clf.denominator == 2
+    # A row's |weights| may sum to just below 2**53.
+    below = {"q1:absent": 2**52, "q1:pos=N": 1 - 2**52}
+    clf = Model.deserialize(_one_classifier({"SHIFT": below})).classifiers["N"]
+    assert clf.weights_by_label() == {"SHIFT": below}
 
 
 @pytest.mark.parametrize("text", [
     "{",
     "[]",
     '{"format": "hybridparse-model"}',
-    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
-                                   "weights": {"REDUCE(1)": {"q1:absent": 1.0}}}}),
-    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
-                                   "weights": {"SHIFT": {"q1:absent": "heavy"}}}}),
+    _one_classifier({"REDUCE(1)": {"q1:absent": 1}}),
+    _one_classifier({"SHIFT": {"q1:absent": "heavy"}}),
     _model_text(feature_set="mega"),
-    _model_text(classifiers={"N": {"labels": ["SHIFT", "REDUCE(1)", "SHIFT"], "epochs": 1,
-                                   "seed": 0, "weights": {"SHIFT": {"q1:absent": 1.0}}}}),
-    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
-                                   "weights": {"SHIFT": {"q1:absent": float("nan")}}}}),
-    _model_text(classifiers={"N": {"labels": ["SHIFT"], "epochs": 1, "seed": 0,
-                                   "weights": {"SHIFT": {"q1:absent": float("-inf")}}}}),
+    _one_classifier({"SHIFT": {"q1:absent": 1}}, ["SHIFT", "REDUCE(1)", "SHIFT"]),
+    _one_classifier({"SHIFT": {"q1:absent": float("nan")}}),
+    _one_classifier({"SHIFT": {"q1:absent": float("-inf")}}),
+    _one_classifier({"SHIFT": {"q1:absent": 1.5}}),
+    _one_classifier({"SHIFT": {"q1:absent": 1.0}}),
+    _one_classifier({"SHIFT": {"q1:absent": True}}),
+    _model_text(classifiers={"N": _without(_classifier({"SHIFT": {"q1:absent": 1}}), "denominator")}),
+    _one_classifier({"SHIFT": {"q1:absent": 1}}, denominator=0),
+    _one_classifier({"SHIFT": {"q1:absent": 1}}, denominator=-2),
+    _one_classifier({"SHIFT": {"q1:absent": 1}}, denominator=2.0),
+    _model_text(version=1),
+    json.dumps(_without(MINIMAL_MODEL, "version")),
+    _one_classifier({"SHIFT": {"q1:absent": 2**52, "q1:pos=N": -(2**52)}}),
 ], ids=["not-json", "not-an-object", "missing-keys", "unknown-label", "text-weight",
-        "unknown-feature-set", "repeated-label", "nan-weight", "infinite-weight"])
+        "unknown-feature-set", "repeated-label", "nan-weight", "infinite-weight",
+        "fractional-weight", "float-weight", "true-weight", "missing-denominator",
+        "zero-denominator", "negative-denominator", "float-denominator", "version-1",
+        "no-version", "row-sum-2**53"])
 def test_malformed_model_raises_training_error(text):
     with pytest.raises(TrainingError):
         Model.deserialize(text)
+
+
+def test_a_version_1_model_file_names_its_version():
+    with pytest.raises(TrainingError, match=r"^model file version 1; this reader reads 2$"):
+        Model.deserialize(_model_text(version=1))
 
 
 def test_counts_record_epochs_per_partition():
@@ -832,9 +899,9 @@ def test_memorization_small_corpus():
 def _looping_model() -> Model:
     """A verb on top always inserts EMPTY(N), which then always pops."""
     verb = AveragedPerceptron(["EMPTY(N)", "SHIFT"])
-    verb.load({"EMPTY(N)": {"s1:pos=V": 1.0}})
+    verb.load({"EMPTY(N)": {"s1:pos=V": 1}}, 1)
     noun = AveragedPerceptron(["REDUCE(1)", "SHIFT"])
-    noun.load({"REDUCE(1)": {"s1:pos=N": 1.0}})
+    noun.load({"REDUCE(1)": {"s1:pos=N": 1}}, 1)
     labels = ["EMPTY(N)", "REDUCE(1)", "SHIFT"]
     return Model(FeatureSetSpec("pos"), labels, {"V": verb, "N": noun})
 
@@ -948,10 +1015,10 @@ def test_the_memo_tells_apart_sets_that_differ_in_a_conjunction_only():
     the sets apart: by the s1 lemma, then by the s2 part of speech. The lemma
     z is unknown: its labels tie, and the smaller one ranks first."""
     weights = {
-        "SHIFT": {"s1:lemma=x&s2:pos=V": 1.0},
-        "REDUCE(1)": {"s1:lemma=y&s2:pos=V": 1.0, "s1:lemma=x&s2:pos=N": 2.0},
+        "SHIFT": {"s1:lemma=x&s2:pos=V": 1},
+        "REDUCE(1)": {"s1:lemma=y&s2:pos=V": 1, "s1:lemma=x&s2:pos=N": 2},
     }
-    classifier = {"labels": ["REDUCE(1)", "SHIFT"], "epochs": 1, "seed": 0, "weights": weights}
+    classifier = _classifier(weights)
     model = Model.deserialize(_model_text(feature_set="lemma", classifiers={"N": classifier}))
     got = []
     for pos, lemma in (("V", "x"), ("V", "y"), ("N", "x"), ("V", "x"), ("V", "z")):
@@ -1019,14 +1086,14 @@ def test_a_reloaded_classifier_predicts_as_a_fresh_one():
     weights = trained.weights_by_label()
     negated = {label: {f: -w for f, w in row.items()} for label, row in weights.items()}
     fresh = AveragedPerceptron(labels)
-    fresh.load(negated)
+    fresh.load(negated, trained.denominator)
     expected = _predictions(fresh, configs)
 
     clf = AveragedPerceptron(labels)
-    clf.load(weights)
+    clf.load(weights, trained.denominator)
     assert _predictions(clf, configs) != expected
     known = _known(clf)
-    clf.load(negated)
+    clf.load(negated, trained.denominator)
     assert _known(clf) == known
     assert _predictions(clf, configs) == expected
 
@@ -1080,8 +1147,7 @@ def test_bits_keys_and_predictions_match_the_string_references(graphs):
                     bits = featurize(config, model.feature_set, vocabulary)
                     assert vocabulary.decode(bits) == feats & names
                     for clf in model.classifiers.values():
-                        got = clf.score(bits & clf.known)
-                        assert _hex(got) == _hex(_reference_score(clf, feats))
+                        assert clf.score(bits & clf.known) == _reference_score(clf, feats)
                     for kinds in (transitions.PURE_KINDS, None):
                         expected = _string_keyed_predict(model, config, memo, kinds)
                         assert predict(model, config, kinds) == expected
@@ -1157,26 +1223,25 @@ def test_a_lemma_that_spells_a_conjunction_sets_exactly_its_tail_bit():
 
 
 # A model whose strings a lemma with "&" can spell. Each label is weighted
-# by some of them, so a missed or doubled id moves the ranking, and the
-# weights are not dyadic, so the summation order shows in the last bit.
+# by some of them, so a missed or doubled id moves the ranking.
 _SPELLED_WEIGHTS = {
     "SHIFT": {
-        "s1:lemma=x": 0.6,
-        "s1:lemma=x&y": 0.1,
-        "s1:lemma=x&y&s2:pos=N": 0.2,
-        "s1:lemma=x&s2:pos=N": 0.3,
-        "s2:lemma=x&s2:pos=N": 0.7,
-        "s1:pos=V&s2:lemma=x&y": 1.1,
+        "s1:lemma=x": 12,
+        "s1:lemma=x&y": 2,
+        "s1:lemma=x&y&s2:pos=N": 4,
+        "s1:lemma=x&s2:pos=N": 6,
+        "s2:lemma=x&s2:pos=N": 14,
+        "s1:pos=V&s2:lemma=x&y": 22,
     },
     "REDUCE(1)": {
-        "s1:lemma=x&s2:pos=N&s2:pos=V": 1.3,
-        "s1:lemma=x&s2:pos=N": -0.9,
-        "s2:pos=V": 0.35,
+        "s1:lemma=x&s2:pos=N&s2:pos=V": 26,
+        "s1:lemma=x&s2:pos=N": -18,
+        "s2:pos=V": 7,
     },
     "LEFT(subj)": {
-        "s1:lemma=x&s2:pos=N": 0.45,
-        "s2:pos=N&s2:pos=V": 0.25,
-        "s1:lemma=x&y&s2:pos=N": 0.5,
+        "s1:lemma=x&s2:pos=N": 9,
+        "s2:pos=N&s2:pos=V": 5,
+        "s1:lemma=x&y&s2:pos=N": 10,
     },
 }
 # Lemmas that hold "&" or spell one of those strings; the test adds those of
@@ -1207,8 +1272,7 @@ def test_predict_matches_the_string_reference_where_lemmas_spell_conjunctions(gr
     tail, and the spelled model's scores equal the reference's."""
     rng = random.Random(seed)
     spelled = Model.deserialize(_model_text(feature_set="lemma", classifiers={
-        pos: {"labels": sorted(_SPELLED_WEIGHTS), "epochs": 1, "seed": 0,
-              "weights": _SPELLED_WEIGHTS}
+        pos: _classifier(_SPELLED_WEIGHTS, sorted(_SPELLED_WEIGHTS), 20)
         for pos in ("N", "V", "PRON")
     }))
     models = [spelled] + [_fresh(pinned_model(case)) for case in ("hybrid-lemma", "pure-morph6")]
@@ -1238,7 +1302,7 @@ def test_the_report_counts_illegal_top_labels_and_forced_steps(parse):
     SHIFT (forced), SHIFT (top illegal), LEFT(subj), REDUCE(1) (top illegal,
     forced), REDUCE(1) (top illegal, forced)."""
     clf = AveragedPerceptron(["LEFT(subj)", "SHIFT"])
-    clf.load({"LEFT(subj)": {"s1:pos=N": 1.0}})
+    clf.load({"LEFT(subj)": {"s1:pos=N": 1}}, 1)
     model = Model(FeatureSetSpec("pos"), clf.labels, {"N": clf})
     _, report = parse(model, [seg(1), seg(2)])
     assert [str(t) for t in report.trace] == ["SHIFT", "SHIFT", "LEFT(subj)", "REDUCE(1)", "REDUCE(1)"]
@@ -1383,23 +1447,27 @@ def test_a_parse_featurizes_only_for_classifiers_that_read_a_bit(monkeypatch, ca
     assert len(featurized) == reads[True]
 
 
+def _id_memos(expansion) -> list:
+    return [expansion.plain_memo, expansion.rest_memo, expansion.conjunctions]
+
+
 def test_the_id_memos_hold_at_most_one_entry_per_ranking_and_bind_empties_them():
-    """A ranking-memo miss adds at most one entry to each run memo, to the
-    conjunction memo and to the block memo, and misses share entries."""
+    """A ranking-memo miss adds at most one entry to the plain memo, to the
+    rest memo, to the conjunction memo and to the block memo, and misses
+    share entries: the plain and conjunction memos are filled only on a
+    block-memo miss."""
     model = _fresh(pinned_model("hybrid-lemma"))
     parse_integrated(model, concatenate(generate(3, 30, PROFILE).graphs).segments)
     for clf in model.classifiers.values():
-        memos = [memo for _, memo in clf.expansion.runs]
-        memos += [clf.expansion.conjunctions, clf.partials]
+        memos = _id_memos(clf.expansion) + [clf.partials]
         assert all(len(memo) <= len(clf.rankings) for memo in memos)
     n = model.classifiers["N"]
-    runs = n.expansion.runs
-    assert len(n.rankings) > 100 and min(len(memo) for _, memo in runs) < len(n.rankings) / 2
-    assert len(n.partials) < len(n.rankings)
+    assert len(n.rankings) > 100 and len(n.expansion.rest_memo) < len(n.rankings)
+    assert len(n.expansion.plain_memo) <= len(n.partials) < len(n.rankings)
     model.bind()
     for clf in model.classifiers.values():
-        assert not clf.rankings and not clf.expansion.conjunctions and not clf.partials
-        assert not any(memo for _, memo in clf.expansion.runs)
+        assert not clf.rankings and not clf.partials
+        assert not any(_id_memos(clf.expansion))
 
 
 @settings(max_examples=10, deadline=None)
@@ -1407,7 +1475,7 @@ def test_the_id_memos_hold_at_most_one_entry_per_ranking_and_bind_empties_them()
 def test_block_partials_leave_every_score_as_the_reference(graphs, rng):
     """The feature sets a parse scores, scored in shuffled order from a
     cold block memo, again from the warm one, after a load and after a fit,
-    give the string reference's scores to the last bit: a score starts from
+    give the string reference's exact scores: a score starts from
     its block partial, whichever key filled it. Load and fit empty the
     memo; the load negates the weights and the refit drops half the pairs,
     so a partial kept from before would give other scores."""
@@ -1426,7 +1494,7 @@ def test_block_partials_leave_every_score_as_the_reference(graphs, rng):
         sets = list(sets)
         rng.shuffle(sets)
         for feats in sets:
-            assert _hex(_score(clf, feats)) == _hex(_reference_score(clf, feats))
+            assert _score(clf, feats) == _reference_score(clf, feats)
 
     model = _fresh(model)
     for partition, clf in model.classifiers.items():
@@ -1434,7 +1502,8 @@ def test_block_partials_leave_every_score_as_the_reference(graphs, rng):
         for _ in ("cold", "warm"):
             assert_scores_match(clf, sets)
         weights = clf.weights_by_label()
-        clf.load({label: {f: -w for f, w in row.items()} for label, row in weights.items()})
+        negated = {label: {f: -w for f, w in row.items()} for label, row in weights.items()}
+        clf.load(negated, clf.denominator)
         assert not clf.partials
         assert_scores_match(clf, sets)
     every_set = [feats for sets in scored.values() for feats in sets]
@@ -1445,31 +1514,26 @@ def test_block_partials_leave_every_score_as_the_reference(graphs, rng):
         assert_scores_match(clf, every_set)
 
 
-def test_the_runs_cover_the_bits_with_an_id_one_per_prefix():
-    """Each bound classifier's runs cover exactly its bits that have an id,
-    one run per name prefix, in name order: the conjunction strings, at the
-    end of the vocabulary, fall into the s1 run."""
+def test_the_plain_and_rest_masks_split_the_bits_with_an_id():
+    """Each bound classifier's plain mask holds exactly its s1 and s2 bits
+    with an id, and its rest mask its other bits with an id, which no block
+    bit is: the conjunction strings, at the end of the vocabulary, fall into
+    the plain mask."""
     model = _fresh(pinned_model("hybrid-lemma"))
     names = model.vocabulary.names
-    prefixes = set()
-    spans_the_tail = False
+    spans_the_tail = both = False
     for clf in model.classifiers.values():
-        masks = [mask for mask, _ in clf.expansion.runs]
-        by_name = names.__getitem__
-        covered = [p for mask in masks for p in sorted(features.positions(mask), key=by_name)]
-        assert covered == sorted((model.vocabulary.ids[f] for f in clf.index), key=by_name)
-        assert len(covered) == len(set(covered)) == len(clf.index)
-        spans_the_tail |= any(
-            _conjunction_strings(names[p] for p in features.positions(mask))
-            and not _conjunction_strings([names[features.positions(mask)[0]]])
-            for mask in masks
-        )
-        heads = [names[features.positions(mask)[0]].partition(":")[0] for mask in masks]
-        assert len(set(heads)) == len(heads)
-        for mask, head in zip(masks, heads):
-            assert {names[p].partition(":")[0] for p in features.positions(mask)} == {head}
-        prefixes.update(heads)
-    assert len(prefixes) > 1 and spans_the_tail
+        expansion = clf.expansion
+        plain = set(features.positions(expansion.plain))
+        rest = set(features.positions(expansion.rest))
+        assert not plain & rest
+        assert plain | rest == {model.vocabulary.ids[f] for f in clf.index}
+        assert all(names[p].startswith(("s1:", "s2:")) for p in plain)
+        assert not any(names[p].startswith(("s1:", "s2:")) for p in rest)
+        assert not expansion.block & expansion.rest
+        spans_the_tail |= bool(_conjunction_strings(names[p] for p in plain))
+        both |= bool(plain and rest)
+    assert spans_the_tail and both
 
 
 _RUNS = st.builds(lambda start, length: ((1 << length) - 1) << start, st.integers(0, 300), st.integers(1, 300))
